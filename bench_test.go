@@ -364,7 +364,7 @@ func BenchmarkHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkSteadyStateTranslate drives the full TranslateBatch → TLB →
+// BenchmarkSteadyStateTranslate drives the full TranslateBatchPAs → TLB →
 // walk → cache pipeline through sim.Machine.RunBatches over a TLB-resident
 // working set, with the cold faults taken before the timer starts. Each op
 // is one batch of accesses, so the handful of per-call setup allocations in

@@ -293,44 +293,6 @@ func (t *Table) LookupWay(key uint64) (uint64, int, bool) {
 	return 0, 0, false
 }
 
-// LookupBatch resolves len(keys) lookups in one software-pipelined sweep,
-// writing vals[i]/ways[i]/oks[i] for each key. Pass 1 computes the
-// family-wide CRC for a whole chunk — the mixer's single-CRC construction
-// makes the per-way hashes one multiply away, so the expensive table walks
-// of the CRC overlap across keys instead of serializing behind each probe.
-// Pass 2 runs the way probes. Results and statistics (Lookups, ProbeSlots)
-// are bit-identical to len(keys) sequential LookupWay calls.
-//mehpt:hotpath
-func (t *Table) LookupBatch(keys []uint64, vals []uint64, ways []int, oks []bool) {
-	const chunk = 64 // matches the translation pipeline's batch width
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > chunk {
-			n = chunk
-		}
-		var crcs [chunk]uint64
-		for i, k := range keys[:n] {
-			crcs[i] = t.mixer.CRC(k)
-		}
-		for i, k := range keys[:n] {
-			t.stats.Lookups++
-			vals[i], ways[i], oks[i] = 0, 0, false
-			for j := 0; j < t.cfg.Ways; j++ {
-				w, idx := t.locateHash(j, t.mixer.HashAt(j, crcs[i]))
-				t.stats.ProbeSlots++
-				if w.slots[idx].Key == k {
-					vals[i], ways[i], oks[i] = w.slots[idx].Val, j, true
-					break
-				}
-			}
-		}
-		keys = keys[n:]
-		vals = vals[n:]
-		ways = ways[n:]
-		oks = oks[n:]
-	}
-}
-
 // Insert adds key with value val. If key is already present its value is
 // replaced. It returns the number of cuckoo re-insertions performed.
 func (t *Table) Insert(key, val uint64) (int, error) {

@@ -211,14 +211,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 // same statistics footprint.
 func (t *Table) LookupWay(key uint64) (uint64, int, bool) { return t.tb.LookupWay(key) }
 
-// LookupBatch resolves len(keys) lookups through the cuckoo table's
-// software-pipelined, single-CRC batch sweep; bit-identical results and
-// statistics to sequential Lookup calls.
-//mehpt:hotpath
-func (t *Table) LookupBatch(keys, vals []uint64, ways []int, oks []bool) {
-	t.tb.LookupBatch(keys, vals, ways, oks)
-}
-
 // Delete removes key.
 func (t *Table) Delete(key uint64) bool { return t.tb.Delete(key) }
 

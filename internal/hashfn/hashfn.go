@@ -245,10 +245,3 @@ func (m *Mixer) HashAt(i int, crc0 uint64) uint64 {
 func (m *Mixer) Hash(i int, key uint64) uint64 {
 	return m.HashAt(i, m.CRC(key))
 }
-
-// HashPair returns the hashes of key under ways i and j with one CRC pass —
-// the two-way convenience over CRC/HashAt.
-func (m *Mixer) HashPair(i, j int, key uint64) (uint64, uint64) {
-	crc := m.CRC(key)
-	return m.HashAt(i, crc), m.HashAt(j, crc)
-}

@@ -201,19 +201,6 @@ func TestMixerArbitraryFuncs(t *testing.T) {
 	}
 }
 
-// TestHashPair property-tests the two-way convenience against Hash.
-func TestHashPair(t *testing.T) {
-	fns := Family(99, 3)
-	m := NewMixer(fns)
-	check := func(key uint64) bool {
-		h1, h2 := m.HashPair(1, 2, key)
-		return h1 == fns[1].Hash(key) && h2 == fns[2].Hash(key)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestHashAllocFree guards the hot path: hashing must never allocate.
 func TestHashAllocFree(t *testing.T) {
 	f := New(3)

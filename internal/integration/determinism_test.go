@@ -151,3 +151,50 @@ func TestMultiTenantTraceReplayMatrix(t *testing.T) {
 		t.Error("replay-from-disk matrix differs from generated-trace run")
 	}
 }
+
+// TestMultiTenantGoldenFingerprints pins the canonical multi-tenant
+// fingerprints (-scale 128 -mem 4 -processes 6 -seed 42, at 1 and 4
+// simulated cores) of a clean run and of a rate=0.002 injected run, in
+// which five of six tenants fail mid-quantum. The tenant loop has no scalar
+// twin to be compared against, so these values are its reference: a change
+// to how quanta are batched, drawn, or priced that moves any simulated
+// result moves one of them.
+func TestMultiTenantGoldenFingerprints(t *testing.T) {
+	golden := map[string]map[string]string{
+		"": {
+			"Radix":  "4044893b4e6000276f0563083cc134c8a2655c32ca6944223b6ab9e391213c76",
+			"ECPT":   "3664273dcfc9ca2c602d2e75c3aeec1dfd383dbd851ed8cd5c533a09d45b70ed",
+			"ME-HPT": "8bf4db2873b0a33207a3cd36d722476e3d50cdf444509463c3059eb1c4726653",
+		},
+		"rate=0.002": {
+			"Radix":  "28eaab80238fa9dbc1ac0675fd817c44868811a3a57476cd5a40d8e110bea0ab",
+			"ECPT":   "3c6370363736409d24b586f0829a6a595bbfa7a9d4c8dd0ee4d039031ad2c2ca",
+			"ME-HPT": "5a9fd175ac470974b892b05f49ba460625906a8a63ad5dbb1255899df7d51ce5",
+		},
+	}
+	for _, inject := range []string{"", "rate=0.002"} {
+		o := experiments.TestOptions()
+		o.Inject = inject
+		rows := experiments.MultiTenant(o, []int{1, 4}, []int{6})
+		if len(rows) != 6 {
+			t.Fatalf("inject %q: %d rows, want 6", inject, len(rows))
+		}
+		for _, r := range rows {
+			if r.JobFailed {
+				t.Fatalf("inject %q: machine %s/c%d failed: %s", inject, r.Org, r.Cores, r.FailReason)
+			}
+			if want := golden[inject][r.Org]; r.Fingerprint != want {
+				t.Errorf("inject %q: %s/c%d fingerprint %s, want %s", inject, r.Org, r.Cores, r.Fingerprint, want)
+			}
+			failed := 0
+			for _, p := range r.Procs {
+				if p.Failed {
+					failed++
+				}
+			}
+			if wantFailed := map[string]int{"": 0, "rate=0.002": 5}[inject]; failed != wantFailed {
+				t.Errorf("inject %q: %s/c%d has %d failed tenants, want %d", inject, r.Org, r.Cores, failed, wantFailed)
+			}
+		}
+	}
+}

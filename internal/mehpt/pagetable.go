@@ -122,64 +122,6 @@ func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	return pt.Translation{}, false
 }
 
-// TranslateBatch resolves each vas[i] against all page sizes largest-first,
-// writing trs[i]/oks[i]. It is size-major: for each page size (descending)
-// the still-unresolved elements are gathered and resolved through the
-// table's batched, single-CRC lookup sweep. Per element the probes hit
-// exactly the (size, table) pairs the scalar Translate would — an element
-// resolved at a larger size is skipped at smaller ones — so the commutative
-// statistics counters total identically; only their interleaving differs.
-//mehpt:hotpath
-func (p *PageTable) TranslateBatch(vas []addr.VirtAddr, trs []pt.Translation, oks []bool) {
-	const chunk = 64
-	for len(vas) > 0 {
-		n := len(vas)
-		if n > chunk {
-			n = chunk
-		}
-		for i := range oks[:n] {
-			oks[i] = false
-		}
-		for si := int(addr.NumPageSizes) - 1; si >= 0; si-- {
-			s := addr.PageSize(si)
-			t := p.tables[s]
-			if t == nil {
-				continue
-			}
-			var keys, vals [chunk]uint64
-			var hit [chunk]bool
-			var pos [chunk]int
-			m := 0
-			for i, va := range vas[:n] {
-				if oks[i] {
-					continue
-				}
-				keys[m] = pt.ClusterKey(va.PageNumber(s))
-				pos[m] = i
-				m++
-			}
-			if m == 0 {
-				break
-			}
-			t.LookupBatch(keys[:m], vals[:m], hit[:m])
-			for j := 0; j < m; j++ {
-				if !hit[j] {
-					continue
-				}
-				i := pos[j]
-				vpn := vas[i].PageNumber(s)
-				if ppn, valid := p.slab.At(vals[j]).Get(pt.SubIndex(vpn)); valid {
-					trs[i] = pt.Translation{PPN: ppn, Size: s}
-					oks[i] = true
-				}
-			}
-		}
-		vas = vas[n:]
-		trs = trs[n:]
-		oks = oks[n:]
-	}
-}
-
 // TranslateSize resolves vpn at exactly the given page size.
 //mehpt:hotpath
 func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {

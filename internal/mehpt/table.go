@@ -311,45 +311,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// LookupBatch resolves len(keys) lookups in one software-pipelined sweep,
-// writing vals[i]/oks[i] for each key. Pass 1 computes the family-wide CRC
-// for a whole chunk so the hash table walks overlap across keys; pass 2
-// runs the way probes and the stash fallback. Results and statistics are
-// bit-identical to len(keys) sequential Lookup calls.
-//mehpt:hotpath
-func (t *Table) LookupBatch(keys []uint64, vals []uint64, oks []bool) {
-	const batchChunk = 64 // matches the translation pipeline's batch width
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		var crcs [batchChunk]uint64
-		for i, k := range keys[:n] {
-			crcs[i] = t.mixer.CRC(k)
-		}
-		for i, k := range keys[:n] {
-			t.stats.Lookups++
-			vals[i], oks[i] = 0, false
-			for wi, w := range t.ways {
-				idx := w.locateHash(t.mixer.HashAt(wi, crcs[i]))
-				if w.slots[idx].Key == k {
-					vals[i], oks[i] = w.slots[idx].Val, true
-					break
-				}
-			}
-			if !oks[i] {
-				if si := t.stashIndex(k); si >= 0 {
-					vals[i], oks[i] = t.stash[si].Val, true
-				}
-			}
-		}
-		keys = keys[n:]
-		vals = vals[n:]
-		oks = oks[n:]
-	}
-}
-
 // Insert stores key→val, resizing as needed. It returns the cycle cost of
 // any physical allocations plus the number of cuckoo re-insertions.
 func (t *Table) Insert(key, val uint64) (kicks int, cycles uint64, err error) {

@@ -7,14 +7,6 @@ import (
 	"repro/internal/addr"
 )
 
-// batchMMU is the surface both concrete MMUs expose to the batched loop.
-type batchMMU interface {
-	MMU
-	TranslateWalk(va addr.VirtAddr, missLat uint64) Result
-	TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64)
-	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
-}
-
 type vaMapper interface {
 	Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error)
 }
@@ -22,9 +14,9 @@ type vaMapper interface {
 // batchPair builds two identical MMU+table pairs of the requested kind and
 // maps the same pages into both: mapped 4K pages, a 2M page, and a deliberate
 // unmapped hole so batches hit the fault path too.
-func batchPair(t *testing.T, kind string) (a, b batchMMU, vas []addr.VirtAddr) {
+func batchPair(t *testing.T, kind string) (a, b MMU, vas []addr.VirtAddr) {
 	t.Helper()
-	build := func() (batchMMU, vaMapper) {
+	build := func() (MMU, vaMapper) {
 		if kind == "Radix" {
 			m, pt, _ := newRadixMMU(t)
 			return m, pt
@@ -63,49 +55,49 @@ func batchPair(t *testing.T, kind string) (a, b batchMMU, vas []addr.VirtAddr) {
 	return am, bm, vas
 }
 
-// drainBatch drives vas through TranslateBatch in segments of varying width
-// (including width 1 and non-multiples of BatchWidth), completing each full
-// miss with TranslateWalk, and returns one Result per element.
-func drainBatch(m batchMMU, vas []addr.VirtAddr) []Result {
-	out := make([]Result, 0, len(vas))
-	var buf [BatchWidth]Result
-	segments := []int{1, 5, 31, 64, 64, 17}
-	pos, seg := 0, 0
-	for pos < len(vas) {
-		k := segments[seg%len(segments)]
-		seg++
-		if k > len(vas)-pos {
-			k = len(vas) - pos
-		}
-		n, missLat := m.TranslateBatch(vas[pos:pos+k], buf[:])
-		out = append(out, buf[:n]...)
-		if n < k {
-			out = append(out, m.TranslateWalk(vas[pos+n], missLat))
-			pos += n + 1
-			continue
-		}
-		pos += n
-	}
-	return out
-}
-
-// TestTranslateBatchMatchesScalar: the batched pipeline must be bit-identical
-// — per-element Result and final Stats — to scalar Translate calls on an
-// identically built MMU, for both MMU variants, across hit, miss, huge-page,
-// and fault elements.
+// TestTranslateBatchMatchesScalar: the batched pipeline — TranslateBatchPAs
+// over segments of varying width (including width 1 and non-multiples of
+// BatchWidth), each full miss finished by TranslateWalk — must be
+// bit-identical to scalar Translate calls on an identically built MMU, for
+// both MMU variants, across hit, miss, huge-page, and fault elements: the
+// same addresses, the same summed cycles for every resolved prefix, the
+// walked element's Result (the batch's miss latency plus the walk) equal to
+// the scalar one, and the same final Stats.
 func TestTranslateBatchMatchesScalar(t *testing.T) {
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
 			scalar, batch, vas := batchPair(t, kind)
-			got := drainBatch(batch, vas)
-			if len(got) != len(vas) {
-				t.Fatalf("batch drained %d of %d elements", len(got), len(vas))
-			}
-			for i, va := range vas {
-				want := scalar.Translate(va)
-				if got[i] != want {
-					t.Fatalf("element %d (va %#x): batch %+v, scalar %+v", i, va, got[i], want)
+			var pas [BatchWidth]addr.PhysAddr
+			segments := []int{1, 5, 31, 64, 64, 17, 3, 20}
+			pos, seg := 0, 0
+			for pos < len(vas) {
+				k := segments[seg%len(segments)]
+				seg++
+				if k > len(vas)-pos {
+					k = len(vas) - pos
 				}
+				chunk := vas[pos : pos+k]
+				n, latSum, missLat := batch.TranslateBatchPAs(chunk, pas[:])
+				var wantSum uint64
+				for i := 0; i < n; i++ {
+					want := scalar.Translate(chunk[i])
+					if want.Fault || pas[i] != want.PA {
+						t.Fatalf("element %d (va %#x): batch pa %#x, scalar %+v", pos+i, chunk[i], pas[i], want)
+					}
+					wantSum += want.Cycles
+				}
+				if latSum != wantSum {
+					t.Fatalf("pos %d: prefix of %d summed %d cycles, scalar %d", pos, n, latSum, wantSum)
+				}
+				if n < k {
+					want := scalar.Translate(chunk[n])
+					if got := batch.TranslateWalk(chunk[n], missLat); got != want {
+						t.Fatalf("element %d (va %#x): walk %+v (miss latency %d), scalar %+v",
+							pos+n, chunk[n], got, missLat, want)
+					}
+					n++
+				}
+				pos += n
 			}
 			if bs, ss := batch.Stats(), scalar.Stats(); bs != ss {
 				t.Errorf("stats diverge: batch %+v, scalar %+v", bs, ss)
@@ -115,14 +107,16 @@ func TestTranslateBatchMatchesScalar(t *testing.T) {
 }
 
 // TestTranslateBatchPAsMatchesBatch: the fused physical-address entry point
-// must consume the same prefixes and produce the same addresses, summed
-// cycles, miss latencies, and statistics as the Result-shaped batch API.
+// driven over wide segments must consume the same prefixes and produce the
+// same addresses, summed cycles, miss latencies, walked Results, and
+// statistics as the same entry point driven as batches of one element, so
+// the cross-element pipelining inside a batch never changes an outcome.
 func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
 			ref, fused, vas := batchPair(t, kind)
-			var buf [BatchWidth]Result
 			var pas [BatchWidth]addr.PhysAddr
+			var one [1]addr.PhysAddr
 			segments := []int{64, 3, 31, 1, 64, 20}
 			pos, seg := 0, 0
 			for pos < len(vas) {
@@ -132,20 +126,25 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 					k = len(vas) - pos
 				}
 				chunk := vas[pos : pos+k]
-				rn, rMiss := ref.TranslateBatch(chunk, buf[:])
 				fn, latSum, fMiss := fused.TranslateBatchPAs(chunk, pas[:k])
-				if fn != rn || fMiss != rMiss {
-					t.Fatalf("pos %d: fused (n=%d miss=%d), batch (n=%d miss=%d)", pos, fn, fMiss, rn, rMiss)
-				}
-				var wantSum uint64
-				for i := 0; i < rn; i++ {
-					wantSum += buf[i].Cycles
-					if pas[i] != buf[i].PA {
-						t.Fatalf("pos %d+%d: pa %#x, batch %#x", pos, i, pas[i], buf[i].PA)
+				rn, wantSum, rMiss := 0, uint64(0), uint64(0)
+				for rn < k {
+					n, lat, miss := ref.TranslateBatchPAs(chunk[rn:rn+1], one[:1])
+					if n == 0 {
+						rMiss = miss
+						break
 					}
+					if rn < fn && pas[rn] != one[0] {
+						t.Fatalf("pos %d+%d: pa %#x, batch of one %#x", pos, rn, pas[rn], one[0])
+					}
+					wantSum += lat
+					rn++
+				}
+				if fn != rn || fMiss != rMiss {
+					t.Fatalf("pos %d: fused (n=%d miss=%d), batch of one (n=%d miss=%d)", pos, fn, fMiss, rn, rMiss)
 				}
 				if latSum != wantSum {
-					t.Fatalf("pos %d: latSum %d, batch cycles %d", pos, latSum, wantSum)
+					t.Fatalf("pos %d: latSum %d, batch-of-one cycles %d", pos, latSum, wantSum)
 				}
 				if rn < k {
 					rw := ref.TranslateWalk(chunk[rn], rMiss)
@@ -159,7 +158,7 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 				pos += rn
 			}
 			if fs, rs := fused.Stats(), ref.Stats(); fs != rs {
-				t.Errorf("stats diverge: fused %+v, batch %+v", fs, rs)
+				t.Errorf("stats diverge: fused %+v, batch of one %+v", fs, rs)
 			}
 		})
 	}
@@ -169,9 +168,9 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 // entry point on both MMU variants: a warm full-width batch must not touch
 // the heap.
 func TestTranslateBatchPAsAllocFree(t *testing.T) {
-	build := map[string]func() (batchMMU, vaMapper){
-		"Radix": func() (batchMMU, vaMapper) { m, pt, _ := newRadixMMU(t); return m, pt },
-		"HPT":   func() (batchMMU, vaMapper) { m, pt, _ := newHPTMMU(t); return m, pt },
+	build := map[string]func() (MMU, vaMapper){
+		"Radix": func() (MMU, vaMapper) { m, pt, _ := newRadixMMU(t); return m, pt },
+		"HPT":   func() (MMU, vaMapper) { m, pt, _ := newHPTMMU(t); return m, pt },
 	}
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {

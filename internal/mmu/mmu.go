@@ -138,71 +138,50 @@ func (m *HPT) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	}
 }
 
-// TranslateWalk completes the pending element a TranslateBatch call stopped
-// at: its TLB probes have already run (and been counted) inside the batch,
-// so only the page walk remains. missLat is the miss latency TranslateBatch
-// returned. Calling Translate instead would double-count the TLB probes.
+// TranslateBatchPAs resolves the longest TLB-hit prefix of vas, software-
+// pipelined through tlb.Hierarchy.LookupBatchPAs: resolved elements land in
+// pas as physical addresses and their translation cycles are summed. It
+// returns the resolved count n, that cycle sum, and — when n < len(vas) —
+// element n's full-miss latency missLat. State updates and stats are
+// bit-identical to n scalar Translate calls.
+//
+// When n < len(vas), element n missed every TLB: its probes have been
+// performed and counted, and the caller must finish it with
+// TranslateWalk(vas[n], missLat) — handling a fault exactly as it would on a
+// scalar Translate — before resuming the batch at n+1. A page walk ends the
+// batch because it touches the data-cache hierarchy, whose state the
+// caller's pending data accesses also touch; everything before it commutes
+// (TLB hits touch only TLB state). At most BatchWidth elements are consumed
+// per call.
+//mehpt:hotpath
+func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	return translateBatchPAs(m.TLB, &m.stats, vas, pas)
+}
+
+// TranslateWalk completes the pending element a TranslateBatchPAs call
+// stopped at: its TLB probes have already run (and been counted) inside the
+// batch, so only the page walk remains. missLat is the miss latency
+// TranslateBatchPAs returned. Calling Translate instead would double-count
+// the TLB probes.
 //mehpt:hotpath
 func (m *HPT) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
 	return m.walk(va, missLat)
 }
 
-// TranslateBatch resolves the longest TLB-hit prefix of vas into out,
-// software-pipelined through tlb.Hierarchy.LookupBatch, and returns the
-// resolved count n. Results, statistics, and timing are bit-identical to n
-// scalar Translate calls.
-//
-// When n < len(vas), element n missed every TLB: its probes have been
-// performed and counted, and the caller must finish it with
-// TranslateWalk(vas[n], missLat) — handling a fault exactly as it would on
-// a scalar Translate — before resuming the batch at n+1. A page walk ends
-// the batch because it touches the data-cache hierarchy, whose state the
-// caller's pending data accesses also touch; everything before it commutes
-// (TLB hits touch only TLB state). At most tlb.BatchWidth elements are
-// consumed per call.
+// translateBatchPAs is the TLB half of TranslateBatchPAs, shared by both MMU
+// variants (the batch stops before any walk, so it never reaches the
+// variant-specific machinery).
 //mehpt:hotpath
-func (m *HPT) TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64) {
+func translateBatchPAs(t *tlb.Hierarchy, st *Stats, vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
 	if len(vas) > tlb.BatchWidth {
 		vas = vas[:tlb.BatchWidth]
 	}
-	var levels [tlb.BatchWidth]tlb.Result
-	var sizes [tlb.BatchWidth]addr.PageSize
-	var pays, lats [tlb.BatchWidth]uint64
-	n, missLat := m.TLB.LookupBatch(vas, levels[:], sizes[:], pays[:], lats[:])
-	for i := 0; i < n; i++ {
-		m.stats.Translations++
-		if levels[i] == tlb.HitL1 {
-			m.stats.L1Hits++
-		} else {
-			m.stats.L2Hits++
-		}
-		s := sizes[i]
-		out[i] = Result{PA: addr.Translate(vas[i], addr.PPN(pays[i]), s), Size: s, Cycles: lats[i]}
-	}
+	n, l1, latSum, missLat := t.LookupBatchPAs(vas, pas)
+	st.Translations += uint64(n)
+	st.L1Hits += l1
+	st.L2Hits += uint64(n) - l1
 	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, missLat
-}
-
-// TranslateBatchPAs is TranslateBatch fused for the simulator's batched
-// loop: resolved elements land directly in pas as physical addresses, and
-// the per-element Result metadata collapses into the summed translation
-// cycles (all the loop accumulates). State updates and final stats are
-// bit-identical to TranslateBatch; only the output shape differs. The
-// stop-at-first-full-miss contract is TranslateBatch's: when n < len(vas),
-// finish element n with TranslateWalk(vas[n], missLat).
-//mehpt:hotpath
-func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	n, l1, latSum, missLat := m.TLB.LookupBatchPAs(vas, pas)
-	m.stats.Translations += uint64(n)
-	m.stats.L1Hits += l1
-	m.stats.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
+		st.Translations++ // element n entered translation; its walk is the caller's
 	}
 	return n, latSum, missLat
 }
@@ -358,57 +337,18 @@ func (m *Radix) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	}
 }
 
-// TranslateWalk completes the pending element a TranslateBatch call stopped
-// at; see HPT.TranslateWalk for the contract.
+// TranslateBatchPAs resolves the longest TLB-hit prefix of vas; see
+// HPT.TranslateBatchPAs for the contract.
+//mehpt:hotpath
+func (m *Radix) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	return translateBatchPAs(m.TLB, &m.stats, vas, pas)
+}
+
+// TranslateWalk completes the pending element a TranslateBatchPAs call
+// stopped at; see HPT.TranslateWalk for the contract.
 //mehpt:hotpath
 func (m *Radix) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
 	return m.walk(va, missLat)
-}
-
-// TranslateBatch resolves the longest TLB-hit prefix of vas into out; see
-// HPT.TranslateBatch for the contract — the two are line-for-line the same
-// pipeline over their shared TLB hierarchy.
-//mehpt:hotpath
-func (m *Radix) TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	var levels [tlb.BatchWidth]tlb.Result
-	var sizes [tlb.BatchWidth]addr.PageSize
-	var pays, lats [tlb.BatchWidth]uint64
-	n, missLat := m.TLB.LookupBatch(vas, levels[:], sizes[:], pays[:], lats[:])
-	for i := 0; i < n; i++ {
-		m.stats.Translations++
-		if levels[i] == tlb.HitL1 {
-			m.stats.L1Hits++
-		} else {
-			m.stats.L2Hits++
-		}
-		s := sizes[i]
-		out[i] = Result{PA: addr.Translate(vas[i], addr.PPN(pays[i]), s), Size: s, Cycles: lats[i]}
-	}
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, missLat
-}
-
-// TranslateBatchPAs is the Radix twin of HPT.TranslateBatchPAs: the fused
-// batch entry point the simulator's loop drives, bit-identical in state and
-// stats to TranslateBatch.
-//mehpt:hotpath
-func (m *Radix) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	n, l1, latSum, missLat := m.TLB.LookupBatchPAs(vas, pas)
-	m.stats.Translations += uint64(n)
-	m.stats.L1Hits += l1
-	m.stats.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, latSum, missLat
 }
 
 // Invalidate drops TLB state for va.
@@ -432,10 +372,17 @@ func (m *Radix) Bind(table *radix.PageTable) {
 	m.FlushTranslation()
 }
 
-// MMU is the interface the simulator drives; both variants satisfy it.
+// MMU is the interface the simulator's access loop drives; both variants
+// satisfy it. Translate is the scalar path; TranslateBatchPAs and
+// TranslateWalk are the batched pipeline (see HPT.TranslateBatchPAs for
+// their contract).
 type MMU interface {
 	//mehpt:hotpath
 	Translate(va addr.VirtAddr) Result
+	//mehpt:hotpath
+	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
+	//mehpt:hotpath
+	TranslateWalk(va addr.VirtAddr, missLat uint64) Result
 	Invalidate(va addr.VirtAddr, s addr.PageSize)
 	Stats() Stats
 }
@@ -443,30 +390,3 @@ type MMU interface {
 // BatchWidth is the translation pipeline width; batch callers size their
 // buffers to it. Re-exported from the TLB layer, which anchors the value.
 const BatchWidth = tlb.BatchWidth
-
-// TranslateBatchGeneric is the batch entry point for MMU implementations
-// without a pipelined path: it translates elements of vas in scalar order
-// until one faults, filling out[i] with each Result. It returns the number
-// of non-faulting translations n; when n < len(vas), out[n] holds the
-// faulted Result (its cycles already charged) and the caller services the
-// fault and retries vas[n] exactly as it would after a scalar Translate.
-//
-// Unlike the concrete batch paths, every returned element is fully
-// translated — walks included — so it is only interleaving-safe for MMUs
-// whose walks do not touch state the caller's deferred per-element work
-// (e.g. data-cache accesses) also touches. The simulator's generic trace
-// loop therefore keeps per-element scalar interleaving and batches only
-// trace decode; this helper serves drivers that do no per-element work
-// between translations.
-func TranslateBatchGeneric(m MMU, vas []addr.VirtAddr, out []Result) int {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	for i, va := range vas {
-		out[i] = m.Translate(va)
-		if out[i].Fault {
-			return i
-		}
-	}
-	return len(vas)
-}

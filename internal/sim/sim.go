@@ -155,21 +155,16 @@ type Machine struct {
 	cfg      Config
 	mem      *phys.Memory
 	alloc    *phys.Allocator
-	os       *osmodel.OS
-	mmu      mmu.MMU
 	table    pageTable
-	cache    *cache.Hierarchy
 	injector *inject.Injector // nil unless Config.Inject is set
-	// Batch-loop scratch, allocated once with the machine: the buffers
-	// cross the vaSource interface boundary, so as locals they would
+	// eng is the access loop over the machine's MMU, data caches, and OS.
+	eng Engine
+	// Trace-decode scratch, allocated once with the machine: the buffer
+	// crosses the vaSource interface boundary, so as a local it would
 	// escape to the heap on every Run* call. A machine runs one trace
-	// loop at a time, so sharing them is safe.
+	// loop at a time, so sharing it is safe.
 	//mehpt:transient -- per-batch scratch, dead between NextBatch calls
 	vaBuf [mmu.BatchWidth]addr.VirtAddr
-	//mehpt:transient -- per-batch scratch, dead between batches
-	paBuf [mmu.BatchWidth]addr.PhysAddr
-	//mehpt:transient -- per-batch scratch, dead between batches
-	latBuf [mmu.BatchWidth]uint64
 }
 
 // NewMachine builds the machine for cfg, pre-fragmenting memory.
@@ -191,8 +186,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		mem.ResetStats()
 	}
 	alloc := phys.NewAllocator(mem, cfg.FMFI)
-	m := &Machine{cfg: cfg, mem: mem, alloc: alloc,
-		cache: cache.NewHierarchy(cache.TableIII())}
+	m := &Machine{cfg: cfg, mem: mem, alloc: alloc}
+	m.eng.Cache = cache.NewHierarchy(cache.TableIII())
 	if cfg.Inject != "" {
 		// The policy is attached after fragmentation, so the fragmenter's
 		// own blocker allocations are never injected; its seed is derived
@@ -213,7 +208,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.table = rt
-		m.mmu = mmu.NewRadix(rt.pt, m.cache)
+		m.eng.MMU = mmu.NewRadix(rt.pt, m.eng.Cache)
 	case ECPT:
 		c := ecpt.DefaultConfig(seed)
 		c.Rand = rand.New(rand.NewSource(cfg.Seed + 2))
@@ -222,7 +217,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.table = p
-		m.mmu = mmu.NewHPT(p, m.cache)
+		m.eng.MMU = mmu.NewHPT(p, m.eng.Cache)
 	case MEHPT:
 		var c mehpt.Config
 		if cfg.MEHPTConfig != nil {
@@ -238,7 +233,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.table = p
-		m.mmu = mmu.NewHPT(p, m.cache)
+		m.eng.MMU = mmu.NewHPT(p, m.eng.Cache)
 	default:
 		return nil, fmt.Errorf("sim: unknown organization %v", cfg.Org)
 	}
@@ -246,7 +241,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	osCfg := osmodel.DefaultConfig()
 	osCfg.THP = cfg.THP
 	osCfg.THPFraction = cfg.Workload.THPFraction
-	m.os = osmodel.New(osCfg, m.table, alloc)
+	m.eng.OS = osmodel.New(osCfg, m.table, alloc)
 	return m, nil
 }
 
@@ -270,7 +265,7 @@ func (m *Machine) Run() Result {
 			if _, ok := m.table.Translate(va); ok {
 				return true
 			}
-			cycles, err := m.os.HandleFault(va)
+			cycles, err := m.eng.OS.HandleFault(va)
 			res.OSCycles += cycles
 			if err != nil {
 				res.Failed = true
@@ -300,184 +295,26 @@ type vaSource interface {
 	NextBatch(out []addr.VirtAddr) int
 }
 
-// runSource drives src through the access loop. The Org dispatch is hoisted
-// out of the loop: each organization gets a loop over its concrete MMU type,
-// so the per-batch TranslateBatch call needs no interface lookup and the
-// per-access counters accumulate in registers instead of Result fields.
+// runSource drives src through the engine a batch at a time. Unlike the
+// tenant driver, the simulator counts the reference that failed the run.
 func (m *Machine) runSource(src vaSource, res *Result) {
-	switch mm := m.mmu.(type) {
-	case *mmu.HPT:
-		m.traceLoopHPT(src, res, mm)
-	case *mmu.Radix:
-		m.traceLoopRadix(src, res, mm)
-	default:
-		m.traceLoopGeneric(src, res)
-	}
-}
-
-// serviceFault runs the OS fault handler for va, accumulating its cycle
-// cost. It returns false if the run must stop (allocation failure).
-func (m *Machine) serviceFault(va addr.VirtAddr, res *Result) bool {
-	cycles, err := m.os.HandleFault(va) //mehpt:allow hotalloc -- fault path: a miss leaves the translation fast path by design
-	res.OSCycles += cycles
-	if err != nil {
-		res.Failed = true
-		res.FailReason = err.Error()
-		return false
-	}
-	return true
-}
-
-// traceLoopHPT is the timed access loop over the hashed-page-table MMU.
-// traceLoopRadix is the same loop body over the radix MMU type; the two must
-// stay in lockstep (traceLoopGeneric keeps the scalar interleave).
-//
-// The loop is batched: TranslateBatch resolves the longest TLB-hit run in
-// one pipelined pass, AccessBatch replays the run's data accesses the same
-// way, and only the element that misses every TLB drops to the scalar
-// walk/fault path. The reorder is invisible — TLB hits touch only TLB state
-// and data accesses only cache state, so hits-then-accesses commutes with
-// the scalar interleave, and the batch stops at the first page walk (which
-// does touch the data caches) so walks stay in scalar order. The batch-vs-
-// scalar differential tests in batch_test.go pin this bit-for-bit.
-//mehpt:hotpath
-func (m *Machine) traceLoopHPT(src vaSource, res *Result, mm *mmu.HPT) {
-	var accesses, xlat, data uint64
-	vaBuf, paBuf, latBuf := &m.vaBuf, &m.paBuf, &m.latBuf
-loop:
+	var t Tally
 	for {
-		n := src.NextBatch(vaBuf[:])
+		n := src.NextBatch(m.vaBuf[:])
 		if n == 0 {
 			break
 		}
-		batch := vaBuf[:n]
-		for len(batch) > 0 {
-			done, latSum, missLat := mm.TranslateBatchPAs(batch, paBuf[:])
-			xlat += latSum
-			if done > 0 {
-				accesses += uint64(done)
-				m.cache.AccessBatch(paBuf[:done], latBuf[:done])
-				for i := 0; i < done; i++ {
-					data += latBuf[i] / DataMLP
-				}
-			}
-			if done == len(batch) {
-				break
-			}
-			// Element `done` missed every TLB inside the batch; finish its
-			// walk (and any fault) exactly as the scalar loop would.
-			va := batch[done]
-			accesses++
-			r := mm.TranslateWalk(va, missLat)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = mm.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-			batch = batch[done+1:]
-		}
-	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
-}
-
-// traceLoopRadix mirrors traceLoopHPT for the radix MMU.
-//mehpt:hotpath
-func (m *Machine) traceLoopRadix(src vaSource, res *Result, mm *mmu.Radix) {
-	var accesses, xlat, data uint64
-	vaBuf, paBuf, latBuf := &m.vaBuf, &m.paBuf, &m.latBuf
-loop:
-	for {
-		n := src.NextBatch(vaBuf[:])
-		if n == 0 {
+		if err := m.eng.Run(m.vaBuf[:n], &t); err != nil {
+			t.Accesses++
+			res.Failed = true
+			res.FailReason = err.Error()
 			break
 		}
-		batch := vaBuf[:n]
-		for len(batch) > 0 {
-			done, latSum, missLat := mm.TranslateBatchPAs(batch, paBuf[:])
-			xlat += latSum
-			if done > 0 {
-				accesses += uint64(done)
-				m.cache.AccessBatch(paBuf[:done], latBuf[:done])
-				for i := 0; i < done; i++ {
-					data += latBuf[i] / DataMLP
-				}
-			}
-			if done == len(batch) {
-				break
-			}
-			va := batch[done]
-			accesses++
-			r := mm.TranslateWalk(va, missLat)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = mm.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-			batch = batch[done+1:]
-		}
 	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
-}
-
-// traceLoopGeneric mirrors the scalar loop over the MMU interface, for MMU
-// implementations the fast paths do not know about. Only the trace decode is
-// batched: an unknown MMU's walks may touch arbitrary machine state, so the
-// per-element Translate/Access interleave must stay in scalar order (see
-// mmu.TranslateBatchGeneric for the same constraint).
-//mehpt:hotpath
-func (m *Machine) traceLoopGeneric(src vaSource, res *Result) {
-	var accesses, xlat, data uint64
-	vaBuf := &m.vaBuf
-loop:
-	for {
-		n := src.NextBatch(vaBuf[:])
-		if n == 0 {
-			break
-		}
-		for _, va := range vaBuf[:n] {
-			accesses++
-			r := m.mmu.Translate(va)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = m.mmu.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-		}
-	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
+	res.Accesses += t.Accesses
+	res.XlatCycles += t.XlatCycles
+	res.DataCycles += t.DataCycles
+	res.OSCycles += t.OSCycles
 }
 
 func (m *Machine) finish(res *Result) {
@@ -485,8 +322,8 @@ func (m *Machine) finish(res *Result) {
 	if m.injector != nil {
 		res.InjectedFaults = m.injector.Stats().Injected
 	}
-	res.MMU = m.mmu.Stats()
-	res.OS = m.os.Stats()
+	res.MMU = m.eng.MMU.Stats()
+	res.OS = m.eng.OS.Stats()
 	res.PTPeakBytes = m.table.PeakFootprintBytes()
 	res.PTFinalBytes = m.table.FootprintBytes()
 	res.MaxContiguous = m.table.MaxContiguousAlloc()
@@ -511,25 +348,25 @@ func (m *Machine) RunAddresses(gen func(emit func(va addr.VirtAddr))) Result {
 			return
 		}
 		res.Accesses++
-		r := m.mmu.Translate(va)
+		r := m.eng.MMU.Translate(va)
 		res.XlatCycles += r.Cycles
 		if r.Fault {
-			cycles, err := m.os.HandleFault(va)
+			cycles, err := m.eng.OS.HandleFault(va)
 			res.OSCycles += cycles
 			if err != nil {
 				res.Failed = true
 				res.FailReason = err.Error()
 				return
 			}
-			r = m.mmu.Translate(va)
+			r = m.eng.MMU.Translate(va)
 			res.XlatCycles += r.Cycles
 			if r.Fault {
 				res.Failed = true
-				res.FailReason = "fault persisted after OS handling"
+				res.FailReason = ErrFaultPersisted.Error()
 				return
 			}
 		}
-		res.DataCycles += m.cache.Access(r.PA) / DataMLP
+		res.DataCycles += m.eng.Cache.Access(r.PA) / DataMLP
 	})
 	m.finish(&res)
 	return res

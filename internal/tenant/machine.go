@@ -102,11 +102,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 func newShards(cfg Config) []*shard {
 	shards := make([]*shard, cfg.Cores)
 	for c := range shards {
-		if cfg.Org == sim.Radix {
-			shards[c] = &shard{rdx: mmu.NewRadix(nil, nil)}
-		} else {
-			shards[c] = &shard{hpt: mmu.NewHPT(nil, nil)}
-		}
+		shards[c] = newShard(cfg.Org)
 	}
 	return shards
 }

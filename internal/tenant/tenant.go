@@ -295,9 +295,26 @@ func (p *process) fail(err error) {
 type shard struct {
 	hpt *mmu.HPT
 	rdx *mmu.Radix
+	// eng runs the bound tenant's private accesses through this core's MMU.
+	eng sim.Engine
+	// vas buffers the quantum's pending private accesses.
+	vas [mmu.BatchWidth]addr.VirtAddr
+}
+
+func newShard(org sim.Org) *shard {
+	s := &shard{}
+	if org == sim.Radix {
+		s.rdx = mmu.NewRadix(nil, nil)
+		s.eng.MMU = s.rdx
+	} else {
+		s.hpt = mmu.NewHPT(nil, nil)
+		s.eng.MMU = s.hpt
+	}
+	return s
 }
 
 func (s *shard) bind(p *process) {
+	s.eng.Cache, s.eng.OS = p.cache, p.os
 	if s.hpt != nil {
 		s.hpt.Mem = p.cache
 		s.hpt.Bind(p.hpt)
@@ -307,12 +324,7 @@ func (s *shard) bind(p *process) {
 	s.rdx.Bind(p.rpt)
 }
 
-func (s *shard) mmu() mmu.MMU {
-	if s.hpt != nil {
-		return s.hpt
-	}
-	return s.rdx
-}
+func (s *shard) mmu() mmu.MMU { return s.eng.MMU }
 
 // tlbs returns the shard's TLB hierarchy (both MMU variants expose one);
 // the shared-segment path probes it directly.
@@ -484,59 +496,77 @@ func newShared(cfg Config, pool *phys.Striped) (*sharedRegion, error) {
 	return s, nil
 }
 
-// runQuantum executes up to cfg.Quantum accesses of p on shard sh.
+// runQuantum executes up to cfg.Quantum accesses of p on shard sh. Each
+// access draws its private/shared choice from the tenant's overlay RNG, in
+// access order. Consecutive private accesses are buffered and run through
+// the shard's engine as one batch, flushed when the buffer fills, before
+// every shared access (which must see their TLB and cache effects), and at
+// quantum end. Neither the draws nor the trace depend on translation
+// results, so the RNG draw order — and every canonical result — matches a
+// one-access-at-a-time loop.
+//
+//mehpt:hotpath
 func runQuantum(cfg Config, p *process, sh *shard, shared *sharedRegion) {
 	n := cfg.Quantum
 	if n > p.left {
 		n = p.left
 	}
+	k := 0 // buffered private accesses
 	for i := uint64(0); i < n; i++ {
-		if p.rng.Float64() < cfg.SharedFraction {
+		isShared := p.rng.Float64() < cfg.SharedFraction
+		if !isShared {
+			k++
+		}
+		if k > 0 && (isShared || k == len(sh.vas)) {
+			if !runPrivate(p, sh, k) {
+				return // tenant failed mid-quantum
+			}
+			k = 0
+		}
+		if isShared {
 			sharedAccess(p, sh, shared)
 			p.res.SharedAccesses++
-		} else if !privateAccess(p, sh) {
-			return // tenant failed mid-quantum
+			p.res.Accesses++
+			p.left--
 		}
-		p.res.Accesses++
-		p.left--
+	}
+	if k > 0 {
+		runPrivate(p, sh, k)
 	}
 }
 
-// privateAccess replays one trace access through the shard MMU, faulting
-// on demand. It returns false when the tenant fails.
+// runPrivate runs p's next k private trace accesses through the shard's
+// engine, faulting on demand. It returns false when the tenant fails; the
+// access that failed is not counted.
 //
 //mehpt:hotpath
-func privateAccess(p *process, sh *shard) bool {
-	var va addr.VirtAddr
+func runPrivate(p *process, sh *shard, k int) bool {
+	var vas []addr.VirtAddr
 	if p.replay != nil {
-		if p.replayPos >= uint64(len(p.replay)) {
+		if uint64(len(p.replay))-p.replayPos < uint64(k) {
 			panic("tenant: trace exhausted before access budget")
 		}
-		va = p.replay[p.replayPos]
-		p.replayPos++
+		vas = p.replay[p.replayPos : p.replayPos+uint64(k)]
+		p.replayPos += uint64(k)
 	} else {
-		var ok bool
-		va, ok = p.trace.Next()
-		if !ok {
+		vas = sh.vas[:k]
+		if p.trace.NextBatch(vas) < k {
 			// The trace is sized to the access budget; exhaustion here means
 			// the budget accounting drifted, which would silently shorten runs.
 			panic("tenant: trace exhausted before access budget")
 		}
 	}
-	m := sh.mmu()
-	r := m.Translate(va)
-	p.res.XlatCycles += r.Cycles
-	if r.Fault {
-		c, err := p.os.HandleFault(va) //mehpt:allow hotalloc -- fault path: a miss leaves the translation fast path by design
-		p.res.OSCycles += c
-		if err != nil {
-			p.fail(err)
-			return false
-		}
-		r = m.Translate(va)
-		p.res.XlatCycles += r.Cycles
+	var t sim.Tally
+	err := sh.eng.Run(vas, &t)
+	p.res.Accesses += t.Accesses
+	p.left -= t.Accesses
+	p.res.XlatCycles += t.XlatCycles
+	p.res.DataCycles += t.DataCycles
+	p.res.OSCycles += t.OSCycles
+	if err != nil {
+		p.fail(err)
+		return false
 	}
-	p.res.DataCycles += p.cache.Access(r.PA) / sim.DataMLP
 	return true
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/inject"
+	"repro/internal/mmu"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
@@ -223,5 +224,44 @@ func TestTenantIsolationUnderInjection(t *testing.T) {
 	}
 	if res2.Fingerprint != res.Fingerprint {
 		t.Error("injected run not reproducible")
+	}
+}
+
+// deafMMU faults on every private reference, as if the tenant's page table
+// never took the mappings its OS installed.
+type deafMMU struct{ mmu.MMU }
+
+func (deafMMU) Translate(addr.VirtAddr) mmu.Result { return mmu.Result{Fault: true} }
+
+func (deafMMU) TranslateBatchPAs([]addr.VirtAddr, []addr.PhysAddr) (int, uint64, uint64) {
+	return 0, 0, 0
+}
+
+func (deafMMU) TranslateWalk(addr.VirtAddr, uint64) mmu.Result { return mmu.Result{Fault: true} }
+
+// TestFaultPersistedFailsTenant: a private reference that still faults
+// after the OS handled it fails its tenant with sim.ErrFaultPersisted
+// instead of being priced as an access to physical address 0. Only the
+// shared accesses drawn before each tenant's first private one count.
+func TestFaultPersistedFailsTenant(t *testing.T) {
+	m, err := NewMachine(testConfig(sim.Radix, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range m.shards {
+		sh.eng.MMU = deafMMU{sh.eng.MMU}
+	}
+	res := runToEnd(t, m)
+	for _, p := range res.Procs {
+		if !p.Failed || !errors.Is(p.FailureErr, sim.ErrFaultPersisted) {
+			t.Errorf("proc %d: failed=%v err=%v, want sim.ErrFaultPersisted", p.PID, p.Failed, p.FailureErr)
+		}
+		if p.Accesses != p.SharedAccesses {
+			t.Errorf("proc %d counted %d accesses, %d of them shared: the failing private one was counted",
+				p.PID, p.Accesses, p.SharedAccesses)
+		}
+		if p.Faults != 1 {
+			t.Errorf("proc %d handled %d faults, want 1", p.PID, p.Faults)
+		}
 	}
 }

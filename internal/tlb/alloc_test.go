@@ -59,32 +59,6 @@ func TestHierarchyLookupAllocFree(t *testing.T) {
 	}
 }
 
-// TestLookupBatchAllocFree guards the batched pipeline entry point: the
-// two-pass probe, its scratch, and the slow-lane continuation must all stay
-// on the stack.
-func TestLookupBatchAllocFree(t *testing.T) {
-	h := NewTableIII()
-	var vas [BatchWidth]addr.VirtAddr
-	for i := range vas {
-		vas[i] = addr.VirtAddr(0x1000000 + i*4096)
-		h.Insert(vas[i], addr.Page4K, uint64(i))
-	}
-	// One resident at 2M so the slow lane (4K miss → larger sizes) runs too.
-	vas[BatchWidth-1] = addr.VirtAddr(0x80000000)
-	h.Insert(vas[BatchWidth-1], addr.Page2M, 7)
-	var levels [BatchWidth]Result
-	var sizes [BatchWidth]addr.PageSize
-	var pays, lats [BatchWidth]uint64
-	if n := testing.AllocsPerRun(1000, func() {
-		got, _ := h.LookupBatch(vas[:], levels[:], sizes[:], pays[:], lats[:])
-		if got != BatchWidth {
-			t.Fatalf("warm batch resolved %d/%d", got, BatchWidth)
-		}
-	}); n != 0 {
-		t.Errorf("LookupBatch allocates %v objects per call", n)
-	}
-}
-
 // TestLookupBatchPAsAllocFree guards the fused entry point the simulator's
 // trace loop drives, including its slow-lane (2M) continuation.
 func TestLookupBatchPAsAllocFree(t *testing.T) {

@@ -266,88 +266,28 @@ func (h *Hierarchy) lookupVAFrom4KMiss(va addr.VirtAddr) (Result, addr.PageSize,
 	return MissAll, 0, 0, miss
 }
 
-// LookupBatch resolves the longest all-hit prefix of vas, software-
-// pipelined: set indices for the common-case probe (L1, 4K pages) are
-// computed for the whole batch first, then tags are compared in a second
-// pass so the set loads overlap instead of serializing behind each probe.
-// Elements that miss the 4K L1 fall through to the same per-size
-// continuation the scalar LookupVA uses.
-//
-// For each resolved element i < n it fills levels[i], sizes[i], pays[i],
-// and lats[i] with exactly what LookupVA would have returned. It stops at
-// the first element that misses every structure — that element's probes
-// (hits, misses, LRU updates) have already been performed and counted, so
-// the caller must complete it with the page walk directly, NOT by calling
-// LookupVA again. Returns the resolved count n and, when n < len(vas),
-// element n's full-miss latency. At most BatchWidth elements are consumed
-// per call.
-//mehpt:hotpath
-func (h *Hierarchy) LookupBatch(vas []addr.VirtAddr, levels []Result, sizes []addr.PageSize, pays, lats []uint64) (int, uint64) {
-	if len(vas) > BatchWidth {
-		vas = vas[:BatchWidth]
-	}
-	t1 := h.l1[addr.Page4K]
-	ways := uint64(t1.ways)
-	lat1 := t1.cfg.Latency
-	var baseBuf [BatchWidth]uint64
-	var wantBuf [BatchWidth]uint64
-	for i, va := range vas {
-		vpn := va.PageNumber(addr.Page4K)
-		baseBuf[i] = t1.setBase(vpn)
-		wantBuf[i] = uint64(vpn) + 1
-	}
-	// L1 hits accumulate in a register and flush once per call: nothing
-	// observes the counter mid-batch, so the end state is bit-identical.
-	var hits1 uint64
-	for i, va := range vas {
-		base, want := baseBuf[i], wantBuf[i]
-		set := t1.tags[base : base+ways]
-		hit := -1
-		for j, tag := range set {
-			if tag == 0 {
-				break
-			}
-			if tag == want {
-				hit = j
-				break
-			}
-		}
-		if hit >= 0 {
-			pp := t1.pays[base : base+ways]
-			pay := pp[hit]
-			promote2(set, pp, hit)
-			hits1++
-			levels[i] = HitL1
-			sizes[i] = addr.Page4K
-			pays[i] = pay
-			lats[i] = lat1
-			continue
-		}
-		// Slow lane: count the 4K L1 miss exactly as TLB.Lookup would,
-		// then run the scalar continuation for the remaining structures.
-		t1.stats.Misses++
-		r, s, pay, lat := h.lookupVAFrom4KMiss(va)
-		if r == MissAll {
-			t1.stats.Hits += hits1
-			return i, lat
-		}
-		levels[i] = r
-		sizes[i] = s
-		pays[i] = pay
-		lats[i] = lat
-	}
-	t1.stats.Hits += hits1
-	return len(vas), 0
-}
+// lookupStride is how many elements LookupBatchPAs indexes ahead of its tag
+// compares: enough for the set loads to overlap, few enough that a full
+// miss early in a batch wastes little index work on elements a later call
+// will index again.
+const lookupStride = 8
 
-// LookupBatchPAs is LookupBatch fused with the payload→physical-address
-// completion: pas[i] receives the translated address of each resolved
-// element, and the per-element metadata collapses into aggregates — the
-// L1-hit count and the summed lookup latency — which is all the simulator's
-// batched loop consumes. Probe order, LRU updates, and final counters are
-// identical to LookupBatch; only the output shape differs. Returns the
-// resolved count n, the L1-hit count among them, the summed latency, and
-// (when n < len(vas)) element n's full-miss latency.
+// LookupBatchPAs resolves the longest all-hit prefix of vas into physical
+// addresses, software-pipelined: set indices for the common-case probe (L1,
+// 4K pages) are computed lookupStride elements ahead, then tags are compared
+// in a second pass so the set loads overlap instead of serializing behind
+// each probe. Elements that miss the 4K L1 fall through to the same per-size
+// continuation the scalar LookupVA uses, so probe order, LRU updates, and
+// counters match len(vas) LookupVA calls.
+//
+// pas[i] receives the translated address of each resolved element; the
+// per-element metadata collapses into aggregates — the L1-hit count and the
+// summed lookup latency. It stops at the first element that misses every
+// structure: that element's probes have already been performed and counted,
+// so the caller must complete it with the page walk directly, NOT by calling
+// LookupVA again. Returns the resolved count n, the L1-hit count among them,
+// the summed latency, and (when n < len(vas)) element n's full-miss latency.
+// At most BatchWidth elements are consumed per call.
 //mehpt:hotpath
 func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64, uint64) {
 	if len(vas) > BatchWidth {
@@ -359,51 +299,53 @@ func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (in
 	// Hoisting the tag/payload arrays into locals keeps their headers in
 	// registers: the compiler cannot prove the pas stores don't alias them.
 	tags, pays := t1.tags, t1.pays
-	var baseBuf [BatchWidth]uint64
-	var wantBuf [BatchWidth]uint64
-	for i, va := range vas {
-		vpn := va.PageNumber(addr.Page4K)
-		baseBuf[i] = t1.setBase(vpn)
-		wantBuf[i] = uint64(vpn) + 1
-	}
 	// hits1 counts fast-lane 4K L1 hits (flushed to t1's counter once);
 	// l1Slow counts slow-lane hits that still landed in an L1 structure
 	// (larger page sizes) — the returned L1 total needs both.
 	var hits1, l1Slow, latSum uint64
-	for i, va := range vas {
-		base, want := baseBuf[i], wantBuf[i]
-		set := tags[base : base+ways]
-		hit := -1
-		for j, tag := range set {
-			if tag == 0 {
-				break
+	for c := 0; c < len(vas); c += lookupStride {
+		chunk := vas[c:min(c+lookupStride, len(vas))]
+		var baseBuf, wantBuf [lookupStride]uint64
+		for i, va := range chunk {
+			vpn := va.PageNumber(addr.Page4K)
+			baseBuf[i] = t1.setBase(vpn)
+			wantBuf[i] = uint64(vpn) + 1
+		}
+		for i, va := range chunk {
+			base, want := baseBuf[i], wantBuf[i]
+			set := tags[base : base+ways]
+			hit := -1
+			for j, tag := range set {
+				if tag == 0 {
+					break
+				}
+				if tag == want {
+					hit = j
+					break
+				}
 			}
-			if tag == want {
-				hit = j
-				break
+			if hit >= 0 {
+				pp := pays[base : base+ways]
+				pay := pp[hit]
+				promote2(set, pp, hit)
+				hits1++
+				pas[c+i] = addr.Translate(va, addr.PPN(pay), addr.Page4K)
+				continue
 			}
+			// Slow lane: count the 4K L1 miss exactly as TLB.Lookup would,
+			// then run the scalar continuation for the remaining structures.
+			t1.stats.Misses++
+			r, s, pay, lat := h.lookupVAFrom4KMiss(va)
+			if r == MissAll {
+				t1.stats.Hits += hits1
+				return c + i, hits1 + l1Slow, latSum + hits1*lat1, lat
+			}
+			if r == HitL1 {
+				l1Slow++
+			}
+			latSum += lat
+			pas[c+i] = addr.Translate(va, addr.PPN(pay), s)
 		}
-		if hit >= 0 {
-			pp := pays[base : base+ways]
-			pay := pp[hit]
-			promote2(set, pp, hit)
-			hits1++
-			pas[i] = addr.Translate(va, addr.PPN(pay), addr.Page4K)
-			continue
-		}
-		// Slow lane: count the 4K L1 miss exactly as TLB.Lookup would,
-		// then run the scalar continuation for the remaining structures.
-		t1.stats.Misses++
-		r, s, pay, lat := h.lookupVAFrom4KMiss(va)
-		if r == MissAll {
-			t1.stats.Hits += hits1
-			return i, hits1 + l1Slow, latSum + hits1*lat1, lat
-		}
-		if r == HitL1 {
-			l1Slow++
-		}
-		latSum += lat
-		pas[i] = addr.Translate(va, addr.PPN(pay), s)
 	}
 	t1.stats.Hits += hits1
 	return len(vas), hits1 + l1Slow, latSum + hits1*lat1, 0

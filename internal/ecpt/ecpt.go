@@ -200,21 +200,53 @@ func (t *Table) Resizing() bool { return t.tb.Resizing() }
 // resize stays in flight and the table remains valid.
 func (t *Table) DrainResize() error { return t.tb.DrainResize() }
 
-// Insert stores key→val.
-func (t *Table) Insert(key, val uint64) (int, error) { return t.tb.Insert(key, val) }
+// PageSize returns the page size this table translates.
+func (t *Table) PageSize() addr.PageSize { return t.size }
+
+// Totals returns the table's footprint and allocation counters.
+func (t *Table) Totals() pt.Totals {
+	return pt.Totals{
+		FootprintBytes:     t.FootprintBytes(),
+		PeakFootprintBytes: t.stats.PeakFootprintBytes,
+		MaxContiguousAlloc: t.stats.MaxContiguousAlloc,
+		Moves:              t.stats.Moves,
+		AllocCycles:        t.stats.AllocCycles,
+	}
+}
+
+// Insert stores key→val and returns the allocation cycles spent by the
+// ways it allocated (resizes), including on failure.
+func (t *Table) Insert(key, val uint64) (uint64, error) {
+	before := t.stats.AllocCycles
+	_, err := t.tb.Insert(key, val)
+	return t.stats.AllocCycles - before, err
+}
 
 // Lookup returns the value for key.
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 
-// LookupWay is Lookup additionally reporting the way that hit, with the
-// same statistics footprint.
-func (t *Table) LookupWay(key uint64) (uint64, int, bool) { return t.tb.LookupWay(key) }
+// Walk is Lookup additionally returning the physical address of the probe
+// slot of the way that hit, with the same statistics footprint.
+//mehpt:hotpath
+func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
+	id, way, ok := t.tb.LookupWay(key)
+	if !ok {
+		return 0, 0, false
+	}
+	return id, t.ProbeAddr(way, key), true
+}
 
-// Delete removes key.
-func (t *Table) Delete(key uint64) bool { return t.tb.Delete(key) }
+// Delete removes the present key and returns the allocation cycles spent
+// by a resize it triggered.
+func (t *Table) Delete(key uint64) uint64 {
+	before := t.stats.AllocCycles
+	t.tb.Delete(key)
+	return t.stats.AllocCycles - before
+}
 
 // WayOf returns the way holding key.
+//mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
 
 // ProbeAddr returns the physical address way i's hardware probe for key

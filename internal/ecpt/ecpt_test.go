@@ -178,13 +178,14 @@ func TestModelEquivalence(t *testing.T) {
 func TestProbeAddrsStable(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	va := addr.VirtAddr(0x5555_0000)
-	a := p.ProbeAddrs(va, addr.Page4K)
-	b := p.ProbeAddrs(va, addr.Page4K)
-	if len(a) != 3 {
-		t.Fatalf("probe count = %d", len(a))
+	key := pt.ClusterKey(va.PageNumber(addr.Page4K))
+	tbl := p.Table(addr.Page4K)
+	ways := DefaultConfig(19).Ways
+	if ways != 3 {
+		t.Fatalf("way count = %d", ways)
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := 0; i < ways; i++ {
+		if a, b := tbl.ProbeAddr(i, key), tbl.ProbeAddr(i, key); a != b {
 			t.Errorf("probe address unstable for way %d", i)
 		}
 	}
@@ -201,10 +202,12 @@ func TestWayOfConsistentWithProbe(t *testing.T) {
 		if !ok {
 			t.Fatalf("WayOf missed vpn %d just mapped", vpn)
 		}
-		if pa := p.WayProbeAddr(va, addr.Page4K, w); pa == 0 && i > 0 {
-			// Physical frame 0 is legitimate only once; treat repeated
-			// zeros as suspicious.
-			t.Logf("probe at physical 0 for vpn %d", vpn)
+		_, probe, ok := p.Walk(va)
+		if !ok {
+			t.Fatalf("Walk missed vpn %d just mapped", vpn)
+		}
+		if want := p.Table(addr.Page4K).ProbeAddr(w, pt.ClusterKey(vpn)); probe != want {
+			t.Fatalf("vpn %d: Walk probe %#x, probe of way %d %#x", vpn, uint64(probe), w, uint64(want))
 		}
 	}
 }

@@ -119,11 +119,9 @@ type PageTableState struct {
 
 // State returns a deep copy of the page table.
 func (p *PageTable) State() PageTableState {
-	st := PageTableState{Slab: p.slab.State()}
-	for _, t := range p.tables {
-		if t != nil {
-			st.Tables = append(st.Tables, t.State())
-		}
+	st := PageTableState{Slab: p.Hashed.SlabState()}
+	for _, t := range p.Hashed.LiveTables() {
+		st.Tables = append(st.Tables, t.State())
 	}
 	return st
 }
@@ -131,77 +129,53 @@ func (p *PageTable) State() PageTableState {
 // RestorePageTable rebuilds a process's ECPT from recorded state without
 // allocating; see RestoreTable for the cfg requirements.
 func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) *PageTable {
-	p := &PageTable{alloc: alloc, cfg: cfg}
-	p.slab.Restore(st.Slab)
-	for _, ts := range st.Tables {
-		if ts.Size < addr.NumPageSizes {
-			p.tables[ts.Size] = RestoreTable(ts, alloc, cfg)
-		}
+	tables := make([]*Table, len(st.Tables))
+	for i, ts := range st.Tables {
+		tables[i] = RestoreTable(ts, alloc, cfg)
 	}
+	p := newPageTable(alloc, cfg)
+	p.RestoreTables(st.Slab, tables)
 	return p
 }
 
-// VisitOwnedFrames reports every physical block the page table owns — each
-// live group's contiguous ways — as (base PPN, bytes) pairs.
-func (p *PageTable) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
-	for _, t := range p.tables {
-		if t == nil {
-			continue
-		}
-		for _, g := range t.groups {
-			wayBytes := g.entriesPerWay * pt.EntryBytes
-			for _, b := range g.bases {
-				f(b, wayBytes)
-			}
+// VisitOwnedFrames reports every physical block the table owns — each live
+// group's contiguous ways — as (base PPN, bytes) pairs.
+func (t *Table) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
+	for _, g := range t.groups {
+		wayBytes := g.entriesPerWay * pt.EntryBytes
+		for _, b := range g.bases {
+			f(b, wayBytes)
 		}
 	}
 }
 
-// VisitMappings calls f for every live translation (vpn, size, ppn).
-func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
-	for si, t := range p.tables {
-		if t == nil {
-			continue
-		}
-		size := addr.PageSize(si)
-		t.tb.Range(func(key, val uint64) bool {
-			c := p.slab.At(val)
-			base := pt.BaseVPN(key)
-			for sub := uint(0); sub < pt.ClusterSpan; sub++ {
-				if ppn, ok := c.Get(sub); ok {
-					f(base+addr.VPN(sub), size, ppn)
-				}
-			}
-			return true
-		})
-	}
+// Range calls f for every stored (cluster key, cluster id).
+func (t *Table) Range(f func(key, id uint64)) {
+	t.tb.Range(func(key, val uint64) bool {
+		f(key, val)
+		return true
+	})
 }
 
-// CheckTables runs the structural consistency checks the scrubber reports:
-// each table's group list must back its cuckoo geometry (one group
-// steady-state, two mid-resize), with group sizes matching the way sizes.
-func (p *PageTable) CheckTables() []string {
+// Check runs the structural consistency checks the scrubber reports: the
+// group list must back the cuckoo geometry (one group steady-state, two
+// mid-resize), with group sizes matching the way sizes.
+func (t *Table) Check() []string {
+	want := 1
+	if t.tb.Resizing() {
+		want = 2
+	}
+	if len(t.groups) != want {
+		return []string{fmt.Sprintf("size %v: %d way groups, resize state wants %d", t.size, len(t.groups), want)}
+	}
 	var bad []string
-	for _, t := range p.tables {
-		if t == nil {
-			continue
-		}
-		want := 1
-		if t.tb.Resizing() {
-			want = 2
-		}
-		if len(t.groups) != want {
-			bad = append(bad, fmt.Sprintf("size %v: %d way groups, resize state wants %d", t.size, len(t.groups), want))
-			continue
-		}
-		last := t.groups[len(t.groups)-1]
-		if last.entriesPerWay != t.tb.EntriesPerWay() {
-			bad = append(bad, fmt.Sprintf("size %v: steady group backs %d entries/way, table is at %d", t.size, last.entriesPerWay, t.tb.EntriesPerWay()))
-		}
-		for gi, g := range t.groups {
-			if len(g.bases) != t.ways {
-				bad = append(bad, fmt.Sprintf("size %v group %d: %d way bases for %d ways", t.size, gi, len(g.bases), t.ways))
-			}
+	last := t.groups[len(t.groups)-1]
+	if last.entriesPerWay != t.tb.EntriesPerWay() {
+		bad = append(bad, fmt.Sprintf("size %v: steady group backs %d entries/way, table is at %d", t.size, last.entriesPerWay, t.tb.EntriesPerWay()))
+	}
+	for gi, g := range t.groups {
+		if len(g.bases) != t.ways {
+			bad = append(bad, fmt.Sprintf("size %v group %d: %d way bases for %d ways", t.size, gi, len(g.bases), t.ways))
 		}
 	}
 	return bad

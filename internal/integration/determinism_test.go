@@ -1,7 +1,10 @@
 package integration
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -197,4 +200,62 @@ func TestMultiTenantGoldenFingerprints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSingleProcessGoldenFingerprints pins the SHA-256 of the single-process
+// experiments under experiments.TestOptions (Figure 9 at 30 000 timed
+// accesses, the virtualization study at 256 pages): their rendered text
+// followed by the JSON of their rows, which carries every float at full
+// precision where the text rounds. These drivers run sim.Machine over all
+// three page-table organizations, and Figure 13 and the virtualization study
+// read ME-HPT internals and the nested walkers, so a change that moves any
+// simulated cycle, footprint, or table statistic on the single-process path
+// moves one of these values.
+func TestSingleProcessGoldenFingerprints(t *testing.T) {
+	o := experiments.TestOptions()
+	o.TimedAccesses = 30_000
+	golden := []struct {
+		name   string
+		render func(t *testing.T) string
+		want   string
+	}{
+		{"Table1", func(t *testing.T) string {
+			return goldenText(t, experiments.Table1(o), experiments.FprintTable1)
+		}, "2c334904adc15ac20887be9d577a447dbe33aa0759828cf309d88a55cc464eef"},
+		{"Figure8", func(t *testing.T) string {
+			return goldenText(t, experiments.Figure8(o), experiments.FprintFigure8)
+		}, "11901cc98c0e15c08b029ec5b59956698f7c0e9c375cab41c6fd07e36f583be9"},
+		{"Figure9", func(t *testing.T) string {
+			return goldenText(t, experiments.Figure9(o), experiments.FprintFigure9)
+		}, "26740743f187ebcbed07c9a87d40b72a9e84f81dadb7d4ee73823f105aedef18"},
+		{"Figure10", func(t *testing.T) string {
+			return goldenText(t, experiments.Figure10(o), experiments.FprintFigure10)
+		}, "50c1c07324544e7c2307ebc1297a1c16c95da80fefad93181b59627af6169bb3"},
+		{"Figure13", func(t *testing.T) string {
+			return goldenText(t, experiments.Figure13(o), experiments.FprintFigure13)
+		}, "629bd8a9fb80bdd10a08e77ca0d60a8ff69568da739791ce8a374f87fa5ad664"},
+		{"Virtualization", func(t *testing.T) string {
+			return goldenText(t, experiments.Virtualization(o, 256), experiments.FprintVirtualization)
+		}, "b6418058c35d39bf0512ceed1e42602f571ebb371499fe65e5ed5923e46da88d"},
+	}
+	for _, g := range golden {
+		text := g.render(t)
+		sum := sha256.Sum256([]byte(text))
+		if got := hex.EncodeToString(sum[:]); got != g.want {
+			t.Errorf("%s: SHA-256 %s, want %s\n%s", g.name, got, g.want, text)
+		}
+	}
+}
+
+// goldenText renders rows with fprint and appends their JSON encoding.
+func goldenText[R any](t *testing.T, rows []R, fprint func(io.Writer, []R)) string {
+	t.Helper()
+	var sb strings.Builder
+	fprint(&sb, rows)
+	js, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Write(js)
+	return sb.String()
 }

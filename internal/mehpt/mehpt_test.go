@@ -346,26 +346,30 @@ func TestReinsertionsDistribution(t *testing.T) {
 	}
 }
 
-// TestProbeAddrsDistinctAndStable: hardware walk addresses are well-formed.
+// TestProbeAddrs: hardware walk addresses are well-formed.
 func TestProbeAddrs(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	va := addr.VirtAddr(0x7000_0000)
-	if pas := p.ProbeAddrs(va, addr.Page4K); pas != nil {
-		t.Fatalf("ProbeAddrs before any mapping = %v, want nil (lazy tables)", pas)
+	if tbl := p.Table(addr.Page4K); tbl != nil {
+		t.Fatal("4KB table exists before any mapping, want none (lazy tables)")
 	}
 	p.Map(va.PageNumber(addr.Page4K), addr.Page4K, 5)
-	pas := p.ProbeAddrs(va, addr.Page4K)
-	if len(pas) != 3 {
-		t.Fatalf("ProbeAddrs len = %d", len(pas))
+	tbl := p.Table(addr.Page4K)
+	if n := len(tbl.WaySizes()); n != 3 {
+		t.Fatalf("way count = %d", n)
 	}
-	again := p.ProbeAddrs(va, addr.Page4K)
-	for i := range pas {
-		if pas[i] != again[i] {
+	key := pt.ClusterKey(va.PageNumber(addr.Page4K))
+	for i := range tbl.WaySizes() {
+		if a, b := tbl.ProbeAddr(i, key), tbl.ProbeAddr(i, key); a != b {
 			t.Errorf("probe address unstable for way %d", i)
 		}
-		if pas[i] != p.WayProbeAddr(va, addr.Page4K, i) {
-			t.Errorf("WayProbeAddr mismatch for way %d", i)
-		}
+	}
+	w, ok := p.WayOf(va, addr.Page4K)
+	if !ok {
+		t.Fatal("WayOf missed a mapped page")
+	}
+	if _, probe, ok := p.Walk(va); !ok || probe != tbl.ProbeAddr(w, key) {
+		t.Errorf("Walk probe %#x (ok %v), probe of way %d %#x", uint64(probe), ok, w, uint64(tbl.ProbeAddr(w, key)))
 	}
 }
 
@@ -378,7 +382,7 @@ func TestWayOf(t *testing.T) {
 	if !ok {
 		t.Fatal("WayOf missed a mapped page")
 	}
-	if pa := p.WayProbeAddr(va, addr.Page4K, w); pa == 0 {
+	if pa := p.Table(addr.Page4K).ProbeAddr(w, pt.ClusterKey(vpn)); pa == 0 {
 		t.Error("probe address of holding way is zero")
 	}
 	if _, ok := p.WayOf(addr.VirtAddr(0xDEAD0000), addr.Page4K); ok {

@@ -120,7 +120,7 @@ func (t *Table) State() TableState {
 // restoreTable rebuilds one per-page-size table from recorded state. No
 // physical allocation happens: the chunk stores are reattached to frames
 // the restored allocator already shows as owned.
-func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, slab *pt.Slab, cfg Config) *Table {
+func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) *Table {
 	if cfg.Rand == nil {
 		panic("mehpt: restore requires an explicitly positioned Config.Rand")
 	}
@@ -129,7 +129,6 @@ func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, slab *pt.Sla
 		size:  st.Size,
 		alloc: alloc,
 		l2p:   tbl,
-		slab:  slab,
 		rng:   cfg.Rand,
 		stash: append([]cuckoo.Entry(nil), st.Stash...),
 	}
@@ -171,13 +170,11 @@ type PageTableState struct {
 // State returns a deep copy of the page table.
 func (p *PageTable) State() PageTableState {
 	st := PageTableState{
-		Slab: p.slab.State(),
+		Slab: p.Hashed.SlabState(),
 		L2P:  p.l2pTbl.State(),
 	}
-	for _, t := range p.tables {
-		if t != nil {
-			st.Tables = append(st.Tables, t.State())
-		}
+	for _, t := range p.Hashed.LiveTables() {
+		st.Tables = append(st.Tables, t.State())
 	}
 	return st
 }
@@ -188,109 +185,79 @@ func (p *PageTable) State() PageTableState {
 // captured draw count (all per-size tables of one page table share it,
 // exactly as under NewPageTable).
 func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) *PageTable {
-	p := &PageTable{
-		l2pTbl: l2p.New(cfg.Ways),
-		alloc:  alloc,
-		cfg:    cfg,
-	}
+	p := newPageTable(alloc, cfg)
 	p.l2pTbl.Restore(st.L2P)
-	p.slab.Restore(st.Slab)
-	for _, ts := range st.Tables {
-		if ts.Size < addr.NumPageSizes {
-			p.tables[ts.Size] = restoreTable(ts, alloc, p.l2pTbl, &p.slab, cfg)
-		}
+	tables := make([]*Table, len(st.Tables))
+	for i, ts := range st.Tables {
+		tables[i] = restoreTable(ts, alloc, p.l2pTbl, cfg)
 	}
+	p.RestoreTables(st.Slab, tables)
 	return p
 }
 
-// VisitOwnedFrames reports every physical block the page table owns — the
+// VisitOwnedFrames reports every physical block the table owns — the
 // chunk backing of every way (pending stores included) — as (base PPN,
-// bytes) pairs. The scrubber uses it to prove frame-ownership disjointness
-// across tenants.
-func (p *PageTable) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
-	for _, t := range p.tables {
-		if t == nil {
-			continue
+// bytes) pairs.
+func (t *Table) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
+	for _, w := range t.ways {
+		for _, c := range w.store.Chunks() {
+			f(c, w.store.ChunkBytes())
 		}
-		for _, w := range t.ways {
-			for _, c := range w.store.Chunks() {
-				f(c, w.store.ChunkBytes())
-			}
-			if w.pending != nil {
-				for _, c := range w.pending.Chunks() {
-					f(c, w.pending.ChunkBytes())
-				}
+		if w.pending != nil {
+			for _, c := range w.pending.Chunks() {
+				f(c, w.pending.ChunkBytes())
 			}
 		}
 	}
 }
 
-// VisitMappings calls f for every live translation (vpn, size, ppn) in the
-// page table, including stash-resident entries. The scrubber resolves each
-// mapped frame against the allocator's ownership map.
-func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
-	emit := func(t *Table, e cuckoo.Entry) {
-		if e.Key == cuckoo.EmptyKey {
-			return
-		}
-		c := p.slab.At(e.Val)
-		base := pt.BaseVPN(e.Key)
-		for sub := uint(0); sub < pt.ClusterSpan; sub++ {
-			if ppn, ok := c.Get(sub); ok {
-				f(base+addr.VPN(sub), t.size, ppn)
+// Range calls f for every stored (cluster key, cluster id), stash-resident
+// entries included.
+func (t *Table) Range(f func(key, id uint64)) {
+	for _, w := range t.ways {
+		for _, e := range w.slots {
+			if e.Key != cuckoo.EmptyKey {
+				f(e.Key, e.Val)
 			}
 		}
 	}
-	for _, t := range p.tables {
-		if t == nil {
-			continue
-		}
-		for _, w := range t.ways {
-			for _, e := range w.slots {
-				emit(t, e)
-			}
-		}
-		for _, e := range t.stash {
-			emit(t, e)
+	for _, e := range t.stash {
+		if e.Key != cuckoo.EmptyKey {
+			f(e.Key, e.Val)
 		}
 	}
 }
 
-// CheckWays runs the table-structure consistency checks the scrubber
-// reports as chunk/upsize-bit violations: per-way occupancy counters must
-// match the live slots, resize bits must be internally consistent, and the
-// chunk backing must cover the logical slot array. It returns one message
-// per violation.
-func (p *PageTable) CheckWays() []string {
+// Check runs the table-structure consistency checks the scrubber reports
+// as chunk/upsize-bit violations: per-way occupancy counters must match the
+// live slots, resize bits must be internally consistent, and the chunk
+// backing must cover the logical slot array. It returns one message per
+// violation.
+func (t *Table) Check() []string {
 	var bad []string
-	for _, t := range p.tables {
-		if t == nil {
-			continue
+	for _, w := range t.ways {
+		live := uint64(0)
+		for _, e := range w.slots {
+			if e.Key != cuckoo.EmptyKey {
+				live++
+			}
 		}
-		for _, w := range t.ways {
-			live := uint64(0)
-			for _, e := range w.slots {
-				if e.Key != cuckoo.EmptyKey {
-					live++
-				}
+		if live != w.occ {
+			bad = append(bad, fmt.Sprintf("size %v way %d: occ %d but %d live slots", t.size, w.idx, w.occ, live))
+		}
+		if w.resizing {
+			if w.up != (w.newSize > w.size) {
+				bad = append(bad, fmt.Sprintf("size %v way %d: up bit %v inconsistent with %d -> %d", t.size, w.idx, w.up, w.size, w.newSize))
 			}
-			if live != w.occ {
-				bad = append(bad, fmt.Sprintf("size %v way %d: occ %d but %d live slots", t.size, w.idx, w.occ, live))
+			if w.ptr > w.size {
+				bad = append(bad, fmt.Sprintf("size %v way %d: rehash ptr %d beyond old size %d", t.size, w.idx, w.ptr, w.size))
 			}
-			if w.resizing {
-				if w.up != (w.newSize > w.size) {
-					bad = append(bad, fmt.Sprintf("size %v way %d: up bit %v inconsistent with %d -> %d", t.size, w.idx, w.up, w.size, w.newSize))
-				}
-				if w.ptr > w.size {
-					bad = append(bad, fmt.Sprintf("size %v way %d: rehash ptr %d beyond old size %d", t.size, w.idx, w.ptr, w.size))
-				}
-			} else if w.pending != nil {
-				bad = append(bad, fmt.Sprintf("size %v way %d: pending store without resize in flight", t.size, w.idx))
-			}
-			need := uint64(len(w.slots)) * pt.EntryBytes
-			if w.pending == nil && w.store.WayBytes() < need {
-				bad = append(bad, fmt.Sprintf("size %v way %d: chunk backing %dB under slot array %dB", t.size, w.idx, w.store.WayBytes(), need))
-			}
+		} else if w.pending != nil {
+			bad = append(bad, fmt.Sprintf("size %v way %d: pending store without resize in flight", t.size, w.idx))
+		}
+		need := uint64(len(w.slots)) * pt.EntryBytes
+		if w.pending == nil && w.store.WayBytes() < need {
+			bad = append(bad, fmt.Sprintf("size %v way %d: chunk backing %dB under slot array %dB", t.size, w.idx, w.store.WayBytes(), need))
 		}
 	}
 	return bad

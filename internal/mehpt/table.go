@@ -112,8 +112,6 @@ type Table struct {
 	ways []*way
 	//mehpt:transient -- pure function of cfg.HashSeed and page size, re-derived by restoreTable
 	mixer *hashfn.Mixer // family-wide single-CRC hashing (read-only)
-	//mehpt:transient -- reattached by restoreTable to the slab restored from PageTableState.Slab
-	slab *pt.Slab
 	//mehpt:transient -- owned and positioned by whoever supplied Config.Rand; restoreTable panics without one
 	rng   *rand.Rand
 	stats Stats
@@ -133,7 +131,7 @@ type Table struct {
 
 // NewTable creates an ME-HPT for one page size. Every way starts at the
 // initial size (8KB) backed by one smallest-rung chunk.
-func NewTable(size addr.PageSize, alloc phys.Source, tbl *l2p.Table, slab *pt.Slab, cfg Config) (*Table, error) {
+func NewTable(size addr.PageSize, alloc phys.Source, tbl *l2p.Table, cfg Config) (*Table, error) {
 	if cfg.Ways < 2 {
 		panic("mehpt: need at least 2 ways")
 	}
@@ -152,7 +150,6 @@ func NewTable(size addr.PageSize, alloc phys.Source, tbl *l2p.Table, slab *pt.Sl
 		size:  size,
 		alloc: alloc,
 		l2p:   tbl,
-		slab:  slab,
 		rng:   rng,
 	}
 	t.stats.UpsizesPerWay = make([]uint64, cfg.Ways)
@@ -214,15 +211,15 @@ func (t *Table) Stats() Stats {
 	return s
 }
 
-// ScalarStats returns the accumulated counters without deep-copying the
-// per-way upsize slice or the reinsertion histogram (both left empty in the
-// copy). The per-run result aggregation reads only scalar fields, and the
-// deep copies were its last allocations.
-func (t *Table) ScalarStats() Stats {
-	s := t.stats
-	s.UpsizesPerWay = nil
-	s.Reinsertions = stats.Histogram{}
-	return s
+// Totals returns the table's footprint and allocation counters.
+func (t *Table) Totals() pt.Totals {
+	return pt.Totals{
+		FootprintBytes:     t.FootprintBytes(),
+		PeakFootprintBytes: t.stats.PeakFootprintBytes,
+		MaxContiguousAlloc: t.stats.MaxContiguousAlloc,
+		Moves:              t.stats.MovesTotal,
+		AllocCycles:        t.stats.AllocCycles,
+	}
 }
 
 // WaySizes returns each way's current slot count (Figure 12 reports the
@@ -311,51 +308,82 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return 0, false
 }
 
+// Walk is Lookup additionally returning the physical address of the probe
+// slot that holds key, with the same statistics footprint. A
+// stash-resident entry reports way 0's probe address (WayOf does not see
+// the stash).
+//mehpt:hotpath
+func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
+	t.stats.Lookups++ // mirrors Lookup
+	if i, idx, ok := t.lookupSlot(key); ok {
+		w := t.ways[i]
+		return w.slots[idx].Val, w.slotPA(idx), true
+	}
+	if si := t.stashIndex(key); si >= 0 {
+		return t.stash[si].Val, t.ProbeAddr(0, key), true
+	}
+	return 0, 0, false
+}
+
+// WayOf returns the way index currently holding key, and whether it is in
+// a way (stash-resident entries are not).
+//mehpt:hotpath
+func (t *Table) WayOf(key uint64) (int, bool) {
+	i, _, ok := t.lookupSlot(key)
+	return i, ok
+}
+
+// ProbeAddr returns the physical address of way i's probe slot for key.
+//mehpt:hotpath
+func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
+	w := t.ways[i]
+	return w.slotPA(w.locate(key))
+}
+
 // Insert stores key→val, resizing as needed. It returns the cycle cost of
-// any physical allocations plus the number of cuckoo re-insertions.
-func (t *Table) Insert(key, val uint64) (kicks int, cycles uint64, err error) {
+// any physical allocations, including on failure.
+func (t *Table) Insert(key, val uint64) (cycles uint64, err error) {
 	if i, idx, ok := t.lookupSlot(key); ok {
 		t.ways[i].slots[idx].Val = val
-		return 0, 0, nil
+		return 0, nil
 	}
 	if si := t.stashIndex(key); si >= 0 {
 		t.stash[si].Val = val
-		return 0, 0, nil
+		return 0, nil
 	}
 	// A stalled migration is not fatal to this insert: the stuck entry was
 	// rolled back and stays reachable; a later tick retries it.
 	c, _ := t.rehashTick() //mehpt:allow errwrap -- a stalled migration is a scheduling hint, not a failure (see comment above)
 	cycles += c
-	kicks, err = t.place(cuckoo.Entry{Key: key, Val: val}, -1, true)
+	kicks, err := t.place(cuckoo.Entry{Key: key, Val: val}, -1, true)
 	if err != nil {
-		return kicks, cycles, err
+		return cycles, err
 	}
 	t.stats.Inserts++
 	t.stats.Reinsertions.Add(kicks)
 	t.drainStash()
 	cycles += t.maybeResize()
 	t.notePeak()
-	return kicks, cycles, nil
+	return cycles, nil
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Table) Delete(key uint64) (uint64, bool) {
+// Delete removes key and returns the allocation cycles spent by the
+// resizes it triggered.
+func (t *Table) Delete(key uint64) uint64 {
 	i, idx, ok := t.lookupSlot(key)
 	if !ok {
 		if si := t.stashIndex(key); si >= 0 {
 			t.stash = append(t.stash[:si], t.stash[si+1:]...)
 			t.stats.Deletes++
-			return 0, true
 		}
-		return 0, false
+		return 0
 	}
 	w := t.ways[i]
 	w.slots[idx].Key = cuckoo.EmptyKey
 	w.slots[idx].Val = 0
 	w.occ--
 	t.stats.Deletes++
-	cycles := t.maybeResize()
-	return cycles, true
+	return t.maybeResize()
 }
 
 // pickInsertWay implements Section IV-D's weighted random insertion: way i
@@ -674,6 +702,18 @@ func (t *Table) drainResizes() error {
 // test determinism). The error (if any) wraps ErrMigrationFailed; the
 // table remains valid and mid-resize.
 func (t *Table) DrainResizes() error { return t.drainResizes() }
+
+// Free releases all physical memory held by the table (process exit). A
+// drain failure is ignored: every way's stores are freed regardless.
+func (t *Table) Free() {
+	t.DrainResizes() //mehpt:allow errwrap -- teardown: ways and pending stores are freed below regardless
+	for _, w := range t.ways {
+		w.store.Free()
+		if w.pending != nil {
+			w.pending.Free()
+		}
+	}
+}
 
 // Settle repeatedly drains resizes and re-evaluates the resizing policy
 // until the table reaches a fixed point. Gradual resizes normally advance

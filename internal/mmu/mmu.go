@@ -40,18 +40,13 @@ type Stats struct {
 }
 
 // HPTPageTable is the interface both ecpt.PageTable and mehpt.PageTable
-// satisfy: the hashed-walk operations the MMU needs.
+// satisfy (through pt.Hashed): the hashed-walk operations the MMU needs.
 type HPTPageTable interface {
 	//mehpt:hotpath
 	Translate(va addr.VirtAddr) (pt.Translation, bool)
-	//mehpt:hotpath
-	WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool)
-	//mehpt:hotpath
-	WayProbeAddr(va addr.VirtAddr, s addr.PageSize, way int) addr.PhysAddr
-	// Walk fuses Translate + WayOf + WayProbeAddr for the TLB-miss path:
-	// one probe sweep resolves the translation and the winning way's probe
-	// address, with the same statistics footprint as the three separate
-	// calls.
+	// Walk is Translate additionally returning the physical address of the
+	// probe slot holding the translation, with Translate's statistics
+	// footprint: one probe sweep serves the TLB-miss path.
 	//mehpt:hotpath
 	Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 }

@@ -21,7 +21,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cwc"
 	"repro/internal/hashfn"
-	"repro/internal/pt"
+	"repro/internal/mmu"
 	"repro/internal/radix"
 	"repro/internal/tlb"
 )
@@ -53,22 +53,16 @@ func (h *RadixHost) TranslateGPA(gpa addr.PhysAddr) (addr.PhysAddr, []addr.PhysA
 
 // HPTHost adapts a host hashed page table (ECPT or ME-HPT).
 type HPTHost struct {
-	PT interface {
-		Translate(va addr.VirtAddr) (pt.Translation, bool)
-		WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool)
-		WayProbeAddr(va addr.VirtAddr, s addr.PageSize, way int) addr.PhysAddr
-	}
+	PT mmu.HPTPageTable
 }
 
 // TranslateGPA probes the host HPT: a single targeted access.
 func (h *HPTHost) TranslateGPA(gpa addr.PhysAddr) (addr.PhysAddr, []addr.PhysAddr, bool) {
 	va := addr.VirtAddr(gpa) //mehpt:allow addrspace -- nested paging: the gPA is, by definition, the host walk's virtual input
-	tr, ok := h.PT.Translate(va)
+	tr, probe, ok := h.PT.Walk(va)
 	if !ok {
 		return 0, nil, false
 	}
-	way, _ := h.PT.WayOf(va, tr.Size)
-	probe := h.PT.WayProbeAddr(va, tr.Size, way)
 	return addr.Translate(va, tr.PPN, tr.Size), []addr.PhysAddr{probe}, true
 }
 
@@ -94,21 +88,15 @@ func (g *RadixGuest) WalkGVA(gva addr.VirtAddr) ([]addr.PhysAddr, addr.PhysAddr,
 
 // HPTGuest adapts a guest hashed page table.
 type HPTGuest struct {
-	PT interface {
-		Translate(va addr.VirtAddr) (pt.Translation, bool)
-		WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool)
-		WayProbeAddr(va addr.VirtAddr, s addr.PageSize, way int) addr.PhysAddr
-	}
+	PT mmu.HPTPageTable
 }
 
 // WalkGVA probes the guest HPT once.
 func (g *HPTGuest) WalkGVA(gva addr.VirtAddr) ([]addr.PhysAddr, addr.PhysAddr, bool) {
-	tr, ok := g.PT.Translate(gva)
+	tr, probe, ok := g.PT.Walk(gva)
 	if !ok {
 		return nil, 0, false
 	}
-	way, _ := g.PT.WayOf(gva, tr.Size)
-	probe := g.PT.WayProbeAddr(gva, tr.Size, way)
 	return []addr.PhysAddr{probe}, addr.Translate(gva, tr.PPN, tr.Size), true
 }
 

@@ -1,0 +1,306 @@
+package pt
+
+import "repro/internal/addr"
+
+// SizeTable is one per-page-size hashed table mapping cluster keys
+// (ClusterKey) to slab cluster ids. ECPT and ME-HPT differ only below this
+// interface: how ways are allocated, probed, and resized. Everything above
+// it — lazy per-size tables, the shared cluster slab, largest-size-first
+// translation, and the footprint totals — is Hashed.
+type SizeTable interface {
+	comparable
+	// PageSize returns the page size the table translates.
+	PageSize() addr.PageSize
+	// Lookup returns the cluster id stored for key.
+	//mehpt:hotpath
+	Lookup(key uint64) (uint64, bool)
+	// Walk is Lookup additionally returning the physical address of the
+	// probe slot the hardware walk reads for key, with Lookup's statistics
+	// footprint.
+	//mehpt:hotpath
+	Walk(key uint64) (id uint64, probe addr.PhysAddr, ok bool)
+	// WayOf returns the way holding key, without touching statistics.
+	//mehpt:hotpath
+	WayOf(key uint64) (int, bool)
+	// Insert stores key→id and returns the allocation cycles it spent,
+	// including on failure.
+	Insert(key, id uint64) (uint64, error)
+	// Delete removes the present key and returns the allocation cycles it
+	// spent.
+	Delete(key uint64) uint64
+	// Totals returns the table's footprint and allocation counters.
+	Totals() Totals
+	// Range calls f for every stored (key, id).
+	Range(f func(key, id uint64))
+	// VisitOwnedFrames reports every physical block the table owns.
+	VisitOwnedFrames(f func(base addr.PPN, bytes uint64))
+	// Check returns one message per structural inconsistency.
+	Check() []string
+	// Free releases all physical memory the table holds.
+	Free()
+}
+
+// Totals are one per-size table's memory and allocation counters.
+type Totals struct {
+	FootprintBytes     uint64 // physical page-table memory held now
+	PeakFootprintBytes uint64 // high-water mark of FootprintBytes
+	MaxContiguousAlloc uint64 // largest contiguous allocation requested
+	Moves              uint64 // entries migrated by resizes
+	AllocCycles        uint64 // cycles spent on physical allocation
+}
+
+// Hashed is a process's multi-size hashed page table: one SizeTable per
+// page size, created on the first mapping at that size, over one shared
+// cluster slab.
+type Hashed[T SizeTable] struct {
+	tables [addr.NumPageSizes]T
+	slab   Slab
+	// newTable builds the table for one page size. The owning page table
+	// supplies it at construction and again on restore.
+	newTable func(s addr.PageSize) (T, error)
+}
+
+// NewHashed returns an empty multi-size table that builds per-size tables
+// with newTable.
+func NewHashed[T SizeTable](newTable func(s addr.PageSize) (T, error)) Hashed[T] {
+	return Hashed[T]{newTable: newTable}
+}
+
+// Table returns the per-page-size table, or the zero T if no page of that
+// size has been mapped yet.
+func (h *Hashed[T]) Table(s addr.PageSize) T { return h.tables[s] }
+
+// Ensure returns the per-page-size table, creating it on first use.
+func (h *Hashed[T]) Ensure(s addr.PageSize) (T, error) {
+	var none T
+	if h.tables[s] == none {
+		t, err := h.newTable(s)
+		if err != nil {
+			return none, err
+		}
+		h.tables[s] = t
+	}
+	return h.tables[s], nil
+}
+
+// LiveTables returns the instantiated per-size tables, smallest page size
+// first — the order a checkpoint records them in.
+func (h *Hashed[T]) LiveTables() []T {
+	var none T
+	var out []T
+	for _, t := range h.tables {
+		if t != none {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// Map installs the translation vpn→ppn at the given page size. It returns
+// the allocation cycles the insert and any resize it triggers spent; the
+// first mapping at a size creates that size's table uncharged.
+func (h *Hashed[T]) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
+	t, err := h.Ensure(s)
+	if err != nil {
+		return 0, err
+	}
+	key := ClusterKey(vpn)
+	sub := SubIndex(vpn)
+	if id, ok := t.Lookup(key); ok {
+		h.slab.At(id).Set(sub, ppn)
+		return 0, nil
+	}
+	id := h.slab.Alloc()
+	h.slab.At(id).Set(sub, ppn)
+	cycles, err := t.Insert(key, id)
+	if err != nil {
+		h.slab.Free(id)
+	}
+	return cycles, err
+}
+
+// Unmap removes the translation for vpn at the given page size, reporting
+// whether it existed.
+func (h *Hashed[T]) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
+	var none T
+	t := h.tables[s]
+	if t == none {
+		return 0, false
+	}
+	key := ClusterKey(vpn)
+	id, ok := t.Lookup(key)
+	if !ok {
+		return 0, false
+	}
+	c := h.slab.At(id)
+	if _, valid := c.Get(SubIndex(vpn)); !valid {
+		return 0, false
+	}
+	if c.Clear(SubIndex(vpn)) {
+		cycles := t.Delete(key)
+		h.slab.Free(id)
+		return cycles, true
+	}
+	return 0, true
+}
+
+// Translate resolves va against all page sizes, largest first (a huge-page
+// mapping shadows any stale base-page entries).
+//
+//mehpt:hotpath
+func (h *Hashed[T]) Translate(va addr.VirtAddr) (Translation, bool) {
+	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
+		s := addr.PageSize(i)
+		if ppn, ok := h.TranslateSize(va.PageNumber(s), s); ok {
+			return Translation{PPN: ppn, Size: s}, true
+		}
+	}
+	return Translation{}, false
+}
+
+// TranslateSize resolves vpn at exactly the given page size.
+//
+//mehpt:hotpath
+func (h *Hashed[T]) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
+	var none T
+	t := h.tables[s]
+	if t == none {
+		return 0, false
+	}
+	id, ok := t.Lookup(ClusterKey(vpn))
+	if !ok {
+		return 0, false
+	}
+	return h.slab.At(id).Get(SubIndex(vpn))
+}
+
+// Walk resolves va and returns the physical address of the probe slot that
+// holds its cluster — the fused equivalent of Translate, WayOf, and a probe
+// of the winning way, with Translate's statistics footprint (one lookup per
+// instantiated size table until the hit).
+//
+//mehpt:hotpath
+func (h *Hashed[T]) Walk(va addr.VirtAddr) (Translation, addr.PhysAddr, bool) {
+	var none T
+	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
+		s := addr.PageSize(i)
+		t := h.tables[s]
+		if t == none {
+			continue
+		}
+		vpn := va.PageNumber(s)
+		id, probe, ok := t.Walk(ClusterKey(vpn))
+		if !ok {
+			continue
+		}
+		if ppn, valid := h.slab.At(id).Get(SubIndex(vpn)); valid {
+			return Translation{PPN: ppn, Size: s}, probe, true
+		}
+	}
+	return Translation{}, 0, false
+}
+
+// WayOf returns the way index holding va's cluster at page size s — ground
+// truth for the cuckoo walk tables.
+//
+//mehpt:hotpath
+func (h *Hashed[T]) WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool) {
+	var none T
+	t := h.tables[s]
+	if t == none {
+		return 0, false
+	}
+	return t.WayOf(ClusterKey(va.PageNumber(s)))
+}
+
+// totals sums the per-size counters; MaxContiguousAlloc is their maximum.
+func (h *Hashed[T]) totals() Totals {
+	var none T
+	var sum Totals
+	for _, t := range h.tables {
+		if t == none {
+			continue
+		}
+		x := t.Totals()
+		sum.FootprintBytes += x.FootprintBytes
+		sum.PeakFootprintBytes += x.PeakFootprintBytes
+		sum.MaxContiguousAlloc = max(sum.MaxContiguousAlloc, x.MaxContiguousAlloc)
+		sum.Moves += x.Moves
+		sum.AllocCycles += x.AllocCycles
+	}
+	return sum
+}
+
+// FootprintBytes returns the physical page-table memory held across all
+// page sizes.
+func (h *Hashed[T]) FootprintBytes() uint64 { return h.totals().FootprintBytes }
+
+// PeakFootprintBytes returns the sum of the per-size high-water marks.
+func (h *Hashed[T]) PeakFootprintBytes() uint64 { return h.totals().PeakFootprintBytes }
+
+// MaxContiguousAlloc returns the largest contiguous allocation any size
+// table ever requested (Table I, Figure 8).
+func (h *Hashed[T]) MaxContiguousAlloc() uint64 { return h.totals().MaxContiguousAlloc }
+
+// Moves returns the entries migrated by resizes across all page sizes.
+func (h *Hashed[T]) Moves() uint64 { return h.totals().Moves }
+
+// AllocCycles returns total cycles spent on physical allocation.
+func (h *Hashed[T]) AllocCycles() uint64 { return h.totals().AllocCycles }
+
+// Free releases all physical memory held by the page table (process exit).
+func (h *Hashed[T]) Free() {
+	for _, t := range h.LiveTables() {
+		t.Free()
+	}
+}
+
+// VisitMappings calls f for every live translation (vpn, size, ppn).
+func (h *Hashed[T]) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
+	for _, t := range h.LiveTables() {
+		size := t.PageSize()
+		t.Range(func(key, id uint64) {
+			c := h.slab.At(id)
+			base := BaseVPN(key)
+			for sub := uint(0); sub < ClusterSpan; sub++ {
+				if ppn, ok := c.Get(sub); ok {
+					f(base+addr.VPN(sub), size, ppn)
+				}
+			}
+		})
+	}
+}
+
+// VisitOwnedFrames reports every physical block the page table owns as
+// (base PPN, bytes) pairs. The scrubber uses it to prove frame-ownership
+// disjointness across tenants.
+func (h *Hashed[T]) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
+	for _, t := range h.LiveTables() {
+		t.VisitOwnedFrames(f)
+	}
+}
+
+// CheckTables runs every size table's structural consistency checks,
+// returning one message per violation.
+func (h *Hashed[T]) CheckTables() []string {
+	var bad []string
+	for _, t := range h.LiveTables() {
+		bad = append(bad, t.Check()...)
+	}
+	return bad
+}
+
+// SlabState returns a deep copy of the cluster slab.
+func (h *Hashed[T]) SlabState() SlabState { return h.slab.State() }
+
+// RestoreTables replaces the slab and the per-size tables with restored
+// ones. Each table is placed at its own page size; one whose size is out
+// of range is dropped.
+func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) {
+	h.slab.Restore(slab)
+	for _, t := range tables {
+		if s := t.PageSize(); s < addr.NumPageSizes {
+			h.tables[s] = t
+		}
+	}
+}

@@ -1,6 +1,7 @@
-// Package pt holds the types shared by all three page-table organizations
-// (radix, ECPT, ME-HPT): clustered page-table entries, the slab that backs
-// them, and the walk-accounting structures the MMU turns into cycles.
+// Package pt holds the types shared by the page-table organizations:
+// clustered page-table entries, the slab that backs them, the translation
+// result all three (radix, ECPT, ME-HPT) return, and Hashed, the multi-size
+// page table ECPT and ME-HPT share.
 //
 // Hashed page tables in this repository use *page-table entry clustering*
 // (Yaniv & Tsafrir, adopted by ECPT): one table slot is a 64-byte cache line
@@ -104,28 +105,6 @@ func (s *Slab) Free(id uint64) { s.free = append(s.free, id) }
 
 // Live returns the number of clusters currently allocated.
 func (s *Slab) Live() int { return len(s.clusters) - len(s.free) }
-
-// Step is one sequential stage of a page walk. Accesses within a step are
-// issued in parallel (e.g. probing all HPT ways at once); the walk latency
-// of a step is the maximum of its access latencies.
-type Step struct {
-	// Parallel lists the physical addresses of memory accesses issued
-	// concurrently in this step. An empty step models a fixed-latency
-	// hardware stage and contributes only ExtraCycles.
-	Parallel []addr.PhysAddr
-	// ExtraCycles is fixed latency added to this step (hash units,
-	// indirection tables, cache-structure round trips).
-	ExtraCycles uint64
-}
-
-// Walk describes the memory behaviour of one page-table walk so the MMU can
-// price it against the cache hierarchy.
-type Walk struct {
-	Steps []Step
-	PPN   addr.PPN
-	Size  addr.PageSize
-	Found bool
-}
 
 // Translation is a completed address translation.
 type Translation struct {

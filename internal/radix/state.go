@@ -138,11 +138,11 @@ func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr
 	}
 }
 
-// CheckTree runs the structural consistency checks the scrubber reports:
+// CheckTables runs the structural consistency checks the scrubber reports:
 // per-node used counters must match the present entries, huge leaves may
 // only appear at PMD/PUD levels, and the stats node count must equal the
 // reachable tree. It returns one message per violation.
-func (p *PageTable) CheckTree() []string {
+func (p *PageTable) CheckTables() []string {
 	var bad []string
 	reachable := 0
 	var walk func(n *node, lvl int)

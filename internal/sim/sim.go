@@ -38,7 +38,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/osmodel"
 	"repro/internal/phys"
-	"repro/internal/pt"
 	"repro/internal/radix"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -203,12 +202,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 	seed := uint64(cfg.Seed)*2654435761 + 12345
 	switch cfg.Org {
 	case Radix:
-		rt, err := newRadixAdapter(alloc)
+		p, err := radix.NewPageTable(alloc)
 		if err != nil {
 			return nil, err
 		}
-		m.table = rt
-		m.eng.MMU = mmu.NewRadix(rt.pt, m.eng.Cache)
+		m.table = p
+		m.eng.MMU = mmu.NewRadix(p, m.eng.Cache)
 	case ECPT:
 		c := ecpt.DefaultConfig(seed)
 		c.Rand = rand.New(rand.NewSource(cfg.Seed + 2))
@@ -438,33 +437,3 @@ func (m *Machine) Injector() *inject.Injector { return m.injector }
 // it so a pristine buddy allocator still charges the paper's 0.7-FMFI
 // costs.
 func (m *Machine) SetAmbientFMFI(f float64) { m.alloc.AmbientFMFI = f }
-
-// radixAdapter gives radix.PageTable the uniform pageTable shape (it lacks
-// nothing but the interface names line up except for construction).
-type radixAdapter struct {
-	pt *radix.PageTable
-}
-
-func newRadixAdapter(alloc *phys.Allocator) (*radixAdapter, error) {
-	p, err := radix.NewPageTable(alloc)
-	if err != nil {
-		return nil, err
-	}
-	return &radixAdapter{pt: p}, nil
-}
-
-func (r *radixAdapter) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
-	return r.pt.Map(vpn, s, ppn)
-}
-func (r *radixAdapter) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
-	return r.pt.Unmap(vpn, s)
-}
-func (r *radixAdapter) Translate(va addr.VirtAddr) (pt.Translation, bool) {
-	return r.pt.Translate(va)
-}
-func (r *radixAdapter) FootprintBytes() uint64     { return r.pt.FootprintBytes() }
-func (r *radixAdapter) PeakFootprintBytes() uint64 { return r.pt.PeakFootprintBytes() }
-func (r *radixAdapter) MaxContiguousAlloc() uint64 { return r.pt.MaxContiguousAlloc() }
-func (r *radixAdapter) AllocCycles() uint64        { return r.pt.AllocCycles() }
-func (r *radixAdapter) Moves() uint64              { return r.pt.Moves() }
-func (r *radixAdapter) Free()                      { r.pt.Free() }

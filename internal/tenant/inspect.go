@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/ecpt"
-	"repro/internal/mehpt"
 	"repro/internal/phys"
-	"repro/internal/radix"
 )
 
 // This file is the scrubber's window into a machine: read-only visitation
@@ -18,14 +15,18 @@ import (
 // Pool returns the machine-wide striped allocator for inspection.
 func (m *Machine) Pool() *phys.Striped { return m.pool }
 
-// frameVisitor and mappingVisitor are satisfied by all three page-table
-// organizations.
+// frameVisitor, mappingVisitor, and tableChecker are satisfied by all
+// three page-table organizations.
 type frameVisitor interface {
 	VisitOwnedFrames(f func(base addr.PPN, bytes uint64))
 }
 
 type mappingVisitor interface {
 	VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN))
+}
+
+type tableChecker interface {
+	CheckTables() []string
 }
 
 // VisitPageTableFrames reports every physical block owned by tenant page
@@ -70,16 +71,7 @@ func (m *Machine) SharedPages() uint64 { return m.shared.pages }
 func (m *Machine) CheckTables() []string {
 	var bad []string
 	for _, p := range m.procs {
-		var msgs []string
-		switch t := p.table.(type) {
-		case *mehpt.PageTable:
-			msgs = t.CheckWays()
-		case *ecpt.PageTable:
-			msgs = t.CheckTables()
-		case *radix.PageTable:
-			msgs = t.CheckTree()
-		}
-		for _, msg := range msgs {
+		for _, msg := range p.table.(tableChecker).CheckTables() {
 			bad = append(bad, fmt.Sprintf("proc %d: %s", p.id, msg))
 		}
 	}

@@ -3,8 +3,8 @@ package addrspace_test
 import (
 	"testing"
 
-	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/addrspace"
+	"repro/internal/analysis/analysistest"
 )
 
 func TestAddrspace(t *testing.T) {

@@ -15,7 +15,7 @@ func Draw() int {
 
 // Shuffled uses more global-state helpers: flagged.
 func Shuffled() []int {
-	rand.Seed(42) // want `global rand\.Seed`
+	rand.Seed(42)     // want `global rand\.Seed`
 	p := rand.Perm(8) // want `global rand\.Perm`
 	return p
 }
@@ -33,7 +33,7 @@ func Clock() int64 {
 
 // Elapsed measures a duration: flagged twice (Now and Since).
 func Elapsed() time.Duration {
-	start := time.Now() // want `time\.Now reads the wall clock`
+	start := time.Now()      // want `time\.Now reads the wall clock`
 	return time.Since(start) // want `time\.Since reads the wall clock`
 }
 

@@ -106,6 +106,7 @@ func fillFront(set []uint64, want uint64, n int) {
 }
 
 // Lookup probes the cache without filling, updating LRU on a hit.
+//
 //mehpt:hotpath
 func (c *Cache) Lookup(pa addr.PhysAddr) bool {
 	want := c.line(pa) + 1
@@ -125,6 +126,7 @@ func (c *Cache) Lookup(pa addr.PhysAddr) bool {
 }
 
 // Fill inserts pa's line, evicting the LRU victim if the set is full.
+//
 //mehpt:hotpath
 func (c *Cache) Fill(pa addr.PhysAddr) {
 	want := c.line(pa) + 1
@@ -183,6 +185,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 
 // Access performs one memory access and returns its round-trip latency. On
 // a miss the line is filled into every level (inclusive hierarchy).
+//
 //mehpt:hotpath
 func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 	if h.levels[0].Lookup(pa) {
@@ -195,6 +198,7 @@ func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 // (and been counted): probe the outer levels, fill inward on a hit, go to
 // DRAM and fill everything on a full miss. Access and AccessBatch's slow
 // lane both funnel through this, which keeps them bit-identical.
+//
 //mehpt:hotpath
 func (h *Hierarchy) accessFromL1Miss(pa addr.PhysAddr) uint64 {
 	if h.levels[1].Lookup(pa) {
@@ -208,6 +212,7 @@ func (h *Hierarchy) accessFromL1Miss(pa addr.PhysAddr) uint64 {
 // counted): probe L3, fill inward on a hit, go to DRAM and fill everything
 // on a full miss. accessFromL1Miss and AccessBatch's inline L2 lane both
 // funnel through this.
+//
 //mehpt:hotpath
 func (h *Hierarchy) accessFromL2Miss(pa addr.PhysAddr) uint64 {
 	for i := 2; i < len(h.levels); i++ {
@@ -231,6 +236,7 @@ func (h *Hierarchy) accessFromL2Miss(pa addr.PhysAddr) uint64 {
 // pipelines the common case: L1 set indices for a whole chunk are computed
 // in a first pass so the tag loads overlap, then compared in a second pass.
 // Misses fall through to the same outer-level walk Access uses.
+//
 //mehpt:hotpath
 func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 	const chunk = 64 // matches tlb.BatchWidth; local so the scratch is stack-sized
@@ -340,6 +346,7 @@ func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 // exactly why a four-access sequential radix walk is materially slower than
 // a single hashed probe (Figure 9's mechanism, and Section I's point that
 // tree walks cannot exploit memory-level parallelism).
+//
 //mehpt:hotpath
 func (h *Hierarchy) AccessPT(pa addr.PhysAddr) uint64 {
 	_ = pa
@@ -350,6 +357,7 @@ func (h *Hierarchy) AccessPT(pa addr.PhysAddr) uint64 {
 // Peek returns the latency pa would see right now without touching state —
 // used to price the parallel probes of a cuckoo walk, where only the
 // winning probe should update LRU state meaningfully.
+//
 //mehpt:hotpath
 func (h *Hierarchy) Peek(pa addr.PhysAddr) uint64 {
 	for i := range h.levels {

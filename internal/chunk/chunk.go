@@ -61,8 +61,8 @@ type Store struct {
 	//mehpt:transient -- RestoreStore reattaches the separately restored physical allocator
 	alloc phys.Source
 	//mehpt:transient -- RestoreStore reattaches the separately restored L2P table
-	l2p *l2p.Table
-	way int
+	l2p    *l2p.Table
+	way    int
 	size   addr.PageSize
 	ladder []uint64
 

@@ -40,6 +40,7 @@ func NewConcurrent(cfg Config) *ConcurrentTable {
 }
 
 // Lookup returns the value stored for key.
+//
 //mehpt:hotpath
 func (c *ConcurrentTable) Lookup(key uint64) (uint64, bool) {
 	c.mu.RLock()
@@ -107,6 +108,7 @@ func (c *ConcurrentTable) Range(f func(key, val uint64) bool) {
 // lookupReadOnly is Lookup without stats mutation, safe under RLock when no
 // resize is in flight. It reports the slots probed so the caller can account
 // them.
+//
 //mehpt:hotpath
 func (t *Table) lookupReadOnly(key uint64) (val uint64, probed int, ok bool) {
 	for i := 0; i < t.cfg.Ways; i++ {

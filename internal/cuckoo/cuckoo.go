@@ -72,8 +72,6 @@ type Hooks struct {
 	AllocWays func(entriesPerWay uint64) error
 	// FreeWays is called when the old ways are released after a resize.
 	FreeWays func(entriesPerWay uint64)
-	// OnKick is called for every cuckoo re-insertion (displacement).
-	OnKick func()
 	// OnReinsertions is called once per top-level insert or rehash with the
 	// number of displacements it needed (Figure 16's distribution).
 	OnReinsertions func(n int)
@@ -222,6 +220,7 @@ func (t *Table) occupancy() float64 {
 // for them. Both tables of way i use the same hash function and power-of-two
 // sizes, so one hash value serves both — only the mask differs (the paper's
 // upsize-bit property).
+//
 //mehpt:hotpath
 func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 	w := t.cur[i]
@@ -235,6 +234,7 @@ func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 
 // locate is locateHash with the hash computed here. Multi-way loops hoist
 // the shared CRC through t.mixer instead of calling this per way.
+//
 //mehpt:hotpath
 func (t *Table) locate(i int, key uint64) (*way, uint64) {
 	return t.locateHash(i, t.fns[i].Hash(key))
@@ -244,6 +244,7 @@ func (t *Table) locate(i int, key uint64) (*way, uint64) {
 // resize-target table (inNext) and at which slot index — the information a
 // hardware walker derives from the rehash pointers, which the embedding
 // page table needs to compute probe addresses.
+//
 //mehpt:hotpath
 func (t *Table) Probe(i int, key uint64) (inNext bool, idx uint64) {
 	h := t.fns[i].Hash(key)
@@ -257,6 +258,7 @@ func (t *Table) Probe(i int, key uint64) (inNext bool, idx uint64) {
 }
 
 // WayOf returns the way index currently holding key.
+//
 //mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) {
 	crc := t.mixer.CRC(key)
@@ -270,6 +272,7 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 }
 
 // Lookup returns the value stored for key.
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	v, _, ok := t.LookupWay(key)
@@ -279,6 +282,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // LookupWay is Lookup additionally reporting the way that hit — the fused
 // walk uses it to avoid a second full probe sweep (WayOf) per translation.
 // Its statistics footprint is identical to Lookup's.
+//
 //mehpt:hotpath
 func (t *Table) LookupWay(key uint64) (uint64, int, bool) {
 	t.stats.Lookups++
@@ -356,9 +360,6 @@ func (t *Table) tryPlace(e Entry, exclude int) (int, bool) {
 			break
 		}
 		t.stats.Kicks++
-		if t.cfg.Hooks.OnKick != nil {
-			t.cfg.Hooks.OnKick()
-		}
 		kicks++
 		if kicks > t.cfg.MaxKicks {
 			for j := len(journal) - 1; j >= 0; j-- {
@@ -549,9 +550,6 @@ func (t *Table) migrateOne(i int) error {
 		victim := nw.slots[idx]
 		nw.slots[idx] = e
 		t.stats.Kicks++
-		if t.cfg.Hooks.OnKick != nil {
-			t.cfg.Hooks.OnKick()
-		}
 		var err error
 		kicks, err = t.placeMigration(victim, i)
 		if err != nil {

@@ -26,35 +26,59 @@ const Latency = 4
 // interactions are realistic.
 const cwtBase = addr.PhysAddr(1) << 45
 
-// small is a tiny fully-associative LRU cache of region tags.
-type small struct {
+// LRU is a small fully-associative cache of tags with least-recently-used
+// replacement, most recent first: the shape of every walk cache, the CWC
+// pair here and the radix page-walk caches in the MMU.
+type LRU struct {
 	entries int
 	tags    []uint64
 }
 
+// NewLRU returns an empty LRU holding at most entries tags.
+func NewLRU(entries int) LRU { return LRU{entries: entries} }
+
+// Lookup reports whether tag is cached, making it the most recent on a hit.
+//
 //mehpt:hotpath
-func (c *small) lookup(tag uint64) bool {
+func (c *LRU) Lookup(tag uint64) bool {
 	for i, t := range c.tags {
-		if t == tag+1 {
+		if t == tag {
 			copy(c.tags[1:i+1], c.tags[:i])
-			c.tags[0] = tag + 1
+			c.tags[0] = tag
 			return true
 		}
 	}
 	return false
 }
 
+// Insert makes tag the most recent entry, evicting the least recent one
+// when the cache is full.
+//
 //mehpt:hotpath
-func (c *small) insert(tag uint64) {
-	if c.lookup(tag) {
+func (c *LRU) Insert(tag uint64) {
+	if c.Lookup(tag) {
 		return
 	}
 	if len(c.tags) < c.entries {
 		c.tags = append(c.tags, 0) //mehpt:allow hotalloc -- one-time warm-up growth up to c.entries, amortized to zero
 	}
 	copy(c.tags[1:], c.tags)
-	c.tags[0] = tag + 1
+	c.tags[0] = tag
 }
+
+// Drop removes tag if it is cached.
+func (c *LRU) Drop(tag uint64) {
+	for i, t := range c.tags {
+		if t == tag {
+			c.tags = append(c.tags[:i], c.tags[i+1:]...)
+			return
+		}
+	}
+}
+
+// Flush empties the cache. The tag slice is truncated in place, keeping the
+// flush allocation-free.
+func (c *LRU) Flush() { c.tags = c.tags[:0] }
 
 // Stats counts walker cache behaviour.
 type Stats struct {
@@ -64,13 +88,13 @@ type Stats struct {
 // Walker is the CWC pair: a PMD-grain cache (2MB regions, 16 entries) and a
 // PUD-grain cache (1GB regions, 2 entries), per Table III.
 type Walker struct {
-	pmd, pud small
+	pmd, pud LRU
 	stats    Stats
 }
 
 // New returns a walker with the paper's CWC geometry.
 func New() *Walker {
-	return &Walker{pmd: small{entries: 16}, pud: small{entries: 2}}
+	return &Walker{pmd: NewLRU(16), pud: NewLRU(2)}
 }
 
 // Probe consults the CWCs for va. On a hit the walker already knows the
@@ -78,37 +102,31 @@ func New() *Walker {
 // it must also fetch the CWT entry from memory; the returned address is
 // that extra access (to be priced by the cache hierarchy). Probing fills
 // the caches, as the subsequent CWT fetch would.
+//
 //mehpt:hotpath
 func (w *Walker) Probe(va addr.VirtAddr) (hit bool, cwtFetch addr.PhysAddr, lat uint64) {
 	pmdRegion := uint64(va) >> addr.Page2M.Shift()
 	pudRegion := uint64(va) >> addr.Page1G.Shift()
-	if w.pmd.lookup(pmdRegion) || w.pud.lookup(pudRegion) {
+	if w.pmd.Lookup(pmdRegion) || w.pud.Lookup(pudRegion) {
 		w.stats.Hits++
 		return true, 0, Latency
 	}
 	w.stats.Misses++
-	w.pmd.insert(pmdRegion)
-	w.pud.insert(pudRegion)
+	w.pmd.Insert(pmdRegion)
+	w.pud.Insert(pudRegion)
 	return false, cwtBase + addr.PhysAddr(pmdRegion*8), Latency
 }
 
 // Invalidate drops the region covering va (page-size change, unmap).
 func (w *Walker) Invalidate(va addr.VirtAddr) {
-	pmdRegion := uint64(va) >> addr.Page2M.Shift()
-	for i, t := range w.pmd.tags {
-		if t == pmdRegion+1 {
-			w.pmd.tags = append(w.pmd.tags[:i], w.pmd.tags[i+1:]...)
-			break
-		}
-	}
+	w.pmd.Drop(uint64(va) >> addr.Page2M.Shift())
 }
 
 // Flush empties both CWCs. CWT contents are per address space and the
-// walker caches carry no ASID, so a context switch must drop them. The tag
-// slices are truncated in place, keeping the flush allocation-free.
+// walker caches carry no ASID, so a context switch must drop them.
 func (w *Walker) Flush() {
-	w.pmd.tags = w.pmd.tags[:0]
-	w.pud.tags = w.pud.tags[:0]
+	w.pmd.Flush()
+	w.pud.Flush()
 }
 
 // Stats returns hit/miss counters.

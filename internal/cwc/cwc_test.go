@@ -84,7 +84,7 @@ func TestInvalidate(t *testing.T) {
 	// a's 2MB region but through a fresh walker to check PMD-level removal.
 	found := false
 	for _, tag := range w.pmd.tags {
-		if tag == uint64(a)>>21+1 {
+		if tag == uint64(a)>>21 {
 			found = true
 		}
 	}

@@ -223,11 +223,13 @@ func (t *Table) Insert(key, val uint64) (uint64, error) {
 }
 
 // Lookup returns the value for key.
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 
 // Walk is Lookup additionally returning the physical address of the probe
 // slot of the way that hit, with the same statistics footprint.
+//
 //mehpt:hotpath
 func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 	id, way, ok := t.tb.LookupWay(key)
@@ -246,6 +248,7 @@ func (t *Table) Delete(key uint64) uint64 {
 }
 
 // WayOf returns the way holding key.
+//
 //mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
 

@@ -72,7 +72,7 @@ func FiveLevelMotivation(o Options, apps ...string) []FiveLevelRow {
 
 // driveWalks populates pages through fault handling and then replays the
 // trace counting only walk cycles.
-func driveWalks(m mmu.MMU, mapPage func(va addr.VirtAddr) error, spec workload.Spec, n uint64, seed int64) float64 {
+func driveWalks(m *mmu.MMU, mapPage func(va addr.VirtAddr) error, spec workload.Spec, n uint64, seed int64) float64 {
 	ok := true
 	spec.TouchedPageVAs(func(va addr.VirtAddr) bool {
 		if err := mapPage(va); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/mehpt"
 	"repro/internal/nested"
+	"repro/internal/osmodel"
 	"repro/internal/phys"
 	"repro/internal/radix"
 	"repro/internal/runner"
@@ -30,11 +31,7 @@ func Virtualization(o Options, pages int) []VirtRow {
 		guestAlloc := phys.NewAllocator(phys.NewMemory(2*addr.GB), 0)
 		mem := cache.NewHierarchy(cache.TableIII())
 
-		var guest nested.GuestWalker
-		var host nested.HostTranslator
-		var mapGuest func(vpn addr.VPN, ppn addr.PPN) error
-		var mapHost func(vpn addr.VPN, ppn addr.PPN) error
-
+		var guest, host osmodel.PageTable
 		if hashed {
 			gcfg := mehpt.DefaultConfig(uint64(o.Seed))
 			gcfg.Rand = rand.New(rand.NewSource(o.Seed))
@@ -42,29 +39,25 @@ func Virtualization(o Options, pages int) []VirtRow {
 			hcfg := mehpt.DefaultConfig(uint64(o.Seed) + 1)
 			hcfg.Rand = rand.New(rand.NewSource(o.Seed + 1))
 			hpt, _ := mehpt.NewPageTable(hostAlloc, hcfg) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			guest, host = &nested.HPTGuest{PT: gpt}, &nested.HPTHost{PT: hpt}
-			mapGuest = func(v addr.VPN, p addr.PPN) error { _, err := gpt.Map(v, addr.Page4K, p); return err }
-			mapHost = func(v addr.VPN, p addr.PPN) error { _, err := hpt.Map(v, addr.Page4K, p); return err }
+			guest, host = gpt, hpt
 		} else {
 			gpt, _ := radix.NewPageTable(guestAlloc) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			hpt, _ := radix.NewPageTable(hostAlloc) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			guest, host = &nested.RadixGuest{PT: gpt}, &nested.RadixHost{PT: hpt}
-			mapGuest = func(v addr.VPN, p addr.PPN) error { _, err := gpt.Map(v, addr.Page4K, p); return err }
-			mapHost = func(v addr.VPN, p addr.PPN) error { _, err := hpt.Map(v, addr.Page4K, p); return err }
+			hpt, _ := radix.NewPageTable(hostAlloc)  //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
+			guest, host = gpt, hpt
 		}
 		for g := addr.VPN(0); g < 1<<19; g++ {
-			if err := mapHost(g, addr.PPN(uint64(g)+0x100000)); err != nil {
+			if _, err := host.Map(g, addr.Page4K, addr.PPN(uint64(g)+0x100000)); err != nil {
 				return nil
 			}
 		}
 		base := addr.VirtAddr(0x7000_0000_0000)
 		for i := 0; i < pages; i++ {
 			va := base + addr.VirtAddr(uint64(i)*2048*4096)
-			if err := mapGuest(va.PageNumber(addr.Page4K), addr.PPN(1000+i)); err != nil {
+			if _, err := guest.Map(va.PageNumber(addr.Page4K), addr.Page4K, addr.PPN(1000+i)); err != nil {
 				return nil
 			}
 		}
-		m := nested.NewMMU(guest, host, mem, hashed)
+		m := nested.NewMMU(guest, host, mem)
 		for i := 0; i < pages; i++ {
 			m.Translate(base + addr.VirtAddr(uint64(i)*2048*4096))
 		}

@@ -23,7 +23,7 @@
 //     8-byte block into eight independent table lookups (instead of eight
 //     serially dependent byte steps), and because the block transform is
 //     linear over GF(2), two consecutive blocks compose into a single
-//      8-lookup pass through precomputed double-block tables. The seed word
+//     8-lookup pass through precomputed double-block tables. The seed word
 //     — the second block of every rawCRC input — is constant per Func, so
 //     its whole contribution folds into one precomputed XOR. A rawCRC is
 //     eight independent loads plus two XORs, bit-identical to

@@ -271,6 +271,7 @@ func (t *Table) Resizing() bool {
 // lookupSlot finds the way index and slot index holding key. One CRC pass
 // serves all W probes (hashfn.Mixer); each way reuses its hash across the
 // old and new index masks during resizes.
+//
 //mehpt:hotpath
 func (t *Table) lookupSlot(key uint64) (int, uint64, bool) {
 	crc := t.mixer.CRC(key)
@@ -284,6 +285,7 @@ func (t *Table) lookupSlot(key uint64) (int, uint64, bool) {
 }
 
 // stashIndex returns the stash position of key, or -1.
+//
 //mehpt:hotpath
 func (t *Table) stashIndex(key uint64) int {
 	for i, e := range t.stash {
@@ -296,6 +298,7 @@ func (t *Table) stashIndex(key uint64) int {
 
 // Lookup returns the cluster id stored for key, consulting the software
 // stash after the W hash probes (the OS-walked overflow path).
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
@@ -312,6 +315,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // slot that holds key, with the same statistics footprint. A
 // stash-resident entry reports way 0's probe address (WayOf does not see
 // the stash).
+//
 //mehpt:hotpath
 func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 	t.stats.Lookups++ // mirrors Lookup
@@ -327,6 +331,7 @@ func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 
 // WayOf returns the way index currently holding key, and whether it is in
 // a way (stash-resident entries are not).
+//
 //mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) {
 	i, _, ok := t.lookupSlot(key)
@@ -334,6 +339,7 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 }
 
 // ProbeAddr returns the physical address of way i's probe slot for key.
+//
 //mehpt:hotpath
 func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 	w := t.ways[i]

@@ -8,24 +8,29 @@ import (
 )
 
 type vaMapper interface {
+	Table
 	Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error)
+}
+
+// newMMU builds an MMU of the given kind ("Radix" or "HPT") over a fresh
+// table.
+func newMMU(t *testing.T, kind string) (*MMU, vaMapper) {
+	t.Helper()
+	if kind == "Radix" {
+		m, pt, _ := newRadixMMU(t)
+		return m, pt
+	}
+	m, pt, _ := newHPTMMU(t)
+	return m, pt
 }
 
 // batchPair builds two identical MMU+table pairs of the requested kind and
 // maps the same pages into both: mapped 4K pages, a 2M page, and a deliberate
 // unmapped hole so batches hit the fault path too.
-func batchPair(t *testing.T, kind string) (a, b MMU, vas []addr.VirtAddr) {
+func batchPair(t *testing.T, kind string) (a, b *MMU, vas []addr.VirtAddr) {
 	t.Helper()
-	build := func() (MMU, vaMapper) {
-		if kind == "Radix" {
-			m, pt, _ := newRadixMMU(t)
-			return m, pt
-		}
-		m, pt, _ := newHPTMMU(t)
-		return m, pt
-	}
-	am, apt := build()
-	bm, bpt := build()
+	am, apt := newMMU(t, kind)
+	bm, bpt := newMMU(t, kind)
 	base := addr.VirtAddr(0x4000_0000)
 	for i := 0; i < 512; i++ {
 		va := base + addr.VirtAddr(i)*4096
@@ -59,7 +64,7 @@ func batchPair(t *testing.T, kind string) (a, b MMU, vas []addr.VirtAddr) {
 // over segments of varying width (including width 1 and non-multiples of
 // BatchWidth), each full miss finished by TranslateWalk — must be
 // bit-identical to scalar Translate calls on an identically built MMU, for
-// both MMU variants, across hit, miss, huge-page, and fault elements: the
+// both walker families, across hit, miss, huge-page, and fault elements: the
 // same addresses, the same summed cycles for every resolved prefix, the
 // walked element's Result (the batch's miss latency plus the walk) equal to
 // the scalar one, and the same final Stats.
@@ -165,16 +170,12 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 }
 
 // TestTranslateBatchPAsAllocFree guards the simulator's steady-state batch
-// entry point on both MMU variants: a warm full-width batch must not touch
+// entry point on both walker families: a warm full-width batch must not touch
 // the heap.
 func TestTranslateBatchPAsAllocFree(t *testing.T) {
-	build := map[string]func() (MMU, vaMapper){
-		"Radix": func() (MMU, vaMapper) { m, pt, _ := newRadixMMU(t); return m, pt },
-		"HPT":   func() (MMU, vaMapper) { m, pt, _ := newHPTMMU(t); return m, pt },
-	}
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
-			m, pt := build[kind]()
+			m, pt := newMMU(t, kind)
 			var vas [BatchWidth]addr.VirtAddr
 			var pas [BatchWidth]addr.PhysAddr
 			base := addr.VirtAddr(0x4000_0000)

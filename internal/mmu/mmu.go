@@ -1,14 +1,20 @@
-// Package mmu composes the TLB hierarchy, the page-walk machinery (radix
-// page-walk caches or cuckoo walk caches), and the data-cache hierarchy
-// into the address-translation front end the simulator drives.
+// Package mmu composes the TLB hierarchy, a page walker, and the data-cache
+// hierarchy into the address-translation front end the simulator drives.
 //
-// Two MMU variants exist, one per page-table family:
+// There is one MMU. Its TLBs, batch pipeline, statistics, and coherence
+// operations are shared by every page-table family; only what happens after
+// a full TLB miss differs, and that is an unexported per-family walker:
 //
-//   - Radix: sequential tree walk, accelerated by three page-walk caches
-//     (PWCs) that skip upper levels (Table III: 3 × 32 entries, 4 cyc).
-//   - HPT (ECPT or ME-HPT): parallel cuckoo-way probes, pruned by the CWCs;
-//     the ME-HPT L2P access is overlapped with the CWC lookup (Section V-D)
-//     so both variants see the same walk-latency structure.
+//   - the radix walker: a sequential tree walk, accelerated by three
+//     page-walk caches (PWCs) that skip upper levels (Table III: 3 × 32
+//     entries, 4 cyc);
+//   - the hashed walker (ECPT or ME-HPT): parallel cuckoo-way probes,
+//     pruned by the CWCs; the ME-HPT L2P access is overlapped with the CWC
+//     lookup (Section V-D), so both hashed organizations see the same
+//     walk-latency structure.
+//
+// NewRadix and NewHPT pick the walker; a new organization is one more
+// walker plus its table.
 package mmu
 
 import (
@@ -39,6 +45,12 @@ type Stats struct {
 	Faults       uint64
 }
 
+// Table is a page table an MMU can be bound to: a *radix.PageTable for a
+// radix MMU, an HPTPageTable for a hashed one.
+type Table interface {
+	Translate(va addr.VirtAddr) (pt.Translation, bool)
+}
+
 // HPTPageTable is the interface both ecpt.PageTable and mehpt.PageTable
 // satisfy (through pt.Hashed): the hashed-walk operations the MMU needs.
 type HPTPageTable interface {
@@ -51,36 +63,77 @@ type HPTPageTable interface {
 	Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 }
 
-// HPT is the MMU for hashed page tables.
-type HPT struct {
-	TLB   *tlb.Hierarchy
-	Mem   *cache.Hierarchy
-	Table HPTPageTable
-	CWC   *cwc.Walker
-	stats Stats
+// walker is the per-family half of the MMU: the page walk after a full TLB
+// miss and the walk caches that speed it up.
+type walker interface {
+	// walk resolves va in the bound table, pricing its memory accesses
+	// through mem, and returns the translation, the walk latency, and
+	// whether a translation exists.
+	//mehpt:hotpath
+	walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool)
+	// bind makes table the walk target; it must be of the walker's family.
+	bind(table Table)
+	// invalidate drops walk-cache state covering va.
+	invalidate(va addr.VirtAddr)
+	// flush empties the walk caches.
+	flush()
 }
 
-// NewHPT wires an HPT MMU with Table III structures.
-func NewHPT(table HPTPageTable, mem *cache.Hierarchy) *HPT {
-	return &HPT{
-		TLB:   tlb.NewTableIII(),
-		Mem:   mem,
-		Table: table,
-		CWC:   cwc.New(),
+// MMU is the translation front end: Table III TLBs, then on a full miss the
+// walker's page walk, whose accesses go through the data-cache hierarchy.
+type MMU struct {
+	TLB    *tlb.Hierarchy
+	Mem    *cache.Hierarchy
+	table  Table // nil until bound
+	walker walker
+	stats  Stats
+}
+
+// NewHPT wires an MMU with Table III structures over a hashed page table.
+// A nil table leaves the MMU unbound until Bind.
+func NewHPT(table HPTPageTable, mem *cache.Hierarchy) *MMU {
+	m := &MMU{TLB: tlb.NewTableIII(), Mem: mem, walker: &hashedWalker{cwc: *cwc.New()}}
+	if table != nil {
+		m.Bind(table)
 	}
+	return m
+}
+
+// NewRadix wires an MMU with Table III structures over a radix tree: 3 PWC
+// levels of 32 entries each. A nil table leaves the MMU unbound until Bind.
+func NewRadix(table *radix.PageTable, mem *cache.Hierarchy) *MMU {
+	w := &radixWalker{}
+	for i := range w.pwcs {
+		w.pwcs[i] = cwc.NewLRU(32)
+	}
+	m := &MMU{TLB: tlb.NewTableIII(), Mem: mem, walker: w}
+	if table != nil {
+		m.Bind(table)
+	}
+	return m
 }
 
 // Stats returns translation counters.
-func (m *HPT) Stats() Stats { return m.stats }
+func (m *MMU) Stats() Stats { return m.stats }
+
+// RestoreStats reinstates translation counters captured by Stats. The
+// checkpoint serializes only the counters: the TLBs and walk caches are
+// flushed at every quantum boundary by Bind, so a round-boundary snapshot
+// never needs their contents.
+func (m *MMU) RestoreStats(s Stats) { m.stats = s }
+
+// Table returns the bound page table, or nil if the MMU was never bound.
+func (m *MMU) Table() Table { return m.table }
 
 // Translate resolves va, modelling the full latency of TLB lookup and, on a
-// miss, the hashed page walk. TLB hits complete from the cached payload (the
-// PPN stored at insert time, as hardware does); the page table is only
-// probed on the walk path. TLB coherence — every resident entry resolves in
-// the bound table with the same PPN — is the scrubber-enforced invariant
-// that makes the payload trustworthy.
+// miss, the page walk. TLB hits complete from the cached payload (the PPN
+// stored at insert time, as hardware does); the page table is only walked
+// on a miss. TLB coherence — every resident entry resolves in the bound
+// table with the same PPN — is the scrubber-enforced invariant that makes
+// the payload trustworthy.
+//
 //mehpt:hotpath
-func (m *HPT) Translate(va addr.VirtAddr) Result {
+func (m *MMU) Translate(va addr.VirtAddr) Result {
 	m.stats.Translations++
 	r, s, pay, lat := m.TLB.LookupVA(va)
 	switch r {
@@ -94,37 +147,20 @@ func (m *HPT) Translate(va addr.VirtAddr) Result {
 	return m.walk(va, lat)
 }
 
-// walk performs the hashed page walk after a full TLB miss whose
-// accumulated (parallel-probe) miss latency is tlbLat. Both the scalar
-// Translate and the batch pipeline's TranslateWalk funnel through this,
-// which keeps their results and stats bit-identical.
+// walk performs the page walk after a full TLB miss whose accumulated
+// (parallel-probe) miss latency is tlbLat, and fills the TLB on success.
+// Both the scalar Translate and the batch pipeline's TranslateWalk funnel
+// through this, which keeps their results and stats bit-identical.
 //
-// CRC hash units run in parallel with the CWC lookup (both fixed-latency);
-// the ME-HPT L2P access hides behind the CWC as well (Section V-D), so the
-// pre-probe latency is max(hash, CWC) = CWC.
 //mehpt:hotpath
-func (m *HPT) walk(va addr.VirtAddr, tlbLat uint64) Result {
+func (m *MMU) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
-	walk := uint64(hashfn.Latency)
-	hit, cwtPA, cwcLat := m.CWC.Probe(va)
-	if cwcLat > walk {
-		walk = cwcLat
-	}
-	if !hit {
-		// The CWT is compact metadata (8B per 2MB region) that lives in the
-		// regular cache hierarchy and caches well, unlike page-table lines.
-		walk += m.Mem.Access(cwtPA)
-	}
-	tr, probePA, ok := m.Table.Walk(va)
+	tr, walk, ok := m.walker.walk(va, m.Mem)
+	m.stats.WalkCycles += walk
 	if !ok {
-		// The CWT indicates no translation at any size: fault without
-		// probing the HPTs.
 		m.stats.Faults++
-		m.stats.WalkCycles += walk
 		return Result{Cycles: tlbLat + walk, Fault: true}
 	}
-	walk += m.Mem.AccessPT(probePA)
-	m.stats.WalkCycles += walk
 	m.TLB.Insert(va, tr.Size, uint64(tr.PPN))
 	return Result{
 		PA:     addr.Translate(va, tr.PPN, tr.Size),
@@ -148,9 +184,20 @@ func (m *HPT) walk(va addr.VirtAddr, tlbLat uint64) Result {
 // caller's pending data accesses also touch; everything before it commutes
 // (TLB hits touch only TLB state). At most BatchWidth elements are consumed
 // per call.
+//
 //mehpt:hotpath
-func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	return translateBatchPAs(m.TLB, &m.stats, vas, pas)
+func (m *MMU) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	if len(vas) > tlb.BatchWidth {
+		vas = vas[:tlb.BatchWidth]
+	}
+	n, l1, latSum, missLat := m.TLB.LookupBatchPAs(vas, pas)
+	m.stats.Translations += uint64(n)
+	m.stats.L1Hits += l1
+	m.stats.L2Hits += uint64(n) - l1
+	if n < len(vas) {
+		m.stats.Translations++ // element n entered translation; its walk is the caller's
+	}
+	return n, latSum, missLat
 }
 
 // TranslateWalk completes the pending element a TranslateBatchPAs call
@@ -158,228 +205,131 @@ func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, 
 // batch, so only the page walk remains. missLat is the miss latency
 // TranslateBatchPAs returned. Calling Translate instead would double-count
 // the TLB probes.
+//
 //mehpt:hotpath
-func (m *HPT) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
+func (m *MMU) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
 	return m.walk(va, missLat)
 }
 
-// translateBatchPAs is the TLB half of TranslateBatchPAs, shared by both MMU
-// variants (the batch stops before any walk, so it never reaches the
-// variant-specific machinery).
-//mehpt:hotpath
-func translateBatchPAs(t *tlb.Hierarchy, st *Stats, vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	n, l1, latSum, missLat := t.LookupBatchPAs(vas, pas)
-	st.Translations += uint64(n)
-	st.L1Hits += l1
-	st.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		st.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, latSum, missLat
-}
-
-// Invalidate drops TLB and CWC state for va (unmap, page-size promotion).
-func (m *HPT) Invalidate(va addr.VirtAddr, s addr.PageSize) {
+// Invalidate drops TLB and walk-cache state for va (unmap, page-size
+// promotion).
+func (m *MMU) Invalidate(va addr.VirtAddr, s addr.PageSize) {
 	m.TLB.Invalidate(va, s)
-	m.CWC.Invalidate(va)
+	m.walker.invalidate(va)
 }
 
-// FlushTranslation empties the TLBs and CWCs — the per-address-space
+// FlushTranslation empties the TLBs and walk caches — the per-address-space
 // translation state a no-ASID context switch must drop. The data-cache
 // hierarchy is untouched: it is physically indexed and belongs to the core,
 // not the address space.
-func (m *HPT) FlushTranslation() {
+func (m *MMU) FlushTranslation() {
 	m.TLB.Flush()
-	m.CWC.Flush()
+	m.walker.flush()
 }
 
-// Bind retargets this MMU shard at a new address space: table becomes the
-// walk target and all translation caches are flushed. The multi-tenant
-// scheduler calls this at every quantum boundary, so one MMU instance per
-// core serves hundreds of processes.
-func (m *HPT) Bind(table HPTPageTable) {
-	m.Table = table
+// Bind retargets this MMU at a new address space: table, which must be of
+// the family the MMU was built for, becomes the walk target and all
+// translation caches are flushed. The multi-tenant scheduler calls this at
+// every quantum boundary, so one MMU instance per core serves hundreds of
+// processes.
+func (m *MMU) Bind(table Table) {
+	m.table = table
+	m.walker.bind(table)
 	m.FlushTranslation()
 }
 
-// pwc is one page-walk cache level: fully associative over VA prefixes.
-type pwc struct {
-	shift   uint
-	entries int
-	tags    []uint64
+// hashedWalker walks a hashed page table: one targeted probe, located by
+// the CWCs.
+type hashedWalker struct {
+	table HPTPageTable
+	cwc   cwc.Walker
 }
 
+// walk performs the hashed page walk. CRC hash units run in parallel with
+// the CWC lookup (both fixed-latency); the ME-HPT L2P access hides behind
+// the CWC as well (Section V-D), so the pre-probe latency is
+// max(hash, CWC) = CWC.
+//
 //mehpt:hotpath
-func (c *pwc) lookup(va addr.VirtAddr) bool {
-	tag := uint64(va) >> c.shift
-	for i, t := range c.tags {
-		if t == tag+1 {
-			copy(c.tags[1:i+1], c.tags[:i])
-			c.tags[0] = tag + 1
-			return true
-		}
+func (w *hashedWalker) walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool) {
+	walk := uint64(hashfn.Latency)
+	hit, cwtPA, cwcLat := w.cwc.Probe(va)
+	if cwcLat > walk {
+		walk = cwcLat
 	}
-	return false
+	if !hit {
+		// The CWT is compact metadata (8B per 2MB region) that lives in the
+		// regular cache hierarchy and caches well, unlike page-table lines.
+		walk += mem.Access(cwtPA)
+	}
+	tr, probePA, ok := w.table.Walk(va)
+	if !ok {
+		// The CWT indicates no translation at any size: fault without
+		// probing the HPTs.
+		return tr, walk, false
+	}
+	return tr, walk + mem.AccessPT(probePA), true
 }
 
-//mehpt:hotpath
-func (c *pwc) insert(va addr.VirtAddr) {
-	if c.lookup(va) {
-		return
-	}
-	if len(c.tags) < c.entries {
-		c.tags = append(c.tags, 0) //mehpt:allow hotalloc -- one-time warm-up growth up to c.entries, amortized to zero
-	}
-	copy(c.tags[1:], c.tags)
-	c.tags[0] = uint64(va)>>c.shift + 1
-}
+func (w *hashedWalker) bind(table Table)            { w.table = table.(HPTPageTable) }
+func (w *hashedWalker) invalidate(va addr.VirtAddr) { w.cwc.Invalidate(va) }
+func (w *hashedWalker) flush()                      { w.cwc.Flush() }
 
 // pwcLatency is the PWC round trip (Table III: 4 cycles).
 const pwcLatency = 4
 
-// Radix is the MMU for the radix-tree baseline.
-type Radix struct {
-	TLB   *tlb.Hierarchy
-	Mem   *cache.Hierarchy
-	Table *radix.PageTable
-	// pwcs[0] caches PMD entries (skip to PTE), [1] PUD entries (skip to
-	// PMD), [2] PGD entries (skip to PUD).
-	pwcs  [3]pwc
-	stats Stats
-	// walkBuf is the scratch buffer AppendWalkAddrs fills on every TLB
-	// miss; a walk touches at most MaxLevels entries, so the steady-state
-	// walk path never allocates.
-	walkBuf [radix.MaxLevels]addr.PhysAddr
+// pwcShift is the VA prefix each PWC level caches: pwcs[0] holds PMD
+// entries (a 2MB prefix; skip to the PTE), [1] PUD entries (1GB; skip to
+// the PMD), [2] PGD entries (512GB; skip to the PUD).
+var pwcShift = [3]uint{21, 30, 39}
+
+// radixWalker walks a radix tree, skipping the upper levels the PWCs cache.
+type radixWalker struct {
+	table *radix.PageTable
+	pwcs  [3]cwc.LRU
+	// buf is the scratch buffer AppendWalkAddrs fills on every walk; a walk
+	// touches at most MaxLevels entries, so the walk never allocates.
+	buf [radix.MaxLevels]addr.PhysAddr
 }
 
-// NewRadix wires a radix MMU with Table III structures: 3 PWC levels of 32
-// entries each.
-func NewRadix(table *radix.PageTable, mem *cache.Hierarchy) *Radix {
-	m := &Radix{TLB: tlb.NewTableIII(), Mem: mem, Table: table}
-	m.pwcs[0] = pwc{shift: 21, entries: 32} // PMD entry: covers 2MB
-	m.pwcs[1] = pwc{shift: 30, entries: 32} // PUD entry: covers 1GB
-	m.pwcs[2] = pwc{shift: 39, entries: 32} // PGD entry: covers 512GB
-	return m
-}
-
-// Stats returns translation counters.
-func (m *Radix) Stats() Stats { return m.stats }
-
-// Translate resolves va through the TLBs and, on a miss, a sequential tree
-// walk whose upper levels the PWCs can skip. As in the HPT variant, TLB
-// hits complete from the cached PPN payload; only walks touch the tree.
+// walk performs the sequential tree walk.
+//
 //mehpt:hotpath
-func (m *Radix) Translate(va addr.VirtAddr) Result {
-	m.stats.Translations++
-	r, s, pay, lat := m.TLB.LookupVA(va)
-	switch r {
-	case tlb.HitL1:
-		m.stats.L1Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
-	case tlb.HitL2:
-		m.stats.L2Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
-	}
-	return m.walk(va, lat)
-}
-
-// walk performs the radix tree walk after a full TLB miss with accumulated
-// miss latency tlbLat; shared verbatim by Translate and TranslateWalk.
-//mehpt:hotpath
-func (m *Radix) walk(va addr.VirtAddr, tlbLat uint64) Result {
-	m.stats.Walks++
-	pas, tr, ok := m.Table.AppendWalkAddrs(m.walkBuf[:0], va)
-	// The PWCs are probed in parallel: skip the deepest cached prefix.
+func (w *radixWalker) walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool) {
+	pas, tr, ok := w.table.AppendWalkAddrs(w.buf[:0], va)
+	// The PWCs are probed in parallel: skip the deepest cached prefix (a
+	// pwcs[0] hit leaves only the PTE access).
 	skip := 0
-	switch {
-	case m.pwcs[0].lookup(va):
-		skip = 3 // PGD, PUD, PMD entries cached: only the PTE access remains
-	case m.pwcs[1].lookup(va):
-		skip = 2
-	case m.pwcs[2].lookup(va):
-		skip = 1
+	for lvl := range w.pwcs {
+		if w.pwcs[lvl].Lookup(uint64(va) >> pwcShift[lvl]) {
+			skip = 3 - lvl
+			break
+		}
 	}
 	if skip > len(pas)-1 {
 		skip = len(pas) - 1 // always perform at least the final access
 	}
 	walk := uint64(pwcLatency)
 	for _, pa := range pas[skip:] {
-		walk += m.Mem.AccessPT(pa) // sequential: latencies add up
+		walk += mem.AccessPT(pa) // sequential: latencies add up
 	}
-	m.stats.WalkCycles += walk
-	if !ok {
-		m.stats.Faults++
-		return Result{Cycles: tlbLat + walk, Fault: true}
+	if ok {
+		// Refill the PWCs with the prefixes this walk resolved: pwcs[lvl]
+		// once the walk read at least 4-lvl entries.
+		for lvl := 2; lvl >= 0 && len(pas) >= 4-lvl; lvl-- {
+			w.pwcs[lvl].Insert(uint64(va) >> pwcShift[lvl])
+		}
 	}
-	// Refill the PWCs with the prefixes this walk resolved.
-	if len(pas) >= 2 {
-		m.pwcs[2].insert(va)
-	}
-	if len(pas) >= 3 {
-		m.pwcs[1].insert(va)
-	}
-	if len(pas) >= 4 {
-		m.pwcs[0].insert(va)
-	}
-	m.TLB.Insert(va, tr.Size, uint64(tr.PPN))
-	return Result{
-		PA:     addr.Translate(va, tr.PPN, tr.Size),
-		Size:   tr.Size,
-		Cycles: tlbLat + walk,
-	}
+	return tr, walk, ok
 }
 
-// TranslateBatchPAs resolves the longest TLB-hit prefix of vas; see
-// HPT.TranslateBatchPAs for the contract.
-//mehpt:hotpath
-func (m *Radix) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	return translateBatchPAs(m.TLB, &m.stats, vas, pas)
-}
+func (w *radixWalker) bind(table Table)         { w.table = table.(*radix.PageTable) }
+func (w *radixWalker) invalidate(addr.VirtAddr) {}
 
-// TranslateWalk completes the pending element a TranslateBatchPAs call
-// stopped at; see HPT.TranslateWalk for the contract.
-//mehpt:hotpath
-func (m *Radix) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
-	return m.walk(va, missLat)
-}
-
-// Invalidate drops TLB state for va.
-func (m *Radix) Invalidate(va addr.VirtAddr, s addr.PageSize) {
-	m.TLB.Invalidate(va, s)
-}
-
-// FlushTranslation empties the TLBs and PWCs (no-ASID context switch); the
-// physically-indexed data caches stay with the core.
-func (m *Radix) FlushTranslation() {
-	m.TLB.Flush()
-	for i := range m.pwcs {
-		m.pwcs[i].tags = m.pwcs[i].tags[:0]
+func (w *radixWalker) flush() {
+	for i := range w.pwcs {
+		w.pwcs[i].Flush()
 	}
-}
-
-// Bind retargets this MMU shard at a new address space, flushing all
-// translation caches.
-func (m *Radix) Bind(table *radix.PageTable) {
-	m.Table = table
-	m.FlushTranslation()
-}
-
-// MMU is the interface the simulator's access loop drives; both variants
-// satisfy it. Translate is the scalar path; TranslateBatchPAs and
-// TranslateWalk are the batched pipeline (see HPT.TranslateBatchPAs for
-// their contract).
-type MMU interface {
-	//mehpt:hotpath
-	Translate(va addr.VirtAddr) Result
-	//mehpt:hotpath
-	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
-	//mehpt:hotpath
-	TranslateWalk(va addr.VirtAddr, missLat uint64) Result
-	Invalidate(va addr.VirtAddr, s addr.PageSize)
-	Stats() Stats
 }
 
 // BatchWidth is the translation pipeline width; batch callers size their

@@ -11,7 +11,7 @@ import (
 	"repro/internal/radix"
 )
 
-func newRadixMMU(t *testing.T) (*Radix, *radix.PageTable, *phys.Allocator) {
+func newRadixMMU(t *testing.T) (*MMU, *radix.PageTable, *phys.Allocator) {
 	t.Helper()
 	mem := phys.NewMemory(1 * addr.GB)
 	alloc := phys.NewAllocator(mem, 0)
@@ -22,7 +22,7 @@ func newRadixMMU(t *testing.T) (*Radix, *radix.PageTable, *phys.Allocator) {
 	return NewRadix(pt, cache.NewHierarchy(cache.TableIII())), pt, alloc
 }
 
-func newHPTMMU(t *testing.T) (*HPT, *mehpt.PageTable, *phys.Allocator) {
+func newHPTMMU(t *testing.T) (*MMU, *mehpt.PageTable, *phys.Allocator) {
 	t.Helper()
 	mem := phys.NewMemory(1 * addr.GB)
 	alloc := phys.NewAllocator(mem, 0)
@@ -164,5 +164,47 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.WalkCycles == 0 {
 		t.Error("walk cycles not accumulated")
+	}
+}
+
+// TestBindFlushesAndRetargets: Bind is a cold start on the new table.
+// Rebinding the table an address was just walked in makes it walk again at
+// the cold walk's cycle count, because the TLBs and the walk caches were
+// flushed (the data cache is replaced too, so only translation caches could
+// make the walk cheaper). Binding a second table makes translations resolve
+// through it.
+func TestBindFlushesAndRetargets(t *testing.T) {
+	for _, kind := range []string{"Radix", "HPT"} {
+		t.Run(kind, func(t *testing.T) {
+			m, first := newMMU(t, kind)
+			_, second := newMMU(t, kind)
+			va := addr.VirtAddr(0x4000_0000)
+			vpn := va.PageNumber(addr.Page4K)
+			if _, err := first.Map(vpn, addr.Page4K, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := second.Map(vpn, addr.Page4K, 2); err != nil {
+				t.Fatal(err)
+			}
+			cold := m.Translate(va)
+			if cold.Fault {
+				t.Fatal("mapped address faulted")
+			}
+
+			m.Mem = cache.NewHierarchy(cache.TableIII())
+			m.Bind(first)
+			walks := m.Stats().Walks
+			if r := m.Translate(va); r != cold {
+				t.Errorf("after rebinding the same table: %+v, cold walk %+v", r, cold)
+			}
+			if got := m.Stats().Walks; got != walks+1 {
+				t.Errorf("after rebinding the same table: %d walks, want %d", got, walks+1)
+			}
+
+			m.Bind(second)
+			if r := m.Translate(va); r.Fault || r.PA != addr.Translate(va, 2, addr.Page4K) {
+				t.Errorf("after binding a second table: %+v, want PPN 2", r)
+			}
+		})
 	}
 }

@@ -22,82 +22,30 @@ import (
 	"repro/internal/cwc"
 	"repro/internal/hashfn"
 	"repro/internal/mmu"
+	"repro/internal/pt"
 	"repro/internal/radix"
 	"repro/internal/tlb"
 )
 
-// HostTranslator is the host side of the 2D walk: it resolves a
-// guest-physical address and reports the walk's memory accesses.
-type HostTranslator interface {
-	// TranslateGPA resolves a guest-physical address, returning the
-	// host-physical address, the host-walk memory accesses (host-physical),
-	// and whether the translation exists.
-	TranslateGPA(gpa addr.PhysAddr) (addr.PhysAddr, []addr.PhysAddr, bool)
-}
-
-// RadixHost adapts a host radix tree.
-type RadixHost struct {
-	PT *radix.PageTable
-}
-
-// TranslateGPA walks the host tree for gpa (treated as a host-virtual
-// address of the guest's "physical" space, the standard nested layout).
-func (h *RadixHost) TranslateGPA(gpa addr.PhysAddr) (addr.PhysAddr, []addr.PhysAddr, bool) {
-	//mehpt:allow addrspace -- nested paging: the gPA is, by definition, the host walk's virtual input
-	pas, tr, ok := h.PT.WalkAddrs(addr.VirtAddr(gpa))
-	if !ok {
-		return 0, pas, false
+// walkAddrs walks table for va and returns the page-table entries the
+// walk reads — the tree's entries, root first, or the single hashed probe
+// (none on a hashed miss) — and the translated address.
+func walkAddrs(table mmu.Table, va addr.VirtAddr) ([]addr.PhysAddr, addr.PhysAddr, bool) {
+	var pas []addr.PhysAddr
+	var tr pt.Translation
+	var ok bool
+	if t, isRadix := table.(*radix.PageTable); isRadix {
+		pas, tr, ok = t.AppendWalkAddrs(nil, va)
+	} else {
+		var probe addr.PhysAddr
+		if tr, probe, ok = table.(mmu.HPTPageTable).Walk(va); ok {
+			pas = []addr.PhysAddr{probe}
+		}
 	}
-	return addr.Translate(addr.VirtAddr(gpa), tr.PPN, tr.Size), pas, true //mehpt:allow addrspace -- same gPA-as-host-VA crossing as above
-}
-
-// HPTHost adapts a host hashed page table (ECPT or ME-HPT).
-type HPTHost struct {
-	PT mmu.HPTPageTable
-}
-
-// TranslateGPA probes the host HPT: a single targeted access.
-func (h *HPTHost) TranslateGPA(gpa addr.PhysAddr) (addr.PhysAddr, []addr.PhysAddr, bool) {
-	va := addr.VirtAddr(gpa) //mehpt:allow addrspace -- nested paging: the gPA is, by definition, the host walk's virtual input
-	tr, probe, ok := h.PT.Walk(va)
-	if !ok {
-		return 0, nil, false
-	}
-	return addr.Translate(va, tr.PPN, tr.Size), []addr.PhysAddr{probe}, true
-}
-
-// GuestWalker is the guest side: it reports the guest-physical addresses a
-// guest walk touches and the final guest-physical translation.
-type GuestWalker interface {
-	WalkGVA(gva addr.VirtAddr) (accesses []addr.PhysAddr, gpa addr.PhysAddr, ok bool)
-}
-
-// RadixGuest adapts a guest radix tree.
-type RadixGuest struct {
-	PT *radix.PageTable
-}
-
-// WalkGVA performs the guest tree walk.
-func (g *RadixGuest) WalkGVA(gva addr.VirtAddr) ([]addr.PhysAddr, addr.PhysAddr, bool) {
-	pas, tr, ok := g.PT.WalkAddrs(gva)
 	if !ok {
 		return pas, 0, false
 	}
-	return pas, addr.Translate(gva, tr.PPN, tr.Size), true
-}
-
-// HPTGuest adapts a guest hashed page table.
-type HPTGuest struct {
-	PT mmu.HPTPageTable
-}
-
-// WalkGVA probes the guest HPT once.
-func (g *HPTGuest) WalkGVA(gva addr.VirtAddr) ([]addr.PhysAddr, addr.PhysAddr, bool) {
-	tr, probe, ok := g.PT.Walk(gva)
-	if !ok {
-		return nil, 0, false
-	}
-	return []addr.PhysAddr{probe}, addr.Translate(gva, tr.PPN, tr.Size), true
+	return pas, addr.Translate(va, tr.PPN, tr.Size), true
 }
 
 // Stats counts nested-translation behaviour.
@@ -113,24 +61,25 @@ type Stats struct {
 // MMU performs two-dimensional translation with a nested TLB that caches
 // complete gVA→hPA translations, as real hardware does.
 type MMU struct {
-	guest GuestWalker
-	host  HostTranslator
+	guest mmu.Table
+	host  mmu.Table
 	mem   *cache.Hierarchy
 	ntlb  *tlb.TLB
-	cwc   *cwc.Walker // charged for HPT guests; nil for radix guests
+	cwc   *cwc.Walker // charged for hashed guests; nil for radix guests
 	stats Stats
 }
 
-// NewMMU builds a nested MMU. Pass hashedGuest=true when the guest walker
-// is an HPT so the CWC/hash latencies are charged instead of PWC latency.
-func NewMMU(guest GuestWalker, host HostTranslator, mem *cache.Hierarchy, hashedGuest bool) *MMU {
+// NewMMU builds a nested MMU over a guest and a host page table, each a
+// *radix.PageTable or an mmu.HPTPageTable. A hashed guest's walk is charged
+// the hash and CWC latencies, a radix guest's the PWC latency.
+func NewMMU(guest, host mmu.Table, mem *cache.Hierarchy) *MMU {
 	m := &MMU{
 		guest: guest,
 		host:  host,
 		mem:   mem,
 		ntlb:  tlb.New(tlb.Config{Entries: 1024, Ways: 8, Latency: 2}),
 	}
-	if hashedGuest {
+	if _, hashed := guest.(mmu.HPTPageTable); hashed {
 		m.cwc = cwc.New()
 	}
 	return m
@@ -165,12 +114,18 @@ func (m *MMU) Translate(gva addr.VirtAddr) (addr.PhysAddr, uint64, bool) {
 
 // resolve recomputes gVA→hPA without charging cycles (TLB-hit path).
 func (m *MMU) resolve(gva addr.VirtAddr) (addr.PhysAddr, uint64, bool) {
-	_, gpa, ok := m.guest.WalkGVA(gva)
+	_, gpa, ok := walkAddrs(m.guest, gva)
 	if !ok {
 		return 0, 0, false
 	}
-	hpa, _, ok := m.host.TranslateGPA(gpa)
+	_, hpa, ok := m.hostWalk(gpa)
 	return hpa, 0, ok
+}
+
+// hostWalk walks the host table for gpa, which in nested paging is the host
+// walk's virtual input.
+func (m *MMU) hostWalk(gpa addr.PhysAddr) ([]addr.PhysAddr, addr.PhysAddr, bool) {
+	return walkAddrs(m.host, addr.VirtAddr(gpa)) //mehpt:allow addrspace -- nested paging: the gPA is, by definition, the host walk's virtual input
 }
 
 // walk performs the priced 2D walk: every guest access is itself
@@ -187,11 +142,11 @@ func (m *MMU) walk(gva addr.VirtAddr) (addr.PhysAddr, uint64, bool) {
 	} else {
 		cycles += 4 // PWC probe latency
 	}
-	guestAccesses, gpa, ok := m.guest.WalkGVA(gva)
+	guestAccesses, gpa, ok := walkAddrs(m.guest, gva)
 	for _, ga := range guestAccesses {
 		// Each guest-structure access is a guest-physical address that the
 		// hardware must host-translate before touching memory.
-		hpa, hostAccesses, hok := m.host.TranslateGPA(ga)
+		hostAccesses, hpa, hok := m.hostWalk(ga)
 		if !hok {
 			return 0, cycles, false
 		}
@@ -206,7 +161,7 @@ func (m *MMU) walk(gva addr.VirtAddr) (addr.PhysAddr, uint64, bool) {
 		return 0, cycles, false
 	}
 	// Final: translate the leaf gPA to hPA.
-	hpa, hostAccesses, hok := m.host.TranslateGPA(gpa)
+	hostAccesses, hpa, hok := m.hostWalk(gpa)
 	if !hok {
 		return 0, cycles, false
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/mehpt"
+	"repro/internal/osmodel"
 	"repro/internal/phys"
 	"repro/internal/radix"
 )
@@ -22,12 +23,7 @@ func buildNested(t *testing.T, hashed bool, pages int, stridePages uint64) (*MMU
 	guestAlloc := phys.NewAllocator(guestMem, 0)
 
 	mem := cache.NewHierarchy(cache.TableIII())
-	var guest GuestWalker
-	var host HostTranslator
-	var mapGuest func(vpn addr.VPN, ppn addr.PPN) error
-	var hostPT interface {
-		Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error)
-	}
+	var guest, host osmodel.PageTable
 
 	if hashed {
 		gcfg := mehpt.DefaultConfig(1)
@@ -42,11 +38,7 @@ func buildNested(t *testing.T, hashed bool, pages int, stridePages uint64) (*MMU
 		if err != nil {
 			t.Fatal(err)
 		}
-		guest, host, hostPT = &HPTGuest{PT: gpt}, &HPTHost{PT: hpt}, hpt
-		mapGuest = func(vpn addr.VPN, ppn addr.PPN) error {
-			_, err := gpt.Map(vpn, addr.Page4K, ppn)
-			return err
-		}
+		guest, host = gpt, hpt
 	} else {
 		gpt, err := radix.NewPageTable(guestAlloc)
 		if err != nil {
@@ -56,17 +48,13 @@ func buildNested(t *testing.T, hashed bool, pages int, stridePages uint64) (*MMU
 		if err != nil {
 			t.Fatal(err)
 		}
-		guest, host, hostPT = &RadixGuest{PT: gpt}, &RadixHost{PT: hpt}, hpt
-		mapGuest = func(vpn addr.VPN, ppn addr.PPN) error {
-			_, err := gpt.Map(vpn, addr.Page4K, ppn)
-			return err
-		}
+		guest, host = gpt, hpt
 	}
 
 	// Host: map all 2GB of guest-physical space 1:1-ish so every gPA
 	// (data and guest page-table frames) resolves.
 	for g := addr.VPN(0); g < 1<<19; g += 1 {
-		if _, err := hostPT.Map(g, addr.Page4K, addr.PPN(g)+0x100000); err != nil {
+		if _, err := host.Map(g, addr.Page4K, addr.PPN(g)+0x100000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,12 +63,12 @@ func buildNested(t *testing.T, hashed bool, pages int, stridePages uint64) (*MMU
 	base := addr.VirtAddr(0x7000_0000_0000)
 	for i := 0; i < pages; i++ {
 		va := base + addr.VirtAddr(uint64(i)*stridePages*4096)
-		if err := mapGuest(va.PageNumber(addr.Page4K), addr.PPN(1000+i)); err != nil {
+		if _, err := guest.Map(va.PageNumber(addr.Page4K), addr.Page4K, addr.PPN(1000+i)); err != nil {
 			t.Fatal(err)
 		}
 		vas = append(vas, va)
 	}
-	return NewMMU(guest, host, mem, hashed), vas
+	return NewMMU(guest, host, mem), vas
 }
 
 func TestNestedTranslateBasics(t *testing.T) {

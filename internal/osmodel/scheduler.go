@@ -172,9 +172,9 @@ type MultiCore struct {
 	incumbent []int
 	src       *snapshot.Source // counting source under rng, for checkpoints
 	//mehpt:transient -- rebuilt as rand.New over src, whose stream position crosses the checkpoint as MultiCoreState.RNG
-	rng *rand.Rand
-	perm      []int // scratch for the per-round permutation
-	rounds    uint64
+	rng    *rand.Rand
+	perm   []int // scratch for the per-round permutation
+	rounds uint64
 
 	stats SchedulerStats
 }
@@ -280,4 +280,3 @@ func (m *MultiCore) AvgL2PEntries() float64 {
 	}
 	return float64(m.stats.L2PEntriesSum) / float64(m.stats.Switches)
 }
-

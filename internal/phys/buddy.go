@@ -73,8 +73,13 @@ func NewMemory(capacityBytes uint64) *Memory {
 	if hi := bits.Len64(frames) - 1; hi < m.maxOrder {
 		m.maxOrder = hi
 	}
-	for i := range m.headOrder {
-		m.headOrder[i] = noBlock
+	// Mark every frame as heading no block by doubling copies: copy is a
+	// vectorized memmove, where a per-frame store loop over the 16M frames
+	// of a 64GB machine runs up to 1.5x slower depending only on where the
+	// linker happens to place the loop.
+	m.headOrder[0] = noBlock
+	for n := 1; n < len(m.headOrder); n *= 2 {
+		copy(m.headOrder[n:], m.headOrder[:n])
 	}
 	m.stats.AllocsBySize = make(map[uint64]uint64)
 	// Seed the free lists with maximal aligned blocks covering the range.

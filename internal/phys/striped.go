@@ -45,7 +45,7 @@ type Striped struct {
 	hookMu sync.Mutex
 	//mehpt:transient -- injection policy, serialized separately by its owner and re-attached after restore (see StripedState)
 	hook AllocHook //mehpt:guardedby hookMu
-	seq    uint64    //mehpt:guardedby hookMu -- allocation attempts issued
+	seq  uint64    //mehpt:guardedby hookMu -- allocation attempts issued
 }
 
 type stripe struct {

@@ -60,18 +60,6 @@ func (c *Cluster) Clear(sub uint) bool {
 	return c.ValidMask == 0
 }
 
-// Empty reports whether no slot is valid.
-func (c *Cluster) Empty() bool { return c.ValidMask == 0 }
-
-// Count returns the number of valid translations.
-func (c *Cluster) Count() int {
-	n := 0
-	for m := c.ValidMask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
 // Slab stores cluster payloads and hands out stable 64-bit ids that fit in a
 // cuckoo table's value word. The zero value is ready to use.
 type Slab struct {
@@ -102,9 +90,6 @@ func (s *Slab) At(id uint64) *Cluster {
 
 // Free recycles id.
 func (s *Slab) Free(id uint64) { s.free = append(s.free, id) }
-
-// Live returns the number of clusters currently allocated.
-func (s *Slab) Live() int { return len(s.clusters) - len(s.free) }
 
 // Translation is a completed address translation.
 type Translation struct {

@@ -24,13 +24,13 @@ func TestClusterKeySubIndex(t *testing.T) {
 
 func TestClusterSetGetClear(t *testing.T) {
 	var c Cluster
-	if !c.Empty() {
+	if c.ValidMask != 0 {
 		t.Fatal("zero cluster not empty")
 	}
 	c.Set(3, 1000)
 	c.Set(7, 2000)
-	if c.Count() != 2 {
-		t.Errorf("Count = %d, want 2", c.Count())
+	if c.ValidMask != 1<<3|1<<7 {
+		t.Errorf("ValidMask = %#b, want slots 3 and 7", c.ValidMask)
 	}
 	if p, ok := c.Get(3); !ok || p != 1000 {
 		t.Errorf("Get(3) = %d,%v", p, ok)
@@ -44,8 +44,8 @@ func TestClusterSetGetClear(t *testing.T) {
 	if !c.Clear(7) {
 		t.Error("Clear(7) did not report empty")
 	}
-	if !c.Empty() || c.Count() != 0 {
-		t.Error("cluster not empty after clearing all")
+	if c != (Cluster{}) {
+		t.Errorf("cluster not empty after clearing all: %+v", c)
 	}
 }
 
@@ -58,14 +58,14 @@ func TestSlabReuse(t *testing.T) {
 	}
 	s.At(a).Set(0, 42)
 	s.Free(a)
-	if s.Live() != 1 {
-		t.Errorf("Live = %d, want 1", s.Live())
+	if len(s.clusters) != 2 || len(s.free) != 1 {
+		t.Errorf("%d clusters, %d free; want 2, 1", len(s.clusters), len(s.free))
 	}
 	c := s.Alloc() // must recycle a, zeroed
 	if c != a {
 		t.Errorf("expected recycled id %d, got %d", a, c)
 	}
-	if !s.At(c).Empty() {
+	if *s.At(c) != (Cluster{}) {
 		t.Error("recycled cluster not zeroed")
 	}
 	if s.At(b) == nil {

@@ -217,6 +217,7 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 }
 
 // Translate resolves va by walking the tree.
+//
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	n := p.root
@@ -246,6 +247,7 @@ func sizeAtLevel(lvl int) addr.PageSize {
 }
 
 // TranslateSize resolves vpn at exactly the given page size.
+//
 //mehpt:hotpath
 func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
 	tr, ok := p.Translate(vpn.Addr(s))
@@ -255,18 +257,12 @@ func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 	return tr.PPN, true
 }
 
-// WalkAddrs returns the physical addresses of the page-table entries a
-// hardware walker reads for va, root first. The walk stops early at a huge
-// leaf or a non-present entry. The boolean reports whether a translation
-// was found.
-func (p *PageTable) WalkAddrs(va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
-	return p.AppendWalkAddrs(nil, va)
-}
-
-// AppendWalkAddrs is WalkAddrs appending to a caller-supplied buffer — a
-// walk is at most MaxLevels accesses, so a caller that reuses a scratch
-// buffer of that capacity walks without allocating. This matters: the walk
-// ran once per TLB miss and was the simulator's largest allocation source.
+// AppendWalkAddrs appends to pas the physical addresses of the page-table
+// entries a hardware walker reads for va, root first. The walk stops early
+// at a huge leaf or a non-present entry. The boolean reports whether a
+// translation was found. A walk is at most MaxLevels accesses, so a caller
+// that reuses a scratch buffer of that capacity walks without allocating.
+//
 //mehpt:hotpath
 func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
 	n := p.root

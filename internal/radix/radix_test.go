@@ -87,7 +87,7 @@ func TestWalkAddrs(t *testing.T) {
 	vpn := addr.VPN(0x33333)
 	p.Map(vpn, addr.Page4K, 9)
 	va := vpn.Addr(addr.Page4K)
-	pas, tr, ok := p.WalkAddrs(va)
+	pas, tr, ok := p.AppendWalkAddrs(nil, va)
 	if !ok || tr.PPN != 9 {
 		t.Fatalf("walk failed: %+v,%v", tr, ok)
 	}
@@ -103,12 +103,12 @@ func TestWalkAddrs(t *testing.T) {
 	}
 	// Huge-page walk stops at the PMD (3 accesses).
 	p.Map(addr.VPN(9), addr.Page2M, 10)
-	pas, _, ok = p.WalkAddrs(addr.VPN(9).Addr(addr.Page2M))
+	pas, _, ok = p.AppendWalkAddrs(nil, addr.VPN(9).Addr(addr.Page2M))
 	if !ok || len(pas) != 3 {
 		t.Fatalf("2MB walk = %d accesses,%v; want 3,true", len(pas), ok)
 	}
 	// Unmapped address: the walk aborts early.
-	pas, _, ok = p.WalkAddrs(0xDEAD_BEEF_000)
+	pas, _, ok = p.AppendWalkAddrs(nil, 0xDEAD_BEEF_000)
 	if ok {
 		t.Error("walk of unmapped address succeeded")
 	}
@@ -221,7 +221,7 @@ func TestFiveLevelTree(t *testing.T) {
 		t.Fatalf("Translate = %+v,%v", tr, ok)
 	}
 	// A walk touches 5 entries.
-	pas, _, ok := p.WalkAddrs(vpn.Addr(addr.Page4K))
+	pas, _, ok := p.AppendWalkAddrs(nil, vpn.Addr(addr.Page4K))
 	if !ok || len(pas) != 5 {
 		t.Fatalf("walk = %d accesses,%v; want 5,true", len(pas), ok)
 	}

@@ -22,6 +22,18 @@ type Tally struct {
 	OSCycles   uint64 // page-fault handling, failing reference included
 }
 
+// MMU is the translation front end an Engine drives: a *mmu.MMU, or a test
+// double that fakes a fault the OS cannot fix.
+type MMU interface {
+	//mehpt:hotpath
+	Translate(va addr.VirtAddr) mmu.Result
+	//mehpt:hotpath
+	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
+	//mehpt:hotpath
+	TranslateWalk(va addr.VirtAddr, missLat uint64) mmu.Result
+	Stats() mmu.Stats
+}
+
 // Engine is the one access loop every driver runs: a reference costs its
 // translation through MMU (TLB, then walk), any page fault through OS, and
 // its data access through Cache. Cache must be the hierarchy MMU's walks
@@ -37,7 +49,7 @@ type Tally struct {
 // does touch the data caches) so walks stay in scalar order. The batch-vs-
 // scalar differential tests in batch_test.go pin this bit for bit.
 type Engine struct {
-	MMU   mmu.MMU
+	MMU   MMU
 	Cache *cache.Hierarchy
 	OS    *osmodel.OS
 	// Per-batch scratch, allocated once with the engine so the loop never

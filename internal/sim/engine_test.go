@@ -11,7 +11,7 @@ import (
 // stuckMMU wraps a real MMU but keeps faulting on one poisoned address, as
 // if the OS fault handler had installed a mapping the walker cannot see.
 type stuckMMU struct {
-	mmu.MMU
+	MMU
 	poison addr.VirtAddr
 }
 

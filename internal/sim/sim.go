@@ -1,5 +1,5 @@
 // Package sim is the trace-driven simulation engine: it wires a workload,
-// an OS model, an MMU variant, a page-table organization, and the physical
+// an OS model, an MMU, a page-table organization, and the physical
 // memory substrate into one simulated machine, runs an access trace, and
 // accounts cycles the way the paper's evaluation does.
 //

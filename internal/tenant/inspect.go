@@ -86,40 +86,22 @@ func (m *Machine) CheckTables() []string {
 func (m *Machine) CheckShardTLBs() []string {
 	var bad []string
 	for core, sh := range m.shards {
-		resolve := func(vpn addr.VPN, s addr.PageSize) (uint64, bool) { return 0, false }
-		switch {
-		case sh.hpt != nil && sh.hpt.Table != nil:
-			table := sh.hpt.Table
-			resolve = func(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
-				tr, ok := table.Translate(vpn.Addr(s))
-				if !ok || tr.Size != s {
-					return 0, false
-				}
-				return uint64(tr.PPN), true
-			}
-		case sh.rdx != nil && sh.rdx.Table != nil:
-			table := sh.rdx.Table
-			resolve = func(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
-				ppn, ok := table.TranslateSize(vpn, s)
-				return uint64(ppn), ok
-			}
-		case sh.hpt == nil && sh.rdx == nil:
-			continue
-		default:
-			// Unbound shard: its TLBs were never filled (bind flushes), so
-			// any resident entry is already a violation; resolve stays false.
-		}
-		sh.tlbs().VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
-			if ppn, ok := resolve(vpn, s); ok {
-				if ppn == pay {
+		// An unbound shard's TLBs were never filled (bind flushes), so any
+		// resident entry is already a violation: nothing resolves.
+		table := sh.mmu.Table()
+		sh.mmu.TLB.VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
+			if table != nil {
+				if tr, ok := table.Translate(vpn.Addr(s)); ok && tr.Size == s {
+					if uint64(tr.PPN) == pay {
+						return
+					}
+					// The MMU completes TLB hits from the cached payload, so
+					// a payload that drifted from the table is a silently
+					// wrong translation, not just a bookkeeping error.
+					bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches %v page %#x with PPN %#x but the table resolves %#x",
+						core, level, s, uint64(vpn), pay, uint64(tr.PPN)))
 					return
 				}
-				// The MMU completes TLB hits from the cached payload, so a
-				// payload that drifted from the table is a silently wrong
-				// translation, not just a bookkeeping error.
-				bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches %v page %#x with PPN %#x but the table resolves %#x",
-					core, level, s, uint64(vpn), pay, ppn))
-				return
 			}
 			// Shared-segment pages translate through the concurrent table,
 			// not the per-process organization.

@@ -263,21 +263,21 @@ func (m *Machine) State() *MachineState {
 		if p.tableSrc != nil {
 			ps.Table = p.tableSrc.State()
 		}
-		switch {
-		case p.rpt != nil:
-			rs := p.rpt.State()
+		switch t := p.table.(type) {
+		case *radix.PageTable:
+			rs := t.State()
 			ps.Radix = &rs
-		case m.cfg.Org == sim.MEHPT:
-			ts := p.hpt.(*mehpt.PageTable).State()
+		case *mehpt.PageTable:
+			ts := t.State()
 			ps.MEHPT = &ts
-		default:
-			ts := p.hpt.(*ecpt.PageTable).State()
+		case *ecpt.PageTable:
+			ts := t.State()
 			ps.ECPT = &ts
 		}
 		st.Procs[i] = ps
 	}
 	for i, sh := range m.shards {
-		st.ShardStats[i] = sh.mmu().Stats()
+		st.ShardStats[i] = sh.mmu.Stats()
 	}
 	if m.injector != nil {
 		is := m.injector.State()
@@ -353,11 +353,7 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 	}
 	m.shards = newShards(cfg)
 	for i, sh := range m.shards {
-		if sh.hpt != nil {
-			sh.hpt.RestoreStats(st.ShardStats[i])
-		} else {
-			sh.rdx.RestoreStats(st.ShardStats[i])
-		}
+		sh.mmu.RestoreStats(st.ShardStats[i])
 	}
 	m.sched = osmodel.RestoreMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores, st.Sched, schedProcs...)
 	return m, nil
@@ -405,8 +401,7 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		tc := mehpt.DefaultConfig(hashSeed)
 		p.tableSrc = snapshot.RestoreSource(ps.Table)
 		tc.Rand = rand.New(p.tableSrc)
-		pt := mehpt.RestorePageTable(view, tc, *ps.MEHPT)
-		p.table, p.hpt = pt, pt
+		p.table = mehpt.RestorePageTable(view, tc, *ps.MEHPT)
 	case sim.ECPT:
 		if ps.ECPT == nil {
 			return nil, fmt.Errorf("%w: proc %d carries no ECPT state", ErrMismatch, pid)
@@ -414,8 +409,7 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		tc := ecpt.DefaultConfig(hashSeed)
 		p.tableSrc = snapshot.RestoreSource(ps.Table)
 		tc.Rand = rand.New(p.tableSrc)
-		pt := ecpt.RestorePageTable(view, tc, *ps.ECPT)
-		p.table, p.hpt = pt, pt
+		p.table = ecpt.RestorePageTable(view, tc, *ps.ECPT)
 	case sim.Radix:
 		if ps.Radix == nil {
 			return nil, fmt.Errorf("%w: proc %d carries no radix state", ErrMismatch, pid)
@@ -424,7 +418,7 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		if err != nil {
 			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
 		}
-		p.table, p.rpt = pt, pt
+		p.table = pt
 	default:
 		return nil, fmt.Errorf("tenant: unknown organization %v", cfg.Org)
 	}

@@ -9,6 +9,7 @@ package tenant
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -151,30 +152,62 @@ func TestRestoreMismatch(t *testing.T) {
 	}
 }
 
-// TestStaleTLBDetection plants a translation in a bound core's TLB that no
-// table backs and expects the coherence check to report it. This is the
-// white-box seed for the scrubber's tlb-coherence class (the shards are
-// unexported, so the seeding lives here).
+// TestStaleTLBDetection plants an incoherent translation in a bound core's
+// TLB and expects the coherence check to report it, for every organization:
+// an entry no table backs, and a page the bound tenant maps cached with a
+// drifted PPN. This is the white-box seed for the scrubber's tlb-coherence
+// class (the shards are unexported, so the seeding lives here).
 func TestStaleTLBDetection(t *testing.T) {
-	for _, org := range []sim.Org{sim.MEHPT, sim.Radix} {
-		t.Run(org.String(), func(t *testing.T) {
-			m, err := NewMachine(ckptConfig(org, 2))
-			if err != nil {
-				t.Fatalf("NewMachine: %v", err)
-			}
-			for i := 0; i < 2; i++ {
-				if err := m.StepRound(); err != nil {
-					t.Fatalf("StepRound: %v", err)
-				}
-			}
-			if bad := m.CheckShardTLBs(); len(bad) != 0 {
-				t.Fatalf("healthy machine reports TLB violations: %v", bad)
-			}
+	plants := []struct {
+		name  string
+		plant func(t *testing.T, m *Machine) // seeds core 0's TLBs
+		want  string                         // in the reported violation
+	}{
+		{"unbacked", func(t *testing.T, m *Machine) {
 			// A VA far outside every tenant's address space and the shared
 			// segment: resident in the TLB, backed by nothing.
-			m.shards[0].tlbs().Insert(addr.VirtAddr(0x7f12_3456_7000), addr.Page4K, 1)
-			if bad := m.CheckShardTLBs(); len(bad) == 0 {
-				t.Fatal("stale TLB entry not detected")
+			m.shards[0].mmu.TLB.Insert(addr.VirtAddr(0x7f12_3456_7000), addr.Page4K, 1)
+		}, "no live translation"},
+		{"drifted", func(t *testing.T, m *Machine) {
+			found := false
+			m.procs[m.sched.Incumbent(0)].table.(mappingVisitor).VisitMappings(func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) {
+				if !found {
+					found = true
+					m.shards[0].mmu.TLB.Insert(vpn.Addr(s), s, uint64(ppn)+1)
+				}
+			})
+			if !found {
+				t.Fatal("core 0's tenant maps nothing")
+			}
+		}, "but the table resolves"},
+	}
+	for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {
+		t.Run(org.String(), func(t *testing.T) {
+			for _, pl := range plants {
+				t.Run(pl.name, func(t *testing.T) {
+					m, err := NewMachine(ckptConfig(org, 2))
+					if err != nil {
+						t.Fatalf("NewMachine: %v", err)
+					}
+					for i := 0; i < 2; i++ {
+						if err := m.StepRound(); err != nil {
+							t.Fatalf("StepRound: %v", err)
+						}
+					}
+					if bad := m.CheckShardTLBs(); len(bad) != 0 {
+						t.Fatalf("healthy machine reports TLB violations: %v", bad)
+					}
+					pl.plant(t, m)
+					bad := m.CheckShardTLBs()
+					if len(bad) == 0 {
+						t.Fatalf("%s TLB entry not detected", pl.name)
+					}
+					for _, b := range bad {
+						if !strings.Contains(b, pl.want) {
+							t.Errorf("violation %q does not report %q", b, pl.want)
+						}
+					}
+				})
 			}
 		})
 	}

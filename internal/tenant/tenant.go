@@ -262,8 +262,6 @@ type process struct {
 	id    int
 	spec  workload.Spec
 	table osmodel.PageTable
-	hpt   mmu.HPTPageTable // non-nil for ECPT/ME-HPT
-	rpt   *radix.PageTable // non-nil for Radix
 	os    *osmodel.OS
 	cache *cache.Hierarchy
 	// Exactly one of trace (generated stream) and replay (recorded stream)
@@ -293,8 +291,7 @@ func (p *process) fail(err error) {
 // shard is one core's MMU: the per-core translation structures every
 // quantum rebinds to the incoming process.
 type shard struct {
-	hpt *mmu.HPT
-	rdx *mmu.Radix
+	mmu *mmu.MMU
 	// eng runs the bound tenant's private accesses through this core's MMU.
 	eng sim.Engine
 	// vas buffers the quantum's pending private accesses.
@@ -304,35 +301,18 @@ type shard struct {
 func newShard(org sim.Org) *shard {
 	s := &shard{}
 	if org == sim.Radix {
-		s.rdx = mmu.NewRadix(nil, nil)
-		s.eng.MMU = s.rdx
+		s.mmu = mmu.NewRadix(nil, nil)
 	} else {
-		s.hpt = mmu.NewHPT(nil, nil)
-		s.eng.MMU = s.hpt
+		s.mmu = mmu.NewHPT(nil, nil)
 	}
+	s.eng.MMU = s.mmu
 	return s
 }
 
 func (s *shard) bind(p *process) {
 	s.eng.Cache, s.eng.OS = p.cache, p.os
-	if s.hpt != nil {
-		s.hpt.Mem = p.cache
-		s.hpt.Bind(p.hpt)
-		return
-	}
-	s.rdx.Mem = p.cache
-	s.rdx.Bind(p.rpt)
-}
-
-func (s *shard) mmu() mmu.MMU { return s.eng.MMU }
-
-// tlbs returns the shard's TLB hierarchy (both MMU variants expose one);
-// the shared-segment path probes it directly.
-func (s *shard) tlbs() *tlb.Hierarchy {
-	if s.hpt != nil {
-		return s.hpt.TLB
-	}
-	return s.rdx.TLB
+	s.mmu.Mem = p.cache
+	s.mmu.Bind(p.table)
 }
 
 // sharedRegion is the machine-wide read-mostly segment: a concurrent
@@ -433,7 +413,7 @@ func newProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped) (*p
 		if err != nil {
 			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
 		}
-		p.table, p.hpt = pt, pt
+		p.table = pt
 	case sim.ECPT:
 		tc := ecpt.DefaultConfig(hashSeed)
 		p.tableSrc = snapshot.NewSource(runner.DeriveSubSeed(procSeed, "table", 0))
@@ -442,13 +422,13 @@ func newProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped) (*p
 		if err != nil {
 			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
 		}
-		p.table, p.hpt = pt, pt
+		p.table = pt
 	case sim.Radix:
 		pt, err := radix.NewPageTable(view)
 		if err != nil {
 			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
 		}
-		p.table, p.rpt = pt, pt
+		p.table = pt
 	default:
 		return nil, fmt.Errorf("tenant: unknown organization %v", cfg.Org)
 	}
@@ -578,7 +558,7 @@ func runPrivate(p *process, sh *shard, k int) bool {
 func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
 	page := uint64(p.rng.Int63()) % shared.pages
 	va := SharedBaseVA + addr.VirtAddr(page*4*addr.KB)
-	tlbs := sh.tlbs()
+	tlbs := sh.mmu.TLB
 	res, _, lat := tlbs.Lookup(va, addr.Page4K)
 	p.res.XlatCycles += lat
 	ppnVal, ok := shared.table.Lookup(shared.vpn(page))
@@ -650,7 +630,7 @@ func remapRound(cfg Config, shared *sharedRegion, procs []*process,
 		// canonical effect, but it keeps the shards honest for anyone
 		// inspecting them between rounds.
 		for _, sh := range shards {
-			sh.mmu().Invalidate(va, addr.Page4K)
+			sh.mmu.Invalidate(va, addr.Page4K)
 		}
 	}
 }
@@ -670,7 +650,7 @@ func collect(cfg Config, procs []*process, shards []*shard,
 		r.Procs = append(r.Procs, p.res)
 	}
 	for _, sh := range shards {
-		st := sh.mmu().Stats()
+		st := sh.mmu.Stats()
 		r.Walks += st.Walks
 		r.WalkCycles += st.WalkCycles
 		r.TLBHits += st.L1Hits + st.L2Hits

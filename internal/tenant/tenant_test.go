@@ -229,7 +229,7 @@ func TestTenantIsolationUnderInjection(t *testing.T) {
 
 // deafMMU faults on every private reference, as if the tenant's page table
 // never took the mappings its OS installed.
-type deafMMU struct{ mmu.MMU }
+type deafMMU struct{ sim.MMU }
 
 func (deafMMU) Translate(addr.VirtAddr) mmu.Result { return mmu.Result{Fault: true} }
 

@@ -89,6 +89,7 @@ func promote2(set, pays []uint64, i int) {
 
 // Lookup probes for vpn, updating LRU on a hit and returning the slot's
 // payload.
+//
 //mehpt:hotpath
 func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 	base := t.setBase(vpn)
@@ -112,6 +113,7 @@ func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 
 // Insert installs vpn with its payload, evicting the set's LRU entry if
 // needed. Re-inserting a resident vpn refreshes its payload and MRU slot.
+//
 //mehpt:hotpath
 func (t *TLB) Insert(vpn addr.VPN, pay uint64) {
 	base := t.setBase(vpn)
@@ -213,6 +215,7 @@ const (
 
 // Lookup probes L1 then L2 for va at page size s, returning the outcome,
 // the hit payload, and the lookup latency. An L2 hit refills L1.
+//
 //mehpt:hotpath
 func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, uint64) {
 	vpn := va.PageNumber(s)
@@ -231,6 +234,7 @@ func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, u
 // hit it returns the level, winning page size, payload, and that size's hit
 // latency; on a full miss it returns MissAll with the maximum per-size miss
 // latency (the parallel-probe timing model the scalar path uses).
+//
 //mehpt:hotpath
 func (h *Hierarchy) LookupVA(va addr.VirtAddr) (Result, addr.PageSize, uint64, uint64) {
 	vpn := va.PageNumber(addr.Page4K)
@@ -244,6 +248,7 @@ func (h *Hierarchy) LookupVA(va addr.VirtAddr) (Result, addr.PageSize, uint64, u
 // missed (and been counted): the 4K L2 probe, then the larger page sizes.
 // Both the scalar path and the batch pipeline's slow lane funnel through
 // this, which is what keeps their results and stats bit-identical.
+//
 //mehpt:hotpath
 func (h *Hierarchy) lookupVAFrom4KMiss(va addr.VirtAddr) (Result, addr.PageSize, uint64, uint64) {
 	vpn := va.PageNumber(addr.Page4K)
@@ -288,6 +293,7 @@ const lookupStride = 8
 // LookupVA again. Returns the resolved count n, the L1-hit count among them,
 // the summed latency, and (when n < len(vas)) element n's full-miss latency.
 // At most BatchWidth elements are consumed per call.
+//
 //mehpt:hotpath
 func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64, uint64) {
 	if len(vas) > BatchWidth {
@@ -353,6 +359,7 @@ func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (in
 
 // Insert installs a completed translation (payload pay, the PPN) into both
 // levels.
+//
 //mehpt:hotpath
 func (h *Hierarchy) Insert(va addr.VirtAddr, s addr.PageSize, pay uint64) {
 	vpn := va.PageNumber(s)

@@ -30,6 +30,7 @@ type Stream interface {
 // this decodes record-at-a-time into out; the batching benefit for this
 // format is amortizing the per-access interface call in the simulator, not
 // the decode itself.
+//
 //mehpt:hotpath
 func (r *Reader) NextBatch(out []addr.VirtAddr) (int, error) {
 	if r.err != nil {

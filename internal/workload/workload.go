@@ -180,7 +180,7 @@ type Trace struct {
 	spec Spec
 	src  *snapshot.Source // counting source under rng, for checkpoints
 	//mehpt:transient -- rebuilt as rand.New over src, whose stream position crosses the checkpoint as TraceState.RNG
-	rng *rand.Rand
+	rng     *rand.Rand
 	n       uint64
 	emitted uint64
 	// sequential cursor state
@@ -292,6 +292,7 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 // many it produced — short only when the trace ends. It draws the exact
 // RNG sequence len-sequential-Next-calls would, so a batched consumer sees
 // a bit-identical access stream.
+//
 //mehpt:hotpath
 func (t *Trace) NextBatch(out []addr.VirtAddr) int {
 	for i := range out {

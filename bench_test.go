@@ -295,8 +295,7 @@ func BenchmarkSectionIX(b *testing.B) {
 			lh.Lookup(k + 1_000_000) // misses probe all candidates
 		}
 		b.ReportMetric(lh.ProbesPerLookup(), "levelhash-probes/lookup")
-		lhSt := lh.Stats()
-		b.ReportMetric(float64(lhSt.Moves)/float64(lhSt.Resizes)/40000, "levelhash-movefrac/resize")
+		b.ReportMetric(lh.MoveFractionPerResize(), "levelhash-movefrac/resize")
 
 		// ME-HPT in-place: ~0.5 of entries move per upsize, no extra probes.
 		r := ablationRun(b, func(c *simCfg) {})

@@ -8,7 +8,7 @@
 // diagnostic on that line must match one of them and vice versa. Golden
 // packages live in testdata/src/<importpath>/ (GOPATH-style), so a
 // package can claim a repo-like import path (repro/internal/simx) and
-// exercise path-sensitive analyzers such as detrand.
+// exercise path-sensitive analyzers such as detflow.
 package analysistest
 
 import (

@@ -22,8 +22,8 @@ func fingerprintOf(v int64) uint64 { return uint64(v) * 2654435761 }
 
 // seedFromClock feeds the wall clock straight into the fingerprint.
 func seedFromClock() uint64 {
-	seed := time.Now().UnixNano()
-	return fingerprintOf(seed) // want `wall clock time\.Now.*fingerprint computation`
+	seed := time.Now().UnixNano() // want `time\.Now reads the wall clock`
+	return fingerprintOf(seed)    // want `wall clock time\.Now.*fingerprint computation`
 }
 
 // recordLatency launders the clock through another package first; the
@@ -71,7 +71,7 @@ func captureProbe(p *int) ProbeState {
 // snapshotClock gob-encodes a wall-clock reading.
 func snapshotClock(buf *bytes.Buffer) error {
 	enc := gob.NewEncoder(buf)
-	t := time.Now()
+	t := time.Now()      // want `time\.Now reads the wall clock`
 	return enc.Encode(t) // want `wall clock time\.Now.*gob snapshot encoding`
 }
 
@@ -81,9 +81,10 @@ func seededDraw() int64 {
 	return rng.Int63()
 }
 
-// logElapsed sends the clock to a log line — not a sink, silent.
+// logElapsed sends the clock to a log line. Output is an order sink
+// only, so the flow is silent; ban mode still flags the clock read.
 func logElapsed(start time.Time) {
-	fmt.Println(time.Since(start))
+	fmt.Println(time.Since(start)) // want `time\.Since reads the wall clock`
 }
 
 var (

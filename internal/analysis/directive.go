@@ -21,7 +21,7 @@ import (
 // analyzers for that whole file; the :package form waives them for every
 // file of the package. The reason is mandatory at every scope: an allow
 // without a recorded justification is itself a diagnostic. The analyzer
-// list names the rules being waived (e.g. "detrand" for the -progress
+// list names the rules being waived (e.g. "detflow" for the -progress
 // wall-clock timer in internal/experiments).
 //
 // Every (directive, analyzer) pair is accounted for: the staleallow
@@ -137,7 +137,7 @@ func cutScope(rest string) (scope, tail string, ok bool) {
 	return "", rest, true
 }
 
-// splitDirective parses ` detrand,maporder -- reason` into its parts.
+// splitDirective parses ` detflow,errwrap -- reason` into its parts.
 func splitDirective(rest string) (names []string, reason string, ok bool) {
 	if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
 		return nil, "", false

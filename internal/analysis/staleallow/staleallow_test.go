@@ -6,21 +6,21 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
+	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/errwrap"
-	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/staleallow"
 )
 
 func TestStaleallow(t *testing.T) {
 	analyzers := []*analysis.Analyzer{
-		maporder.Analyzer,
+		detflow.Analyzer,
 		errwrap.Analyzer,
-		staleallow.New([]string{"maporder", "errwrap"}),
+		staleallow.New([]string{"detflow", "errwrap"}),
 	}
 	analysistest.RunSuite(t, analyzers, "testdata", "repro/internal/satest")
 }
 
-// TestRanGate checks the subset-run guarantee: when maporder and errwrap
+// TestRanGate checks the subset-run guarantee: when detflow and errwrap
 // do not run, their waivers are never condemned as stale — the audit only
 // judges waivers for analyzers that executed — while the unknown-name
 // checks still fire.
@@ -30,7 +30,7 @@ func TestRanGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	sa := staleallow.New([]string{"maporder", "errwrap"})
+	sa := staleallow.New([]string{"detflow", "errwrap"})
 	only := []*analysis.Analyzer{sa}
 	if _, err := analysis.RunAnalyzers(pkg, only); err != nil {
 		t.Fatalf("running staleallow: %v", err)

@@ -3,7 +3,7 @@ package satest
 // The file-scope waiver below once covered a map-ordered dump routine;
 // the routine is gone and the waiver outlived it.
 //
-//mehpt:allow:file maporder -- stale file-wide waiver // want `stale //mehpt:allow`
+//mehpt:allow:file detflow -- stale file-wide waiver // want `stale //mehpt:allow`
 
 func helper() int { return 3 }
 

@@ -7,23 +7,23 @@ package satest
 
 import "fmt"
 
-// usedWaiver's directive suppresses a real maporder finding, so the
+// usedWaiver's directive suppresses a real detflow finding, so the
 // waiver is used and must not be flagged.
 func usedWaiver(m map[int]int) {
 	for k := range m {
-		fmt.Println(k) //mehpt:allow maporder -- demo stream, row order is irrelevant
+		fmt.Println(k) //mehpt:allow detflow -- demo stream, row order is irrelevant
 	}
 }
 
 // staleLine carries a waiver for a finding that no longer exists.
 func staleLine() int {
-	x := 1 //mehpt:allow maporder -- the map loop above used to live here // want `stale //mehpt:allow`
+	x := 1 //mehpt:allow detflow -- the map loop above used to live here // want `stale //mehpt:allow`
 	return x
 }
 
 // typoRule waives an analyzer that does not exist.
 func typoRule() int {
-	return 2 //mehpt:allow maporderr -- misspelled rule name // want `unknown analyzer "maporderr"`
+	return 2 //mehpt:allow detfloww -- misspelled rule name // want `unknown analyzer "detfloww"`
 }
 
 //mehpt:hotpth // want `unknown //mehpt: annotation "hotpth"`

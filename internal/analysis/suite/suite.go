@@ -6,12 +6,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/addrspace"
 	"repro/internal/analysis/detflow"
-	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockguard"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/randowner"
 	"repro/internal/analysis/staleallow"
 	"repro/internal/analysis/statecover"
@@ -24,12 +22,10 @@ func All() []*analysis.Analyzer {
 	base := []*analysis.Analyzer{
 		addrspace.Analyzer,
 		detflow.Analyzer,
-		detrand.Analyzer,
 		errwrap.Analyzer,
 		hotalloc.Analyzer,
 		lockguard.Analyzer,
 		lockorder.Analyzer,
-		maporder.Analyzer,
 		randowner.Analyzer,
 		statecover.Analyzer,
 	}

@@ -14,10 +14,11 @@ import (
 // map iteration order, select arrival order, pointer→uintptr conversions)
 // through assignments, expressions, and cross-package call summaries, and
 // records where such a value reaches a determinism sink (fingerprint
-// computation, the stats layer, snapshot state). Summaries are cached on
-// PkgFacts like the allocation/blocking facts, so queries cross package
-// boundaries without leaving the stdlib — the taint analogue of the
-// x/tools fact export.
+// computation, the stats layer, snapshot state) or map iteration order
+// reaches an order sink (output writer, seed/hash derivation, returned
+// slice). Summaries are cached on PkgFacts like the allocation/blocking
+// facts, so queries cross package boundaries without leaving the stdlib —
+// the taint analogue of the x/tools fact export.
 //
 // The engine tracks explicit value flow only: taint moves through
 // assignments, operators, composite literals, and call results/arguments,
@@ -114,14 +115,17 @@ func stdTaint(fn *types.Func) *TaintSummary {
 
 // ---- source and sink tables --------------------------------------------
 
-// nondetTimeFuncs are package time functions whose results depend on the
-// wall clock.
+// nondetTimeFuncs are the package time functions that read the wall
+// clock or create timers; both depend on real time and scheduling.
 var nondetTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true,
+	"Now": true, "Since": true, "Until": true, "After": true,
+	"AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+	"Sleep": true,
 }
 
-// nondetRandFuncs are the math/rand (and v2) package-level draws from the
-// process-global, scheduling-shared generator. Methods on an explicitly
+// nondetRandFuncs are the math/rand (and v2) package-level functions that
+// use the process-global generator. The seeded constructors (New,
+// NewSource, NewZipf, NewPCG, NewChaCha8) and methods on an explicitly
 // seeded *rand.Rand are deterministic and not listed.
 var nondetRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
@@ -130,10 +134,14 @@ var nondetRandFuncs = map[string]bool{
 	"Uint": true, "Uint32": true, "Uint32N": true, "Uint64": true,
 	"Uint64N": true, "UintN": true, "Float32": true, "Float64": true,
 	"ExpFloat64": true, "NormFloat64": true, "Perm": true,
+	"Shuffle": true, "Read": true, "Seed": true,
 }
 
-// NondetSource reports whether calling fn yields a nondeterministic value
-// (the detflow source table).
+// NondetSource reports whether fn is a nondeterministic source: every
+// package-level function of crypto/rand, plus the time and math/rand
+// functions listed above. It is the one source table behind detflow: the
+// flow engine's taint origins, and the calls detflow bans outright in
+// deterministic packages.
 func NondetSource(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -158,10 +166,10 @@ func NondetSource(fn *types.Func) (string, bool) {
 	return "", false
 }
 
-// SinkCall reports whether fn is a determinism sink: feeding it a
+// sinkCall reports whether fn is a determinism sink: feeding it a
 // nondeterministic value forks fingerprints, stats, or snapshots (the
 // detflow sink table).
-func SinkCall(fn *types.Func) (string, bool) {
+func sinkCall(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return "", false
@@ -199,6 +207,35 @@ func SinkCall(fn *types.Func) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// orderSink reports whether a call named name is an order sink: an output
+// writer or a seed/hash derivation, where map iteration order serializes
+// or mixes the map in per-run random order. Only order taint counts there
+// (printing a timestamp is fine). The match is by name, so interface
+// methods and func values count too.
+func orderSink(name string) (string, bool) {
+	switch {
+	case strings.HasPrefix(name, "Write"), strings.HasPrefix(name, "Fprint"),
+		strings.HasPrefix(name, "Print"), name == "Encode", name == "Marshal":
+		return "output (" + name + "); collect the rows and sort them first", true
+	case strings.Contains(name, "Seed"), strings.HasPrefix(name, "Hash"),
+		strings.HasPrefix(name, "Sum"):
+		return "seed/hash derivation (" + name + "); iterate over sorted keys", true
+	}
+	return "", false
+}
+
+// calleeName is the syntactic name of a call's function: the identifier
+// or the selector's field name.
+func calleeName(call *ast.CallExpr) string {
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return f.Name
+	case *ast.SelectorExpr:
+		return f.Sel.Name
+	}
+	return ""
 }
 
 // IsStateStruct reports whether t (after pointer stripping) is a module
@@ -253,8 +290,8 @@ func namedOf(t types.Type) *types.Named {
 // not: storing into a map by key is order-insensitive (the copy idiom
 // st.Counts[k] = v re-keys every element, so iteration order cannot reach
 // the result), and passing a slice to package sort/slices re-determinizes
-// it (the collect-then-sort idiom maporder sanctions). A wall-clock value
-// survives both; a map-order value survives neither.
+// it (the collect-then-sort idiom). A wall-clock value survives both; a
+// map-order value survives neither.
 const (
 	nondetBit   uint64 = 1
 	mapOrderBit uint64 = 1 << 63
@@ -416,6 +453,25 @@ func (tf *taintFlow) sinkValue(pos token.Pos, sink string, m uint64, o *TaintOri
 	}
 }
 
+// orderHit records order taint reaching an order sink. Order sinks are
+// checked locally: parameter taint exports no fact for them.
+func (tf *taintFlow) orderHit(pos token.Pos, sink string, m uint64, o *TaintOrigin) {
+	if tf.sinks && m&mapOrderBit != 0 {
+		tf.hits = append(tf.hits, SinkHit{Pos: pos, Sink: sink, Origin: o})
+	}
+}
+
+// returnSlice is the third order sink: a slice leaving the function in
+// map iteration order.
+func (tf *taintFlow) returnSlice(pos token.Pos, t types.Type, m uint64, o *TaintOrigin) {
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Slice); ok {
+		tf.orderHit(pos, "an unsorted slice returned by "+funcName(tf.fn)+"; sort it before returning", m, o)
+	}
+}
+
 // exprTaint evaluates an expression's taint mask and best origin.
 func (tf *taintFlow) exprTaint(e ast.Expr) (uint64, *TaintOrigin) {
 	info := tf.pf.Pkg.Info
@@ -532,6 +588,16 @@ func (tf *taintFlow) callTaint(call *ast.CallExpr) (uint64, *TaintOrigin) {
 		}
 	}
 
+	if desc, ok := orderSink(calleeName(call)); ok {
+		var m uint64
+		var o *TaintOrigin
+		for i := range argMask {
+			m |= argMask[i]
+			o = firstOrigin(o, argOrigin[i])
+		}
+		tf.orderHit(call.Pos(), desc, m, o)
+	}
+
 	callee := CalleeFunc(info, call)
 	if callee == nil {
 		// Func-value call: conservative passthrough of args + the value.
@@ -553,7 +619,7 @@ func (tf *taintFlow) callTaint(call *ast.CallExpr) (uint64, *TaintOrigin) {
 	// Sink checks: the curated call table, then the callee's param-sink
 	// facts (a sink buried one or more calls deep).
 	if tf.sinks {
-		if desc, ok := SinkCall(callee); ok {
+		if desc, ok := sinkCall(callee); ok {
 			for i := range argMask {
 				tf.sinkValue(call.Args[i].Pos(), desc, argMask[i], argOrigin[i])
 			}
@@ -843,12 +909,14 @@ func (tf *taintFlow) stmt(s ast.Stmt) {
 				rv := sig.Results().At(i)
 				m |= tf.mask[rv]
 				o = firstOrigin(o, tf.origin[rv])
+				tf.returnSlice(s.Pos(), rv.Type(), tf.mask[rv], tf.origin[rv])
 			}
 		}
 		for _, r := range s.Results {
 			rm, ro := tf.exprTaint(r)
 			m |= rm
 			o = firstOrigin(o, ro)
+			tf.returnSlice(r.Pos(), info.TypeOf(r), rm, ro)
 		}
 		if tf.sinks && tf.fn.Name() == "State" && m&taintBits != 0 {
 			tf.sinkValue(s.Pos(), "snapshot State() result", m, o)

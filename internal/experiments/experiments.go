@@ -249,13 +249,13 @@ func (o Options) run(jobs []runJob) []sim.Result {
 				}
 			}()
 		}
-		start := time.Now() //mehpt:allow detrand -- -progress wall-clock feedback for humans; never reaches a result
+		start := time.Now() //mehpt:allow detflow -- -progress wall-clock feedback for humans; never reaches a result
 		r := o.exec(j)
 		if o.AccessTally != nil {
 			o.AccessTally.Add(r.Accesses)
 		}
 		if o.Progress != nil {
-			o.Progress(int(done.Add(1)), len(jobs), j.label(), time.Since(start), r.Accesses) //mehpt:allow detrand -- elapsed time is display-only progress output
+			o.Progress(int(done.Add(1)), len(jobs), j.label(), time.Since(start), r.Accesses) //mehpt:allow detflow -- elapsed time is display-only progress output
 		}
 		if r.Failed && abort != nil {
 			abort.Store(true)

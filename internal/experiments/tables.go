@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/addr"
@@ -211,5 +210,3 @@ func FprintFragmentationStress(w io.Writer, rows []FragmentationStressRow) {
 		fprintf(w, "  alloc %-6s -> %s\n", stats.HumanBytes(r.SizeBytes), verdict)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for failMark formatting growth

@@ -75,9 +75,6 @@ func ParseKill(plan string) (*Crasher, error) {
 	return NewCrasher(point, n), nil
 }
 
-// Point returns the armed crash point and visit count.
-func (c *Crasher) Point() (string, uint64) { return c.point, c.n }
-
 // At registers one visit to point and returns ErrKilled (wrapped with the
 // point and visit count) when the armed trigger fires. Nil receivers are
 // inert, so instrumented code calls At unconditionally.

@@ -177,9 +177,6 @@ func AttachStriped(s *phys.Striped, p Policy) *Injector {
 // Stats returns the injector's counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// Policy returns the installed policy.
-func (in *Injector) Policy() Policy { return in.policy }
-
 func (in *Injector) hook(req phys.AllocRequest) error {
 	in.stats.Attempts++
 	if in.policy.ShouldFail(req) {

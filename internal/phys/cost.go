@@ -87,16 +87,6 @@ func (c CostModel) Cycles(size uint64, fmfi float64) uint64 {
 	return uint64(base + fragAtRef*scale)
 }
 
-// CyclesAtRef returns the cost at the model's reference fragmentation, i.e.
-// the paper's measured numbers for the anchor sizes.
-func (c CostModel) CyclesAtRef(size uint64) uint64 {
-	ref := c.FMFI
-	if ref <= 0 {
-		ref = 0.7
-	}
-	return c.Cycles(size, ref)
-}
-
 // AllocRequest describes one contiguous-allocation attempt, as seen by an
 // AllocHook before the buddy allocator is consulted.
 type AllocRequest struct {

@@ -113,9 +113,6 @@ func (fr *Fragmenter) Fragment(targetFMFI, freeFraction float64, refOrder int, r
 	return nil
 }
 
-// Pinned returns the number of blocker allocations currently held.
-func (fr *Fragmenter) Pinned() int { return len(fr.pinned) }
-
 // Release frees all blocker allocations, defragmenting the memory.
 func (fr *Fragmenter) Release() {
 	for _, p := range fr.pinned {

@@ -95,18 +95,6 @@ type Result[R any] struct {
 // Failed reports whether the job errored or panicked.
 func (r Result[R]) Failed() bool { return r.Err != nil || r.Panic != nil }
 
-// FailureError returns the job's failure as an error: Err as-is, a panic
-// wrapped with its message, or nil for a successful job.
-func (r Result[R]) FailureError() error {
-	if r.Err != nil {
-		return r.Err
-	}
-	if r.Panic != nil {
-		return fmt.Errorf("panic: %v", r.Panic)
-	}
-	return nil
-}
-
 // MapSafe is Map with per-job fault isolation: each do invocation runs
 // under a recover, so one panicking job cannot take down the whole matrix —
 // the remaining jobs complete and the caller gets partial results plus a

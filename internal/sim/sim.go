@@ -428,10 +428,6 @@ func (m *Machine) Table() osmodel.PageTable { return m.table }
 // (the fault sweep compares free-list state against a baseline).
 func (m *Machine) Mem() *phys.Memory { return m.mem }
 
-// Injector returns the attached fault injector, or nil when Config.Inject
-// is unset.
-func (m *Machine) Injector() *inject.Injector { return m.injector }
-
 // SetAmbientFMFI overrides the fragmentation level used to *price*
 // allocations without physically shredding memory. Experiment drivers use
 // it so a pristine buddy allocator still charges the paper's 0.7-FMFI

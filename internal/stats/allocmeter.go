@@ -55,23 +55,3 @@ func (m *AllocMeter) PerAccess(accesses uint64) float64 {
 	}
 	return float64(m.Allocs()) / float64(accesses)
 }
-
-// AllocMeterRow is the JSON row RecordAllocMeter emits.
-type AllocMeterRow struct {
-	Allocs          uint64  `json:"allocs"`
-	Accesses        uint64  `json:"accesses"`
-	AllocsPerAccess float64 `json:"allocs_per_access"`
-}
-
-// RecordAllocMeter appends an "alloc_meter" section with the meter's current
-// reading over the given access count. The section's values are machine-
-// dependent (GC timing, concurrent work), so fingerprint-stable outputs must
-// not include it — the CLI prints the meter to stdout instead of recording
-// it by default.
-func (r *Recorder) RecordAllocMeter(m *AllocMeter, accesses uint64) {
-	r.Record("alloc_meter", AllocMeterRow{
-		Allocs:          m.Allocs(),
-		Accesses:        accesses,
-		AllocsPerAccess: m.PerAccess(accesses),
-	})
-}

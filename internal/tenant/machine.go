@@ -306,6 +306,9 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("%w: snapshot carries %d proc and %d shard records for %d/%d",
 			ErrMismatch, len(st.Procs), len(st.ShardStats), cfg.Processes, cfg.Cores)
 	}
+	if err := checkSched(st.Sched, cfg.Processes); err != nil {
+		return nil, err
+	}
 
 	pool := phys.RestoreStriped(st.Pool)
 	pool.AmbientFMFI = cfg.FMFI
@@ -359,6 +362,30 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 	return m, nil
 }
 
+// checkSched rejects scheduler state that MultiCore would index the
+// process list out of range with: Perm must be a permutation of
+// 0..procs-1, and each Incumbent a pid or -1.
+func checkSched(st osmodel.MultiCoreState, procs int) error {
+	perm := len(st.Perm) == procs
+	seen := make([]bool, procs)
+	for _, pid := range st.Perm {
+		if pid < 0 || pid >= procs || seen[pid] {
+			perm = false
+			break
+		}
+		seen[pid] = true
+	}
+	if !perm {
+		return fmt.Errorf("%w: scheduler order %v is not a permutation of %d pids", ErrMismatch, st.Perm, procs)
+	}
+	for c, pid := range st.Incumbent {
+		if pid < -1 || pid >= procs {
+			return fmt.Errorf("%w: core %d incumbent %d is not one of %d pids", ErrMismatch, c, pid, procs)
+		}
+	}
+	return nil
+}
+
 // restoreProcess is newProcess over recorded state: same derivations, no
 // fresh allocation, every generator replayed into position.
 func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped, ps ProcState) (*process, error) {
@@ -383,13 +410,18 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		if !ok {
 			return nil, fmt.Errorf("%w: replay trace has no section for pid %d", ErrMismatch, pid)
 		}
-		if ps.Replay > uint64(len(sec.VAs)) {
-			return nil, fmt.Errorf("%w: proc %d replay cursor %d beyond %d records",
-				ErrMismatch, pid, ps.Replay, len(sec.VAs))
+		n := uint64(len(sec.VAs))
+		if ps.Replay > n || n-ps.Replay < ps.Left {
+			return nil, fmt.Errorf("%w: proc %d replay cursor %d leaves fewer than %d of %d records",
+				ErrMismatch, pid, ps.Replay, ps.Left, n)
 		}
 		p.replay = sec.VAs
 		p.replayPos = ps.Replay
 	} else {
+		if ps.Trace.Emitted > ps.Trace.N || ps.Trace.N-ps.Trace.Emitted < ps.Left {
+			return nil, fmt.Errorf("%w: proc %d trace at %d of %d accesses cannot cover %d more",
+				ErrMismatch, pid, ps.Trace.Emitted, ps.Trace.N, ps.Left)
+		}
 		p.trace = spec.RestoreTrace(ps.Trace)
 	}
 	hashSeed := uint64(procSeed)*2654435761 + 12345

@@ -150,6 +150,26 @@ func TestRestoreMismatch(t *testing.T) {
 			t.Errorf("%s mismatch: got %v, want ErrMismatch", name, err)
 		}
 	}
+
+	// State the resumed run would trip over only later, as a panic: a
+	// generated trace shorter than the remaining budget, and scheduler
+	// entries MultiCore indexes the process list with.
+	for name, mut := range map[string]func(*MachineState){
+		"trace short":     func(st *MachineState) { st.Procs[0].Trace.N = st.Procs[0].Trace.Emitted + st.Procs[0].Left/2 },
+		"trace overrun":   func(st *MachineState) { st.Procs[0].Trace.Emitted = st.Procs[0].Trace.N + 1 },
+		"incumbent range": func(st *MachineState) { st.Sched.Incumbent[0] = cfg.Processes },
+		"incumbent below": func(st *MachineState) { st.Sched.Incumbent[1] = -2 },
+		"perm range":      func(st *MachineState) { st.Sched.Perm[0] = cfg.Processes },
+		"perm negative":   func(st *MachineState) { st.Sched.Perm[0] = -1 },
+		"perm duplicate":  func(st *MachineState) { st.Sched.Perm[0] = st.Sched.Perm[1] },
+		"perm length":     func(st *MachineState) { st.Sched.Perm = st.Sched.Perm[1:] },
+	} {
+		st := m.State()
+		mut(st)
+		if _, err := RestoreMachine(cfg, st); !errors.Is(err, ErrMismatch) {
+			t.Errorf("%s: got %v, want ErrMismatch", name, err)
+		}
+	}
 }
 
 // TestStaleTLBDetection plants an incoherent translation in a bound core's

@@ -121,4 +121,17 @@ func TestReplayRestoreRejectsForeignCursor(t *testing.T) {
 	if _, err := RestoreMachine(bad, st); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("RestoreMachine with foreign replay sections: err = %v, want ErrMismatch", err)
 	}
+
+	// Same PIDs, but every section holds only half the records its
+	// remaining budget needs: the resumed run would exhaust the trace
+	// mid-quantum, so restore must refuse it up front.
+	short := cfg
+	short.Replay = make([]trace.Section, len(cfg.Replay))
+	for i, sec := range cfg.Replay {
+		ps := st.Procs[sec.PID]
+		short.Replay[i] = trace.Section{PID: sec.PID, VAs: sec.VAs[:ps.Replay+ps.Left/2]}
+	}
+	if _, err := RestoreMachine(short, st); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("RestoreMachine with truncated replay sections: err = %v, want ErrMismatch", err)
+	}
 }

@@ -3,10 +3,11 @@
 # it, so "works locally, fails in CI" cannot happen for lint.
 #
 # The suite (internal/analysis, see DESIGN.md § "Mechanically enforced
-# invariants" and § "Snapshot completeness & determinism taint") checks
-# determinism, unit safety, lock discipline, hot-path allocation, error
-# wrapping, snapshot completeness (statecover), nondeterminism taint
-# reaching fingerprint/stats/snapshot sinks (detflow), and stale
+# invariants" and § "Snapshot completeness & determinism taint") runs
+# eight analyzers plus the waiver audit: determinism bans and taint
+# (detflow), RNG ownership (randowner), address units (addrspace), lock
+# discipline (lockguard, lockorder), hot-path allocation (hotalloc), error
+# wrapping (errwrap), snapshot completeness (statecover), and stale
 # //mehpt:allow waivers (staleallow).
 #
 # Environment knobs:

@@ -69,6 +69,9 @@ type Table struct {
 	bot   []bucket // N buckets
 	count uint64
 	stats Stats
+	// movedShare sums, over resizes, the fraction of the entries present
+	// at each resize that it moved.
+	movedShare float64
 	// MaxLoad is the load factor that triggers an upsize (the OSDI paper
 	// resizes when an insert fails; we also resize proactively at 0.9).
 	MaxLoad float64
@@ -226,6 +229,7 @@ func (t *Table) Delete(key uint64) bool {
 // table becomes part of the new one.
 func (t *Table) resize() {
 	t.stats.Resizes++
+	moves := t.stats.Moves
 	oldBot := t.bot
 	newTop := newBuckets(uint64(len(t.top)) * 2)
 	t.bot = t.top
@@ -246,6 +250,9 @@ func (t *Table) resize() {
 			}
 		}
 	}
+	if t.count > 0 {
+		t.movedShare += float64(t.stats.Moves-moves) / float64(t.count)
+	}
 }
 
 func (t *Table) placeInTop(key, val uint64) bool {
@@ -261,14 +268,15 @@ func (t *Table) placeInTop(key, val uint64) bool {
 	return false
 }
 
-// MoveFractionPerResize returns the average fraction of stored entries
-// moved per resize — the paper's Section IX comparison point (level
-// hashing: ~1/3; ME-HPT in-place: ~1/2 but with no extra lookup probes).
+// MoveFractionPerResize returns the mean, over resizes, of the fraction of
+// the entries present at each resize that it moved — the paper's Section
+// IX comparison point (level hashing: ~1/3; ME-HPT in-place: ~1/2 but with
+// no extra lookup probes).
 func (t *Table) MoveFractionPerResize() float64 {
-	if t.stats.Resizes == 0 || t.count == 0 {
+	if t.stats.Resizes == 0 {
 		return 0
 	}
-	return float64(t.stats.Moves) / float64(t.stats.Resizes) / float64(t.count)
+	return t.movedShare / float64(t.stats.Resizes)
 }
 
 // ProbesPerLookup returns the average buckets probed per lookup.

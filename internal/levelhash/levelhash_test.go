@@ -114,6 +114,23 @@ func TestSectionIXTradeoffs(t *testing.T) {
 	}
 }
 
+// TestMoveFractionPerResize pins the §IX metric on the benchmark's case
+// (40k inserts, seed 9): each resize moves about the bottom level's third
+// of the entries present at that resize, not of the final population.
+func TestMoveFractionPerResize(t *testing.T) {
+	tb := New(64, 9)
+	for k := uint64(0); k < 40000; k++ {
+		if err := tb.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := tb.MoveFractionPerResize()
+	t.Logf("%d resizes, mean moved fraction %.3f", tb.Stats().Resizes, got)
+	if got < 0.25 || got > 0.42 {
+		t.Errorf("MoveFractionPerResize = %.3f, want within [0.25, 0.42]", got)
+	}
+}
+
 func TestModelEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -30,15 +30,19 @@ const MaxOrder = 18
 // system is unable to allocate 64MB and returns an error").
 var ErrOutOfMemory = errors.New("phys: cannot allocate contiguous block")
 
-const noBlock = int8(-1)
-
 // Memory is a buddy allocator over a physically-contiguous frame range.
 // It is not safe for concurrent use; the simulator is single-threaded per
 // simulated machine.
 type Memory struct {
-	frames    uint64               // total number of 4KB frames
-	maxOrder  int                  // largest order usable given capacity
-	headOrder []int8               // headOrder[f] = order if f heads a free block, else -1
+	frames   uint64 // total number of 4KB frames
+	maxOrder int    // largest order usable given capacity
+	// The free heads are one bit per order-o-aligned block for each order
+	// o, about 2 bits per frame in all (see headBit). Orders up to
+	// groupOrder share one word per 32-frame group, so the tests one
+	// Free makes across orders read one word; heads[o] holds each higher
+	// order's bitmap. All of it is one backing allocation.
+	groups    []uint64
+	heads     [MaxOrder + 1][]uint64
 	freeList  [][]uint64           // per-order stacks of (possibly stale) free heads
 	freeBlk   [MaxOrder + 1]uint64 // live free-block count per order
 	freePages uint64               // total free 4KB frames
@@ -64,23 +68,11 @@ func NewMemory(capacityBytes uint64) *Memory {
 	if frames == 0 {
 		panic("phys: capacity smaller than one frame")
 	}
-	m := &Memory{
-		frames:    frames,
-		headOrder: make([]int8, frames),
-		freeList:  make([][]uint64, MaxOrder+1),
+	maxOrder := MaxOrder
+	if hi := bits.Len64(frames) - 1; hi < maxOrder {
+		maxOrder = hi
 	}
-	m.maxOrder = MaxOrder
-	if hi := bits.Len64(frames) - 1; hi < m.maxOrder {
-		m.maxOrder = hi
-	}
-	// Mark every frame as heading no block by doubling copies: copy is a
-	// vectorized memmove, where a per-frame store loop over the 16M frames
-	// of a 64GB machine runs up to 1.5x slower depending only on where the
-	// linker happens to place the loop.
-	m.headOrder[0] = noBlock
-	for n := 1; n < len(m.headOrder); n *= 2 {
-		copy(m.headOrder[n:], m.headOrder[:n])
-	}
+	m := newEmpty(frames, maxOrder)
 	m.stats.AllocsBySize = make(map[uint64]uint64)
 	// Seed the free lists with maximal aligned blocks covering the range.
 	f := uint64(0)
@@ -132,8 +124,71 @@ func OrderFor(size uint64) int {
 // BlockBytes returns the byte size of a block of the given order.
 func BlockBytes(order int) uint64 { return FrameBytes << order }
 
+// groupOrder is the highest order whose head bits live in the per-group
+// words: a 32-frame group holds 32>>o order-o blocks, down to one at
+// order 5.
+const groupOrder = 5
+
+// newEmpty returns an allocator with no free block and zeroed counters.
+func newEmpty(frames uint64, maxOrder int) *Memory {
+	m := &Memory{frames: frames, maxOrder: maxOrder, freeList: make([][]uint64, MaxOrder+1)}
+	// Size every bitmap so that any frame below frames indexes it.
+	words := func(o int) uint64 { return ((frames-1)>>o)/64 + 1 }
+	groups := (frames-1)>>groupOrder + 1
+	total := groups
+	for o := groupOrder + 1; o <= maxOrder; o++ {
+		total += words(o)
+	}
+	backing := make([]uint64, total)
+	m.groups, backing = backing[:groups:groups], backing[groups:]
+	for o := groupOrder + 1; o <= maxOrder; o++ {
+		n := words(o)
+		m.heads[o], backing = backing[:n:n], backing[n:]
+	}
+	return m
+}
+
+// headBit locates the bit recording that frame f heads a free block of
+// the given order. Group word f>>5 packs the heads of frames 32g..32g+31
+// for orders 0..groupOrder, order o at bits [64-64>>o, 64-32>>o); higher
+// orders index heads[o] by f>>o.
+func (m *Memory) headBit(f uint64, order int) (*uint64, uint64) {
+	if order > groupOrder {
+		b := f >> order
+		return &m.heads[order][b/64], 1 << (b % 64)
+	}
+	return &m.groups[f>>groupOrder], 1 << (64 - 64>>order + (f&31)>>order)
+}
+
+// alignedHeadBits[i] has, for the frame at offset i of its group, its head
+// bit at every order up to groupOrder that the frame is aligned to.
+var alignedHeadBits = func() (t [1 << groupOrder]uint64) {
+	for i := range t {
+		for o := 0; o <= groupOrder && i&(1<<o-1) == 0; o++ {
+			t[i] |= 1 << (64 - 64>>o + i>>o)
+		}
+	}
+	return t
+}()
+
+// isHead reports whether frame f heads a free block of the given order.
+func (m *Memory) isHead(f uint64, order int) bool {
+	w, bit := m.headBit(f, order)
+	return *w&bit != 0
+}
+
+func (m *Memory) setHead(f uint64, order int) {
+	w, bit := m.headBit(f, order)
+	*w |= bit
+}
+
+func (m *Memory) clearHead(f uint64, order int) {
+	w, bit := m.headBit(f, order)
+	*w &^= bit
+}
+
 func (m *Memory) addFree(f uint64, order int) {
-	m.headOrder[f] = int8(order)
+	m.setHead(f, order)
 	m.freeList[order] = append(m.freeList[order], f) //mehpt:allow lockorder -- free-list push is amortized O(1); capacity is bounded by the frame count
 	m.freeBlk[order]++
 	m.freePages += 1 << order
@@ -146,9 +201,9 @@ func (m *Memory) popFree(order int) (uint64, bool) {
 	for len(list) > 0 {
 		f := list[len(list)-1]
 		list = list[:len(list)-1]
-		if m.headOrder[f] == int8(order) {
+		if m.isHead(f, order) {
 			m.freeList[order] = list
-			m.headOrder[f] = noBlock
+			m.clearHead(f, order)
 			m.freeBlk[order]--
 			m.freePages -= 1 << order
 			return f, true
@@ -209,16 +264,22 @@ func (m *Memory) Free(f addr.PPN, order int) {
 	if fr&((1<<order)-1) != 0 || fr+(1<<order) > m.frames {
 		panic(fmt.Sprintf("phys: Free(%d, order %d): misaligned or out of range", fr, order))
 	}
-	if m.headOrder[fr] != noBlock {
+	// Double free: fr already heads a free block at an order it is
+	// aligned to. The group orders take one word test.
+	doubleFree := m.groups[fr>>groupOrder]&alignedHeadBits[fr&(1<<groupOrder-1)] != 0
+	for o := groupOrder + 1; o <= m.maxOrder && fr&(1<<o-1) == 0; o++ {
+		doubleFree = doubleFree || m.isHead(fr, o)
+	}
+	if doubleFree {
 		panic(fmt.Sprintf("phys: double free of frame %d", fr))
 	}
 	for order < m.maxOrder {
 		buddy := fr ^ (1 << order)
-		if buddy+(1<<order) > m.frames || m.headOrder[buddy] != int8(order) {
+		if buddy+(1<<order) > m.frames || !m.isHead(buddy, order) {
 			break
 		}
 		// Detach the buddy (its free-list entry becomes stale).
-		m.headOrder[buddy] = noBlock
+		m.clearHead(buddy, order)
 		m.freeBlk[order]--
 		m.freePages -= 1 << order
 		if buddy < fr {

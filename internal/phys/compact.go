@@ -114,7 +114,7 @@ func (m *Memory) allocLowest(order int) (addr.PPN, bool) {
 	bestOrder := -1
 	for o := order; o <= m.maxOrder; o++ {
 		for _, f := range m.freeList[o] {
-			if m.headOrder[f] == int8(o) && f < bestFrame {
+			if f < bestFrame && m.isHead(f, o) {
 				bestFrame = f
 				bestOrder = o
 			}
@@ -124,7 +124,7 @@ func (m *Memory) allocLowest(order int) (addr.PPN, bool) {
 		return 0, false
 	}
 	// Detach (the free-list entry goes stale; popFree skips it later).
-	m.headOrder[bestFrame] = noBlock
+	m.clearHead(bestFrame, bestOrder)
 	m.freeBlk[bestOrder]--
 	m.freePages -= 1 << bestOrder
 	// Split down, returning upper halves.

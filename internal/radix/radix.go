@@ -44,17 +44,46 @@ func leafLevel(s addr.PageSize) int {
 	panic(fmt.Sprintf("radix: invalid page size %v", s))
 }
 
-type entry struct {
-	present bool
-	huge    bool // leaf at a non-PTE level
-	child   *node
-	ppn     addr.PPN
+// A node is one 4KB tree node laid out as the hardware sees it: 512 PTE
+// words. Each word carries a present bit, a huge bit and a payload above
+// bit 12: the PPN of a leaf, or the id of the child node for a table
+// entry. The node holds no Go pointers, so a simulated frame costs exactly
+// 4KB of host heap and nothing for the GC to scan.
+type node [EntriesPerNode]uint64
+
+const (
+	ptePresent uint64 = 1 << 0
+	pteHuge    uint64 = 1 << 7 // leaf at a non-PTE level (x86's PS bit)
+	pteShift          = 12
+	// maxPayload bounds a PPN or node id so it survives the shift into a
+	// PTE word.
+	maxPayload = 1<<(64-pteShift) - 1
+)
+
+func leafPTE(ppn addr.PPN, huge bool) uint64 {
+	w := uint64(ppn)<<pteShift | ptePresent
+	if huge {
+		w |= pteHuge
+	}
+	return w
 }
 
-type node struct {
-	frame   addr.PPN // physical frame backing this node
-	entries [EntriesPerNode]entry
-	used    int // number of present entries, for teardown accounting
+func tablePTE(id int32) uint64 { return uint64(id)<<pteShift | ptePresent }
+
+// isTable reports whether word w at level lvl points to a child node.
+func isTable(w uint64, lvl int) bool {
+	return w&ptePresent != 0 && w&pteHuge == 0 && lvl > 0
+}
+
+func payload(w uint64) uint64 { return w >> pteShift }
+
+// nodeRef is the host-side bookkeeping of one node id: the PTE page, its
+// backing frame and the count of present entries (teardown accounting).
+// A freed id has a nil pte and sits on PageTable.freeIDs.
+type nodeRef struct {
+	pte   *node
+	frame addr.PPN
+	used  int32
 }
 
 // Stats aggregates the allocation behaviour of the tree.
@@ -67,8 +96,10 @@ type Stats struct {
 
 // PageTable is one process's radix-tree page table.
 type PageTable struct {
-	root   *node
-	levels int
+	nodes []nodeRef // indexed by node id; id 0 is the root
+	//mehpt:transient -- Restore numbers the snapshot's nodes densely, so a restored table has no free id
+	freeIDs []int32 // recycled ids, reused LIFO
+	levels  int
 	//mehpt:transient -- Restore reattaches the separately restored physical allocator
 	alloc phys.Source
 	stats Stats
@@ -88,29 +119,36 @@ func NewPageTableLevels(alloc phys.Source, levels int) (*PageTable, error) {
 		return nil, fmt.Errorf("radix: unsupported depth %d", levels)
 	}
 	p := &PageTable{alloc: alloc, levels: levels}
-	root, err := p.newNode()
-	if err != nil {
+	if _, err := p.newNode(); err != nil {
 		return nil, err
 	}
-	p.root = root
 	return p, nil
 }
 
 // Depth returns the tree depth (4 or 5).
 func (p *PageTable) Depth() int { return p.levels }
 
-func (p *PageTable) newNode() (*node, error) {
+// newNode allocates a frame for a fresh node and returns the node's id.
+func (p *PageTable) newNode() (int32, error) {
 	ppn, cycles, err := p.alloc.Alloc(4 * addr.KB)
 	p.stats.AllocCycles += cycles
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	p.stats.Nodes++
 	if p.stats.Nodes > p.stats.PeakNodes {
 		p.stats.PeakNodes = p.stats.Nodes
 	}
 	p.stats.MaxContiguousAlloc = 4 * addr.KB
-	return &node{frame: ppn}, nil
+	ref := nodeRef{pte: new(node), frame: ppn}
+	if k := len(p.freeIDs); k > 0 {
+		id := p.freeIDs[k-1]
+		p.freeIDs = p.freeIDs[:k-1]
+		p.nodes[id] = ref
+		return id, nil
+	}
+	p.nodes = append(p.nodes, ref)
+	return int32(len(p.nodes) - 1), nil
 }
 
 // Stats returns the accumulated statistics.
@@ -143,53 +181,60 @@ func (p *PageTable) Moves() uint64 { return 0 }
 // Map installs vpn→ppn at the given page size, allocating intermediate
 // nodes as needed. It returns the allocation cycle cost.
 func (p *PageTable) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
+	if uint64(ppn) > maxPayload {
+		return 0, fmt.Errorf("radix: PPN %#x does not fit a PTE", uint64(ppn))
+	}
 	va := vpn.Addr(s)
 	leaf := leafLevel(s)
 	before := p.stats.AllocCycles
-	n := p.root
+	id := int32(0)
 	for lvl := p.levels - 1; lvl > leaf; lvl-- {
 		idx := addr.RadixIndex(va, lvl)
-		e := &n.entries[idx]
-		if !e.present {
+		w := p.nodes[id].pte[idx]
+		if w&ptePresent == 0 {
 			child, err := p.newNode()
 			if err != nil {
 				return p.stats.AllocCycles - before, err
 			}
-			e.present = true
-			e.child = child
-			n.used++
-		} else if e.huge {
+			// newNode may grow p.nodes, so index it afresh.
+			p.nodes[id].pte[idx] = tablePTE(child)
+			p.nodes[id].used++
+			id = child
+			continue
+		}
+		if w&pteHuge != 0 {
 			return 0, fmt.Errorf("radix: %v mapping overlaps huge page at level %d", s, lvl)
 		}
-		n = e.child
+		id = int32(payload(w))
 	}
+	ref := &p.nodes[id]
 	idx := addr.RadixIndex(va, leaf)
-	e := &n.entries[idx]
-	if !e.present {
-		n.used++
-	} else if e.child != nil {
+	w := ref.pte[idx]
+	if w&ptePresent == 0 {
+		ref.used++
+	} else if isTable(w, leaf) {
 		// Huge-page promotion over an existing lower-level table (THP
 		// collapse): release the subtree it replaces.
-		p.freeSubtree(e.child, leaf-1)
+		p.freeSubtree(int32(payload(w)), leaf-1)
 	}
-	e.present = true
-	e.huge = leaf > 0
-	e.child = nil
-	e.ppn = ppn
+	ref.pte[idx] = leafPTE(ppn, leaf > 0)
 	return p.stats.AllocCycles - before, nil
 }
 
-// freeSubtree releases n and all tree nodes below it.
-func (p *PageTable) freeSubtree(n *node, lvl int) {
+// freeSubtree releases node id (at level lvl) and all tree nodes below it,
+// returning their ids to the free list.
+func (p *PageTable) freeSubtree(id int32, lvl int) {
+	ref := &p.nodes[id]
 	if lvl > 0 {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.present && !e.huge && e.child != nil {
-				p.freeSubtree(e.child, lvl-1)
+		for _, w := range ref.pte {
+			if isTable(w, lvl) {
+				p.freeSubtree(int32(payload(w)), lvl-1)
 			}
 		}
 	}
-	p.alloc.Free(n.frame, 0)
+	p.alloc.Free(ref.frame, 0)
+	*ref = nodeRef{}
+	p.freeIDs = append(p.freeIDs, id)
 	p.stats.Nodes--
 }
 
@@ -198,21 +243,22 @@ func (p *PageTable) freeSubtree(n *node, lvl int) {
 func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 	va := vpn.Addr(s)
 	leaf := leafLevel(s)
-	n := p.root
+	id := uint64(0)
 	for lvl := p.levels - 1; lvl > leaf; lvl-- {
-		e := &n.entries[addr.RadixIndex(va, lvl)]
-		if !e.present || e.child == nil {
+		w := p.nodes[id].pte[addr.RadixIndex(va, lvl)]
+		if !isTable(w, lvl) {
 			return 0, false
 		}
-		n = e.child
+		id = payload(w)
 	}
-	e := &n.entries[addr.RadixIndex(va, leaf)]
-	if !e.present || (leaf > 0) != e.huge {
+	ref := &p.nodes[id]
+	idx := addr.RadixIndex(va, leaf)
+	w := ref.pte[idx]
+	if w&ptePresent == 0 || (leaf > 0) != (w&pteHuge != 0) {
 		return 0, false
 	}
-	e.present = false
-	e.ppn = 0
-	n.used--
+	ref.pte[idx] = 0
+	ref.used--
 	return 0, true
 }
 
@@ -220,16 +266,16 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 //
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
-	n := p.root
+	id := uint64(0)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
-		e := &n.entries[addr.RadixIndex(va, lvl)]
-		if !e.present {
+		w := p.nodes[id].pte[addr.RadixIndex(va, lvl)]
+		if w&ptePresent == 0 {
 			return pt.Translation{}, false
 		}
-		if lvl == 0 || e.huge {
-			return pt.Translation{PPN: e.ppn, Size: sizeAtLevel(lvl)}, true
+		if lvl == 0 || w&pteHuge != 0 {
+			return pt.Translation{PPN: addr.PPN(payload(w)), Size: sizeAtLevel(lvl)}, true
 		}
-		n = e.child
+		id = payload(w)
 	}
 	return pt.Translation{}, false
 }
@@ -265,18 +311,19 @@ func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 //
 //mehpt:hotpath
 func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
-	n := p.root
+	id := uint64(0)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
+		ref := &p.nodes[id]
 		idx := addr.RadixIndex(va, lvl)
-		pas = append(pas, n.frame.Addr(addr.Page4K)+addr.PhysAddr(uint64(idx)*entryBytes)) //mehpt:allow hotalloc -- appends into caller-owned scratch; steady state never grows it
-		e := &n.entries[idx]
-		if !e.present {
+		pas = append(pas, ref.frame.Addr(addr.Page4K)+addr.PhysAddr(uint64(idx)*entryBytes)) //mehpt:allow hotalloc -- appends into caller-owned scratch; steady state never grows it
+		w := ref.pte[idx]
+		if w&ptePresent == 0 {
 			return pas, pt.Translation{}, false
 		}
-		if lvl == 0 || e.huge {
-			return pas, pt.Translation{PPN: e.ppn, Size: sizeAtLevel(lvl)}, true
+		if lvl == 0 || w&pteHuge != 0 {
+			return pas, pt.Translation{PPN: addr.PPN(payload(w)), Size: sizeAtLevel(lvl)}, true
 		}
-		n = e.child
+		id = payload(w)
 	}
 	return pas, pt.Translation{}, false
 }
@@ -285,19 +332,19 @@ func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]ad
 // given level for va (Levels-1 = root), and whether the walk reaches it.
 // The MMU's page-walk caches key on these frames.
 func (p *PageTable) NodeFrameAt(va addr.VirtAddr, lvl int) (addr.PPN, bool) {
-	n := p.root
+	id := uint64(0)
 	for l := p.levels - 1; l > lvl; l-- {
-		e := &n.entries[addr.RadixIndex(va, l)]
-		if !e.present || e.child == nil {
+		w := p.nodes[id].pte[addr.RadixIndex(va, l)]
+		if !isTable(w, l) {
 			return 0, false
 		}
-		n = e.child
+		id = payload(w)
 	}
-	return n.frame, true
+	return p.nodes[id].frame, true
 }
 
 // Free releases every tree node (process teardown).
 func (p *PageTable) Free() {
-	p.freeSubtree(p.root, p.levels-1)
-	p.root = nil
+	p.freeSubtree(0, p.levels-1)
+	p.nodes, p.freeIDs = nil, nil
 }

@@ -33,61 +33,84 @@ type State struct {
 // State returns a deep copy of the tree.
 func (p *PageTable) State() State {
 	st := State{Levels: p.levels, Stats: p.stats}
-	var flatten func(n *node) int32
-	flatten = func(n *node) int32 {
-		id := int32(len(st.Nodes))
-		st.Nodes = append(st.Nodes, NodeState{Frame: n.frame})
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+	var flatten func(id uint64, lvl int) int32
+	flatten = func(id uint64, lvl int) int32 {
+		ref := &p.nodes[id]
+		out := int32(len(st.Nodes))
+		st.Nodes = append(st.Nodes, NodeState{Frame: ref.frame})
+		for i, w := range ref.pte {
+			if w&ptePresent == 0 {
 				continue
 			}
-			es := EntryState{Idx: uint16(i), Huge: e.huge, Child: -1, PPN: e.ppn}
-			if e.child != nil {
-				es.Child = flatten(e.child)
+			es := EntryState{Idx: uint16(i), Huge: w&pteHuge != 0, Child: -1}
+			if isTable(w, lvl) {
+				es.Child = flatten(payload(w), lvl-1)
+			} else {
+				es.PPN = addr.PPN(payload(w))
 			}
-			st.Nodes[id].Entries = append(st.Nodes[id].Entries, es)
+			st.Nodes[out].Entries = append(st.Nodes[out].Entries, es)
 		}
-		return id
+		return out
 	}
-	if p.root != nil {
-		flatten(p.root)
+	if len(p.nodes) > 0 {
+		flatten(0, p.levels-1)
 	}
 	return st
 }
 
 // Restore rebuilds a tree from recorded state without allocating: the node
-// frames in st are already owned in the restored allocator state.
+// frames in st are already owned in the restored allocator state. Node i
+// of st becomes node id i. The recorded nodes must form one tree rooted at
+// node 0, with every entry well formed for its level, or Restore returns
+// an error.
 func Restore(st State, alloc phys.Source) (*PageTable, error) {
 	if st.Levels < Levels || st.Levels > MaxLevels {
 		return nil, fmt.Errorf("radix: unsupported depth %d", st.Levels)
 	}
 	p := &PageTable{levels: st.Levels, alloc: alloc, stats: st.Stats}
-	nodes := make([]*node, len(st.Nodes))
-	for i, ns := range st.Nodes {
-		nodes[i] = &node{frame: ns.Frame}
+	if len(st.Nodes) == 0 {
+		return p, nil
 	}
-	for i, ns := range st.Nodes {
-		n := nodes[i]
-		for _, es := range ns.Entries {
-			if int(es.Idx) >= EntriesPerNode {
-				return nil, fmt.Errorf("radix: entry index %d out of range", es.Idx)
-			}
-			e := &n.entries[es.Idx]
-			e.present = true
-			e.huge = es.Huge
-			e.ppn = es.PPN
-			if es.Child >= 0 {
-				if int(es.Child) >= len(nodes) {
-					return nil, fmt.Errorf("radix: child index %d out of range", es.Child)
-				}
-				e.child = nodes[es.Child]
-			}
-			n.used++
+	p.nodes = make([]nodeRef, len(st.Nodes))
+	var build func(id int32, lvl int) error
+	build = func(id int32, lvl int) error {
+		ref := &p.nodes[id]
+		if ref.pte != nil {
+			return fmt.Errorf("radix: node %d reached twice", id)
 		}
+		ns := st.Nodes[id]
+		*ref = nodeRef{pte: new(node), frame: ns.Frame, used: int32(len(ns.Entries))}
+		for _, es := range ns.Entries {
+			if int(es.Idx) >= EntriesPerNode || ref.pte[es.Idx] != 0 {
+				return fmt.Errorf("radix: node %d: entry index %d out of range or repeated", id, es.Idx)
+			}
+			if es.Huge && (lvl == 0 || lvl > 2) {
+				return fmt.Errorf("radix: node %d: huge leaf at level %d", id, lvl)
+			}
+			if lvl == 0 || es.Huge {
+				if es.Child >= 0 || uint64(es.PPN) > maxPayload {
+					return fmt.Errorf("radix: node %d: malformed leaf entry %d", id, es.Idx)
+				}
+				ref.pte[es.Idx] = leafPTE(es.PPN, es.Huge)
+				continue
+			}
+			if es.Child < 0 || int(es.Child) >= len(st.Nodes) {
+				return fmt.Errorf("radix: node %d: child index %d out of range", id, es.Child)
+			}
+			ref.pte[es.Idx] = tablePTE(es.Child)
+			if err := build(es.Child, lvl-1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if len(nodes) > 0 {
-		p.root = nodes[0]
+	if err := build(0, st.Levels-1); err != nil {
+		return nil, err
+	}
+	for i := range p.nodes {
+		if p.nodes[i].pte == nil {
+			return nil, fmt.Errorf("radix: node %d is not reachable from the root", i)
+		}
 	}
 	return p, nil
 }
@@ -96,81 +119,78 @@ func Restore(st State, alloc phys.Source) (*PageTable, error) {
 // node frame per tree node. The scrubber uses it to prove frame-ownership
 // disjointness across tenants.
 func (p *PageTable) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
-	var walk func(n *node, lvl int)
-	walk = func(n *node, lvl int) {
-		f(n.frame, 4*addr.KB)
-		if lvl == 0 {
-			return
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.present && !e.huge && e.child != nil {
-				walk(e.child, lvl-1)
+	var walk func(id uint64, lvl int)
+	walk = func(id uint64, lvl int) {
+		ref := &p.nodes[id]
+		f(ref.frame, 4*addr.KB)
+		for _, w := range ref.pte {
+			if isTable(w, lvl) {
+				walk(payload(w), lvl-1)
 			}
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1)
+	if len(p.nodes) > 0 {
+		walk(0, p.levels-1)
 	}
 }
 
 // VisitMappings calls f for every live translation (vpn, size, ppn).
 func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
-	var walk func(n *node, lvl int, va uint64)
-	walk = func(n *node, lvl int, va uint64) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+	var visit func(id uint64, lvl int, va uint64)
+	visit = func(id uint64, lvl int, va uint64) {
+		for i, w := range p.nodes[id].pte {
+			if w&ptePresent == 0 {
 				continue
 			}
 			sub := va | uint64(i)<<(12+9*uint(lvl))
-			if lvl == 0 || e.huge {
-				f(addr.VPN(sub>>(12+9*uint(lvl))), sizeAtLevel(lvl), e.ppn)
+			if isTable(w, lvl) {
+				visit(payload(w), lvl-1, sub)
 				continue
 			}
-			if e.child != nil {
-				walk(e.child, lvl-1, sub)
-			}
+			f(addr.VPN(sub>>(12+9*uint(lvl))), sizeAtLevel(lvl), addr.PPN(payload(w)))
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1, 0)
+	if len(p.nodes) > 0 {
+		visit(0, p.levels-1, 0)
 	}
 }
 
 // CheckTables runs the structural consistency checks the scrubber reports:
 // per-node used counters must match the present entries, huge leaves may
-// only appear at PMD/PUD levels, and the stats node count must equal the
-// reachable tree. It returns one message per violation.
+// only appear at PMD/PUD levels, table entries must name live node ids,
+// and the stats node count must equal the reachable tree. It returns one
+// message per violation.
 func (p *PageTable) CheckTables() []string {
 	var bad []string
 	reachable := 0
-	var walk func(n *node, lvl int)
-	walk = func(n *node, lvl int) {
+	var check func(id uint64, lvl int)
+	check = func(id uint64, lvl int) {
+		ref := &p.nodes[id]
 		reachable++
-		present := 0
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+		present := int32(0)
+		for i, w := range ref.pte {
+			if w&ptePresent == 0 {
 				continue
 			}
 			present++
-			if e.huge && (lvl == 0 || lvl > 2) {
+			if w&pteHuge != 0 && (lvl == 0 || lvl > 2) {
 				bad = append(bad, fmt.Sprintf("huge leaf at level %d entry %d", lvl, i))
 			}
-			if !e.huge && lvl > 0 && e.child == nil {
-				bad = append(bad, fmt.Sprintf("present non-leaf entry without child at level %d entry %d", lvl, i))
+			if !isTable(w, lvl) {
+				continue
 			}
-			if e.child != nil && lvl > 0 && !e.huge {
-				walk(e.child, lvl-1)
+			if c := payload(w); c >= uint64(len(p.nodes)) || p.nodes[c].pte == nil {
+				bad = append(bad, fmt.Sprintf("level %d entry %d names dead node id %d", lvl, i, c))
+			} else {
+				check(c, lvl-1)
 			}
 		}
-		if present != n.used {
-			bad = append(bad, fmt.Sprintf("node frame %d at level %d: used %d but %d present entries", n.frame, lvl, n.used, present))
+		if present != ref.used {
+			bad = append(bad, fmt.Sprintf("node frame %d at level %d: used %d but %d present entries", ref.frame, lvl, ref.used, present))
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1)
+	if len(p.nodes) > 0 {
+		check(0, p.levels-1)
 	}
 	if reachable != p.stats.Nodes {
 		bad = append(bad, fmt.Sprintf("stats record %d nodes, tree reaches %d", p.stats.Nodes, reachable))

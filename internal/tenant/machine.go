@@ -310,7 +310,10 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 		return nil, err
 	}
 
-	pool := phys.RestoreStriped(st.Pool)
+	pool, err := phys.RestoreStriped(st.Pool)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
+	}
 	pool.AmbientFMFI = cfg.FMFI
 
 	specs := workload.Specs(cfg.Scale)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -153,7 +154,10 @@ func TestRestoreMismatch(t *testing.T) {
 
 	// State the resumed run would trip over only later, as a panic: a
 	// generated trace shorter than the remaining budget, and scheduler
-	// entries MultiCore indexes the process list with.
+	// entries MultiCore indexes the process list with. A free map the
+	// buddy allocator cannot hold would instead run on silently with the
+	// wrong free frames.
+	stripe := func(st *MachineState) *phys.MemoryState { return &st.Pool.Stripes[0] }
 	for name, mut := range map[string]func(*MachineState){
 		"trace short":     func(st *MachineState) { st.Procs[0].Trace.N = st.Procs[0].Trace.Emitted + st.Procs[0].Left/2 },
 		"trace overrun":   func(st *MachineState) { st.Procs[0].Trace.Emitted = st.Procs[0].Trace.N + 1 },
@@ -163,6 +167,24 @@ func TestRestoreMismatch(t *testing.T) {
 		"perm negative":   func(st *MachineState) { st.Sched.Perm[0] = -1 },
 		"perm duplicate":  func(st *MachineState) { st.Sched.Perm[0] = st.Sched.Perm[1] },
 		"perm length":     func(st *MachineState) { st.Sched.Perm = st.Sched.Perm[1:] },
+		"heads truncated": func(st *MachineState) {
+			sp := stripe(st)
+			sp.HeadOrder = sp.HeadOrder[:len(sp.HeadOrder)/2]
+		},
+		"max order range": func(st *MachineState) { stripe(st).MaxOrder = phys.MaxOrder + 1 },
+		"max order below": func(st *MachineState) { stripe(st).MaxOrder = -1 },
+		"head misaligned": func(st *MachineState) { stripe(st).HeadOrder[1] = 1 },
+		"head above max":  func(st *MachineState) { stripe(st).HeadOrder[0] = int8(stripe(st).MaxOrder + 1) },
+		"head bad order":  func(st *MachineState) { stripe(st).HeadOrder[0] = -2 },
+		"free list range": func(st *MachineState) { sp := stripe(st); sp.FreeList[0] = append(sp.FreeList[0], sp.Frames) },
+		"stripe frames":   func(st *MachineState) { st.Pool.StripeFrames *= 2 },
+		"head past the end": func(st *MachineState) {
+			// The stripe's frame count is not a power of two, so the
+			// last MaxOrder-aligned block runs past it.
+			sp := stripe(st)
+			o := sp.MaxOrder
+			sp.HeadOrder[(sp.Frames-1)&^(1<<o-1)] = int8(o)
+		},
 	} {
 		st := m.State()
 		mut(st)

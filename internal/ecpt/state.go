@@ -127,15 +127,19 @@ func (p *PageTable) State() PageTableState {
 }
 
 // RestorePageTable rebuilds a process's ECPT from recorded state without
-// allocating; see RestoreTable for the cfg requirements.
-func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) *PageTable {
+// allocating; see RestoreTable for the cfg requirements. It returns an
+// error for a slab the tables cannot consistently reference (see
+// pt.Hashed.RestoreTables).
+func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) (*PageTable, error) {
 	tables := make([]*Table, len(st.Tables))
 	for i, ts := range st.Tables {
 		tables[i] = RestoreTable(ts, alloc, cfg)
 	}
 	p := newPageTable(alloc, cfg)
-	p.RestoreTables(st.Slab, tables)
-	return p
+	if err := p.RestoreTables(st.Slab, tables); err != nil {
+		return nil, fmt.Errorf("ecpt: %w", err)
+	}
+	return p, nil
 }
 
 // VisitOwnedFrames reports every physical block the table owns — each live

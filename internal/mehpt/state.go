@@ -183,16 +183,19 @@ func (p *PageTable) State() PageTableState {
 // already-restored allocator, without allocating. cfg must carry the same
 // HashSeed/Ways as the captured table and a Rand repositioned to its
 // captured draw count (all per-size tables of one page table share it,
-// exactly as under NewPageTable).
-func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) *PageTable {
+// exactly as under NewPageTable). It returns an error for a slab the
+// tables cannot consistently reference (see pt.Hashed.RestoreTables).
+func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) (*PageTable, error) {
 	p := newPageTable(alloc, cfg)
 	p.l2pTbl.Restore(st.L2P)
 	tables := make([]*Table, len(st.Tables))
 	for i, ts := range st.Tables {
 		tables[i] = restoreTable(ts, alloc, p.l2pTbl, cfg)
 	}
-	p.RestoreTables(st.Slab, tables)
-	return p
+	if err := p.RestoreTables(st.Slab, tables); err != nil {
+		return nil, fmt.Errorf("mehpt: %w", err)
+	}
+	return p, nil
 }
 
 // VisitOwnedFrames reports every physical block the table owns — the

@@ -1,6 +1,10 @@
 package pt
 
-import "repro/internal/addr"
+import (
+	"fmt"
+
+	"repro/internal/addr"
+)
 
 // SizeTable is one per-page-size hashed table mapping cluster keys
 // (ClusterKey) to slab cluster ids. ECPT and ME-HPT differ only below this
@@ -295,12 +299,51 @@ func (h *Hashed[T]) SlabState() SlabState { return h.slab.State() }
 
 // RestoreTables replaces the slab and the per-size tables with restored
 // ones. Each table is placed at its own page size; one whose size is out
-// of range is dropped.
-func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) {
-	h.slab.Restore(slab)
+// of range is dropped. It rejects a slab Restore rejects, and a table
+// value that is no slab id, is on the free list, or is stored under two
+// keys: the resumed run would panic on the first, and share one cluster
+// between two keys on the others. The page table is unchanged on error.
+func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) error {
+	var s Slab
+	if err := s.Restore(slab); err != nil {
+		return err
+	}
+	const (
+		unused = iota
+		onFree
+		stored
+	)
+	use := make([]uint8, s.n)
+	for _, id := range slab.Free {
+		use[id] = onFree
+	}
+	var err error
 	for _, t := range tables {
-		if s := t.PageSize(); s < addr.NumPageSizes {
-			h.tables[s] = t
+		if t.PageSize() >= addr.NumPageSizes {
+			continue
+		}
+		t.Range(func(key, id uint64) {
+			switch {
+			case err != nil:
+			case id >= s.n:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d out of range of %d clusters", t.PageSize(), key, id, s.n)
+			case use[id] == onFree:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d is on the free list", t.PageSize(), key, id)
+			case use[id] == stored:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d is stored under another key too", t.PageSize(), key, id)
+			default:
+				use[id] = stored
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
+	h.slab = s
+	for _, t := range tables {
+		if size := t.PageSize(); size < addr.NumPageSizes {
+			h.tables[size] = t
+		}
+	}
+	return nil
 }

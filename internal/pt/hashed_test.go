@@ -132,7 +132,10 @@ func stashResident(t *testing.T) walkCase {
 			}
 		}
 	}
-	r := mehpt.RestorePageTable(alloc, mehptConfig(), st)
+	r, err := mehpt.RestorePageTable(alloc, mehptConfig(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Table(addr.Page4K).StashLen() != 1 {
 		t.Fatal("restored table has no stash-resident entry")
 	}

@@ -10,11 +10,7 @@
 // makes the tag memory-free, which is what makes HPTs competitive.
 package pt
 
-import (
-	"fmt"
-
-	"repro/internal/addr"
-)
+import "repro/internal/addr"
 
 // EntryBytes is the size of one clustered HPT slot: a 64-byte cache line.
 const EntryBytes = 64
@@ -60,32 +56,80 @@ func (c *Cluster) Clear(sub uint) bool {
 	return c.ValidMask == 0
 }
 
+// Slab chunk geometry: ids are split into a chunk index (id >> chunkShift)
+// and an offset within the chunk (id & (chunkLen-1)).
+const (
+	chunkShift = 13
+	chunkLen   = 1 << chunkShift // 8192 clusters, 576 KiB
+	// fullChunksFrom is the first chunk index allocated at full length.
+	fullChunksFrom = 8
+)
+
+// startCap returns the capacity a new chunk ci > 0 is allocated with.
+func startCap(ci int) int {
+	if ci >= fullChunksFrom {
+		return chunkLen
+	}
+	return chunkLen / 4
+}
+
 // Slab stores cluster payloads and hands out stable 64-bit ids that fit in a
 // cuckoo table's value word. The zero value is ready to use.
+//
+// Clusters live in chunks of chunkLen that are never copied once full, so
+// growing a large slab allocates about its live size once instead of
+// re-copying the whole array on every growth. Chunk 0 grows by append, so
+// a slab of at most chunkLen clusters costs what one flat slice would.
+// Chunks 1 to fullChunksFrom-1 start at a quarter of chunkLen and double
+// to full, which bounds the slack of a mid-sized slab to its tail chunk;
+// from fullChunksFrom on, a chunk is allocated full at once, its slack
+// then under an eighth of the slab.
 type Slab struct {
-	clusters []Cluster
-	free     []uint64
+	chunks [][]Cluster
+	n      uint64 // clusters ever allocated; ids are 0..n-1
+	free   []uint64
 }
 
 // Alloc returns the id of a zeroed cluster.
 func (s *Slab) Alloc() uint64 {
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.clusters[id] = Cluster{}
+	if k := len(s.free); k > 0 {
+		id := s.free[k-1]
+		s.free = s.free[:k-1]
+		*s.At(id) = Cluster{}
 		return id
 	}
-	s.clusters = append(s.clusters, Cluster{})
-	return uint64(len(s.clusters) - 1)
+	id := s.n
+	ci := int(id >> chunkShift)
+	if ci == len(s.chunks) {
+		var c []Cluster
+		if ci > 0 {
+			c = make([]Cluster, 0, startCap(ci))
+		}
+		s.chunks = append(s.chunks, c)
+	}
+	c := &s.chunks[ci]
+	switch {
+	case ci == 0:
+		*c = append(*c, Cluster{})
+	case len(*c) == cap(*c):
+		grown := make([]Cluster, len(*c)+1, 2*cap(*c))
+		copy(grown, *c)
+		*c = grown
+	default:
+		*c = (*c)[:len(*c)+1]
+	}
+	s.n++
+	return id
 }
 
-// At returns the cluster with the given id. The pointer is invalidated by
-// the next Alloc.
+// At returns the cluster with the given id, and panics on an id Alloc never
+// returned: every chunk's length is exactly the clusters allocated in it,
+// so the slice bounds checks reject any id >= n. Once id's chunk is full
+// the pointer stays valid across later Allocs, since full chunks never
+// move; a pointer into the tail chunk is invalidated by the Alloc that
+// grows it.
 func (s *Slab) At(id uint64) *Cluster {
-	if id >= uint64(len(s.clusters)) {
-		panic(fmt.Sprintf("pt: slab id %d out of range", id))
-	}
-	return &s.clusters[id]
+	return &s.chunks[id>>chunkShift][id&(chunkLen-1)]
 }
 
 // Free recycles id.

@@ -58,8 +58,8 @@ func TestSlabReuse(t *testing.T) {
 	}
 	s.At(a).Set(0, 42)
 	s.Free(a)
-	if len(s.clusters) != 2 || len(s.free) != 1 {
-		t.Errorf("%d clusters, %d free; want 2, 1", len(s.clusters), len(s.free))
+	if s.n != 2 || len(s.chunks) != 1 || len(s.free) != 1 {
+		t.Errorf("%d clusters in %d chunks, %d free; want 2 in 1, 1", s.n, len(s.chunks), len(s.free))
 	}
 	c := s.Alloc() // must recycle a, zeroed
 	if c != a {

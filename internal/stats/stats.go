@@ -40,36 +40,55 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// smallValues is how many of the lowest non-negative values a Histogram
+// counts in an inline array instead of its map. Reinsertion counts are
+// bounded by cuckoo.MaxKicks (32), so the per-insert Add never touches
+// the map.
+const smallValues = 64
+
 // Histogram counts integer-valued observations (e.g. the number of cuckoo
 // re-insertions per insert, Figure 16). The zero value is ready to use.
 type Histogram struct {
-	counts map[int]uint64
+	small  [smallValues]uint64 // counts of 0 <= v < smallValues
+	counts map[int]uint64      // counts of every other value
 	total  uint64
 	sum    float64
 }
 
 // Add records one observation of value v.
-func (h *Histogram) Add(v int) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+func (h *Histogram) Add(v int) { h.add(v, 1) }
+
+// add records c observations of value v.
+func (h *Histogram) add(v int, c uint64) {
+	if uint(v) < smallValues {
+		h.small[v] += c
+	} else {
+		if h.counts == nil {
+			h.counts = make(map[int]uint64)
+		}
+		h.counts[v] += c
 	}
-	h.counts[v]++
-	h.total++
-	h.sum += float64(v)
+	h.total += c
+	h.sum += float64(v) * float64(c)
 }
 
 // Total returns the number of observations.
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Count returns the number of observations with value v.
-func (h *Histogram) Count(v int) uint64 { return h.counts[v] }
+func (h *Histogram) Count(v int) uint64 {
+	if uint(v) < smallValues {
+		return h.small[v]
+	}
+	return h.counts[v]
+}
 
 // Probability returns the empirical probability of value v.
 func (h *Histogram) Probability(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.counts[v]) / float64(h.total)
+	return float64(h.Count(v)) / float64(h.total)
 }
 
 // Mean returns the mean observed value.
@@ -82,13 +101,11 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest observed value, or 0 if empty.
 func (h *Histogram) Max() int {
-	max := 0
-	for v := range h.counts {
-		if v > max {
-			max = v
-		}
+	vs := h.Values()
+	if len(vs) == 0 || vs[len(vs)-1] < 0 {
+		return 0
 	}
-	return max
+	return vs[len(vs)-1]
 }
 
 // Values returns the observed values in ascending order.
@@ -96,6 +113,11 @@ func (h *Histogram) Values() []int {
 	vs := make([]int, 0, len(h.counts))
 	for v := range h.counts {
 		vs = append(vs, v)
+	}
+	for v, c := range h.small {
+		if c > 0 {
+			vs = append(vs, v)
+		}
 	}
 	sort.Ints(vs)
 	return vs
@@ -106,17 +128,8 @@ func (h *Histogram) Values() []int {
 // in map iteration order would make the merged statistics differ between
 // otherwise identical runs.
 func (h *Histogram) Merge(other *Histogram) {
-	if len(other.counts) == 0 {
-		return
-	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64, len(other.counts))
-	}
 	for _, v := range other.Values() {
-		c := other.counts[v]
-		h.counts[v] += c
-		h.total += c
-		h.sum += float64(v) * float64(c)
+		h.add(v, other.Count(v))
 	}
 }
 

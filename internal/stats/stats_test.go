@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,54 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if !almostEqual(a.Mean(), 4.0/3.0) {
 		t.Errorf("merged mean = %v", a.Mean())
+	}
+}
+
+// TestHistogramSmallAddDoesNotAllocate: reinsertion counts (at most
+// cuckoo.MaxKicks) are counted inline, so recording them allocates
+// nothing, not even on a histogram's first Add.
+func TestHistogramSmallAddDoesNotAllocate(t *testing.T) {
+	allocs := testing.AllocsPerRun(50, func() {
+		var h Histogram
+		for v := 0; v < smallValues; v++ {
+			h.Add(v)
+		}
+		if h.Total() != smallValues {
+			t.Fatalf("Total = %d, want %d", h.Total(), smallValues)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Add of 0 ≤ v < %d allocated %.1f times per run, want 0", smallValues, allocs)
+	}
+}
+
+// TestHistogramInlineAndMapValuesRoundTrip: values on both sides of the
+// inline range survive State→Restore and Merge exactly.
+func TestHistogramInlineAndMapValuesRoundTrip(t *testing.T) {
+	var h Histogram
+	for i, v := range []int{-1, 0, 63, 64, 1 << 60} {
+		for k := 0; k <= i; k++ {
+			h.Add(v)
+		}
+	}
+	st := h.State()
+	want := map[int]uint64{-1: 1, 0: 2, 63: 3, 64: 4, 1 << 60: 5}
+	if !reflect.DeepEqual(st.Counts, want) || st.Total != 15 {
+		t.Fatalf("State = %+v, want counts %v over 15", st, want)
+	}
+	if got := h.Values(); !reflect.DeepEqual(got, []int{-1, 0, 63, 64, 1 << 60}) {
+		t.Errorf("Values = %v", got)
+	}
+	var restored, merged Histogram
+	restored.Restore(st)
+	merged.Merge(&h)
+	for name, g := range map[string]*Histogram{"restored": &restored, "merged": &merged} {
+		if got := g.State(); !reflect.DeepEqual(got, st) {
+			t.Errorf("%s State = %+v, want %+v", name, got, st)
+		}
+		if g.Max() != 1<<60 || g.Count(-1) != 1 || g.Count(63) != 3 {
+			t.Errorf("%s: Max %d, Count(-1) %d, Count(63) %d", name, g.Max(), g.Count(-1), g.Count(63))
+		}
 	}
 }
 

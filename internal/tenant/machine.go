@@ -436,7 +436,11 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		tc := mehpt.DefaultConfig(hashSeed)
 		p.tableSrc = snapshot.RestoreSource(ps.Table)
 		tc.Rand = rand.New(p.tableSrc)
-		p.table = mehpt.RestorePageTable(view, tc, *ps.MEHPT)
+		table, err := mehpt.RestorePageTable(view, tc, *ps.MEHPT)
+		if err != nil {
+			return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
+		}
+		p.table = table
 	case sim.ECPT:
 		if ps.ECPT == nil {
 			return nil, fmt.Errorf("%w: proc %d carries no ECPT state", ErrMismatch, pid)
@@ -444,7 +448,11 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 		tc := ecpt.DefaultConfig(hashSeed)
 		p.tableSrc = snapshot.RestoreSource(ps.Table)
 		tc.Rand = rand.New(p.tableSrc)
-		p.table = ecpt.RestorePageTable(view, tc, *ps.ECPT)
+		table, err := ecpt.RestorePageTable(view, tc, *ps.ECPT)
+		if err != nil {
+			return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
+		}
+		p.table = table
 	case sim.Radix:
 		if ps.Radix == nil {
 			return nil, fmt.Errorf("%w: proc %d carries no radix state", ErrMismatch, pid)

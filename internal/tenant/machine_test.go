@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/phys"
+	"repro/internal/pt"
 	"repro/internal/sim"
 )
 
@@ -158,6 +159,7 @@ func TestRestoreMismatch(t *testing.T) {
 	// buddy allocator cannot hold would instead run on silently with the
 	// wrong free frames.
 	stripe := func(st *MachineState) *phys.MemoryState { return &st.Pool.Stripes[0] }
+	slab := func(st *MachineState) *pt.SlabState { return &st.Procs[0].ECPT.Slab }
 	for name, mut := range map[string]func(*MachineState){
 		"trace short":     func(st *MachineState) { st.Procs[0].Trace.N = st.Procs[0].Trace.Emitted + st.Procs[0].Left/2 },
 		"trace overrun":   func(st *MachineState) { st.Procs[0].Trace.Emitted = st.Procs[0].Trace.N + 1 },
@@ -178,6 +180,18 @@ func TestRestoreMismatch(t *testing.T) {
 		"head bad order":  func(st *MachineState) { stripe(st).HeadOrder[0] = -2 },
 		"free list range": func(st *MachineState) { sp := stripe(st); sp.FreeList[0] = append(sp.FreeList[0], sp.Frames) },
 		"stripe frames":   func(st *MachineState) { st.Pool.StripeFrames *= 2 },
+		// A slab the tables cannot consistently reference: a free id past
+		// the clusters and live ids past a truncated array would panic on
+		// first use, and a free id listed twice would be handed out twice,
+		// sharing one cluster between two keys.
+		"slab free range": func(st *MachineState) { sl := slab(st); sl.Free = append(sl.Free, uint64(len(sl.Clusters))) },
+		"slab truncated":  func(st *MachineState) { sl := slab(st); sl.Clusters = sl.Clusters[:len(sl.Clusters)/2] },
+		"slab free twice": func(st *MachineState) {
+			sl := slab(st)
+			id := uint64(len(sl.Clusters))
+			sl.Clusters = append(sl.Clusters, pt.Cluster{})
+			sl.Free = append(sl.Free, id, id)
+		},
 		"head past the end": func(st *MachineState) {
 			// The stripe's frame count is not a power of two, so the
 			// last MaxOrder-aligned block runs past it.

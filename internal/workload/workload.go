@@ -154,9 +154,19 @@ const sparseStride = 0x9E3779B97F4A7C15
 // PageVA returns the virtual address of the i-th touched page in
 // first-touch order.
 func (s Spec) PageVA(i uint64) addr.VirtAddr {
+	var universe uint64
 	if s.Kind == Sparse {
-		page := (i * sparseStride) % s.universePages()
-		return BaseVA + addr.VirtAddr(page*4*addr.KB)
+		universe = s.universePages()
+	}
+	return pageVA(s.Kind, i, universe)
+}
+
+// pageVA is PageVA given the spec's kind and universePages, which only a
+// sparse spec reads. It is a function, not a Spec method, so that the trace
+// generator's per-access call does not copy the Spec.
+func pageVA(kind Kind, i, universe uint64) addr.VirtAddr {
+	if kind == Sparse {
+		i = (i * sparseStride) % universe
 	}
 	return BaseVA + addr.VirtAddr(i*4*addr.KB)
 }
@@ -165,9 +175,9 @@ func (s Spec) PageVA(i uint64) addr.VirtAddr {
 // f for each. Experiment drivers use it to populate page tables at full
 // scale. f returning false stops the iteration.
 func (s Spec) TouchedPageVAs(f func(va addr.VirtAddr) bool) {
-	n := s.touchedPages()
+	n, universe := s.touchedPages(), s.universePages()
 	for i := uint64(0); i < n; i++ {
-		if !f(s.PageVA(i)) {
+		if !f(pageVA(s.Kind, i, universe)) {
 			return
 		}
 	}

@@ -130,6 +130,26 @@ func TestTouchedPageVAsCount(t *testing.T) {
 	}
 }
 
+// TestTouchedPageVAsMatchesPageVA: iterating the touched pages, which
+// computes the sparse universe once, yields exactly PageVA(0..n-1), for a
+// sparse and a dense workload.
+func TestTouchedPageVAsMatchesPageVA(t *testing.T) {
+	for _, name := range []string{"GUPS", "BFS"} {
+		s, _ := ByName(name, 64)
+		i := uint64(0)
+		s.TouchedPageVAs(func(va addr.VirtAddr) bool {
+			if want := s.PageVA(i); va != want {
+				t.Fatalf("%s: page %d at %#x, PageVA %#x", name, i, uint64(va), uint64(want))
+			}
+			i++
+			return true
+		})
+		if i != s.touchedPages() || i == 0 {
+			t.Errorf("%s: iterated %d pages, want %d", name, i, s.touchedPages())
+		}
+	}
+}
+
 // TestTraceStaysInTouchedRegion: every trace access must target a touched
 // page (otherwise the timed phase would fault on new pages forever).
 func TestTraceStaysInTouchedRegion(t *testing.T) {

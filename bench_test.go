@@ -13,7 +13,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/experiments"
-	"repro/internal/levelhash"
 	"repro/internal/mehpt"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -194,123 +193,77 @@ func BenchmarkFigure16(b *testing.B) {
 	}
 }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches for the design choices DESIGN.md calls out. Each runs
+// the -exp ablation driver and reports the rows its mechanism changes; the
+// rows themselves are pinned by the single-process golden test.
 
-func ablationRun(b *testing.B, mutate func(*simCfg)) sim.Result {
+// ablationRows runs the ablation driver once and indexes its rows by variant.
+func ablationRows(b *testing.B) map[string]experiments.AblationRow {
 	b.Helper()
-	spec, err := workload.ByName("BFS", 128)
-	if err != nil {
-		b.Fatal(err)
+	rows := experiments.Ablation(benchOptions())
+	byName := make(map[string]experiments.AblationRow, len(rows))
+	for _, r := range rows {
+		byName[r.Variant] = r
 	}
-	cfg := simCfg{
-		Org: sim.MEHPT, Workload: spec, Populate: true,
-		Seed: 2, MemBytes: 2 * addr.GB,
-	}
-	mutate(&cfg)
-	return sim.Run(sim.Config(cfg))
+	return byName
 }
-
-type simCfg = sim.Config
 
 func BenchmarkAblationInPlaceMoves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		inPlace := ablationRun(b, func(c *simCfg) {})
-		outPlace := ablationRun(b, func(c *simCfg) {
-			m := mehpt.DefaultConfig(2)
-			m.InPlace = false
-			c.MEHPTConfig = &m
-		})
+		rows := ablationRows(b)
 		// In-place resizing should move roughly half as many entries.
-		b.ReportMetric(float64(inPlace.PTMoves), "inplace-moves")
-		b.ReportMetric(float64(outPlace.PTMoves), "outofplace-moves")
+		b.ReportMetric(float64(rows["full design"].Moves), "inplace-moves")
+		b.ReportMetric(float64(rows["out-of-place resize"].Moves), "outofplace-moves")
 	}
 }
 
 func BenchmarkAblationWeightedInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		weighted := ablationRun(b, func(c *simCfg) {})
-		uniform := ablationRun(b, func(c *simCfg) {
-			m := mehpt.DefaultConfig(2)
-			m.WeightedInsert = false
-			c.MEHPTConfig = &m
-		})
-		b.ReportMetric(float64(weighted.MEHPT.Table(addr.Page4K).Stats().Kicks), "weighted-kicks")
-		b.ReportMetric(float64(uniform.MEHPT.Table(addr.Page4K).Stats().Kicks), "uniform-kicks")
+		rows := ablationRows(b)
+		b.ReportMetric(rows["full design"].KicksPerInsert, "weighted-kicks/insert")
+		b.ReportMetric(rows["uniform insert"].KicksPerInsert, "uniform-kicks/insert")
 	}
 }
 
 func BenchmarkAblationChunkLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		def := ablationRun(b, func(c *simCfg) {})
-		oneMB := ablationRun(b, func(c *simCfg) {
-			m := mehpt.DefaultConfig(2)
-			m.Ladder = []uint64{1 * addr.MB, 8 * addr.MB, 64 * addr.MB}
-			c.MEHPTConfig = &m
-		})
-		b.ReportMetric(float64(def.PTPeakBytes)/(1<<10), "ladder-peak-KB")
-		b.ReportMetric(float64(oneMB.PTPeakBytes)/(1<<10), "1MBonly-peak-KB")
+		rows := ablationRows(b)
+		b.ReportMetric(rows["full design"].PeakKB, "ladder-peak-KB")
+		b.ReportMetric(rows["1MB-only ladder"].PeakKB, "1MBonly-peak-KB")
 	}
 }
 
 func BenchmarkAblationOccupancyThresholds(b *testing.B) {
-	for _, up := range []float64{0.4, 0.6, 0.8} {
-		up := up
-		b.Run(thrName(up), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := ablationRun(b, func(c *simCfg) {
-					m := mehpt.DefaultConfig(2)
-					m.UpsizeAt = up
-					c.MEHPTConfig = &m
-				})
-				st := r.MEHPT.Table(addr.Page4K).Stats()
-				b.ReportMetric(float64(st.Kicks)/float64(st.Inserts), "kicks/insert")
-				b.ReportMetric(float64(r.PTPeakBytes)/(1<<10), "peak-KB")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		rows := ablationRows(b)
+		for _, v := range []struct{ row, unit string }{
+			{"upsize at 0.4", "upsize-0.4"},
+			{"full design", "upsize-0.6"},
+			{"upsize at 0.8", "upsize-0.8"},
+		} {
+			b.ReportMetric(rows[v.row].KicksPerInsert, v.unit+"-kicks/insert")
+			b.ReportMetric(rows[v.row].PeakKB, v.unit+"-peak-KB")
+		}
 	}
 }
 
-func thrName(f float64) string {
-	switch f {
-	case 0.4:
-		return "upsize-0.4"
-	case 0.6:
-		return "upsize-0.6"
-	default:
-		return "upsize-0.8"
-	}
-}
-
-// BenchmarkSectionIX quantifies the paper's Section IX comparison against
-// Level Hashing: probes per lookup and entries moved per resize.
+// BenchmarkSectionIX runs the -exp sec9 driver: the paper's Section IX
+// comparison against Level Hashing, probes per lookup and entries moved per
+// resize.
 func BenchmarkSectionIX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		lh := levelhash.New(64, 9)
-		for k := uint64(0); k < 40000; k++ {
-			if err := lh.Insert(k, k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for k := uint64(0); k < 10000; k++ {
-			lh.Lookup(k + 1_000_000) // misses probe all candidates
-		}
-		b.ReportMetric(lh.ProbesPerLookup(), "levelhash-probes/lookup")
-		b.ReportMetric(lh.MoveFractionPerResize(), "levelhash-movefrac/resize")
-
-		// ME-HPT in-place: ~0.5 of entries move per upsize, no extra probes.
-		r := ablationRun(b, func(c *simCfg) {})
-		st := r.MEHPT.Table(addr.Page4K).Stats()
-		b.ReportMetric(float64(st.UpsizeMoved)/float64(st.UpsizeMoved+st.UpsizeStayed),
-			"mehpt-movefrac/upsize")
+		r := experiments.SectionIX(benchOptions())[0]
+		b.ReportMetric(r.LevelHashProbesPerLookup, "levelhash-probes/lookup")
+		b.ReportMetric(r.LevelHashMovedFraction, "levelhash-movefrac/resize")
+		b.ReportMetric(r.MEHPTMovedFraction, "mehpt-movefrac/upsize")
 	}
 }
 
 // BenchmarkHotPath measures the allocation-free steady-state paths in
 // isolation: the TLB hit, the warm cache access, and the settled ME-HPT
-// lookup. Their 0 B/op / 0 allocs/op columns in BENCH_<n>.json are the
-// machine-independent regression gate for the hot pipeline (scripts/bench.sh
-// fails any reading that becomes nonzero); the AllocsPerRun tests in the
-// respective packages guard the same invariant in tier-1.
+// lookup. It is a profiling entry point; their 0 allocs/op are gated in
+// tier-1 by tlb TestLookupHitAllocFree, cache TestAccessHitAllocFree and
+// mehpt TestLookupAllocFree.
 func BenchmarkHotPath(b *testing.B) {
 	b.Run("TLBHit", func(b *testing.B) {
 		tb := tlb.New(tlb.Config{Entries: 64, Ways: 4, Latency: 2})
@@ -366,10 +319,9 @@ func BenchmarkHotPath(b *testing.B) {
 // BenchmarkSteadyStateTranslate drives the full TranslateBatchPAs → TLB →
 // walk → cache pipeline through sim.Machine.RunBatches over a TLB-resident
 // working set, with the cold faults taken before the timer starts. Each op
-// is one batch of accesses, so the handful of per-call setup allocations in
-// RunBatches amortize to a stable, machine-independent allocs/op that the
-// bench gate holds flat. The accesses/op metric is what mehpt-bench derives
-// accesses/sec from — the ISSUE 10 ≥2× throughput gate.
+// is one batch of accesses. It is a profiling entry point: sim
+// TestRunBatchesAllocs gates the per-call allocations in tier-1, and the
+// perfbench workloads measure accesses per second.
 func BenchmarkSteadyStateTranslate(b *testing.B) {
 	const batch = 8192
 	for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {

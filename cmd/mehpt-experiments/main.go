@@ -1,7 +1,9 @@
 // Command mehpt-experiments regenerates every table and figure in the
 // paper's evaluation. Run with -exp all (default) or a comma-separated
-// subset: table1,table2,alloccost,frag,multitenant,fig8,fig9,fig10,fig11,
-// fig12,fig13,fig14,fig15,fig16.
+// subset: table1,table2,alloccost,frag,fivelevel,virt,multitenant,fig8,fig9,
+// fig10,fig11,fig12,fig13,fig14,fig15,fig16,sec9,ablation.
+// sec9 is Section IX's Level Hashing comparison; ablation changes one ME-HPT
+// mechanism per row.
 //
 // -exp multitenant runs the sharded multi-core machine over the -cores ×
 // -processes matrix (comma lists) for every page-table organization. The
@@ -70,7 +72,7 @@ import (
 
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiments to run, or 'all' (table1,table2,alloccost,frag,fivelevel,virt,multitenant,fig8..fig16)")
+		expFlag    = flag.String("exp", "all", "comma-separated experiments to run, or 'all' (table1,table2,alloccost,frag,fivelevel,virt,multitenant,fig8..fig16,sec9,ablation)")
 		scale      = flag.Uint64("scale", 1, "footprint divisor (1 = paper's full scale)")
 		accesses   = flag.Uint64("accesses", 30_000_000, "timed trace length for fig9")
 		memGB      = flag.Uint64("mem", 64, "simulated physical memory (GB)")
@@ -345,6 +347,16 @@ func main() {
 			Rows []experiments.Figure16Row `json:"rows"`
 			Mean float64                   `json:"mean"`
 		}{rows, mean}
+	})
+	run("sec9", func() any {
+		rows := experiments.SectionIX(o)
+		experiments.FprintSectionIX(w, rows)
+		return rows
+	})
+	run("ablation", func() any {
+		rows := experiments.Ablation(o)
+		experiments.FprintAblation(w, rows)
+		return rows
 	})
 	run("fig9", func() any {
 		rows := experiments.Figure9(o)

@@ -59,15 +59,22 @@ func main() {
 		procs = append(procs, &osmodel.Proc{ID: i, PT: pt, TLBs: tlb.NewTableIII()})
 	}
 
-	sched := osmodel.NewScheduler(osmodel.DefaultSwitchCosts(), procs...)
-	total := sched.RoundRobin(*switches)
+	// One core: a visit to a process other than the incumbent is a switch.
+	// The report starts after pid 0's first visit binds it to the core.
+	sched := osmodel.NewMultiCore(osmodel.DefaultSwitchCosts(), 1, 0, procs...)
+	sched.Visit(0)
+	first := sched.Stats()
+	for i := 1; i <= *switches; i++ {
+		sched.Visit(i % len(procs))
+	}
 	st := sched.Stats()
-	fmt.Printf("\n%d round-robin switches:\n", st.Switches)
+	n, total := st.Switches-first.Switches, st.SwitchCycles-first.SwitchCycles
+	l2p, entries := st.L2PCyclesTotal-first.L2PCyclesTotal, st.L2PEntriesSum-first.L2PEntriesSum
+	fmt.Printf("\n%d round-robin switches:\n", n)
 	fmt.Printf("  total switch cycles:      %d (%.0f per switch)\n",
-		total, float64(total)/float64(st.Switches))
+		total, float64(total)/float64(n))
 	fmt.Printf("  L2P save/restore cycles:  %d (%.1f%% of switching, %.1f entries/switch)\n",
-		st.L2PCyclesTotal, 100*float64(st.L2PCyclesTotal)/float64(st.SwitchCycles),
-		sched.AvgL2PEntries())
+		l2p, 100*float64(l2p)/float64(total), float64(entries)/float64(max(n, 1)))
 	fmt.Println("\nSection V-C's claim holds: the MMU-resident L2P state adds only a")
 	fmt.Println("few hundred cycles per switch, because only valid entries transfer.")
 }

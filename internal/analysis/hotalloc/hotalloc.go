@@ -1,13 +1,12 @@
 // Package hotalloc enforces the zero-allocation contract of the
 // translation pipeline statically. Functions annotated //mehpt:hotpath —
-// the Translate→TLB→walk→cache chain that BENCH_0.json's AllocsPerRun
-// gates measure at runtime — must not reach a heap allocation through any
+// the Translate→TLB→walk→cache chain that the tier-1 AllocsPerRun tests
+// measure at runtime — must not reach a heap allocation through any
 // statically resolvable call chain: no make/new, no append growth, no
 // map/slice literals, no interface boxing, no closures, no string
 // concatenation, and no calls into allocating standard-library packages
-// such as fmt. It is the static twin of the benchmark allocs gate: the
-// gate proves the inputs CI ran were clean, hotalloc proves every build
-// cannot regress them.
+// such as fmt. It is the static twin of those tests: they prove the inputs
+// they ran were clean, hotalloc proves every build cannot regress them.
 //
 // Dynamic calls (interface methods, func values) cannot be traversed, so
 // they are findings too — unless the interface method itself carries

@@ -3,6 +3,7 @@ package cuckoo
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -406,5 +407,49 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(uint64(i % 100000))
+	}
+}
+
+// TestRestoreTableRejectsBadGeometry: an intact mid-resize state restores
+// and round-trips; state whose way count, slot counts, resize target or
+// rehash pointers the table would index out of range with is rejected.
+func TestRestoreTableRejectsBadGeometry(t *testing.T) {
+	tb := newTestTable(t)
+	for k := uint64(0); k < 240; k++ { // past the 0.6 upsize threshold
+		if _, err := tb.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tb.Resizing() {
+		t.Fatal("no resize in flight; the mutations need one")
+	}
+	cfg := tb.cfg
+	cfg.Rand = rand.New(rand.NewSource(1))
+	r, err := RestoreTable(cfg, tb.State())
+	if err != nil {
+		t.Fatalf("intact state: %v", err)
+	}
+	if !reflect.DeepEqual(r.State(), tb.State()) {
+		t.Fatal("intact state does not round-trip")
+	}
+	for name, mut := range map[string]func(*TableState){
+		"two of three ways":  func(st *TableState) { st.Cur = st.Cur[:2] },
+		"no ways":            func(st *TableState) { st.Cur = nil },
+		"way one slot short": func(st *TableState) { st.Cur[1].Slots = st.Cur[1].Slots[:len(st.Cur[1].Slots)-1] },
+		"slots not 2^": func(st *TableState) {
+			for i := range st.Cur {
+				st.Cur[i].Slots = st.Cur[i].Slots[:96]
+			}
+		},
+		"next ways":           func(st *TableState) { st.Next = st.Next[:1] },
+		"next way short":      func(st *TableState) { st.Next[0].Slots = st.Next[0].Slots[:1] },
+		"rehash ptrs emptied": func(st *TableState) { st.RehashPtr = nil },
+		"rehash ptr past way": func(st *TableState) { st.RehashPtr[2] = uint64(len(st.Cur[2].Slots)) + 1 },
+	} {
+		st := tb.State()
+		mut(&st)
+		if _, err := RestoreTable(cfg, st); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
 	}
 }

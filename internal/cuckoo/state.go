@@ -1,6 +1,10 @@
 package cuckoo
 
-import "repro/internal/hashfn"
+import (
+	"fmt"
+
+	"repro/internal/hashfn"
+)
 
 // normalizeConfig applies the defaulting Build performs, shared with the
 // restore path so a restored table evaluates thresholds identically.
@@ -80,12 +84,15 @@ func (t *Table) State() TableState {
 // the restored allocator state. cfg must carry the same Ways/HashSeed as
 // the captured table (the hash family is re-derived from them) and, for
 // bit-identical resumption, a Rand repositioned to its captured draw
-// count.
-func RestoreTable(cfg Config, st TableState) *Table {
+// count. It returns an error for state checkGeometry rejects.
+func RestoreTable(cfg Config, st TableState) (*Table, error) {
 	cfg = normalizeConfig(cfg)
 	rng := cfg.Rand
 	if rng == nil {
 		panic("cuckoo: RestoreTable requires an explicitly positioned Config.Rand")
+	}
+	if err := checkGeometry(st, cfg.Ways); err != nil {
+		return nil, err
 	}
 	t := &Table{
 		cfg:       cfg,
@@ -99,7 +106,36 @@ func RestoreTable(cfg Config, st TableState) *Table {
 	t.cur = restoreWays(st.Cur, t.fns)
 	t.next = restoreWays(st.Next, t.fns)
 	copy(t.rehashPtr, st.RehashPtr)
-	return t
+	return t, nil
+}
+
+// checkGeometry rejects state whose ways the table would index out of
+// range. It needs exactly `ways` current ways sharing one power-of-two slot
+// count, one rehash pointer per way and, mid-resize, exactly `ways` target
+// ways sharing one power-of-two slot count, with every pointer inside its
+// current way.
+func checkGeometry(st TableState, ways int) error {
+	size := func(ws []WayState) uint64 { // 0 unless the shape is valid
+		if len(ws) != ways || ways == 0 || len(ws[0].Slots)&(len(ws[0].Slots)-1) != 0 {
+			return 0
+		}
+		for _, w := range ws {
+			if len(w.Slots) != len(ws[0].Slots) {
+				return 0
+			}
+		}
+		return uint64(len(ws[0].Slots))
+	}
+	cur := size(st.Cur)
+	ok := cur > 0 && len(st.RehashPtr) == ways && (st.Next == nil || size(st.Next) > 0)
+	for _, p := range st.RehashPtr {
+		ok = ok && (st.Next == nil || p <= cur)
+	}
+	if !ok {
+		return fmt.Errorf("cuckoo: %d ways (%d resizing) and %d rehash pointers do not form %d ways of one power-of-two size",
+			len(st.Cur), len(st.Next), len(st.RehashPtr), ways)
+	}
+	return nil
 }
 
 // ConcurrentTableState is the serializable form of a ConcurrentTable: the
@@ -122,10 +158,14 @@ func (c *ConcurrentTable) State() ConcurrentTableState {
 }
 
 // RestoreConcurrent rebuilds a concurrent table from recorded state; see
-// RestoreTable for the cfg requirements.
-func RestoreConcurrent(cfg Config, st ConcurrentTableState) *ConcurrentTable {
-	c := &ConcurrentTable{t: RestoreTable(cfg, st.Table)}
+// RestoreTable for the cfg requirements and the state it rejects.
+func RestoreConcurrent(cfg Config, st ConcurrentTableState) (*ConcurrentTable, error) {
+	t, err := RestoreTable(cfg, st.Table)
+	if err != nil {
+		return nil, err
+	}
+	c := &ConcurrentTable{t: t}
 	c.roLookups.Store(st.ROLookups)
 	c.roProbeSlots.Store(st.ROProbeSlots)
-	return c
+	return c, nil
 }

@@ -68,8 +68,9 @@ func (t *Table) State() TableState {
 // RestoreTable rebuilds one per-page-size ECPT from recorded state without
 // allocating: the group bases are frames the restored allocator already
 // shows as owned. cfg must carry the captured table's HashSeed/Ways and a
-// Rand repositioned to its captured draw count.
-func RestoreTable(st TableState, alloc phys.Source, cfg Config) *Table {
+// Rand repositioned to its captured draw count. It returns an error for
+// way geometry cuckoo.RestoreTable rejects.
+func RestoreTable(st TableState, alloc phys.Source, cfg Config) (*Table, error) {
 	t := &Table{size: st.Size, ways: st.Ways, alloc: alloc}
 	t.stats = Stats{
 		MaxContiguousAlloc: st.Stats.MaxContiguousAlloc,
@@ -104,8 +105,11 @@ func RestoreTable(st TableState, alloc phys.Source, cfg Config) *Table {
 			OnMove:         func() { t.stats.Moves++ },
 		},
 	}
-	t.tb = cuckoo.RestoreTable(ccfg, st.Cuckoo)
-	return t
+	var err error
+	if t.tb, err = cuckoo.RestoreTable(ccfg, st.Cuckoo); err != nil {
+		return nil, fmt.Errorf("size %v: %w", st.Size, err)
+	}
+	return t, nil
 }
 
 // PageTableState is the serializable form of a process's complete ECPT.
@@ -128,12 +132,16 @@ func (p *PageTable) State() PageTableState {
 
 // RestorePageTable rebuilds a process's ECPT from recorded state without
 // allocating; see RestoreTable for the cfg requirements. It returns an
-// error for a slab the tables cannot consistently reference (see
-// pt.Hashed.RestoreTables).
+// error for a table RestoreTable rejects or a slab the tables cannot
+// consistently reference (see pt.Hashed.RestoreTables).
 func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) (*PageTable, error) {
 	tables := make([]*Table, len(st.Tables))
 	for i, ts := range st.Tables {
-		tables[i] = RestoreTable(ts, alloc, cfg)
+		t, err := RestoreTable(ts, alloc, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ecpt: %w", err)
+		}
+		tables[i] = t
 	}
 	p := newPageTable(alloc, cfg)
 	if err := p.RestoreTables(st.Slab, tables); err != nil {

@@ -204,7 +204,8 @@ func TestMultiTenantGoldenFingerprints(t *testing.T) {
 
 // TestSingleProcessGoldenFingerprints pins the SHA-256 of the single-process
 // experiments under experiments.TestOptions (Figure 9 at 30 000 timed
-// accesses, the virtualization study at 256 pages): their rendered text
+// accesses, the virtualization study at 256 pages, the Section IX Level
+// Hashing comparison and the ME-HPT ablation rows): their rendered text
 // followed by the JSON of their rows, which carries every float at full
 // precision where the text rounds. These drivers run sim.Machine over all
 // three page-table organizations, and Figure 13 and the virtualization study
@@ -237,6 +238,12 @@ func TestSingleProcessGoldenFingerprints(t *testing.T) {
 		{"Virtualization", func(t *testing.T) string {
 			return goldenText(t, experiments.Virtualization(o, 256), experiments.FprintVirtualization)
 		}, "b6418058c35d39bf0512ceed1e42602f571ebb371499fe65e5ed5923e46da88d"},
+		{"SectionIX", func(t *testing.T) string {
+			return goldenText(t, experiments.SectionIX(o), experiments.FprintSectionIX)
+		}, "f4adbd63a519a4e20d7080d11ffd7dc8e9126cd49e264e09bcd5e4b21ce27975"},
+		{"Ablation", func(t *testing.T) string {
+			return goldenText(t, experiments.Ablation(o), experiments.FprintAblation)
+		}, "8711a612155c98870b45caf3579a3a0093bc24b2fdf936d5f139fee451fbc68b"},
 	}
 	for _, g := range golden {
 		text := g.render(t)

@@ -119,10 +119,14 @@ func (t *Table) State() TableState {
 
 // restoreTable rebuilds one per-page-size table from recorded state. No
 // physical allocation happens: the chunk stores are reattached to frames
-// the restored allocator already shows as owned.
-func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) *Table {
+// the restored allocator already shows as owned. It returns an error for
+// state checkWays rejects.
+func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) (*Table, error) {
 	if cfg.Rand == nil {
 		panic("mehpt: restore requires an explicitly positioned Config.Rand")
+	}
+	if err := checkWays(st, cfg.Ways); err != nil {
+		return nil, fmt.Errorf("size %v: %w", st.Size, err)
 	}
 	t := &Table{
 		cfg:   cfg,
@@ -154,7 +158,34 @@ func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) 
 		}
 		t.ways[i] = w
 	}
-	return t
+	return t, nil
+}
+
+// checkWays rejects a table state whose ways do not match the config's way
+// count, or whose slot arrays disagree with their recorded sizes: outside a
+// resize a way holds Size slots, a power of two; during one it holds the
+// larger of Size and NewSize, with the rehash pointer inside the old Size.
+func checkWays(st TableState, ways int) error {
+	if len(st.Ways) != ways || len(st.Stats.UpsizesPerWay) != ways {
+		return fmt.Errorf("%d ways and %d upsize counters, config has %d ways",
+			len(st.Ways), len(st.Stats.UpsizesPerWay), ways)
+	}
+	pow2 := func(n uint64) bool { return n != 0 && n&(n-1) == 0 }
+	for i, w := range st.Ways {
+		slots := w.Size
+		if w.Resizing {
+			if !pow2(w.NewSize) || w.NewSize == w.Size || w.Up != (w.NewSize > w.Size) || w.Ptr > w.Size {
+				return fmt.Errorf("way %d: resize %d -> %d (up %v) at pointer %d is inconsistent",
+					i, w.Size, w.NewSize, w.Up, w.Ptr)
+			}
+			slots = max(w.Size, w.NewSize)
+		}
+		if w.Idx != i || !pow2(w.Size) || uint64(len(w.Slots)) != slots {
+			return fmt.Errorf("way %d: index %d, size %d and %d slots are inconsistent",
+				i, w.Idx, w.Size, len(w.Slots))
+		}
+	}
+	return nil
 }
 
 // PageTableState is the serializable form of a process's complete ME-HPT.
@@ -183,14 +214,19 @@ func (p *PageTable) State() PageTableState {
 // already-restored allocator, without allocating. cfg must carry the same
 // HashSeed/Ways as the captured table and a Rand repositioned to its
 // captured draw count (all per-size tables of one page table share it,
-// exactly as under NewPageTable). It returns an error for a slab the
-// tables cannot consistently reference (see pt.Hashed.RestoreTables).
+// exactly as under NewPageTable). It returns an error for way geometry
+// the tables cannot run on (see checkWays) or a slab they cannot
+// consistently reference (see pt.Hashed.RestoreTables).
 func RestorePageTable(alloc phys.Source, cfg Config, st PageTableState) (*PageTable, error) {
 	p := newPageTable(alloc, cfg)
 	p.l2pTbl.Restore(st.L2P)
 	tables := make([]*Table, len(st.Tables))
 	for i, ts := range st.Tables {
-		tables[i] = restoreTable(ts, alloc, p.l2pTbl, cfg)
+		t, err := restoreTable(ts, alloc, p.l2pTbl, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("mehpt: %w", err)
+		}
+		tables[i] = t
 	}
 	if err := p.RestoreTables(st.Slab, tables); err != nil {
 		return nil, fmt.Errorf("mehpt: %w", err)

@@ -12,8 +12,9 @@ import (
 )
 
 // TestRestorePageTableRejectsBadSlab: a checkpointed slab its tables
-// cannot consistently reference restores with an error instead of
-// panicking later in the run or sharing one cluster between two keys.
+// cannot consistently reference, or way geometry the tables cannot run on,
+// restores with an error instead of panicking later in the run, sharing
+// one cluster between two keys, or running on to a different fingerprint.
 func TestRestorePageTableRejectsBadSlab(t *testing.T) {
 	p, mem := newPT(t, 1*addr.GB)
 	for i := addr.VPN(0); i < 200; i++ {
@@ -74,6 +75,23 @@ func TestRestorePageTableRejectsBadSlab(t *testing.T) {
 			a, b := stored(st)
 			b.Val = a.Val
 		},
+		// Way geometry the table would index out of range with, or run
+		// on to a different fingerprint.
+		"two of three ways": func(st *PageTableState) { st.Tables[0].Ways = st.Tables[0].Ways[:2] },
+		"way slots halved":  func(st *PageTableState) { w := &st.Tables[0].Ways[0]; w.Slots = w.Slots[:len(w.Slots)/2] },
+		"way size doubled":  func(st *PageTableState) { st.Tables[0].Ways[0].Size *= 2 },
+		"way index":         func(st *PageTableState) { st.Tables[0].Ways[1].Idx = 0 },
+		"upsize counters":   func(st *PageTableState) { st.Tables[0].Stats.UpsizesPerWay = nil },
+		"resize past size": func(st *PageTableState) {
+			w := &st.Tables[0].Ways[0]
+			w.Resizing, w.NewSize = true, w.Size/2
+			w.Ptr = w.Size + 1
+		},
+		"resize direction": func(st *PageTableState) {
+			w := &st.Tables[0].Ways[0]
+			w.Resizing, w.Up, w.NewSize = true, true, w.Size/2
+		},
+		"resize size not 2^": func(st *PageTableState) { w := &st.Tables[0].Ways[0]; w.Resizing, w.NewSize = true, w.Size-1 },
 	} {
 		bad := p.State()
 		mut(&bad)

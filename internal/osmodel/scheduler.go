@@ -1,7 +1,6 @@
 package osmodel
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/snapshot"
@@ -51,16 +50,6 @@ type Proc struct {
 	TLBs *tlb.Hierarchy // may be nil (population-only experiments)
 }
 
-// Scheduler switches a single simulated hart between processes, charging
-// the ME-HPT L2P save/restore costs the paper analyzes in Section V-C.
-type Scheduler struct {
-	costs SwitchCosts
-	procs []*Proc
-	cur   int
-
-	stats SchedulerStats
-}
-
 // SchedulerStats aggregates switch activity.
 type SchedulerStats struct {
 	Switches       uint64
@@ -69,81 +58,10 @@ type SchedulerStats struct {
 	L2PCyclesTotal uint64
 }
 
-// NewScheduler creates a scheduler over the given processes; procs[0] runs
-// first.
-func NewScheduler(costs SwitchCosts, procs ...*Proc) *Scheduler {
-	if len(procs) == 0 {
-		panic("osmodel: scheduler needs at least one process")
-	}
-	return &Scheduler{costs: costs, procs: procs}
-}
-
-// Current returns the running process.
-func (s *Scheduler) Current() *Proc { return s.procs[s.cur] }
-
-// Stats returns switch counters.
-func (s *Scheduler) Stats() SchedulerStats { return s.stats }
-
-// Switch makes process idx the running one and returns the switch cost in
-// cycles. Switching to the current process is free (no-op).
-func (s *Scheduler) Switch(idx int) (uint64, error) {
-	if idx < 0 || idx >= len(s.procs) {
-		return 0, fmt.Errorf("osmodel: no process %d", idx)
-	}
-	if idx == s.cur {
-		return 0, nil
-	}
-	out, in := s.procs[s.cur], s.procs[idx]
-	cycles := s.costs.Base
-
-	// Save the outgoing process's L2P entries and restore the incoming
-	// one's (Section V-C): both transfers touch only valid entries.
-	entries := 0
-	if c, ok := out.PT.(L2PCarrier); ok {
-		entries += c.L2PSaveRestoreEntries()
-	}
-	if c, ok := in.PT.(L2PCarrier); ok {
-		entries += c.L2PSaveRestoreEntries()
-	}
-	l2pCycles := uint64(entries) * s.costs.PerL2PEntry
-	cycles += l2pCycles
-	s.stats.L2PEntriesSum += uint64(entries)
-	s.stats.L2PCyclesTotal += l2pCycles
-
-	if s.costs.FlushTLBs && out.TLBs != nil {
-		out.TLBs.Flush()
-	}
-
-	s.cur = idx
-	s.stats.Switches++
-	s.stats.SwitchCycles += cycles
-	return cycles, nil
-}
-
-// RoundRobin performs n switches cycling through all processes and returns
-// the total cycles spent switching.
-func (s *Scheduler) RoundRobin(n int) uint64 {
-	var total uint64
-	for i := 0; i < n; i++ {
-		next := (s.cur + 1) % len(s.procs)
-		c, _ := s.Switch(next) //mehpt:allow errwrap -- modulo index is always valid
-		total += c
-	}
-	return total
-}
-
-// AvgL2PEntries returns the average L2P entries transferred per switch —
-// the paper reports ~53 used entries per application (Figure 14), making
-// the transfer a few hundred cycles.
-func (s *Scheduler) AvgL2PEntries() float64 {
-	if s.stats.Switches == 0 {
-		return 0
-	}
-	return float64(s.stats.L2PEntriesSum) / float64(s.stats.Switches)
-}
-
-// MultiCore schedules P processes over C simulated cores for the
-// multi-tenant mode. It is the single-hart Scheduler grown along two axes:
+// MultiCore schedules P processes over C simulated cores, charging the
+// ME-HPT L2P save/restore costs the paper analyzes in Section V-C on every
+// context switch. With one core it is a single hart switching between
+// processes. Two rules keep its schedule deterministic at any core count:
 //
 //   - Placement: process pid is pinned to core pid mod C. Pinning is a pure
 //     function of identity, so where a process runs never depends on what
@@ -271,12 +189,4 @@ func (m *MultiCore) Visit(pid int) (core int, cycles uint64, switched bool) {
 	m.stats.L2PEntriesSum += uint64(entries)
 	m.stats.L2PCyclesTotal += l2pCycles
 	return core, cycles, true
-}
-
-// AvgL2PEntries returns the average L2P entries transferred per switch.
-func (m *MultiCore) AvgL2PEntries() float64 {
-	if m.stats.Switches == 0 {
-		return 0
-	}
-	return float64(m.stats.L2PEntriesSum) / float64(m.stats.Switches)
 }

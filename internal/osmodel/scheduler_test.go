@@ -27,20 +27,29 @@ func newProc(t *testing.T, id int, pages int) (*Proc, *mehpt.PageTable) {
 	return &Proc{ID: id, PT: pt, TLBs: tlb.NewTableIII()}, pt
 }
 
+// hart builds a one-core scheduler over procs with procs[0] already bound,
+// the single-hart starting point: the next visit to another process is a
+// context switch.
+func hart(costs SwitchCosts, procs ...*Proc) *MultiCore {
+	s := NewMultiCore(costs, 1, 1, procs...)
+	s.Visit(0)
+	return s
+}
+
 func TestSwitchChargesL2PEntries(t *testing.T) {
 	pa, pta := newProc(t, 1, 10_000)
 	pb, ptb := newProc(t, 2, 100)
-	s := NewScheduler(DefaultSwitchCosts(), pa, pb)
-	cycles, err := s.Switch(1)
-	if err != nil {
-		t.Fatal(err)
+	s := hart(DefaultSwitchCosts(), pa, pb)
+	_, cycles, switched := s.Visit(1)
+	if !switched {
+		t.Fatal("visit to another process did not switch")
 	}
 	wantEntries := pta.L2PSaveRestoreEntries() + ptb.L2PSaveRestoreEntries()
 	want := DefaultSwitchCosts().Base + uint64(wantEntries)*DefaultSwitchCosts().PerL2PEntry
 	if cycles != want {
 		t.Errorf("switch cycles = %d, want %d (%d L2P entries)", cycles, want, wantEntries)
 	}
-	if s.Current() != pb {
+	if s.Incumbent(0) != 1 {
 		t.Error("current process not switched")
 	}
 }
@@ -48,11 +57,11 @@ func TestSwitchChargesL2PEntries(t *testing.T) {
 func TestSwitchToSelfIsFree(t *testing.T) {
 	pa, _ := newProc(t, 1, 100)
 	pb, _ := newProc(t, 2, 100)
-	s := NewScheduler(DefaultSwitchCosts(), pa, pb)
-	if c, _ := s.Switch(0); c != 0 {
+	s := hart(DefaultSwitchCosts(), pa, pb)
+	if _, c, _ := s.Visit(0); c != 0 {
 		t.Errorf("self-switch cost = %d", c)
 	}
-	if s.Stats().Switches != 0 {
+	if s.Stats().Switches != 1 {
 		t.Error("self-switch counted")
 	}
 }
@@ -61,9 +70,9 @@ func TestSwitchFlushesTLBs(t *testing.T) {
 	pa, _ := newProc(t, 1, 100)
 	pb, _ := newProc(t, 2, 100)
 	va := addr.VirtAddr(0x1000)
+	s := hart(DefaultSwitchCosts(), pa, pb)
 	pa.TLBs.Insert(va, addr.Page4K, 1)
-	s := NewScheduler(DefaultSwitchCosts(), pa, pb)
-	s.Switch(1)
+	s.Visit(1)
 	if r, _, _ := pa.TLBs.Lookup(va, addr.Page4K); r != tlb.MissAll {
 		t.Error("outgoing process's TLBs not flushed")
 	}
@@ -73,11 +82,11 @@ func TestNoFlushWhenDisabled(t *testing.T) {
 	pa, _ := newProc(t, 1, 100)
 	pb, _ := newProc(t, 2, 100)
 	va := addr.VirtAddr(0x1000)
-	pa.TLBs.Insert(va, addr.Page4K, 1)
 	costs := DefaultSwitchCosts()
 	costs.FlushTLBs = false // ASID-tagged TLBs
-	s := NewScheduler(costs, pa, pb)
-	s.Switch(1)
+	s := hart(costs, pa, pb)
+	pa.TLBs.Insert(va, addr.Page4K, 1)
+	s.Visit(1)
 	if r, _, _ := pa.TLBs.Lookup(va, addr.Page4K); r == tlb.MissAll {
 		t.Error("TLBs flushed despite ASIDs")
 	}
@@ -90,29 +99,37 @@ func TestRadixCarriesNoL2P(t *testing.T) {
 	alloc := phys.NewAllocator(mem, 0)
 	rp1, _ := radix.NewPageTable(alloc)
 	rp2, _ := radix.NewPageTable(alloc)
-	s := NewScheduler(DefaultSwitchCosts(),
+	s := hart(DefaultSwitchCosts(),
 		&Proc{ID: 1, PT: &radixMapper{rp1}},
 		&Proc{ID: 2, PT: &radixMapper{rp2}})
-	cycles, _ := s.Switch(1)
+	_, cycles, _ := s.Visit(1)
 	if cycles != DefaultSwitchCosts().Base {
 		t.Errorf("radix switch = %d, want base %d", cycles, DefaultSwitchCosts().Base)
 	}
 }
 
+// TestRoundRobin: cycling one core through three processes switches on
+// every visit after the first, and the L2P transfer stays a small share of
+// the switch cost.
 func TestRoundRobin(t *testing.T) {
 	pa, _ := newProc(t, 1, 1000)
 	pb, _ := newProc(t, 2, 1000)
 	pc, _ := newProc(t, 3, 1000)
-	s := NewScheduler(DefaultSwitchCosts(), pa, pb, pc)
-	total := s.RoundRobin(30)
+	s := hart(DefaultSwitchCosts(), pa, pb, pc)
+	first := s.Stats()
+	var total uint64
+	for i := 1; i <= 30; i++ {
+		_, c, _ := s.Visit(i % 3)
+		total += c
+	}
 	st := s.Stats()
-	if st.Switches != 30 {
-		t.Errorf("switches = %d", st.Switches)
+	if n := st.Switches - first.Switches; n != 30 {
+		t.Errorf("switches = %d", n)
 	}
-	if total != st.SwitchCycles {
-		t.Errorf("RoundRobin total %d != stats %d", total, st.SwitchCycles)
+	if got := st.SwitchCycles - first.SwitchCycles; total != got {
+		t.Errorf("summed visit cycles %d != stats %d", total, got)
 	}
-	if s.AvgL2PEntries() <= 0 {
+	if st.L2PEntriesSum == first.L2PEntriesSum {
 		t.Error("no L2P entries transferred")
 	}
 	// Section V-C: the L2P component is a small share of the switch.
@@ -122,11 +139,32 @@ func TestRoundRobin(t *testing.T) {
 	}
 }
 
+// TestSwitchErrors: a scheduler position that would switch to a process
+// that does not exist is rejected at restore instead of panicking on the
+// next visit.
 func TestSwitchErrors(t *testing.T) {
 	pa, _ := newProc(t, 1, 10)
-	s := NewScheduler(DefaultSwitchCosts(), pa)
-	if _, err := s.Switch(5); err == nil {
-		t.Error("switch to missing process succeeded")
+	pb, _ := newProc(t, 2, 10)
+	s := hart(DefaultSwitchCosts(), pa, pb)
+	s.NextRound()
+	good := s.State()
+	if _, err := RestoreMultiCore(DefaultSwitchCosts(), 1, good, pa, pb); err != nil {
+		t.Fatalf("intact state: %v", err)
+	}
+	for name, mut := range map[string]func(*MultiCoreState){
+		"incumbent range": func(st *MultiCoreState) { st.Incumbent[0] = 5 },
+		"incumbent below": func(st *MultiCoreState) { st.Incumbent[0] = -2 },
+		"incumbents":      func(st *MultiCoreState) { st.Incumbent = append(st.Incumbent, 0) },
+		"perm range":      func(st *MultiCoreState) { st.Perm[0] = 5 },
+		"perm negative":   func(st *MultiCoreState) { st.Perm[0] = -1 },
+		"perm duplicate":  func(st *MultiCoreState) { st.Perm[0] = st.Perm[1] },
+		"perm length":     func(st *MultiCoreState) { st.Perm = st.Perm[1:] },
+	} {
+		st := s.State()
+		mut(&st)
+		if _, err := RestoreMultiCore(DefaultSwitchCosts(), 1, st, pa, pb); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
 	}
 }
 
@@ -262,8 +300,9 @@ func TestMultiCoreEnoughCores(t *testing.T) {
 	}
 }
 
-// TestMultiCoreVisitFlushesDisplacedTLBs mirrors TestSwitchFlushesTLBs for
-// the multi-core path.
+// TestMultiCoreVisitFlushesDisplacedTLBs: the first visit to a core
+// displaces nothing, and a later displacement flushes the outgoing
+// process's TLBs.
 func TestMultiCoreVisitFlushesDisplacedTLBs(t *testing.T) {
 	ps := newMultiProcs(t, 2, 100)
 	va := addr.VirtAddr(0x1000)

@@ -1,6 +1,7 @@
 package osmodel
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/snapshot"
@@ -36,8 +37,25 @@ func (m *MultiCore) State() MultiCoreState {
 // RestoreMultiCore rebuilds a scheduler at the recorded position. costs,
 // cores, and procs must match the captured run (they are construction
 // parameters, not state); the permutation generator is replayed to its
-// recorded draw count.
-func RestoreMultiCore(costs SwitchCosts, cores int, st MultiCoreState, procs ...*Proc) *MultiCore {
+// recorded draw count. It returns an error for state the scheduler would
+// index the process list out of range with: one incumbent per core, each a
+// pid or -1, and an order that is a permutation of the pids.
+func RestoreMultiCore(costs SwitchCosts, cores int, st MultiCoreState, procs ...*Proc) (*MultiCore, error) {
+	ok := len(st.Incumbent) == cores && len(st.Perm) == len(procs)
+	for _, pid := range st.Incumbent {
+		ok = ok && pid >= -1 && pid < len(procs)
+	}
+	seen := make([]bool, len(procs))
+	for _, pid := range st.Perm {
+		ok = ok && pid >= 0 && pid < len(procs) && !seen[pid]
+		if ok {
+			seen[pid] = true
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("osmodel: incumbents %v and order %v do not fit %d cores and %d pids",
+			st.Incumbent, st.Perm, cores, len(procs))
+	}
 	src := snapshot.RestoreSource(st.RNG)
 	m := &MultiCore{
 		costs:     costs,
@@ -50,5 +68,5 @@ func RestoreMultiCore(costs SwitchCosts, cores int, st MultiCoreState, procs ...
 		rounds:    st.Rounds,
 		stats:     st.Stats,
 	}
-	return m
+	return m, nil
 }

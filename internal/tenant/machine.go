@@ -298,18 +298,10 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("%w: snapshot is org=%s procs=%d seed=%d, config wants org=%s procs=%d seed=%d",
 			ErrMismatch, st.Org, st.Processes, st.Seed, cfg.Org, cfg.Processes, cfg.Seed)
 	}
-	if len(st.Sched.Incumbent) != cfg.Cores {
-		return nil, fmt.Errorf("%w: snapshot has %d cores, config wants %d",
-			ErrMismatch, len(st.Sched.Incumbent), cfg.Cores)
-	}
 	if len(st.Procs) != cfg.Processes || len(st.ShardStats) != cfg.Cores {
 		return nil, fmt.Errorf("%w: snapshot carries %d proc and %d shard records for %d/%d",
 			ErrMismatch, len(st.Procs), len(st.ShardStats), cfg.Processes, cfg.Cores)
 	}
-	if err := checkSched(st.Sched, cfg.Processes); err != nil {
-		return nil, err
-	}
-
 	pool, err := phys.RestoreStriped(st.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
@@ -331,13 +323,20 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 	sharedSeed := runner.DeriveSubSeed(cfg.Seed, "shared", 0)
 	tableSrc := snapshot.RestoreSource(st.SharedTableRNG)
 	remapSrc := snapshot.RestoreSource(st.SharedRemapRNG)
+	table, err := cuckoo.RestoreConcurrent(sharedCuckooConfig(sharedSeed, rand.New(tableSrc)), st.SharedTable)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shared segment: %v", ErrMismatch, err)
+	}
 	shared := &sharedRegion{
-		table:    cuckoo.RestoreConcurrent(sharedCuckooConfig(sharedSeed, rand.New(tableSrc)), st.SharedTable),
+		table:    table,
 		view:     pool.View(^uint64(0)),
 		pages:    cfg.SharedPages,
 		rng:      rand.New(remapSrc),
 		tableSrc: tableSrc,
 		remapSrc: remapSrc,
+	}
+	if err := shared.check(); err != nil {
+		return nil, err
 	}
 
 	m := &Machine{
@@ -361,30 +360,30 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 	for i, sh := range m.shards {
 		sh.mmu.RestoreStats(st.ShardStats[i])
 	}
-	m.sched = osmodel.RestoreMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores, st.Sched, schedProcs...)
+	m.sched, err = osmodel.RestoreMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores, st.Sched, schedProcs...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
+	}
 	return m, nil
 }
 
-// checkSched rejects scheduler state that MultiCore would index the
-// process list out of range with: Perm must be a permutation of
-// 0..procs-1, and each Incumbent a pid or -1.
-func checkSched(st osmodel.MultiCoreState, procs int) error {
-	perm := len(st.Perm) == procs
-	seen := make([]bool, procs)
-	for _, pid := range st.Perm {
-		if pid < 0 || pid >= procs || seen[pid] {
-			perm = false
-			break
+// check rejects a restored shared table that does not map exactly the
+// segment's pages: every shared access and remap looks its page up and
+// panics on a miss. Range leaves the fingerprinted lookup counters alone.
+func (s *sharedRegion) check() error {
+	seen := make([]bool, s.pages)
+	var pages, entries uint64
+	s.table.Range(func(key, _ uint64) bool {
+		entries++
+		if page := key - s.vpn(0); key >= s.vpn(0) && page < s.pages && !seen[page] {
+			seen[page] = true
+			pages++
 		}
-		seen[pid] = true
-	}
-	if !perm {
-		return fmt.Errorf("%w: scheduler order %v is not a permutation of %d pids", ErrMismatch, st.Perm, procs)
-	}
-	for c, pid := range st.Incumbent {
-		if pid < -1 || pid >= procs {
-			return fmt.Errorf("%w: core %d incumbent %d is not one of %d pids", ErrMismatch, c, pid, procs)
-		}
+		return true
+	})
+	if pages != s.pages || entries != s.pages || s.table.Len() != s.pages {
+		return fmt.Errorf("%w: shared table maps %d of %d segment pages in %d entries (counted %d)",
+			ErrMismatch, pages, s.pages, entries, s.table.Len())
 	}
 	return nil
 }

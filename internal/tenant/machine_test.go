@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cuckoo"
 	"repro/internal/phys"
 	"repro/internal/pt"
 	"repro/internal/sim"
@@ -160,6 +161,16 @@ func TestRestoreMismatch(t *testing.T) {
 	// wrong free frames.
 	stripe := func(st *MachineState) *phys.MemoryState { return &st.Pool.Stripes[0] }
 	slab := func(st *MachineState) *pt.SlabState { return &st.Procs[0].ECPT.Slab }
+	shared := func(st *MachineState) *cuckoo.TableState { return &st.SharedTable.Table }
+	ecpt4K := func(st *MachineState) *cuckoo.TableState {
+		for i := range st.Procs[0].ECPT.Tables {
+			if ts := &st.Procs[0].ECPT.Tables[i]; ts.Size == addr.Page4K {
+				return &ts.Cuckoo
+			}
+		}
+		t.Fatal("proc 0 has no 4KB ECPT table")
+		return nil
+	}
 	for name, mut := range map[string]func(*MachineState){
 		"trace short":     func(st *MachineState) { st.Procs[0].Trace.N = st.Procs[0].Trace.Emitted + st.Procs[0].Left/2 },
 		"trace overrun":   func(st *MachineState) { st.Procs[0].Trace.Emitted = st.Procs[0].Trace.N + 1 },
@@ -192,6 +203,25 @@ func TestRestoreMismatch(t *testing.T) {
 			sl.Clusters = append(sl.Clusters, pt.Cluster{})
 			sl.Free = append(sl.Free, id, id)
 		},
+		// Hash-way geometry the tables would index out of range with, or
+		// silently run on to a different fingerprint, and a shared table
+		// that lost one of the segment's pages.
+		"shared ways":       func(st *MachineState) { shared(st).Cur = shared(st).Cur[:2] },
+		"shared rehash ptr": func(st *MachineState) { shared(st).RehashPtr = nil },
+		"shared way short":  func(st *MachineState) { w := &shared(st).Cur[0]; w.Slots = w.Slots[:len(w.Slots)-1] },
+		"shared next ways":  func(st *MachineState) { shared(st).Next = shared(st).Cur[:1] },
+		"shared key cleared": func(st *MachineState) {
+			for _, w := range shared(st).Cur {
+				for i := range w.Slots {
+					if w.Slots[i].Key != cuckoo.EmptyKey {
+						w.Slots[i].Key = cuckoo.EmptyKey
+						return
+					}
+				}
+			}
+		},
+		"ecpt ways":      func(st *MachineState) { ecpt4K(st).Cur = ecpt4K(st).Cur[:2] },
+		"ecpt way short": func(st *MachineState) { w := &ecpt4K(st).Cur[0]; w.Slots = w.Slots[:len(w.Slots)-1] },
 		"head past the end": func(st *MachineState) {
 			// The stripe's frame count is not a power of two, so the
 			// last MaxOrder-aligned block runs past it.

@@ -7,7 +7,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 
 	"repro/internal/addr"
 	"repro/internal/mehpt"
@@ -24,15 +26,21 @@ func main() {
 		scale    = flag.Uint64("scale", 64, "workload scale")
 	)
 	flag.Parse()
+	report(os.Stdout, *nprocs, *switches, *scale)
+}
 
+// report populates nprocs ME-HPTs at the given workload scale, then
+// round-robins one core across them for the given number of visits and
+// writes the per-process tables and the switch costs to w.
+func report(w io.Writer, nprocs, switches int, scale uint64) {
 	mem := phys.NewMemory(8 * addr.GB)
 	alloc := phys.NewAllocator(mem, 0.7)
 
 	apps := []string{"BFS", "GUPS", "MUMmer", "TC", "PR", "SysBench"}
 	var procs []*osmodel.Proc
-	fmt.Printf("%-4s %-9s %10s %12s %12s\n", "pid", "app", "pages", "PT memory", "L2P entries")
-	for i := 0; i < *nprocs; i++ {
-		spec, err := workload.ByName(apps[i%len(apps)], *scale)
+	fmt.Fprintf(w, "%-4s %-9s %10s %12s %12s\n", "pid", "app", "pages", "PT memory", "L2P entries")
+	for i := 0; i < nprocs; i++ {
+		spec, err := workload.ByName(apps[i%len(apps)], scale)
 		if err != nil {
 			panic(err)
 		}
@@ -54,7 +62,7 @@ func main() {
 			pages++
 			return true
 		})
-		fmt.Printf("%-4d %-9s %10d %12s %12d\n", i, spec.Name, pages,
+		fmt.Fprintf(w, "%-4d %-9s %10d %12s %12d\n", i, spec.Name, pages,
 			human(pt.FootprintBytes()), pt.L2PSaveRestoreEntries())
 		procs = append(procs, &osmodel.Proc{ID: i, PT: pt, TLBs: tlb.NewTableIII()})
 	}
@@ -64,19 +72,23 @@ func main() {
 	sched := osmodel.NewMultiCore(osmodel.DefaultSwitchCosts(), 1, 0, procs...)
 	sched.Visit(0)
 	first := sched.Stats()
-	for i := 1; i <= *switches; i++ {
+	for i := 1; i <= switches; i++ {
 		sched.Visit(i % len(procs))
 	}
 	st := sched.Stats()
 	n, total := st.Switches-first.Switches, st.SwitchCycles-first.SwitchCycles
 	l2p, entries := st.L2PCyclesTotal-first.L2PCyclesTotal, st.L2PEntriesSum-first.L2PEntriesSum
-	fmt.Printf("\n%d round-robin switches:\n", n)
-	fmt.Printf("  total switch cycles:      %d (%.0f per switch)\n",
+	fmt.Fprintf(w, "\n%d round-robin switches:\n", n)
+	if n == 0 {
+		fmt.Fprintln(w, "  no context switch happened: a lone process never leaves the core.")
+		return
+	}
+	fmt.Fprintf(w, "  total switch cycles:      %d (%.0f per switch)\n",
 		total, float64(total)/float64(n))
-	fmt.Printf("  L2P save/restore cycles:  %d (%.1f%% of switching, %.1f entries/switch)\n",
-		l2p, 100*float64(l2p)/float64(total), float64(entries)/float64(max(n, 1)))
-	fmt.Println("\nSection V-C's claim holds: the MMU-resident L2P state adds only a")
-	fmt.Println("few hundred cycles per switch, because only valid entries transfer.")
+	fmt.Fprintf(w, "  L2P save/restore cycles:  %d (%.1f%% of switching, %.1f entries/switch)\n",
+		l2p, 100*float64(l2p)/float64(total), float64(entries)/float64(n))
+	fmt.Fprintln(w, "\nSection V-C's claim holds: the MMU-resident L2P state adds only a")
+	fmt.Fprintln(w, "few hundred cycles per switch, because only valid entries transfer.")
 }
 
 func human(b uint64) string {

@@ -8,9 +8,8 @@ import (
 )
 
 // batchTestPAs builds a physical-address stream mixing L1-resident reuse,
-// an L2/L3-sized working set, and DRAM-wide strides, so every lane of the
-// batched pipeline (L1 hit, inline L2 probe, outer-level walk, DRAM fill)
-// is exercised.
+// an L2/L3-sized working set, and DRAM-wide strides, so accesses hit at
+// every level and at DRAM.
 func batchTestPAs(seed int64, n int) []addr.PhysAddr {
 	rng := rand.New(rand.NewSource(seed))
 	pas := make([]addr.PhysAddr, n)
@@ -27,13 +26,14 @@ func batchTestPAs(seed int64, n int) []addr.PhysAddr {
 	return pas
 }
 
-// TestAccessBatchMatchesScalar is the batched data path's differential twin:
-// AccessBatch over arbitrary (including zero, single, and non-multiple-of-
-// chunk) segment lengths must produce the same latencies, hit/miss counters,
-// and DRAM count as sequential Access calls on an identical hierarchy.
+// TestAccessBatchMatchesScalar drives AccessBatch over arbitrary
+// (including zero, single, and non-multiple-of-chunk) segment lengths on
+// the Table III hierarchy and checks every latency, every level's
+// counters, the DRAM count and the State snapshot against refHierarchy,
+// the copy-shift reference model.
 func TestAccessBatchMatchesScalar(t *testing.T) {
-	scalar := NewHierarchy(TableIII())
-	batch := NewHierarchy(TableIII())
+	h := NewHierarchy(TableIII())
+	ref := newRefHierarchy(TableIII())
 	pas := batchTestPAs(3, 6000)
 	segments := []int{0, 1, 5, 31, 64, 97, 200, 1}
 
@@ -45,38 +45,29 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 		if k > len(pas)-pos {
 			k = len(pas) - pos
 		}
-		batch.AccessBatch(pas[pos:pos+k], lats[pos:pos+k])
+		h.AccessBatch(pas[pos:pos+k], lats[pos:pos+k])
 		pos += k
 	}
 	for i, pa := range pas {
-		want := scalar.Access(pa)
-		if lats[i] != want {
-			t.Fatalf("access %d (pa %#x): batch latency %d, scalar %d", i, pa, lats[i], want)
+		if want := ref.access(pa); lats[i] != want {
+			t.Fatalf("access %d (pa %#x): batch latency %d, reference %d", i, pa, lats[i], want)
 		}
 	}
-	for lvl := 0; lvl < 3; lvl++ {
-		bs, ss := batch.Level(lvl).Stats(), scalar.Level(lvl).Stats()
-		if bs != ss {
-			t.Errorf("L%d stats diverge: batch %+v, scalar %+v", lvl+1, bs, ss)
-		}
-	}
-	if batch.DRAMAccesses() != scalar.DRAMAccesses() {
-		t.Errorf("DRAM accesses: batch %d, scalar %d", batch.DRAMAccesses(), scalar.DRAMAccesses())
-	}
+	checkRef(t, len(pas), h, ref)
 	// The warmed states must stay aligned, not just the counters: replaying
 	// the stream once more must agree element-wise again.
 	for _, pa := range pas[:500] {
 		var one [1]uint64
-		batch.AccessBatch([]addr.PhysAddr{pa}, one[:])
-		if want := scalar.Access(pa); one[0] != want {
-			t.Fatalf("post-warm access (pa %#x): batch %d, scalar %d", pa, one[0], want)
+		h.AccessBatch([]addr.PhysAddr{pa}, one[:])
+		if want := ref.access(pa); one[0] != want {
+			t.Fatalf("post-warm access (pa %#x): batch %d, reference %d", pa, one[0], want)
 		}
 	}
+	checkRef(t, len(pas)+500, h, ref)
 }
 
-// TestAccessBatchAllocFree guards the batched data path: the chunk scratch
-// is stack-sized and the stats flush is scalar, so a full-width batch must
-// not allocate.
+// TestAccessBatchAllocFree guards the batched data path: a full-width
+// batch must not allocate.
 func TestAccessBatchAllocFree(t *testing.T) {
 	h := NewHierarchy(TableIII())
 	pas := batchTestPAs(9, 64)

@@ -23,12 +23,14 @@ type Stats struct {
 
 // Cache is one set-associative LRU cache level.
 //
-// Tags live in a single flat set-major array (sets × ways), MRU first
-// within each set, 0 marking an empty slot (tags are stored as line+1).
-// Empty slots are always a suffix of their set — fills push at the front —
-// so probes stop at the first zero. The flat layout replaces the per-set
-// []uint64 slices whose append-growth was the second-largest allocation
-// source on the simulator's hot path.
+// Tags live in a single flat set-major array (sets × ways), 0 marking an
+// empty slot (tags are stored as line+1). Each set is a ring in LRU order:
+// heads[set] names its MRU slot and recency runs forward from there,
+// wrapping at the set's end, and empty slots are always a suffix of that
+// order. A fill steps the head back one slot and writes there — onto the
+// LRU victim when the set is full, else onto an empty slot — so a miss
+// costs one probe and one store; a hit shifts only the slots between the
+// head and the hit.
 type Cache struct {
 	cfg      Config
 	sets     uint64
@@ -36,6 +38,7 @@ type Cache struct {
 	lineBits uint
 	ways     int
 	tags     []uint64 // sets × ways, set-major; 0 = empty
+	heads    []uint32 // MRU slot of each set
 	stats    Stats
 }
 
@@ -43,16 +46,23 @@ type Cache struct {
 // count need not be a power of two (Table III's 12-way L2 TLB layout made
 // that a requirement elsewhere too).
 func New(cfg Config) *Cache {
+	c := newLevel(cfg)
+	c.heads = make([]uint32, c.sets)
+	return &c
+}
+
+// newLevel is New without the heads, which NewHierarchy allocates once for
+// all three levels.
+func newLevel(cfg Config) Cache {
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / uint64(cfg.Ways)
 	if sets == 0 {
 		sets = 1
 	}
-	c := &Cache{cfg: cfg, sets: sets, ways: cfg.Ways}
+	c := Cache{cfg: cfg, sets: sets, ways: cfg.Ways}
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
 	}
-	c.lineBits = 0
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineBits++
 	}
@@ -60,89 +70,93 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// line returns the line number of pa.
-func (c *Cache) line(pa addr.PhysAddr) uint64 { return uint64(pa) >> c.lineBits }
-
-// set returns the tag slots of the set holding line ln. Table III's
+// setOf returns the index of the set holding line ln. Table III's
 // geometries are all power-of-two set counts, so the modulo reduces to the
 // precomputed mask on the hot path.
-func (c *Cache) set(ln uint64) []uint64 {
-	var si uint64
+func (c *Cache) setOf(ln uint64) uint64 {
 	if c.setMask != 0 || c.sets == 1 {
-		si = ln & c.setMask
-	} else {
-		si = ln % c.sets
+		return ln & c.setMask
 	}
-	base := si * uint64(c.ways)
-	return c.tags[base : base+uint64(c.ways)]
+	return ln % c.sets
 }
 
-// promote moves set[i] to the MRU front. The explicit backward shift
-// replaces copy(): promotion distances are tiny (usually one slot), where a
-// memmove call costs more than the move itself.
-//
-//go:inline
-func promote(set []uint64, i int) {
-	want := set[i]
-	for ; i > 0; i-- {
-		set[i] = set[i-1]
+// find returns the slot holding want in a ring set whose MRU slot is h, or
+// -1. Most hits land on the MRU slot; past it the scan runs in slot order,
+// so its loads do not wait on the head and a miss in a full set runs a
+// fixed trip count.
+func find(set []uint64, h int, want uint64) int {
+	if set[h] == want {
+		return h
 	}
-	set[0] = want
+	for p, tag := range set {
+		if tag == want {
+			return p
+		}
+	}
+	return -1
 }
 
-// fillFront inserts want at the MRU front of a set whose first n slots are
-// valid, dropping the LRU tail when full — the shared tail of Fill and the
-// batch pipeline's inline refill.
+// probe looks pa's line up, moving it to the MRU slot and counting the hit
+// or miss. It returns the line's tag and set, so a missed level is filled
+// without a second probe.
 //
-//go:inline
-func fillFront(set []uint64, want uint64, n int) {
-	if n == len(set) {
-		n-- // set full: shifting right drops the LRU tail
+//mehpt:hotpath
+func (c *Cache) probe(pa addr.PhysAddr) (want, si uint64, hit bool) {
+	ln := uint64(pa) >> c.lineBits
+	want, si = ln+1, c.setOf(ln)
+	w := uint64(c.ways)
+	set := c.tags[si*w : si*w+w]
+	h := int(c.heads[si])
+	p := find(set, h, want)
+	if p < 0 {
+		c.stats.Misses++
+		return want, si, false
 	}
-	for ; n > 0; n-- {
-		set[n] = set[n-1]
+	// Shift the entries between the head and the hit back one place.
+	for p != h {
+		q := p - 1
+		if q < 0 {
+			q = len(set) - 1
+		}
+		set[p] = set[q]
+		p = q
 	}
-	set[0] = want
+	set[h] = want
+	c.stats.Hits++
+	return want, si, true
+}
+
+// push makes want, which must be absent, the MRU entry of set si: the head
+// steps back one slot, onto the LRU victim when the set is full and onto
+// the last empty slot otherwise, so the empties stay a suffix.
+//
+//mehpt:hotpath
+func (c *Cache) push(si, want uint64) {
+	h := c.heads[si]
+	if h == 0 {
+		h = uint32(c.ways)
+	}
+	h--
+	c.heads[si] = h
+	c.tags[si*uint64(c.ways)+uint64(h)] = want
 }
 
 // Lookup probes the cache without filling, updating LRU on a hit.
 //
 //mehpt:hotpath
 func (c *Cache) Lookup(pa addr.PhysAddr) bool {
-	want := c.line(pa) + 1
-	set := c.set(want - 1)
-	for i, tag := range set {
-		if tag == 0 {
-			break // empties are a suffix: the rest of the set is empty
-		}
-		if tag == want {
-			promote(set, i)
-			c.stats.Hits++
-			return true
-		}
-	}
-	c.stats.Misses++
-	return false
+	_, _, hit := c.probe(pa)
+	return hit
 }
 
-// Fill inserts pa's line, evicting the LRU victim if the set is full.
+// Fill inserts pa's line, evicting the LRU victim if the set is full. The
+// line must be absent, as after a Lookup that missed.
 //
 //mehpt:hotpath
 func (c *Cache) Fill(pa addr.PhysAddr) {
-	want := c.line(pa) + 1
-	set := c.set(want - 1)
-	n := len(set)
-	for i, tag := range set {
-		if tag == 0 {
-			n = i
-			break
-		}
-	}
-	fillFront(set, want, n)
+	ln := uint64(pa) >> c.lineBits
+	c.push(c.setOf(ln), ln+1)
 }
-
-// Latency returns the hit round-trip latency.
-func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 
 // Stats returns the hit/miss counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -175,166 +189,57 @@ func TableIII() HierarchyConfig {
 	}
 }
 
-// NewHierarchy builds the stack.
+// NewHierarchy builds the stack. One heads allocation serves all three
+// levels, so the rings cost no allocation beyond the tag arrays.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return &Hierarchy{
-		levels:      [3]Cache{*New(cfg.L1), *New(cfg.L2), *New(cfg.L3)},
+	h := &Hierarchy{
+		levels:      [3]Cache{newLevel(cfg.L1), newLevel(cfg.L2), newLevel(cfg.L3)},
 		dramLatency: cfg.DRAMLatency,
 	}
+	heads := make([]uint32, h.levels[0].sets+h.levels[1].sets+h.levels[2].sets)
+	for i := range h.levels {
+		c := &h.levels[i]
+		c.heads, heads = heads[:c.sets:c.sets], heads[c.sets:]
+	}
+	return h
 }
 
-// Access performs one memory access and returns its round-trip latency. On
-// a miss the line is filled into every level (inclusive hierarchy).
+// Access performs one memory access and returns its round-trip latency. It
+// probes each level once, outward until one hits (DRAM when none does), and
+// fills the line into every level that missed (inclusive hierarchy).
 //
 //mehpt:hotpath
 func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
-	if h.levels[0].Lookup(pa) {
-		return h.levels[0].Latency()
-	}
-	return h.accessFromL1Miss(pa)
-}
-
-// accessFromL1Miss finishes Access after the L1 probe has already missed
-// (and been counted): probe the outer levels, fill inward on a hit, go to
-// DRAM and fill everything on a full miss. Access and AccessBatch's slow
-// lane both funnel through this, which keeps them bit-identical.
-//
-//mehpt:hotpath
-func (h *Hierarchy) accessFromL1Miss(pa addr.PhysAddr) uint64 {
-	if h.levels[1].Lookup(pa) {
-		h.levels[0].Fill(pa)
-		return h.levels[1].Latency()
-	}
-	return h.accessFromL2Miss(pa)
-}
-
-// accessFromL2Miss finishes an access that missed both L1 and L2 (both
-// counted): probe L3, fill inward on a hit, go to DRAM and fill everything
-// on a full miss. accessFromL1Miss and AccessBatch's inline L2 lane both
-// funnel through this.
-//
-//mehpt:hotpath
-func (h *Hierarchy) accessFromL2Miss(pa addr.PhysAddr) uint64 {
-	for i := 2; i < len(h.levels); i++ {
-		if h.levels[i].Lookup(pa) {
-			for j := 0; j < i; j++ {
-				h.levels[j].Fill(pa)
-			}
-			return h.levels[i].Latency()
+	var wants, sets [3]uint64
+	lat := h.dramLatency
+	n := 0 // levels that missed
+	for ; n < len(h.levels); n++ {
+		c := &h.levels[n]
+		want, si, hit := c.probe(pa)
+		if hit {
+			lat = c.cfg.Latency
+			break
 		}
+		wants[n], sets[n] = want, si
 	}
-	for i := range h.levels {
-		h.levels[i].Fill(pa)
+	if n == len(h.levels) {
+		h.dramHits++
 	}
-	h.dramHits++
-	return h.dramLatency
+	for i := 0; i < n; i++ {
+		h.levels[i].push(sets[i], wants[i])
+	}
+	return lat
 }
 
 // AccessBatch performs one memory access per element of pas, writing each
-// access's round-trip latency into lats[i]. It is bit-identical — state,
-// stats, and latencies — to len(pas) sequential Access calls, but software-
-// pipelines the common case: L1 set indices for a whole chunk are computed
-// in a first pass so the tag loads overlap, then compared in a second pass.
-// Misses fall through to the same outer-level walk Access uses.
+// access's round-trip latency into lats[i], exactly as len(pas) sequential
+// Access calls.
 //
 //mehpt:hotpath
 func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
-	const chunk = 64 // matches tlb.BatchWidth; local so the scratch is stack-sized
-	l1 := &h.levels[0]
-	l2 := &h.levels[1]
-	ways := uint64(l1.ways)
-	w2 := uint64(l2.ways)
-	lat1, lat2 := l1.cfg.Latency, l2.cfg.Latency
-	// Hoist the tag arrays (and geometry) into locals: the compiler cannot
-	// prove the lats stores don't alias the tag slices, so field reloads
-	// would otherwise follow every store in the loop.
-	tags1, tags2 := l1.tags, l2.tags
-	mask1, sets1 := l1.setMask, l1.sets
-	mask2, sets2 := l2.setMask, l2.sets
-	bits1, bits2 := l1.lineBits, l2.lineBits
-	// Stats accumulate in registers and flush once per chunk: nothing
-	// observes the counters mid-batch, so the end state is bit-identical.
-	var hits1, miss1, hits2, miss2 uint64
-	for len(pas) > 0 {
-		n := len(pas)
-		if n > chunk {
-			n = chunk
-		}
-		var baseBuf [chunk]uint64
-		var wantBuf [chunk]uint64
-		for i, pa := range pas[:n] {
-			ln := uint64(pa) >> bits1
-			var si uint64
-			if mask1 != 0 || sets1 == 1 {
-				si = ln & mask1
-			} else {
-				si = ln % sets1
-			}
-			baseBuf[i] = si * ways
-			wantBuf[i] = ln + 1
-		}
-		for i, pa := range pas[:n] {
-			base, want := baseBuf[i], wantBuf[i]
-			set := tags1[base : base+ways]
-			hit := -1
-			nv := len(set) // valid-entry count, reused by the inline refill
-			for j, tag := range set {
-				if tag == 0 {
-					nv = j
-					break
-				}
-				if tag == want {
-					hit = j
-					break
-				}
-			}
-			if hit >= 0 {
-				promote(set, hit)
-				hits1++
-				lats[i] = lat1
-				continue
-			}
-			// Count the L1 miss exactly as Lookup would, then run the L2
-			// probe inline — the dominant miss case — with the same LRU and
-			// stats order as accessFromL1Miss. Deeper misses leave the fast
-			// path.
-			miss1++
-			ln2 := uint64(pa) >> bits2
-			var si2 uint64
-			if mask2 != 0 || sets2 == 1 {
-				si2 = ln2 & mask2
-			} else {
-				si2 = ln2 % sets2
-			}
-			set2 := tags2[si2*w2 : si2*w2+w2]
-			want2 := ln2 + 1
-			hit2 := -1
-			for j, tag := range set2 {
-				if tag == 0 {
-					break
-				}
-				if tag == want2 {
-					hit2 = j
-					break
-				}
-			}
-			if hit2 >= 0 {
-				promote(set2, hit2)
-				hits2++
-				fillFront(set, want, nv) // inclusive refill of L1, as Fill would
-				lats[i] = lat2
-				continue
-			}
-			miss2++
-			lats[i] = h.accessFromL2Miss(pa)
-		}
-		pas = pas[n:]
-		lats = lats[n:]
+	for i, pa := range pas {
+		lats[i] = h.Access(pa)
 	}
-	l1.stats.Hits += hits1
-	l1.stats.Misses += miss1
-	l2.stats.Hits += hits2
-	l2.stats.Misses += miss2
 }
 
 // AccessPT performs a page-walker memory access. Page-table lines are
@@ -351,27 +256,6 @@ func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 func (h *Hierarchy) AccessPT(pa addr.PhysAddr) uint64 {
 	_ = pa
 	h.dramHits++
-	return h.dramLatency
-}
-
-// Peek returns the latency pa would see right now without touching state —
-// used to price the parallel probes of a cuckoo walk, where only the
-// winning probe should update LRU state meaningfully.
-//
-//mehpt:hotpath
-func (h *Hierarchy) Peek(pa addr.PhysAddr) uint64 {
-	for i := range h.levels {
-		c := &h.levels[i]
-		want := c.line(pa) + 1
-		for _, tag := range c.set(want - 1) {
-			if tag == 0 {
-				break
-			}
-			if tag == want {
-				return c.Latency()
-			}
-		}
-	}
 	return h.dramLatency
 }
 

@@ -74,22 +74,6 @@ func TestHierarchyL2Hit(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotMutate(t *testing.T) {
-	h := NewHierarchy(TableIII())
-	pa := addr.PhysAddr(0x9000)
-	if got := h.Peek(pa); got != 200 {
-		t.Errorf("cold Peek = %d, want 200", got)
-	}
-	// Peek must not fill.
-	if got := h.Peek(pa); got != 200 {
-		t.Errorf("second Peek = %d, want 200 (no fill)", got)
-	}
-	h.Access(pa)
-	if got := h.Peek(pa); got != 2 {
-		t.Errorf("Peek after access = %d, want 2", got)
-	}
-}
-
 func TestStatsCount(t *testing.T) {
 	h := NewHierarchy(TableIII())
 	h.Access(0x1000)

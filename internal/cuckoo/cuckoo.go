@@ -240,21 +240,22 @@ func (t *Table) locate(i int, key uint64) (*way, uint64) {
 	return t.locateHash(i, t.fns[i].Hash(key))
 }
 
-// Probe returns, for way i, whether a lookup of key would probe the
-// resize-target table (inNext) and at which slot index — the information a
-// hardware walker derives from the rehash pointers, which the embedding
-// page table needs to compute probe addresses.
+// Slot locates one probe slot: index Idx of way Way, in the resize target
+// when InNext — the information a hardware walker derives from the rehash
+// pointers, which the embedding page table needs to compute probe
+// addresses.
+type Slot struct {
+	Way    int
+	InNext bool
+	Idx    uint64
+}
+
+// Probe returns the slot way i's lookup of key probes.
 //
 //mehpt:hotpath
-func (t *Table) Probe(i int, key uint64) (inNext bool, idx uint64) {
-	h := t.fns[i].Hash(key)
-	w := t.cur[i]
-	oldIdx := h & (w.size() - 1)
-	if t.next != nil && oldIdx < t.rehashPtr[i] {
-		nw := t.next[i]
-		return true, h & (nw.size() - 1)
-	}
-	return false, oldIdx
+func (t *Table) Probe(i int, key uint64) Slot {
+	w, idx := t.locate(i, key)
+	return Slot{Way: i, InNext: w != t.cur[i], Idx: idx}
 }
 
 // WayOf returns the way index currently holding key.
@@ -275,26 +276,26 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 //
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
-	v, _, ok := t.LookupWay(key)
+	v, _, ok := t.LookupSlot(key)
 	return v, ok
 }
 
-// LookupWay is Lookup additionally reporting the way that hit — the fused
-// walk uses it to avoid a second full probe sweep (WayOf) per translation.
+// LookupSlot is Lookup additionally reporting the slot that hit — the
+// fused walk prices its probe from it without hashing key a second time.
 // Its statistics footprint is identical to Lookup's.
 //
 //mehpt:hotpath
-func (t *Table) LookupWay(key uint64) (uint64, int, bool) {
+func (t *Table) LookupSlot(key uint64) (uint64, Slot, bool) {
 	t.stats.Lookups++
 	crc := t.mixer.CRC(key)
 	for i := 0; i < t.cfg.Ways; i++ {
 		w, idx := t.locateHash(i, t.mixer.HashAt(i, crc))
 		t.stats.ProbeSlots++
 		if w.slots[idx].Key == key {
-			return w.slots[idx].Val, i, true
+			return w.slots[idx].Val, Slot{Way: i, InNext: w != t.cur[i], Idx: idx}, true
 		}
 	}
-	return 0, 0, false
+	return 0, Slot{}, false
 }
 
 // Insert adds key with value val. If key is already present its value is

@@ -232,11 +232,11 @@ func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 //
 //mehpt:hotpath
 func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
-	id, way, ok := t.tb.LookupWay(key)
+	id, slot, ok := t.tb.LookupSlot(key)
 	if !ok {
 		return 0, 0, false
 	}
-	return id, t.ProbeAddr(way, key), true
+	return id, t.slotAddr(slot), true
 }
 
 // Delete removes the present key and returns the allocation cycles spent
@@ -255,13 +255,19 @@ func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
 // ProbeAddr returns the physical address way i's hardware probe for key
 // touches, resolving through the rehash pointers to old or new ways.
 func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
-	inNext, idx := t.tb.Probe(i, key)
-	gi := 0
-	if inNext {
-		gi = len(t.groups) - 1
+	return t.slotAddr(t.tb.Probe(i, key))
+}
+
+// slotAddr returns the physical address of a probe slot: the first group
+// backs the old ways, the last the resize target.
+//
+//mehpt:hotpath
+func (t *Table) slotAddr(s cuckoo.Slot) addr.PhysAddr {
+	g := &t.groups[0]
+	if s.InNext {
+		g = &t.groups[len(t.groups)-1]
 	}
-	g := t.groups[gi]
-	return g.bases[i].Addr(addr.Page4K) + addr.PhysAddr(idx*pt.EntryBytes)
+	return g.bases[s.Way].Addr(addr.Page4K) + addr.PhysAddr(s.Idx*pt.EntryBytes)
 }
 
 // Free releases all physical memory (process teardown). A drain failure is

@@ -169,9 +169,9 @@ func (m *MMU) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	}
 }
 
-// TranslateBatchPAs resolves the longest TLB-hit prefix of vas, software-
-// pipelined through tlb.Hierarchy.LookupBatchPAs: resolved elements land in
-// pas as physical addresses and their translation cycles are summed. It
+// TranslateBatchPAs resolves the longest TLB-hit prefix of vas through
+// tlb.Hierarchy.LookupBatchPAs: resolved elements land in pas as physical
+// addresses and their translation cycles are summed. It
 // returns the resolved count n, that cycle sum, and — when n < len(vas) —
 // element n's full-miss latency missLat. State updates and stats are
 // bit-identical to n scalar Translate calls.

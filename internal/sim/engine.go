@@ -41,13 +41,13 @@ type MMU interface {
 // rebound between runs (the multi-tenant machine does so every quantum).
 //
 // The loop is batched: TranslateBatchPAs resolves the longest TLB-hit run
-// in one pipelined pass, AccessBatch replays the run's data accesses the
-// same way, and only the element that misses every TLB drops to the scalar
-// walk/fault path. The reorder is invisible — TLB hits touch only TLB state
-// and data accesses only cache state, so hits-then-accesses commutes with
-// the scalar interleave, and the batch stops at the first page walk (which
-// does touch the data caches) so walks stay in scalar order. The batch-vs-
-// scalar differential tests in batch_test.go pin this bit for bit.
+// in one call, AccessBatch replays the run's data accesses, and only the
+// element that misses every TLB drops to the scalar walk/fault path. The
+// reorder is invisible — TLB hits touch only TLB state and data accesses
+// only cache state, so hits-then-accesses commutes with the scalar
+// interleave, and the batch stops at the first page walk (which does touch
+// the data caches) so walks stay in scalar order. The batch-vs-scalar
+// differential tests in batch_test.go pin this bit for bit.
 type Engine struct {
 	MMU   MMU
 	Cache *cache.Hierarchy

@@ -396,7 +396,7 @@ func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped,
 	overlaySrc := snapshot.RestoreSource(ps.Overlay)
 	hier, err := cache.RestoreHierarchy(tenantCacheConfig(), ps.Cache)
 	if err != nil {
-		return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
+		return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
 	}
 	p := &process{
 		id:         pid,

@@ -222,6 +222,15 @@ func TestRestoreMismatch(t *testing.T) {
 		},
 		"ecpt ways":      func(st *MachineState) { ecpt4K(st).Cur = ecpt4K(st).Cur[:2] },
 		"ecpt way short": func(st *MachineState) { w := &ecpt4K(st).Cur[0]; w.Slots = w.Slots[:len(w.Slots)-1] },
+		// Cache sets no run can produce: the ring fill relies on the
+		// empties being a suffix of each set, a repeated line holds two
+		// ways, and a line in the wrong set can never hit.
+		"cache repeated tag": func(st *MachineState) { l1 := st.Procs[0].Cache.Levels[0].Tags; l1[1] = l1[0] },
+		"cache empty before valid": func(st *MachineState) {
+			l1 := st.Procs[0].Cache.Levels[0].Tags
+			l1[0], l1[1] = 0, 1
+		},
+		"cache wrong set": func(st *MachineState) { st.Procs[0].Cache.Levels[0].Tags[0] += 1 },
 		"head past the end": func(st *MachineState) {
 			// The stripe's frame count is not a power of two, so the
 			// last MaxOrder-aligned block runs past it.

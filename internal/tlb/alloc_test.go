@@ -60,7 +60,7 @@ func TestHierarchyLookupAllocFree(t *testing.T) {
 }
 
 // TestLookupBatchPAsAllocFree guards the fused entry point the simulator's
-// trace loop drives, including its slow-lane (2M) continuation.
+// trace loop drives, including a 4K miss that hits at 2M.
 func TestLookupBatchPAsAllocFree(t *testing.T) {
 	h := NewTableIII()
 	var vas [BatchWidth]addr.VirtAddr

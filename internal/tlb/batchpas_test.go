@@ -7,26 +7,27 @@ import (
 	"repro/internal/addr"
 )
 
-// TestLookupBatchPAsMatchesScalar drives an identical lookup stream through
-// LookupBatchPAs on one hierarchy and scalar LookupVA calls on another,
-// asserting element-wise physical addresses, the aggregate (n, l1, latSum,
-// missLat) tuple against its scalar reconstruction, and final per-size
-// L1/L2 statistics. Misses are refilled into both hierarchies, as the MMU's
-// walk would, so LRU state keeps evolving across the whole stream.
+// TestLookupBatchPAsMatchesScalar drives a lookup stream through
+// LookupBatchPAs on the Table III hierarchy and checks element-wise
+// physical addresses, the aggregate (n, l1, latSum, missLat) tuple, every
+// TLB's counters and the resident entries against refHierarchy, the
+// copy-shift reference model, fed the same stream one LookupVA at a time.
+// Misses are refilled into both, as the MMU's walk would, so LRU state
+// keeps evolving across the whole stream.
 func TestLookupBatchPAsMatchesScalar(t *testing.T) {
 	batch := NewTableIII()
-	scalar := NewTableIII()
+	ref := refOf(batch)
 	rng := rand.New(rand.NewSource(5))
 
-	// Working set: 4K pages plus a few 2M and 1G mappings, so the slow lane
-	// (4K miss that hits a larger size) runs alongside the fast lane.
+	// Working set: 4K pages plus a few 2M and 1G mappings, so lookups that
+	// miss at 4K and hit a larger size run alongside 4K hits.
 	base := addr.VirtAddr(0x4000_0000)
 	payFor := func(va addr.VirtAddr, s addr.PageSize) uint64 {
 		return uint64(va.PageNumber(s)) + 1000
 	}
 	insertBoth := func(va addr.VirtAddr, s addr.PageSize) {
 		batch.Insert(va, s, payFor(va, s))
-		scalar.Insert(va, s, payFor(va, s))
+		ref.insert(va, s, payFor(va, s))
 	}
 	sizeOf := func(va addr.VirtAddr) addr.PageSize {
 		switch {
@@ -48,7 +49,7 @@ func TestLookupBatchPAsMatchesScalar(t *testing.T) {
 	vas := make([]addr.VirtAddr, 4000)
 	for i := range vas {
 		switch rng.Intn(8) {
-		case 0: // 2M-mapped region (slow-lane L1 hit)
+		case 0: // 2M-mapped region (4K miss, 2M hit)
 			vas[i] = addr.VirtAddr(0x8000_0000) + addr.VirtAddr(rng.Intn(8))*2*addr.MB + addr.VirtAddr(rng.Intn(1<<21))
 		case 1: // 1G-mapped region
 			vas[i] = 0x100_0000_0000 + addr.VirtAddr(rng.Intn(1<<27))
@@ -71,29 +72,29 @@ func TestLookupBatchPAsMatchesScalar(t *testing.T) {
 		var wantL1, wantLat uint64
 		for i := 0; i < n; i++ {
 			va := vas[pos+i]
-			r, s, pay, lat := scalar.LookupVA(va)
+			r, s, pay, lat := ref.lookupVA(va)
 			if r == MissAll {
-				t.Fatalf("pos %d+%d: batch resolved an element the scalar hierarchy misses", pos, i)
+				t.Fatalf("pos %d+%d: batch resolved an element the reference misses", pos, i)
 			}
 			if r == HitL1 {
 				wantL1++
 			}
 			wantLat += lat
 			if want := addr.Translate(va, addr.PPN(pay), s); pas[i] != want {
-				t.Fatalf("pos %d+%d (va %#x): pa %#x, scalar %#x", pos, i, va, pas[i], want)
+				t.Fatalf("pos %d+%d (va %#x): pa %#x, reference %#x", pos, i, va, pas[i], want)
 			}
 		}
 		if l1 != wantL1 || latSum != wantLat {
-			t.Fatalf("pos %d: batch (l1=%d lat=%d), scalar (l1=%d lat=%d)", pos, l1, latSum, wantL1, wantLat)
+			t.Fatalf("pos %d: batch (l1=%d lat=%d), reference (l1=%d lat=%d)", pos, l1, latSum, wantL1, wantLat)
 		}
 		if n < k {
 			va := vas[pos+n]
-			r, _, _, lat := scalar.LookupVA(va)
+			r, _, _, lat := ref.lookupVA(va)
 			if r != MissAll {
-				t.Fatalf("pos %d: batch stopped at element %d but scalar hit (%v)", pos, n, r)
+				t.Fatalf("pos %d: batch stopped at element %d but the reference hit (%v)", pos, n, r)
 			}
 			if missLat != lat {
-				t.Fatalf("pos %d: miss latency %d, scalar %d", pos, missLat, lat)
+				t.Fatalf("pos %d: miss latency %d, reference %d", pos, missLat, lat)
 			}
 			// Refill both hierarchies, as the page walk would, and move past
 			// the serviced element.
@@ -107,12 +108,5 @@ func TestLookupBatchPAsMatchesScalar(t *testing.T) {
 		pos += n
 	}
 
-	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
-		if b, sc := batch.L1(s).Stats(), scalar.L1(s).Stats(); b != sc {
-			t.Errorf("%v L1 stats diverge: batch %+v, scalar %+v", s, b, sc)
-		}
-		if b, sc := batch.L2(s).Stats(), scalar.L2(s).Stats(); b != sc {
-			t.Errorf("%v L2 stats diverge: batch %+v, scalar %+v", s, b, sc)
-		}
-	}
+	checkRef(t, len(vas), batch, ref)
 }

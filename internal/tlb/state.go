@@ -3,16 +3,18 @@ package tlb
 import "repro/internal/addr"
 
 // VisitEntries calls f for every VPN currently resident in the TLB along
-// with its cached payload. Tags store VPN+1 with 0 marking empty, and
-// empties are a suffix of each set.
+// with its cached payload, each set in recency order (MRU first). Tags
+// store VPN+1 with 0 marking empty, and empties are a suffix of each
+// set's ring.
 func (t *TLB) VisitEntries(f func(vpn addr.VPN, pay uint64)) {
-	for s := uint64(0); s < t.sets; s++ {
-		base := s * uint64(t.ways)
-		for i, tag := range t.tags[base : base+uint64(t.ways)] {
-			if tag == 0 {
+	for si := uint64(0); si < t.sets; si++ {
+		tags, pays, h := t.ring(si)
+		for k := range tags {
+			p := (h + k) % len(tags)
+			if tags[p] == 0 {
 				break
 			}
-			f(addr.VPN(tag-1), t.pays[base+uint64(i)])
+			f(addr.VPN(tags[p]-1), pays[p])
 		}
 	}
 }

@@ -21,13 +21,14 @@ type Stats struct {
 
 // TLB is one set-associative translation lookaside buffer keyed by VPN.
 //
-// The tag store is a single flat set-major array (sets × ways), MRU first
-// within each set, with 0 marking an empty slot (tags are stored as VPN+1).
-// Empty slots only ever appear as a suffix of a set — inserts push at the
-// front and invalidates compact leftward — so probes stop at the first
-// zero. The flat layout keeps the steady-state lookup path free of heap
-// allocation and pointer chasing; the per-set []uint64 slices it replaces
-// were the TLB's entire GC footprint.
+// The tag store is a single flat set-major array (sets × ways), with 0
+// marking an empty slot (tags are stored as VPN+1). Each set is a ring in
+// LRU order: heads[set] names its MRU slot and recency runs forward from
+// there, wrapping at the set's end. Empty slots only ever form a suffix of
+// that order: inserts step the head back one slot onto the LRU victim or
+// an empty slot, and invalidates close their gap. The flat layout keeps
+// the steady-state lookup path free of heap allocation and pointer
+// chasing.
 //
 // Each slot also carries a 64-bit payload (the PPN of the cached
 // translation), moved in lockstep with its tag. A real TLB stores the frame
@@ -40,7 +41,8 @@ type TLB struct {
 	setMask uint64 // sets-1 when sets is a power of two, else 0
 	ways    int
 	tags    []uint64 // sets × ways, set-major; 0 = empty
-	pays    []uint64 // payload per slot, parallel to tags
+	pays    []uint64 // payload per slot, parallel to tags in the same allocation
+	heads   []uint32 // MRU slot of each set
 	stats   Stats
 }
 
@@ -54,37 +56,95 @@ func New(cfg Config) *TLB {
 	if sets == 0 {
 		sets = 1
 	}
+	n := sets * uint64(cfg.Ways)
+	slots := make([]uint64, 2*n)
 	t := &TLB{cfg: cfg, sets: sets, ways: cfg.Ways,
-		tags: make([]uint64, sets*uint64(cfg.Ways)),
-		pays: make([]uint64, sets*uint64(cfg.Ways))}
+		tags: slots[:n:n], pays: slots[n:], heads: make([]uint32, sets)}
 	if sets&(sets-1) == 0 {
 		t.setMask = sets - 1
 	}
 	return t
 }
 
-// setBase returns the flat-array offset of vpn's set. All Table III L1
-// geometries have power-of-two set counts, so the common case is a mask;
-// the L2 4K/2M structures (1024/12 = 85 sets) take the modulo path.
-func (t *TLB) setBase(vpn addr.VPN) uint64 {
+// setOf returns the index of vpn's set. All Table III L1 geometries have
+// power-of-two set counts, so the common case is a mask; the L2 4K/2M
+// structures (1024/12 = 85 sets) take the modulo path.
+func (t *TLB) setOf(vpn addr.VPN) uint64 {
 	if t.setMask != 0 || t.sets == 1 {
-		return (uint64(vpn) & t.setMask) * uint64(t.ways)
+		return uint64(vpn) & t.setMask
 	}
-	return (uint64(vpn) % t.sets) * uint64(t.ways)
+	return uint64(vpn) % t.sets
 }
 
-// promote2 moves slot i of a tag/payload set pair to the MRU front. The
-// explicit backward shift replaces copy(): promotion distances are tiny
-// (usually one slot), where two memmove calls cost more than the moves.
-//
-//go:inline
-func promote2(set, pays []uint64, i int) {
-	tag, pay := set[i], pays[i]
-	for ; i > 0; i-- {
-		set[i] = set[i-1]
-		pays[i] = pays[i-1]
+// ring returns the tag and payload slots of set si and its MRU slot.
+func (t *TLB) ring(si uint64) (tags, pays []uint64, h int) {
+	w := uint64(t.ways)
+	return t.tags[si*w : si*w+w], t.pays[si*w : si*w+w], int(t.heads[si])
+}
+
+// find returns the slot holding want in a ring set whose MRU slot is h, or
+// -1. Most hits land on the MRU slot; past it the scan runs in slot order,
+// so its loads do not wait on the head and a miss in a full set runs a
+// fixed trip count.
+func find(tags []uint64, h int, want uint64) int {
+	if tags[h] == want {
+		return h
 	}
-	set[0], pays[0] = tag, pay
+	for p, tag := range tags {
+		if tag == want {
+			return p
+		}
+	}
+	return -1
+}
+
+// promote moves slot p of a ring set to its MRU slot h, shifting the
+// entries between them back one place.
+func promote(tags, pays []uint64, h, p int) {
+	tag, pay := tags[p], pays[p]
+	for p != h {
+		q := p - 1
+		if q < 0 {
+			q = len(tags) - 1
+		}
+		tags[p], pays[p] = tags[q], pays[q]
+		p = q
+	}
+	tags[h], pays[h] = tag, pay
+}
+
+// probe looks vpn up, promoting it to MRU and counting the hit or miss. It
+// returns vpn's set, so an L2 hit refills L1 without a second probe.
+//
+//mehpt:hotpath
+func (t *TLB) probe(vpn addr.VPN) (si, pay uint64, hit bool) {
+	si = t.setOf(vpn)
+	tags, pays, h := t.ring(si)
+	p := find(tags, h, uint64(vpn)+1)
+	if p < 0 {
+		t.stats.Misses++
+		return si, 0, false
+	}
+	pay = pays[p]
+	promote(tags, pays, h, p)
+	t.stats.Hits++
+	return si, pay, true
+}
+
+// push makes tag, which must be absent, the MRU entry of set si: the head
+// steps back one slot, onto the LRU victim when the set is full and onto
+// the last empty slot otherwise, so the empties stay a suffix.
+//
+//mehpt:hotpath
+func (t *TLB) push(si, tag, pay uint64) {
+	h := t.heads[si]
+	if h == 0 {
+		h = uint32(t.ways)
+	}
+	h--
+	t.heads[si] = h
+	i := si*uint64(t.ways) + uint64(h)
+	t.tags[i], t.pays[i] = tag, pay
 }
 
 // Lookup probes for vpn, updating LRU on a hit and returning the slot's
@@ -92,23 +152,8 @@ func promote2(set, pays []uint64, i int) {
 //
 //mehpt:hotpath
 func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
-	base := t.setBase(vpn)
-	set := t.tags[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	for i, tag := range set {
-		if tag == 0 {
-			break // empties are a suffix: the rest of the set is empty
-		}
-		if tag == want {
-			pays := t.pays[base : base+uint64(t.ways)]
-			pay := pays[i]
-			promote2(set, pays, i)
-			t.stats.Hits++
-			return pay, true
-		}
-	}
-	t.stats.Misses++
-	return 0, false
+	_, pay, hit := t.probe(vpn)
+	return pay, hit
 }
 
 // Insert installs vpn with its payload, evicting the set's LRU entry if
@@ -116,50 +161,37 @@ func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 //
 //mehpt:hotpath
 func (t *TLB) Insert(vpn addr.VPN, pay uint64) {
-	base := t.setBase(vpn)
-	set := t.tags[base : base+uint64(t.ways)]
-	pays := t.pays[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	n := len(set)
-	for i, tag := range set {
-		if tag == 0 {
-			n = i
-			break
-		}
-		if tag == want {
-			pays[i] = pay
-			promote2(set, pays, i)
-			return
-		}
+	si := t.setOf(vpn)
+	tags, pays, h := t.ring(si)
+	if p := find(tags, h, uint64(vpn)+1); p >= 0 {
+		pays[p] = pay
+		promote(tags, pays, h, p)
+		return
 	}
-	if n == len(set) {
-		n-- // set full: shifting right drops the LRU tail
-	}
-	for ; n > 0; n-- {
-		set[n] = set[n-1]
-		pays[n] = pays[n-1]
-	}
-	set[0], pays[0] = want, pay
+	t.push(si, uint64(vpn)+1, pay)
 }
 
-// Invalidate removes vpn if present (TLB shootdown on unmap).
+// Invalidate removes vpn if present (TLB shootdown on unmap), pulling the
+// entries behind it one place toward the head so the set's last valid slot
+// becomes its first empty one.
 func (t *TLB) Invalidate(vpn addr.VPN) {
-	base := t.setBase(vpn)
-	set := t.tags[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	for i, tag := range set {
-		if tag == 0 {
-			return
-		}
-		if tag == want {
-			pays := t.pays[base : base+uint64(t.ways)]
-			copy(set[i:], set[i+1:])
-			set[len(set)-1] = 0
-			copy(pays[i:], pays[i+1:])
-			pays[len(pays)-1] = 0
-			return
-		}
+	tags, pays, h := t.ring(t.setOf(vpn))
+	p := find(tags, h, uint64(vpn)+1)
+	if p < 0 {
+		return
 	}
+	for {
+		q := p + 1
+		if q == len(tags) {
+			q = 0
+		}
+		if q == h || tags[q] == 0 {
+			break
+		}
+		tags[p], pays[p] = tags[q], pays[q]
+		p = q
+	}
+	tags[p], pays[p] = 0, 0
 }
 
 // Flush empties the TLB (context switch without ASIDs). The tag array is
@@ -219,14 +251,16 @@ const (
 //mehpt:hotpath
 func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, uint64) {
 	vpn := va.PageNumber(s)
-	if pay, ok := h.l1[s].Lookup(vpn); ok {
-		return HitL1, pay, h.l1[s].Latency()
+	l1, l2 := h.l1[s], h.l2[s]
+	si, pay, ok := l1.probe(vpn)
+	if ok {
+		return HitL1, pay, l1.cfg.Latency
 	}
-	if pay, ok := h.l2[s].Lookup(vpn); ok {
-		h.l1[s].Insert(vpn, pay)
-		return HitL2, pay, h.l1[s].Latency() + h.l2[s].Latency()
+	if pay, ok := l2.Lookup(vpn); ok {
+		l1.push(si, uint64(vpn)+1, pay)
+		return HitL2, pay, l1.cfg.Latency + l2.cfg.Latency
 	}
-	return MissAll, 0, h.l1[s].Latency() + h.l2[s].Latency()
+	return MissAll, 0, l1.cfg.Latency + l2.cfg.Latency
 }
 
 // LookupVA probes the hierarchy for va across all page sizes in ascending
@@ -237,124 +271,46 @@ func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, u
 //
 //mehpt:hotpath
 func (h *Hierarchy) LookupVA(va addr.VirtAddr) (Result, addr.PageSize, uint64, uint64) {
-	vpn := va.PageNumber(addr.Page4K)
-	if pay, ok := h.l1[addr.Page4K].Lookup(vpn); ok {
-		return HitL1, addr.Page4K, pay, h.l1[addr.Page4K].Latency()
-	}
-	return h.lookupVAFrom4KMiss(va)
-}
-
-// lookupVAFrom4KMiss finishes LookupVA after the 4K L1 probe has already
-// missed (and been counted): the 4K L2 probe, then the larger page sizes.
-// Both the scalar path and the batch pipeline's slow lane funnel through
-// this, which is what keeps their results and stats bit-identical.
-//
-//mehpt:hotpath
-func (h *Hierarchy) lookupVAFrom4KMiss(va addr.VirtAddr) (Result, addr.PageSize, uint64, uint64) {
-	vpn := va.PageNumber(addr.Page4K)
-	l14 := h.l1[addr.Page4K]
-	l24 := h.l2[addr.Page4K]
-	if pay, ok := l24.Lookup(vpn); ok {
-		l14.Insert(vpn, pay)
-		return HitL2, addr.Page4K, pay, l14.Latency() + l24.Latency()
-	}
-	miss := l14.Latency() + l24.Latency()
-	for _, s := range addr.Sizes()[1:] {
+	var miss uint64
+	for _, s := range addr.Sizes() {
 		r, pay, lat := h.Lookup(va, s)
 		if r != MissAll {
 			return r, s, pay, lat
 		}
-		if miss < lat {
-			miss = lat
-		}
+		miss = max(miss, lat)
 	}
 	return MissAll, 0, 0, miss
 }
 
-// lookupStride is how many elements LookupBatchPAs indexes ahead of its tag
-// compares: enough for the set loads to overlap, few enough that a full
-// miss early in a batch wastes little index work on elements a later call
-// will index again.
-const lookupStride = 8
-
 // LookupBatchPAs resolves the longest all-hit prefix of vas into physical
-// addresses, software-pipelined: set indices for the common-case probe (L1,
-// 4K pages) are computed lookupStride elements ahead, then tags are compared
-// in a second pass so the set loads overlap instead of serializing behind
-// each probe. Elements that miss the 4K L1 fall through to the same per-size
-// continuation the scalar LookupVA uses, so probe order, LRU updates, and
-// counters match len(vas) LookupVA calls.
-//
-// pas[i] receives the translated address of each resolved element; the
-// per-element metadata collapses into aggregates — the L1-hit count and the
-// summed lookup latency. It stops at the first element that misses every
-// structure: that element's probes have already been performed and counted,
-// so the caller must complete it with the page walk directly, NOT by calling
-// LookupVA again. Returns the resolved count n, the L1-hit count among them,
-// the summed latency, and (when n < len(vas)) element n's full-miss latency.
-// At most BatchWidth elements are consumed per call.
+// addresses with one LookupVA per element. pas[i] receives the translated
+// address of each resolved element; the per-element metadata collapses into
+// aggregates — the L1-hit count and the summed lookup latency. It stops at
+// the first element that misses every structure: that element's probes
+// have already been performed and counted, so the caller must complete it
+// with the page walk directly, NOT by calling LookupVA again. Returns the
+// resolved count n, the L1-hit count among them, the summed latency, and
+// (when n < len(vas)) element n's full-miss latency. At most BatchWidth
+// elements are consumed per call.
 //
 //mehpt:hotpath
 func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64, uint64) {
 	if len(vas) > BatchWidth {
 		vas = vas[:BatchWidth]
 	}
-	t1 := h.l1[addr.Page4K]
-	ways := uint64(t1.ways)
-	lat1 := t1.cfg.Latency
-	// Hoisting the tag/payload arrays into locals keeps their headers in
-	// registers: the compiler cannot prove the pas stores don't alias them.
-	tags, pays := t1.tags, t1.pays
-	// hits1 counts fast-lane 4K L1 hits (flushed to t1's counter once);
-	// l1Slow counts slow-lane hits that still landed in an L1 structure
-	// (larger page sizes) — the returned L1 total needs both.
-	var hits1, l1Slow, latSum uint64
-	for c := 0; c < len(vas); c += lookupStride {
-		chunk := vas[c:min(c+lookupStride, len(vas))]
-		var baseBuf, wantBuf [lookupStride]uint64
-		for i, va := range chunk {
-			vpn := va.PageNumber(addr.Page4K)
-			baseBuf[i] = t1.setBase(vpn)
-			wantBuf[i] = uint64(vpn) + 1
+	var l1, latSum uint64
+	for i, va := range vas {
+		r, s, pay, lat := h.LookupVA(va)
+		if r == MissAll {
+			return i, l1, latSum, lat
 		}
-		for i, va := range chunk {
-			base, want := baseBuf[i], wantBuf[i]
-			set := tags[base : base+ways]
-			hit := -1
-			for j, tag := range set {
-				if tag == 0 {
-					break
-				}
-				if tag == want {
-					hit = j
-					break
-				}
-			}
-			if hit >= 0 {
-				pp := pays[base : base+ways]
-				pay := pp[hit]
-				promote2(set, pp, hit)
-				hits1++
-				pas[c+i] = addr.Translate(va, addr.PPN(pay), addr.Page4K)
-				continue
-			}
-			// Slow lane: count the 4K L1 miss exactly as TLB.Lookup would,
-			// then run the scalar continuation for the remaining structures.
-			t1.stats.Misses++
-			r, s, pay, lat := h.lookupVAFrom4KMiss(va)
-			if r == MissAll {
-				t1.stats.Hits += hits1
-				return c + i, hits1 + l1Slow, latSum + hits1*lat1, lat
-			}
-			if r == HitL1 {
-				l1Slow++
-			}
-			latSum += lat
-			pas[c+i] = addr.Translate(va, addr.PPN(pay), s)
+		if r == HitL1 {
+			l1++
 		}
+		latSum += lat
+		pas[i] = addr.Translate(va, addr.PPN(pay), s)
 	}
-	t1.stats.Hits += hits1
-	return len(vas), hits1 + l1Slow, latSum + hits1*lat1, 0
+	return len(vas), l1, latSum, 0
 }
 
 // Insert installs a completed translation (payload pay, the PPN) into both

@@ -134,9 +134,9 @@ func TestSetBaseMaskMatchesModulo(t *testing.T) {
 	} {
 		tb := New(cfg)
 		for _, vpn := range []addr.VPN{0, 1, 84, 85, 86, 1 << 20, 0xDEADBEEF} {
-			want := (uint64(vpn) % tb.sets) * uint64(tb.ways)
-			if got := tb.setBase(vpn); got != want {
-				t.Errorf("cfg %+v vpn %d: setBase %d, want %d", cfg, vpn, got, want)
+			want := uint64(vpn) % tb.sets
+			if got := tb.setOf(vpn); got != want {
+				t.Errorf("cfg %+v vpn %d: setOf %d, want %d", cfg, vpn, got, want)
 			}
 		}
 	}

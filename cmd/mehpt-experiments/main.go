@@ -145,6 +145,10 @@ func main() {
 		})
 	}
 
+	if !(*fmfi >= 0 && *fmfi <= 1) {
+		fmt.Fprintf(os.Stderr, "mehpt-experiments: -fmfi: %v is not in [0, 1]\n", *fmfi)
+		exitf(2)
+	}
 	if *injectSpec != "" {
 		// Validate the spec up front so a typo fails before minutes of runs.
 		if _, err := inject.Parse(*injectSpec, 0); err != nil {

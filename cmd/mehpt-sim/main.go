@@ -31,6 +31,10 @@ func main() {
 		traceIn  = flag.String("trace", "", "replay this recorded trace file instead of generating -app's stream")
 	)
 	flag.Parse()
+	if !(*fmfi >= 0 && *fmfi <= 1) {
+		fmt.Fprintf(os.Stderr, "mehpt-sim: -fmfi: %v is not in [0, 1]\n", *fmfi)
+		os.Exit(2)
+	}
 
 	var org sim.Org
 	switch *orgStr {

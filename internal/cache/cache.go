@@ -42,17 +42,10 @@ type Cache struct {
 	stats    Stats
 }
 
-// New creates a cache level. Sets are derived from size/ways/line; the set
-// count need not be a power of two (Table III's 12-way L2 TLB layout made
-// that a requirement elsewhere too).
-func New(cfg Config) *Cache {
-	c := newLevel(cfg)
-	c.heads = make([]uint32, c.sets)
-	return &c
-}
-
-// newLevel is New without the heads, which NewHierarchy allocates once for
-// all three levels.
+// newLevel creates a cache level without its heads, which NewHierarchy
+// allocates once for all three levels. Sets are derived from
+// size/ways/line; the set count need not be a power of two (Table III's
+// 12-way L2 TLB layout made that a requirement elsewhere too).
 func newLevel(cfg Config) Cache {
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / uint64(cfg.Ways)
@@ -139,23 +132,6 @@ func (c *Cache) push(si, want uint64) {
 	h--
 	c.heads[si] = h
 	c.tags[si*uint64(c.ways)+uint64(h)] = want
-}
-
-// Lookup probes the cache without filling, updating LRU on a hit.
-//
-//mehpt:hotpath
-func (c *Cache) Lookup(pa addr.PhysAddr) bool {
-	_, _, hit := c.probe(pa)
-	return hit
-}
-
-// Fill inserts pa's line, evicting the LRU victim if the set is full. The
-// line must be absent, as after a Lookup that missed.
-//
-//mehpt:hotpath
-func (c *Cache) Fill(pa addr.PhysAddr) {
-	ln := uint64(pa) >> c.lineBits
-	c.push(c.setOf(ln), ln+1)
 }
 
 // Stats returns the hit/miss counters.

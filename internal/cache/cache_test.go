@@ -6,42 +6,53 @@ import (
 	"repro/internal/addr"
 )
 
+// smallHierarchy returns a hierarchy with the given L1 behind a 4KB L2
+// and a 16KB L3, with distinct latencies so a test can tell which level
+// served an access.
+func smallHierarchy(l1 Config) *Hierarchy {
+	return NewHierarchy(HierarchyConfig{
+		L1:          l1,
+		L2:          Config{SizeBytes: 4 * addr.KB, Ways: 4, LineBytes: 64, Latency: 10},
+		L3:          Config{SizeBytes: 16 * addr.KB, Ways: 4, LineBytes: 64, Latency: 30},
+		DRAMLatency: 100,
+	})
+}
+
 func TestHitAfterFill(t *testing.T) {
-	c := New(Config{SizeBytes: 4 * addr.KB, Ways: 4, LineBytes: 64, Latency: 2})
+	h := smallHierarchy(Config{SizeBytes: 4 * addr.KB, Ways: 4, LineBytes: 64, Latency: 2})
 	pa := addr.PhysAddr(0x1000)
-	if c.Lookup(pa) {
-		t.Fatal("cold lookup hit")
+	if lat := h.Access(pa); lat != 100 {
+		t.Fatalf("cold access latency = %d, want 100 (DRAM)", lat)
 	}
-	c.Fill(pa)
-	if !c.Lookup(pa) {
-		t.Fatal("lookup after fill missed")
+	if lat := h.Access(pa); lat != 2 {
+		t.Fatalf("access after fill latency = %d, want 2 (L1)", lat)
 	}
 	// Same line, different byte.
-	if !c.Lookup(pa + 63) {
-		t.Fatal("same-line lookup missed")
+	if lat := h.Access(pa + 63); lat != 2 {
+		t.Fatalf("same-line access latency = %d, want 2 (L1)", lat)
 	}
-	if c.Lookup(pa + 64) {
-		t.Fatal("next-line lookup hit")
+	if lat := h.Access(pa + 64); lat != 100 {
+		t.Fatalf("next-line access latency = %d, want 100 (DRAM)", lat)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Direct-mapped-ish: 2 ways, 2 sets of 64B lines = 256B cache.
-	c := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Latency: 1})
-	// Three lines mapping to the same set (stride = sets*64 = 128).
+	// L1 of 2 ways, 2 sets of 64B lines = 256B cache.
+	h := smallHierarchy(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Latency: 1})
+	// Three lines mapping to the same L1 set (stride = sets*64 = 128).
 	a, b, d := addr.PhysAddr(0), addr.PhysAddr(128), addr.PhysAddr(256)
-	c.Fill(a)
-	c.Fill(b)
-	c.Lookup(a) // make a MRU
-	c.Fill(d)   // evicts b (LRU)
-	if !c.Lookup(a) {
-		t.Error("MRU line evicted")
+	h.Access(a)
+	h.Access(b)
+	h.Access(a) // make a MRU
+	h.Access(d) // evicts b (LRU) from L1
+	if lat := h.Access(a); lat != 1 {
+		t.Errorf("MRU line latency = %d, want 1 (L1): evicted", lat)
 	}
-	if c.Lookup(b) {
-		t.Error("LRU line survived")
+	if lat := h.Access(d); lat != 1 {
+		t.Errorf("new line latency = %d, want 1 (L1): missing", lat)
 	}
-	if !c.Lookup(d) {
-		t.Error("new line missing")
+	if lat := h.Access(b); lat != 10 {
+		t.Errorf("LRU line latency = %d, want 10 (L2): survived in L1", lat)
 	}
 }
 

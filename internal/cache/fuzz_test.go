@@ -31,11 +31,10 @@ func fuzzPA(b0, b1 byte) addr.PhysAddr {
 }
 
 // FuzzHierarchyOps decodes a geometry (6 bytes) and a sequence of 3-byte
-// ops — Access, AccessBatch of width 0–64, a single level's Lookup with
-// Fill on a miss, and State→Restore — and checks the ring-ordered
-// hierarchy against refHierarchy, a per-set MRU slice with copy-shift,
-// after every op: latencies, every level's counters, the DRAM count and
-// the State snapshot.
+// ops — Access, AccessBatch of width 0–64 and State→Restore — and checks
+// the ring-ordered hierarchy against refHierarchy, a per-set MRU slice
+// with copy-shift, after every op: latencies, every level's counters, the
+// DRAM count and the State snapshot.
 func FuzzHierarchyOps(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		b := make([]byte, 6+3*200)
@@ -58,10 +57,6 @@ func FuzzHierarchyOps(f *testing.F) {
 		for i := 6; i+3 <= len(data); i += 3 {
 			op, b1, b2 := data[i], data[i+1], data[i+2]
 			switch op % 8 {
-			case 0, 1, 2, 3:
-				if got, want := h.Access(fuzzPA(b1, b2)), ref.access(fuzzPA(b1, b2)); got != want {
-					t.Fatalf("op %d: Access latency %d, reference %d", i/3, got, want)
-				}
 			case 4, 5:
 				n := int(b1) % (len(pas) + 1)
 				rng := rand.New(rand.NewSource(int64(b2)))
@@ -74,22 +69,16 @@ func FuzzHierarchyOps(f *testing.F) {
 						t.Fatalf("op %d: AccessBatch element %d of %d latency %d, reference %d", i/3, k, n, lats[k], want)
 					}
 				}
-			case 6:
-				lvl, pa := int(op/8%3), fuzzPA(b1, b2)
-				hit := h.Level(lvl).Lookup(pa)
-				if want := ref.levels[lvl].lookup(pa); hit != want {
-					t.Fatalf("op %d: L%d Lookup %v, reference %v", i/3, lvl+1, hit, want)
-				}
-				if !hit {
-					h.Level(lvl).Fill(pa)
-					ref.levels[lvl].fill(pa)
-				}
 			case 7:
 				r, err := RestoreHierarchy(cfg, h.State())
 				if err != nil {
 					t.Fatalf("op %d: RestoreHierarchy of a live state: %v", i/3, err)
 				}
 				h = r
+			default:
+				if got, want := h.Access(fuzzPA(b1, b2)), ref.access(fuzzPA(b1, b2)); got != want {
+					t.Fatalf("op %d: Access latency %d, reference %d", i/3, got, want)
+				}
 			}
 			checkRef(t, i/3, h, ref)
 		}

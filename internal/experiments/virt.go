@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cache"
-	"repro/internal/mehpt"
 	"repro/internal/nested"
 	"repro/internal/osmodel"
 	"repro/internal/phys"
-	"repro/internal/radix"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // VirtRow compares two-dimensional (virtualized) walks: nested radix vs
@@ -26,25 +25,16 @@ type VirtRow struct {
 // Virtualization measures nested-walk costs over a scattered guest
 // footprint of the given page count.
 func Virtualization(o Options, pages int) []VirtRow {
-	build := func(hashed bool) *nested.MMU {
+	build := func(org sim.Org) *nested.MMU {
+		table := func(alloc phys.Source, seed int64) osmodel.PageTable {
+			newRand := func() rand.Source { return rand.NewSource(seed) }
+			t, _ := sim.OpenTable(org, alloc, uint64(seed), newRand, nil, nil) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
+			return t
+		}
 		hostAlloc := phys.NewAllocator(phys.NewMemory(4*addr.GB), 0)
 		guestAlloc := phys.NewAllocator(phys.NewMemory(2*addr.GB), 0)
 		mem := cache.NewHierarchy(cache.TableIII())
-
-		var guest, host osmodel.PageTable
-		if hashed {
-			gcfg := mehpt.DefaultConfig(uint64(o.Seed))
-			gcfg.Rand = rand.New(rand.NewSource(o.Seed))
-			gpt, _ := mehpt.NewPageTable(guestAlloc, gcfg) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			hcfg := mehpt.DefaultConfig(uint64(o.Seed) + 1)
-			hcfg.Rand = rand.New(rand.NewSource(o.Seed + 1))
-			hpt, _ := mehpt.NewPageTable(hostAlloc, hcfg) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			guest, host = gpt, hpt
-		} else {
-			gpt, _ := radix.NewPageTable(guestAlloc) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			hpt, _ := radix.NewPageTable(hostAlloc)  //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			guest, host = gpt, hpt
-		}
+		guest, host := table(guestAlloc, o.Seed), table(hostAlloc, o.Seed+1)
 		for g := addr.VPN(0); g < 1<<19; g++ {
 			if _, err := host.Map(g, addr.Page4K, addr.PPN(uint64(g)+0x100000)); err != nil {
 				return nil
@@ -65,14 +55,14 @@ func Virtualization(o Options, pages int) []VirtRow {
 	}
 
 	configs := []struct {
-		name   string
-		hashed bool
-	}{{"nested radix (2D tree)", false}, {"nested ME-HPT", true}}
+		name string
+		org  sim.Org
+	}{{"nested radix (2D tree)", sim.Radix}, {"nested ME-HPT", sim.MEHPT}}
 	built := runner.Map(o.Parallel, configs, func(_ int, cfg struct {
-		name   string
-		hashed bool
+		name string
+		org  sim.Org
 	}) *nested.MMU {
-		return build(cfg.hashed)
+		return build(cfg.org)
 	})
 	var rows []VirtRow
 	for i, cfg := range configs {

@@ -26,6 +26,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -138,8 +139,8 @@ type Result struct {
 	ECPT  *ecpt.PageTable
 }
 
-// pageTable unifies the three organizations for the engine.
-type pageTable interface {
+// PageTable is what a machine reads back from any organization's table.
+type PageTable interface {
 	osmodel.PageTable
 	FootprintBytes() uint64
 	PeakFootprintBytes() uint64
@@ -149,12 +150,76 @@ type pageTable interface {
 	Free()
 }
 
+// TableState is a page-table snapshot: the field of the table's
+// organization is set.
+type TableState struct {
+	Radix *radix.State
+	ECPT  *ecpt.PageTableState
+	MEHPT *mehpt.PageTableState
+}
+
+// OpenTable builds org's page table over src, or restores it from st when
+// st is non-nil. hashSeed seeds the hashed organizations' hash functions,
+// and newRand, called only for them, supplies the source of the table's
+// generator. mc, when non-nil, replaces the default ME-HPT configuration
+// (ablations); a generator it carries is used instead of newRand's.
+func OpenTable(org Org, src phys.Source, hashSeed uint64, newRand func() rand.Source,
+	mc *mehpt.Config, st *TableState) (PageTable, error) {
+	switch org {
+	case Radix:
+		if st == nil {
+			return radix.NewPageTable(src)
+		}
+		if st.Radix == nil {
+			return nil, errors.New("sim: snapshot carries no radix state")
+		}
+		return radix.Restore(*st.Radix, src)
+	case ECPT:
+		c := ecpt.DefaultConfig(hashSeed)
+		c.Rand = rand.New(newRand())
+		if st == nil {
+			return ecpt.NewPageTable(src, c)
+		}
+		if st.ECPT == nil {
+			return nil, errors.New("sim: snapshot carries no ECPT state")
+		}
+		return ecpt.RestorePageTable(src, c, *st.ECPT)
+	case MEHPT:
+		c := mehpt.DefaultConfig(hashSeed)
+		if mc != nil {
+			c = *mc
+		}
+		if c.Rand == nil {
+			c.Rand = rand.New(newRand())
+		}
+		if st == nil {
+			return mehpt.NewPageTable(src, c)
+		}
+		if st.MEHPT == nil {
+			return nil, errors.New("sim: snapshot carries no ME-HPT state")
+		}
+		return mehpt.RestorePageTable(src, c, *st.MEHPT)
+	}
+	return nil, fmt.Errorf("sim: unknown organization %v", org)
+}
+
+// NewMMU returns an MMU that walks org's tables over the data caches mem.
+// A nil table leaves it unbound.
+func NewMMU(org Org, table PageTable, mem *cache.Hierarchy) *mmu.MMU {
+	if org == Radix {
+		t, _ := table.(*radix.PageTable)
+		return mmu.NewRadix(t, mem)
+	}
+	t, _ := table.(mmu.HPTPageTable)
+	return mmu.NewHPT(t, mem)
+}
+
 // Machine is one wired-up simulated system.
 type Machine struct {
 	cfg      Config
 	mem      *phys.Memory
 	alloc    *phys.Allocator
-	table    pageTable
+	table    PageTable
 	injector *inject.Injector // nil unless Config.Inject is set
 	// eng is the access loop over the machine's MMU, data caches, and OS.
 	eng Engine
@@ -200,42 +265,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 
 	seed := uint64(cfg.Seed)*2654435761 + 12345
-	switch cfg.Org {
-	case Radix:
-		p, err := radix.NewPageTable(alloc)
-		if err != nil {
-			return nil, err
-		}
-		m.table = p
-		m.eng.MMU = mmu.NewRadix(p, m.eng.Cache)
-	case ECPT:
-		c := ecpt.DefaultConfig(seed)
-		c.Rand = rand.New(rand.NewSource(cfg.Seed + 2))
-		p, err := ecpt.NewPageTable(alloc, c)
-		if err != nil {
-			return nil, err
-		}
-		m.table = p
-		m.eng.MMU = mmu.NewHPT(p, m.eng.Cache)
-	case MEHPT:
-		var c mehpt.Config
-		if cfg.MEHPTConfig != nil {
-			c = *cfg.MEHPTConfig
-		} else {
-			c = mehpt.DefaultConfig(seed)
-		}
-		if c.Rand == nil {
-			c.Rand = rand.New(rand.NewSource(cfg.Seed + 2))
-		}
-		p, err := mehpt.NewPageTable(alloc, c)
-		if err != nil {
-			return nil, err
-		}
-		m.table = p
-		m.eng.MMU = mmu.NewHPT(p, m.eng.Cache)
-	default:
-		return nil, fmt.Errorf("sim: unknown organization %v", cfg.Org)
+	newRand := func() rand.Source { return rand.NewSource(cfg.Seed + 2) }
+	table, err := OpenTable(cfg.Org, alloc, seed, newRand, cfg.MEHPTConfig, nil)
+	if err != nil {
+		return nil, err
 	}
+	m.table = table
+	m.eng.MMU = NewMMU(cfg.Org, table, m.eng.Cache)
 
 	osCfg := osmodel.DefaultConfig()
 	osCfg.THP = cfg.THP

@@ -3,7 +3,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cache"
 	"repro/internal/cuckoo"
@@ -15,10 +14,8 @@ import (
 	"repro/internal/phys"
 	"repro/internal/radix"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -56,15 +53,48 @@ type Machine struct {
 
 // NewMachine constructs a machine at round zero.
 func NewMachine(cfg Config) (*Machine, error) {
-	cfg = cfg.withDefaults()
+	return open(cfg.withDefaults(), nil)
+}
 
-	pool := phys.NewStriped(cfg.MemBytes, cfg.Stripes, cfg.FMFI)
+// open boots a machine under cfg (defaults applied): at round zero when st
+// is nil, else from st. Construction-derived values (seed tree, hash
+// seeds, stripe homes) come from cfg either way, and a restore replays
+// every generator to its recorded position, so stepping the restored
+// machine reproduces the uninterrupted run bit for bit. Any failure to
+// restore st is an ErrMismatch.
+func open(cfg Config, st *MachineState) (m *Machine, err error) {
+	// A policy that does not parse is a configuration error, not a
+	// snapshot mismatch, so it is parsed before anything is restored.
+	var policy inject.Policy
+	if cfg.Inject != "" {
+		if policy, err = inject.Parse(cfg.Inject, runner.DeriveSubSeed(cfg.Seed, "inject", 0)); err != nil {
+			return nil, fmt.Errorf("tenant: %w", err)
+		}
+	}
+	var pool *phys.Striped
+	if st == nil {
+		pool = phys.NewStriped(cfg.MemBytes, cfg.Stripes, cfg.FMFI)
+	} else {
+		defer func() {
+			if err != nil && !errors.Is(err, ErrMismatch) {
+				err = fmt.Errorf("%w: %w", ErrMismatch, err)
+			}
+		}()
+		if pool, err = phys.RestoreStriped(st.Pool); err != nil {
+			return nil, err
+		}
+		pool.AmbientFMFI = cfg.FMFI
+	}
 
 	specs := workload.Specs(cfg.Scale)
 	procs := make([]*process, cfg.Processes)
 	schedProcs := make([]*osmodel.Proc, cfg.Processes)
 	for pid := range procs {
-		p, err := newProcess(cfg, pid, specs[pid%len(specs)], pool)
+		var ps *ProcState
+		if st != nil {
+			ps = &st.Procs[pid]
+		}
+		p, err := openProcess(cfg, pid, specs[pid%len(specs)], pool, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -72,51 +102,46 @@ func NewMachine(cfg Config) (*Machine, error) {
 		schedProcs[pid] = &osmodel.Proc{ID: pid, PT: p.table}
 	}
 
-	shared, err := newShared(cfg, pool)
+	shared, err := openShared(cfg, pool, st)
 	if err != nil {
 		return nil, err
 	}
 
-	m := &Machine{
+	m = &Machine{
 		cfg:    cfg,
 		pool:   pool,
 		procs:  procs,
+		shards: make([]*shard, cfg.Cores),
 		shared: shared,
 		live:   cfg.Processes,
+	}
+	for c := range m.shards {
+		m.shards[c] = newShard(cfg.Org)
 	}
 
 	// Fault injection arms only after boot: construction-time allocations
 	// (initial ways, the shared premap) are machine setup, not tenant
 	// activity, and injecting there would fail the whole machine rather
 	// than exercise tenant isolation.
-	if err := m.attachInjector(); err != nil {
+	if policy != nil {
+		m.injector = inject.AttachStriped(pool, policy)
+	}
+	if st == nil {
+		m.sched = osmodel.NewMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores,
+			runner.DeriveSubSeed(cfg.Seed, "sched", 0), schedProcs...)
+		return m, nil
+	}
+	if m.injector != nil && st.Injector != nil && !m.injector.Restore(*st.Injector) {
+		return nil, fmt.Errorf("injection policy %q does not match the snapshot's clause structure", cfg.Inject)
+	}
+	m.sd, m.live = st.SD, st.Live
+	for i, sh := range m.shards {
+		sh.mmu.RestoreStats(st.ShardStats[i])
+	}
+	if m.sched, err = osmodel.RestoreMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores, st.Sched, schedProcs...); err != nil {
 		return nil, err
 	}
-
-	m.shards = newShards(cfg)
-	m.sched = osmodel.NewMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores,
-		runner.DeriveSubSeed(cfg.Seed, "sched", 0), schedProcs...)
 	return m, nil
-}
-
-func newShards(cfg Config) []*shard {
-	shards := make([]*shard, cfg.Cores)
-	for c := range shards {
-		shards[c] = newShard(cfg.Org)
-	}
-	return shards
-}
-
-func (m *Machine) attachInjector() error {
-	if m.cfg.Inject == "" {
-		return nil
-	}
-	policy, err := inject.Parse(m.cfg.Inject, runner.DeriveSubSeed(m.cfg.Seed, "inject", 0))
-	if err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	m.injector = inject.AttachStriped(m.pool, policy)
-	return nil
 }
 
 // Config returns the machine's configuration with defaults applied.
@@ -287,11 +312,8 @@ func (m *Machine) State() *MachineState {
 }
 
 // RestoreMachine rebuilds a machine from a captured state under the same
-// configuration. Identity fields are cross-checked (ErrMismatch on any
-// disagreement); construction-derived values (seed tree, hash seeds, stripe
-// homes) are re-derived from cfg exactly as NewMachine derives them, and
-// every generator is replayed to its recorded position, so stepping the
-// restored machine reproduces the uninterrupted run bit for bit.
+// configuration. Identity fields are cross-checked, and any disagreement,
+// like any state the machine cannot be rebuilt from, is an ErrMismatch.
 func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if st.Org != cfg.Org.String() || st.Processes != cfg.Processes || st.Seed != cfg.Seed {
@@ -302,69 +324,7 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("%w: snapshot carries %d proc and %d shard records for %d/%d",
 			ErrMismatch, len(st.Procs), len(st.ShardStats), cfg.Processes, cfg.Cores)
 	}
-	pool, err := phys.RestoreStriped(st.Pool)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
-	}
-	pool.AmbientFMFI = cfg.FMFI
-
-	specs := workload.Specs(cfg.Scale)
-	procs := make([]*process, cfg.Processes)
-	schedProcs := make([]*osmodel.Proc, cfg.Processes)
-	for pid := range procs {
-		p, err := restoreProcess(cfg, pid, specs[pid%len(specs)], pool, st.Procs[pid])
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-		schedProcs[pid] = &osmodel.Proc{ID: pid, PT: p.table}
-	}
-
-	sharedSeed := runner.DeriveSubSeed(cfg.Seed, "shared", 0)
-	tableSrc := snapshot.RestoreSource(st.SharedTableRNG)
-	remapSrc := snapshot.RestoreSource(st.SharedRemapRNG)
-	table, err := cuckoo.RestoreConcurrent(sharedCuckooConfig(sharedSeed, rand.New(tableSrc)), st.SharedTable)
-	if err != nil {
-		return nil, fmt.Errorf("%w: shared segment: %v", ErrMismatch, err)
-	}
-	shared := &sharedRegion{
-		table:    table,
-		view:     pool.View(^uint64(0)),
-		pages:    cfg.SharedPages,
-		rng:      rand.New(remapSrc),
-		tableSrc: tableSrc,
-		remapSrc: remapSrc,
-	}
-	if err := shared.check(); err != nil {
-		return nil, err
-	}
-
-	m := &Machine{
-		cfg:    cfg,
-		pool:   pool,
-		procs:  procs,
-		shared: shared,
-		sd:     st.SD,
-		live:   st.Live,
-	}
-	if err := m.attachInjector(); err != nil {
-		return nil, err
-	}
-	if m.injector != nil && st.Injector != nil {
-		if !m.injector.Restore(*st.Injector) {
-			return nil, fmt.Errorf("%w: injection policy %q does not match the snapshot's clause structure",
-				ErrMismatch, cfg.Inject)
-		}
-	}
-	m.shards = newShards(cfg)
-	for i, sh := range m.shards {
-		sh.mmu.RestoreStats(st.ShardStats[i])
-	}
-	m.sched, err = osmodel.RestoreMultiCore(osmodel.DefaultSwitchCosts(), cfg.Cores, st.Sched, schedProcs...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
-	}
-	return m, nil
+	return open(cfg, st)
 }
 
 // check rejects a restored shared table that does not map exactly the
@@ -386,87 +346,6 @@ func (s *sharedRegion) check() error {
 			ErrMismatch, pages, s.pages, entries, s.table.Len())
 	}
 	return nil
-}
-
-// restoreProcess is newProcess over recorded state: same derivations, no
-// fresh allocation, every generator replayed into position.
-func restoreProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped, ps ProcState) (*process, error) {
-	procSeed := runner.DeriveSubSeed(cfg.Seed, "proc", uint64(pid))
-	view := pool.View(uint64(pid))
-	overlaySrc := snapshot.RestoreSource(ps.Overlay)
-	hier, err := cache.RestoreHierarchy(tenantCacheConfig(), ps.Cache)
-	if err != nil {
-		return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
-	}
-	p := &process{
-		id:         pid,
-		spec:       spec,
-		cache:      hier,
-		rng:        rand.New(overlaySrc),
-		overlaySrc: overlaySrc,
-		left:       ps.Left,
-		res:        ps.Res,
-	}
-	if cfg.Replay != nil {
-		sec, ok := trace.FindSection(cfg.Replay, uint64(pid))
-		if !ok {
-			return nil, fmt.Errorf("%w: replay trace has no section for pid %d", ErrMismatch, pid)
-		}
-		n := uint64(len(sec.VAs))
-		if ps.Replay > n || n-ps.Replay < ps.Left {
-			return nil, fmt.Errorf("%w: proc %d replay cursor %d leaves fewer than %d of %d records",
-				ErrMismatch, pid, ps.Replay, ps.Left, n)
-		}
-		p.replay = sec.VAs
-		p.replayPos = ps.Replay
-	} else {
-		if ps.Trace.Emitted > ps.Trace.N || ps.Trace.N-ps.Trace.Emitted < ps.Left {
-			return nil, fmt.Errorf("%w: proc %d trace at %d of %d accesses cannot cover %d more",
-				ErrMismatch, pid, ps.Trace.Emitted, ps.Trace.N, ps.Left)
-		}
-		p.trace = spec.RestoreTrace(ps.Trace)
-	}
-	hashSeed := uint64(procSeed)*2654435761 + 12345
-	switch cfg.Org {
-	case sim.MEHPT:
-		if ps.MEHPT == nil {
-			return nil, fmt.Errorf("%w: proc %d carries no ME-HPT state", ErrMismatch, pid)
-		}
-		tc := mehpt.DefaultConfig(hashSeed)
-		p.tableSrc = snapshot.RestoreSource(ps.Table)
-		tc.Rand = rand.New(p.tableSrc)
-		table, err := mehpt.RestorePageTable(view, tc, *ps.MEHPT)
-		if err != nil {
-			return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
-		}
-		p.table = table
-	case sim.ECPT:
-		if ps.ECPT == nil {
-			return nil, fmt.Errorf("%w: proc %d carries no ECPT state", ErrMismatch, pid)
-		}
-		tc := ecpt.DefaultConfig(hashSeed)
-		p.tableSrc = snapshot.RestoreSource(ps.Table)
-		tc.Rand = rand.New(p.tableSrc)
-		table, err := ecpt.RestorePageTable(view, tc, *ps.ECPT)
-		if err != nil {
-			return nil, fmt.Errorf("%w: proc %d: %v", ErrMismatch, pid, err)
-		}
-		p.table = table
-	case sim.Radix:
-		if ps.Radix == nil {
-			return nil, fmt.Errorf("%w: proc %d carries no radix state", ErrMismatch, pid)
-		}
-		pt, err := radix.Restore(*ps.Radix, view)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
-		}
-		p.table = pt
-	default:
-		return nil, fmt.Errorf("tenant: unknown organization %v", cfg.Org)
-	}
-	p.os = osmodel.New(osmodel.DefaultConfig(), p.table, view)
-	p.os.RestoreStats(ps.OS)
-	return p, nil
 }
 
 // Checkpoint atomically writes the machine's state to path (see

@@ -154,6 +154,16 @@ func TestRestoreMismatch(t *testing.T) {
 		}
 	}
 
+	// The radix mutations below run on a radix machine, every other one on m.
+	rcfg := ckptConfig(sim.Radix, 2)
+	rm, err := NewMachine(rcfg)
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	if err := rm.StepRound(); err != nil {
+		t.Fatalf("StepRound: %v", err)
+	}
+
 	// State the resumed run would trip over only later, as a panic: a
 	// generated trace shorter than the remaining budget, and scheduler
 	// entries MultiCore indexes the process list with. A free map the
@@ -231,6 +241,13 @@ func TestRestoreMismatch(t *testing.T) {
 			l1[0], l1[1] = 0, 1
 		},
 		"cache wrong set": func(st *MachineState) { st.Procs[0].Cache.Levels[0].Tags[0] += 1 },
+		// A radix tree the walker cannot descend: a depth it has no
+		// level layout for, and a root entry naming no recorded node.
+		"radix depth": func(st *MachineState) { st.Procs[0].Radix.Levels = 9 },
+		"radix child range": func(st *MachineState) {
+			r := st.Procs[0].Radix
+			r.Nodes[0].Entries[0].Child = int32(len(r.Nodes))
+		},
 		"head past the end": func(st *MachineState) {
 			// The stripe's frame count is not a power of two, so the
 			// last MaxOrder-aligned block runs past it.
@@ -239,9 +256,13 @@ func TestRestoreMismatch(t *testing.T) {
 			sp.HeadOrder[(sp.Frames-1)&^(1<<o-1)] = int8(o)
 		},
 	} {
-		st := m.State()
+		src, scfg := m, cfg
+		if strings.HasPrefix(name, "radix ") {
+			src, scfg = rm, rcfg
+		}
+		st := src.State()
 		mut(st)
-		if _, err := RestoreMachine(cfg, st); !errors.Is(err, ErrMismatch) {
+		if _, err := RestoreMachine(scfg, st); !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s: got %v, want ErrMismatch", name, err)
 		}
 	}

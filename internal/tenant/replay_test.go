@@ -51,38 +51,42 @@ func TestReplayMatchesGeneratedFingerprint(t *testing.T) {
 }
 
 func TestReplayCheckpointRestore(t *testing.T) {
-	cfg := testConfig(sim.MEHPT, 2)
-	cfg.Replay = recordSections(t, cfg)
+	for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {
+		t.Run(org.String(), func(t *testing.T) {
+			cfg := testConfig(org, 2)
+			cfg.Replay = recordSections(t, cfg)
 
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			base, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2 && !m.Done(); i++ {
-		if err := m.StepRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "replay.ckpt")
-	if err := m.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := LoadMachine(cfg, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !r.Done() {
-		if err := r.StepRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.Collect().Fingerprint; got != base.Fingerprint {
-		t.Fatalf("restored replay fingerprint %s != uninterrupted %s", got, base.Fingerprint)
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2 && !m.Done(); i++ {
+				if err := m.StepRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join(t.TempDir(), "replay.ckpt")
+			if err := m.Checkpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadMachine(cfg, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !r.Done() {
+				if err := r.StepRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := r.Collect().Fingerprint; got != base.Fingerprint {
+				t.Fatalf("restored replay fingerprint %s != uninterrupted %s", got, base.Fingerprint)
+			}
+		})
 	}
 }
 

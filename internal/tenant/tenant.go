@@ -48,13 +48,10 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/cuckoo"
-	"repro/internal/ecpt"
 	"repro/internal/hashfn"
-	"repro/internal/mehpt"
 	"repro/internal/mmu"
 	"repro/internal/osmodel"
 	"repro/internal/phys"
-	"repro/internal/radix"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -299,12 +296,7 @@ type shard struct {
 }
 
 func newShard(org sim.Org) *shard {
-	s := &shard{}
-	if org == sim.Radix {
-		s.mmu = mmu.NewRadix(nil, nil)
-	} else {
-		s.mmu = mmu.NewHPT(nil, nil)
-	}
+	s := &shard{mmu: sim.NewMMU(org, nil, nil)}
 	s.eng.MMU = s.mmu
 	return s
 }
@@ -352,7 +344,7 @@ func Run(cfg Config) (*Result, error) {
 
 // RecordTraces writes every tenant's private access stream as one binary
 // trace with a per-PID section table (trace.WriteBinary). The streams are
-// regenerated from cfg's seed tree — the same derivation newProcess uses —
+// regenerated from cfg's seed tree — the same derivation openProcess uses —
 // so a machine run with Config.Replay set to the recorded sections produces
 // the identical fingerprint as a generated-trace run of the same Config.
 func RecordTraces(cfg Config, w io.Writer) error {
@@ -375,95 +367,114 @@ func RecordTraces(cfg Config, w io.Writer) error {
 	return trace.WriteBinary(w, sections)
 }
 
-// newProcess builds one tenant: its page table over a pool view, OS layer,
-// private cache slice, trace, and overlay generator.
-func newProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped) (*process, error) {
+// openProcess boots tenant pid over its pool view: its page table, OS
+// layer, private cache slice, trace and overlay generator. A nil ps boots
+// it fresh, which differs from a restore only in building the page table
+// and cache anew: every generator and counter starts from the round-zero
+// position ps would record.
+func openProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped, ps *ProcState) (*process, error) {
 	procSeed := runner.DeriveSubSeed(cfg.Seed, "proc", uint64(pid))
 	view := pool.View(uint64(pid))
-	overlaySrc := snapshot.NewSource(runner.DeriveSubSeed(procSeed, "overlay", 0))
+	fresh := ps == nil
+	if fresh {
+		ps = &ProcState{
+			Res:  ProcResult{PID: pid, Workload: spec.Name},
+			Left: cfg.AccessesPerProc,
+			Trace: workload.TraceState{
+				N:   cfg.AccessesPerProc,
+				RNG: snapshot.SourceState{Seed: runner.DeriveSubSeed(procSeed, "trace", 0)},
+			},
+			Overlay: snapshot.SourceState{Seed: runner.DeriveSubSeed(procSeed, "overlay", 0)},
+			Table:   snapshot.SourceState{Seed: runner.DeriveSubSeed(procSeed, "table", 0)},
+		}
+	}
 	p := &process{
 		id:         pid,
 		spec:       spec,
-		cache:      cache.NewHierarchy(tenantCacheConfig()),
-		rng:        rand.New(overlaySrc),
-		overlaySrc: overlaySrc,
-		left:       cfg.AccessesPerProc,
+		left:       ps.Left,
+		overlaySrc: snapshot.RestoreSource(ps.Overlay),
+		res:        ps.Res,
+	}
+	p.rng = rand.New(p.overlaySrc)
+	var ts *sim.TableState
+	if fresh {
+		p.cache = cache.NewHierarchy(tenantCacheConfig())
+	} else {
+		hier, err := cache.RestoreHierarchy(tenantCacheConfig(), ps.Cache)
+		if err != nil {
+			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
+		}
+		p.cache = hier
+		ts = &sim.TableState{Radix: ps.Radix, ECPT: ps.ECPT, MEHPT: ps.MEHPT}
 	}
 	if cfg.Replay != nil {
 		sec, ok := trace.FindSection(cfg.Replay, uint64(pid))
 		if !ok {
 			return nil, fmt.Errorf("tenant: replay trace has no section for pid %d", pid)
 		}
-		if uint64(len(sec.VAs)) < cfg.AccessesPerProc {
-			return nil, fmt.Errorf("tenant: replay section for pid %d holds %d records, need %d",
-				pid, len(sec.VAs), cfg.AccessesPerProc)
+		if n := uint64(len(sec.VAs)); ps.Replay > n || n-ps.Replay < ps.Left {
+			return nil, fmt.Errorf("tenant: proc %d replay cursor %d leaves fewer than %d of %d records",
+				pid, ps.Replay, ps.Left, n)
 		}
-		p.replay = sec.VAs
+		p.replay, p.replayPos = sec.VAs, ps.Replay
 	} else {
-		p.trace = spec.NewTrace(runner.DeriveSubSeed(procSeed, "trace", 0), cfg.AccessesPerProc)
+		if ps.Trace.Emitted > ps.Trace.N || ps.Trace.N-ps.Trace.Emitted < ps.Left {
+			return nil, fmt.Errorf("tenant: proc %d trace at %d of %d accesses cannot cover %d more",
+				pid, ps.Trace.Emitted, ps.Trace.N, ps.Left)
+		}
+		p.trace = spec.RestoreTrace(ps.Trace)
 	}
-	p.res = ProcResult{PID: pid, Workload: spec.Name}
 	hashSeed := uint64(procSeed)*2654435761 + 12345
-	switch cfg.Org {
-	case sim.MEHPT:
-		tc := mehpt.DefaultConfig(hashSeed)
-		p.tableSrc = snapshot.NewSource(runner.DeriveSubSeed(procSeed, "table", 0))
-		tc.Rand = rand.New(p.tableSrc)
-		pt, err := mehpt.NewPageTable(view, tc)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
-		}
-		p.table = pt
-	case sim.ECPT:
-		tc := ecpt.DefaultConfig(hashSeed)
-		p.tableSrc = snapshot.NewSource(runner.DeriveSubSeed(procSeed, "table", 0))
-		tc.Rand = rand.New(p.tableSrc)
-		pt, err := ecpt.NewPageTable(view, tc)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
-		}
-		p.table = pt
-	case sim.Radix:
-		pt, err := radix.NewPageTable(view)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
-		}
-		p.table = pt
-	default:
-		return nil, fmt.Errorf("tenant: unknown organization %v", cfg.Org)
+	newRand := func() rand.Source {
+		p.tableSrc = snapshot.RestoreSource(ps.Table)
+		return p.tableSrc
 	}
-	osCfg := osmodel.DefaultConfig()
-	p.os = osmodel.New(osCfg, p.table, view)
+	var err error
+	if p.table, err = sim.OpenTable(cfg.Org, view, hashSeed, newRand, nil, ts); err != nil {
+		return nil, fmt.Errorf("tenant: proc %d: %w", pid, err)
+	}
+	p.os = osmodel.New(osmodel.DefaultConfig(), p.table, view)
+	p.os.RestoreStats(ps.OS)
 	return p, nil
 }
 
-// sharedCuckooConfig is the shared segment's table geometry, shared by the
-// construction and restore paths so both derive the identical hash family.
-func sharedCuckooConfig(sharedSeed int64, rng *rand.Rand) cuckoo.Config {
-	return cuckoo.Config{
+// openShared boots the shared segment, fresh when st is nil and restored
+// from st otherwise. A fresh segment is premapped, which drives the
+// concurrent table through its growth path (serialized resizes) before the
+// first round.
+func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion, error) {
+	sharedSeed := runner.DeriveSubSeed(cfg.Seed, "shared", 0)
+	tableRNG := snapshot.SourceState{Seed: runner.DeriveSubSeed(sharedSeed, "table", 0)}
+	remapRNG := snapshot.SourceState{Seed: runner.DeriveSubSeed(sharedSeed, "remap", 0)}
+	if st != nil {
+		tableRNG, remapRNG = st.SharedTableRNG, st.SharedRemapRNG
+	}
+	s := &sharedRegion{
+		view:     pool.View(^uint64(0)),
+		pages:    cfg.SharedPages,
+		tableSrc: snapshot.RestoreSource(tableRNG),
+		remapSrc: snapshot.RestoreSource(remapRNG),
+	}
+	s.rng = rand.New(s.remapSrc)
+	tc := cuckoo.Config{
 		Ways:           3,
 		InitialEntries: 64,
 		MaxKicks:       32,
 		HashSeed:       uint64(sharedSeed)*2654435761 + 12345,
-		Rand:           rng, //mehpt:allow randowner -- the region's own counted source (fresh at boot, repositioned on restore), never shared
+		Rand:           rand.New(s.tableSrc),
 	}
-}
-
-// newShared builds and premaps the shared segment. Premapping drives the
-// concurrent table through its growth path (serialized resizes) before the
-// first round.
-func newShared(cfg Config, pool *phys.Striped) (*sharedRegion, error) {
-	sharedSeed := runner.DeriveSubSeed(cfg.Seed, "shared", 0)
-	tableSrc := snapshot.NewSource(runner.DeriveSubSeed(sharedSeed, "table", 0))
-	remapSrc := snapshot.NewSource(runner.DeriveSubSeed(sharedSeed, "remap", 0))
-	s := &sharedRegion{
-		table:    cuckoo.NewConcurrent(sharedCuckooConfig(sharedSeed, rand.New(tableSrc))),
-		view:     pool.View(^uint64(0)),
-		pages:    cfg.SharedPages,
-		rng:      rand.New(remapSrc),
-		tableSrc: tableSrc,
-		remapSrc: remapSrc,
+	if st != nil {
+		table, err := cuckoo.RestoreConcurrent(tc, st.SharedTable)
+		if err != nil {
+			return nil, fmt.Errorf("tenant: shared segment: %w", err)
+		}
+		s.table = table
+		if err := s.check(); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
+	s.table = cuckoo.NewConcurrent(tc)
 	for page := uint64(0); page < s.pages; page++ {
 		ppn, _, err := s.view.Alloc(4 * addr.KB)
 		if err != nil {

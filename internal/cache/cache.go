@@ -6,7 +6,12 @@
 // walks pay for its absence — the first-order effect behind Figure 9.
 package cache
 
-import "repro/internal/addr"
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/addr"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -21,38 +26,55 @@ type Stats struct {
 	Hits, Misses uint64
 }
 
-// Cache is one set-associative LRU cache level.
+// Cache is one set-associative LRU cache level of at most 16 ways.
 //
 // Tags live in a single flat set-major array (sets × ways), 0 marking an
-// empty slot (tags are stored as line+1). Each set is a ring in LRU order:
-// heads[set] names its MRU slot and recency runs forward from there,
-// wrapping at the set's end, and empty slots are always a suffix of that
-// order. A fill steps the head back one slot and writes there — onto the
-// LRU victim when the set is full, else onto an empty slot — so a miss
-// costs one probe and one store; a hit shifts only the slots between the
-// head and the hit.
+// empty slot (tags are stored as line+1), and never move once written.
+// Recency lives beside them, one uint64 per set: nibble k names the slot
+// at recency position k, so nibble 0 is the MRU slot and nibble ways-1
+// the LRU one. Every set starts in identity order, and empty slots are
+// always a suffix of recency order. A hit rewrites only the word; a fill
+// writes the slot the LRU nibble names — the victim when the set is full,
+// else an empty slot — and rotates that nibble to the front, so a miss
+// costs one probe and one store.
 type Cache struct {
 	cfg      Config
 	sets     uint64
 	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	lineBits uint
 	ways     int
+	lruPos   uint     // ways-1, the LRU recency position
 	tags     []uint64 // sets × ways, set-major; 0 = empty
-	heads    []uint32 // MRU slot of each set
+	recency  []uint64 // one recency word per set
 	stats    Stats
 }
 
-// newLevel creates a cache level without its heads, which NewHierarchy
-// allocates once for all three levels. Sets are derived from
+// maxWays is the widest level a recency word can order: 16 four-bit slot
+// numbers fill its 64 bits.
+const maxWays = 16
+
+// identityOrder is a fresh set's recency word: slot k at position k. In a
+// level narrower than 16 ways the nibbles past ways-1 keep slot numbers
+// that no position below them holds, so they never match a lookup.
+const identityOrder = 0xFEDCBA9876543210
+
+// nibbles has 1 in every nibble, for the SWAR nibble tests.
+const nibbles = 0x1111111111111111
+
+// newLevel creates a cache level without its recency words, which
+// NewHierarchy allocates once for all three levels. Sets are derived from
 // size/ways/line; the set count need not be a power of two (Table III's
 // 12-way L2 TLB layout made that a requirement elsewhere too).
 func newLevel(cfg Config) Cache {
+	if cfg.Ways < 1 || cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways; a level holds 1 to %d ways (the 16-way limit of its recency word)", cfg.Ways, maxWays))
+	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / uint64(cfg.Ways)
 	if sets == 0 {
 		sets = 1
 	}
-	c := Cache{cfg: cfg, sets: sets, ways: cfg.Ways}
+	c := Cache{cfg: cfg, sets: sets, ways: cfg.Ways, lruPos: uint(cfg.Ways - 1)}
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
 	}
@@ -73,25 +95,28 @@ func (c *Cache) setOf(ln uint64) uint64 {
 	return ln % c.sets
 }
 
-// find returns the slot holding want in a ring set whose MRU slot is h, or
-// -1. Most hits land on the MRU slot; past it the scan runs in slot order,
-// so its loads do not wait on the head and a miss in a full set runs a
-// fixed trip count.
-func find(set []uint64, h int, want uint64) int {
-	if set[h] == want {
-		return h
-	}
-	for p, tag := range set {
-		if tag == want {
-			return p
-		}
-	}
-	return -1
+// position returns the recency position whose nibble in r names slot p:
+// the lowest zero nibble of r ^ p·nibbles. Borrows in the SWAR test can
+// only mark nibbles above the lowest zero one, so the lowest mark is exact.
+func position(r, p uint64) uint {
+	x := r ^ p*nibbles
+	return uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) >> 2
 }
 
-// probe looks pa's line up, moving it to the MRU slot and counting the hit
+// toFront moves the nibble at recency position k of r (naming slot p) to
+// position 0, shifting the positions before it back one place.
+func toFront(r uint64, k uint, p uint64) uint64 {
+	low := r & (1<<(4*k) - 1)
+	high := r &^ (1<<(4*k+4) - 1) // 0 when k is 15: Go shifts by 64 to 0
+	return high | low<<4 | p
+}
+
+// probe looks pa's line up, making it the MRU entry and counting the hit
 // or miss. It returns the line's tag and set, so a missed level is filled
-// without a second probe.
+// without a second probe. Most hits land on the MRU slot and leave the
+// word as it is; past it the scan runs in slot order, so its loads do not
+// wait on the recency word and a miss in a full set runs a fixed trip
+// count.
 //
 //mehpt:hotpath
 func (c *Cache) probe(pa addr.PhysAddr) (want, si uint64, hit bool) {
@@ -99,39 +124,33 @@ func (c *Cache) probe(pa addr.PhysAddr) (want, si uint64, hit bool) {
 	want, si = ln+1, c.setOf(ln)
 	w := uint64(c.ways)
 	set := c.tags[si*w : si*w+w]
-	h := int(c.heads[si])
-	p := find(set, h, want)
-	if p < 0 {
-		c.stats.Misses++
-		return want, si, false
+	r := c.recency[si]
+	if set[r&15] == want {
+		c.stats.Hits++
+		return want, si, true
 	}
-	// Shift the entries between the head and the hit back one place.
-	for p != h {
-		q := p - 1
-		if q < 0 {
-			q = len(set) - 1
+	for p, tag := range set {
+		if tag == want {
+			c.recency[si] = toFront(r, position(r, uint64(p)), uint64(p))
+			c.stats.Hits++
+			return want, si, true
 		}
-		set[p] = set[q]
-		p = q
 	}
-	set[h] = want
-	c.stats.Hits++
-	return want, si, true
+	c.stats.Misses++
+	return want, si, false
 }
 
-// push makes want, which must be absent, the MRU entry of set si: the head
-// steps back one slot, onto the LRU victim when the set is full and onto
-// the last empty slot otherwise, so the empties stay a suffix.
+// push makes want, which must be absent, the MRU entry of set si: it goes
+// into the slot the LRU nibble names, the victim when the set is full and
+// an empty slot otherwise (empties are a suffix of recency order), and
+// that nibble moves to the front, so the empties stay a suffix.
 //
 //mehpt:hotpath
 func (c *Cache) push(si, want uint64) {
-	h := c.heads[si]
-	if h == 0 {
-		h = uint32(c.ways)
-	}
-	h--
-	c.heads[si] = h
-	c.tags[si*uint64(c.ways)+uint64(h)] = want
+	r := c.recency[si]
+	p := r >> (4 * c.lruPos) & 15
+	c.tags[si*uint64(c.ways)+p] = want
+	c.recency[si] = toFront(r, c.lruPos, p)
 }
 
 // Stats returns the hit/miss counters.
@@ -165,17 +184,22 @@ func TableIII() HierarchyConfig {
 	}
 }
 
-// NewHierarchy builds the stack. One heads allocation serves all three
-// levels, so the rings cost no allocation beyond the tag arrays.
+// NewHierarchy builds the stack. One allocation holds all three levels'
+// recency words, so recency costs no allocation beyond the tag arrays. It
+// panics on a level wider than maxWays; geometry comes only from TableIII
+// and the tenant's fixed configuration, never from input.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h := &Hierarchy{
 		levels:      [3]Cache{newLevel(cfg.L1), newLevel(cfg.L2), newLevel(cfg.L3)},
 		dramLatency: cfg.DRAMLatency,
 	}
-	heads := make([]uint32, h.levels[0].sets+h.levels[1].sets+h.levels[2].sets)
+	words := make([]uint64, h.levels[0].sets+h.levels[1].sets+h.levels[2].sets)
+	for i := range words {
+		words[i] = identityOrder
+	}
 	for i := range h.levels {
 		c := &h.levels[i]
-		c.heads, heads = heads[:c.sets:c.sets], heads[c.sets:]
+		c.recency, words = words[:c.sets:c.sets], words[c.sets:]
 	}
 	return h
 }

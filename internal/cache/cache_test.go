@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -93,4 +95,64 @@ func TestStatsCount(t *testing.T) {
 	if l1.Hits != 1 || l1.Misses != 1 {
 		t.Errorf("L1 stats = %+v", l1)
 	}
+}
+
+// TestSixteenWayHitAtLRU fills a fully associative 16-way L1 and then hits
+// its LRU line, the one hit whose recency update shifts a nibble out of
+// the top of the word.
+func TestSixteenWayHitAtLRU(t *testing.T) {
+	h := smallHierarchy(Config{SizeBytes: 16 * 64, Ways: 16, LineBytes: 64, Latency: 2})
+	line := func(i int) addr.PhysAddr { return addr.PhysAddr(i * 64) }
+	for i := 0; i < 16; i++ {
+		h.Access(line(i))
+	}
+	if lat := h.Access(line(0)); lat != 2 {
+		t.Fatalf("LRU line latency = %d, want 2 (L1)", lat)
+	}
+	want := []uint64{1} // line 0 first, then lines 15 down to 1
+	for i := 15; i >= 1; i-- {
+		want = append(want, uint64(i)+1)
+	}
+	if got := h.State().Levels[0].Tags; !reflect.DeepEqual(got, want) {
+		t.Fatalf("L1 recency order after the hit = %v, want %v", got, want)
+	}
+	h.Access(line(16)) // evicts line 1, now the LRU line
+	if lat := h.Access(line(0)); lat != 2 {
+		t.Errorf("promoted line latency = %d, want 2 (L1): evicted", lat)
+	}
+	if lat := h.Access(line(1)); lat != 10 {
+		t.Errorf("LRU line latency = %d, want 10 (L2): survived in L1", lat)
+	}
+}
+
+// TestOneWayLevel drives a direct-mapped L1: every set holds one line, so
+// a hit and a fill both act on recency position 0.
+func TestOneWayLevel(t *testing.T) {
+	h := smallHierarchy(Config{SizeBytes: 256, Ways: 1, LineBytes: 64, Latency: 1})
+	a, b := addr.PhysAddr(0), addr.PhysAddr(256) // same L1 set
+	h.Access(a)
+	if lat := h.Access(a); lat != 1 {
+		t.Fatalf("resident line latency = %d, want 1 (L1)", lat)
+	}
+	h.Access(b)
+	if lat := h.Access(a); lat != 10 {
+		t.Fatalf("displaced line latency = %d, want 10 (L2)", lat)
+	}
+	if got, want := h.State().Levels[0].Tags, []uint64{1, 0, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("L1 tags = %v, want %v", got, want)
+	}
+}
+
+// TestNewHierarchyRejectsWideLevel checks that a level wider than one
+// recency word can order panics with a message naming the limit.
+func TestNewHierarchyRejectsWideLevel(t *testing.T) {
+	cfg := TableIII()
+	cfg.L3.Ways = 17
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "16-way limit") {
+			t.Fatalf("NewHierarchy with a 17-way L3 panicked with %q, want a message naming the 16-way limit", msg)
+		}
+	}()
+	NewHierarchy(cfg)
 }

@@ -32,9 +32,9 @@ func fuzzPA(b0, b1 byte) addr.PhysAddr {
 
 // FuzzHierarchyOps decodes a geometry (6 bytes) and a sequence of 3-byte
 // ops — Access, AccessBatch of width 0–64 and State→Restore — and checks
-// the ring-ordered hierarchy against refHierarchy, a per-set MRU slice
-// with copy-shift, after every op: latencies, every level's counters, the
-// DRAM count and the State snapshot.
+// the hierarchy against refHierarchy, a per-set MRU slice with copy-shift,
+// after every op: latencies, every level's counters, the DRAM count and the
+// State snapshot.
 func FuzzHierarchyOps(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		b := make([]byte, 6+3*200)

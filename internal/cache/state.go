@@ -16,16 +16,19 @@ type HierarchyState struct {
 }
 
 // State returns a deep copy of the hierarchy's tags and counters. Each set
-// is emitted in recency order, rotated out of its ring from the head.
+// is emitted in recency order, the slots its recency word names.
 func (h *Hierarchy) State() HierarchyState {
 	st := HierarchyState{DRAMHits: h.dramHits}
 	for i := range h.levels {
 		c := &h.levels[i]
 		w := uint64(c.ways)
 		tags := make([]uint64, 0, len(c.tags))
-		for si, hd := range c.heads {
+		for si, r := range c.recency {
 			set := c.tags[uint64(si)*w : uint64(si)*w+w]
-			tags = append(append(tags, set[hd:]...), set[:hd]...)
+			for range set {
+				tags = append(tags, set[r&15])
+				r >>= 4
+			}
 		}
 		st.Levels[i] = CacheState{Tags: tags, Stats: c.stats}
 	}
@@ -34,10 +37,10 @@ func (h *Hierarchy) State() HierarchyState {
 
 // RestoreHierarchy rebuilds a hierarchy from recorded state. cfg must match
 // the captured hierarchy's geometry — the tag arrays are restored verbatim,
-// with every ring head at slot 0, so a size mismatch is a corruption, not a
-// migration. So is a set no run can produce: a repeated tag, an empty slot
-// before a valid one (fills rely on the empties being a suffix), or a tag
-// whose line belongs to another set.
+// with every set in identity recency order, so a size mismatch is a
+// corruption, not a migration. So is a set no run can produce: a repeated
+// tag, an empty slot before a valid one (fills rely on the empties being a
+// suffix), or a tag whose line belongs to another set.
 func RestoreHierarchy(cfg HierarchyConfig, st HierarchyState) (*Hierarchy, error) {
 	h := NewHierarchy(cfg)
 	for i := range h.levels {
@@ -56,8 +59,8 @@ func RestoreHierarchy(cfg HierarchyConfig, st HierarchyState) (*Hierarchy, error
 	return h, nil
 }
 
-// checkSets reports the first set of a freshly restored level (every head
-// at slot 0) that breaks a ring invariant.
+// checkSets reports the first set of a freshly restored level (every set
+// in identity recency order) that breaks a recency invariant.
 func (c *Cache) checkSets() error {
 	w := uint64(c.ways)
 	for si := uint64(0); si < c.sets; si++ {

@@ -4,6 +4,8 @@
 package tlb
 
 import (
+	"math/bits"
+
 	"repro/internal/addr"
 )
 
@@ -39,6 +41,8 @@ type TLB struct {
 	cfg     Config
 	sets    uint64
 	setMask uint64 // sets-1 when sets is a power of two, else 0
+	setMul  uint64 // ⌈2^64/sets⌉, the multiplier setOf reduces by
+	mulMax  uint64 // VPNs below this reduce exactly by setMul
 	ways    int
 	tags    []uint64 // sets × ways, set-major; 0 = empty
 	pays    []uint64 // payload per slot, parallel to tags in the same allocation
@@ -63,15 +67,26 @@ func New(cfg Config) *TLB {
 	if sets&(sets-1) == 0 {
 		t.setMask = sets - 1
 	}
+	t.setMul = ^uint64(0)/sets + 1
+	t.mulMax = 1 << (64 - bits.Len64(sets))
 	return t
 }
 
-// setOf returns the index of vpn's set. All Table III L1 geometries have
-// power-of-two set counts, so the common case is a mask; the L2 4K/2M
-// structures (1024/12 = 85 sets) take the modulo path.
+// setOf returns the index of vpn's set, vpn mod sets. All Table III L1
+// geometries have power-of-two set counts, so the common case is a mask.
+// The L2 4K/2M structures (1024/12 = 85 sets) take Lemire's multiply-based
+// remainder instead of a 64-bit DIV: the low word of setMul·vpn is the
+// fractional part of vpn/sets scaled by 2^64, and the high word of that
+// times sets is the remainder. It is exact while vpn < 2^(64−len(sets)),
+// which holds for every page number of a 57-bit VA; larger VPNs fall back
+// to %.
 func (t *TLB) setOf(vpn addr.VPN) uint64 {
 	if t.setMask != 0 || t.sets == 1 {
 		return uint64(vpn) & t.setMask
+	}
+	if uint64(vpn) < t.mulMax {
+		hi, _ := bits.Mul64(t.setMul*uint64(vpn), t.sets)
+		return hi
 	}
 	return uint64(vpn) % t.sets
 }
@@ -216,9 +231,15 @@ func (t *TLB) Stats() Stats { return t.stats }
 const BatchWidth = 64
 
 // Hierarchy is the full per-page-size two-level DTLB stack.
+//
+// live has bit s set once size s has had an Insert since the last Flush;
+// Invalidate leaves it set. A size whose bit is clear holds no entry, so
+// Lookup counts its two misses without probing. With THP off every full
+// miss would otherwise scan the empty 2MB and 1GB TLBs as well.
 type Hierarchy struct {
-	l1 [addr.NumPageSizes]*TLB
-	l2 [addr.NumPageSizes]*TLB
+	l1   [addr.NumPageSizes]*TLB
+	l2   [addr.NumPageSizes]*TLB
+	live uint8
 }
 
 // NewTableIII builds the paper's DTLB configuration: L1 64e/4w (4KB),
@@ -246,12 +267,19 @@ const (
 )
 
 // Lookup probes L1 then L2 for va at page size s, returning the outcome,
-// the hit payload, and the lookup latency. An L2 hit refills L1.
+// the hit payload, and the lookup latency. An L2 hit refills L1. A size
+// with no Insert since the last Flush is not probed: both levels count
+// the miss their probes would have.
 //
 //mehpt:hotpath
 func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, uint64) {
-	vpn := va.PageNumber(s)
 	l1, l2 := h.l1[s], h.l2[s]
+	if h.live&(1<<s) == 0 {
+		l1.stats.Misses++
+		l2.stats.Misses++
+		return MissAll, 0, l1.cfg.Latency + l2.cfg.Latency
+	}
+	vpn := va.PageNumber(s)
 	si, pay, ok := l1.probe(vpn)
 	if ok {
 		return HitL1, pay, l1.cfg.Latency
@@ -319,6 +347,7 @@ func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (in
 //mehpt:hotpath
 func (h *Hierarchy) Insert(va addr.VirtAddr, s addr.PageSize, pay uint64) {
 	vpn := va.PageNumber(s)
+	h.live |= 1 << s
 	h.l1[s].Insert(vpn, pay)
 	h.l2[s].Insert(vpn, pay)
 }
@@ -339,10 +368,5 @@ func (h *Hierarchy) Flush() {
 		h.l1[s].Flush()
 		h.l2[s].Flush()
 	}
+	h.live = 0
 }
-
-// L1 and L2 expose the underlying structures for stats inspection.
-func (h *Hierarchy) L1(s addr.PageSize) *TLB { return h.l1[s] }
-
-// L2 returns the second-level TLB for page size s.
-func (h *Hierarchy) L2(s addr.PageSize) *TLB { return h.l2[s] }

@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -124,21 +126,40 @@ func TestFullyAssociative(t *testing.T) {
 	}
 }
 
-// TestSetBaseMaskMatchesModulo pins the power-of-two mask fast path against
-// the modulo it replaces, across both geometries Table III uses.
+// TestSetBaseMaskMatchesModulo pins setOf — the power-of-two mask, the
+// multiply-based reduction and its % fallback above the exact bound —
+// against the modulo it replaces: the Table III geometries, then every set
+// count from 1 to 1024 at fixed edge VPNs (each side of the reduction's
+// bound among them) and 100k random VPNs of random width.
 func TestSetBaseMaskMatchesModulo(t *testing.T) {
+	check := func(tb *TLB, vpn addr.VPN) {
+		t.Helper()
+		if got, want := tb.setOf(vpn), uint64(vpn)%tb.sets; got != want {
+			t.Fatalf("%d sets, vpn %#x: setOf %d, want %d", tb.sets, uint64(vpn), got, want)
+		}
+	}
 	for _, cfg := range []Config{
 		{Entries: 64, Ways: 4, Latency: 2},    // 16 sets: masked
-		{Entries: 1024, Ways: 12, Latency: 2}, // 85 sets: modulo
+		{Entries: 1024, Ways: 12, Latency: 2}, // 85 sets: multiply
 		{Entries: 4, Ways: 0, Latency: 2},     // 1 set
 	} {
 		tb := New(cfg)
 		for _, vpn := range []addr.VPN{0, 1, 84, 85, 86, 1 << 20, 0xDEADBEEF} {
-			want := uint64(vpn) % tb.sets
-			if got := tb.setOf(vpn); got != want {
-				t.Errorf("cfg %+v vpn %d: setOf %d, want %d", cfg, vpn, got, want)
-			}
+			check(tb, vpn)
 		}
+	}
+	tlbs := make([]*TLB, 1024)
+	for sets := 1; sets <= len(tlbs); sets++ {
+		tb := New(Config{Entries: sets, Ways: 1})
+		tlbs[sets-1] = tb
+		bound := addr.VPN(1) << (64 - bits.Len64(uint64(sets)))
+		for _, vpn := range []addr.VPN{0, 1, 1<<36 - 1, bound - 1, bound, bound + 1, ^addr.VPN(0)} {
+			check(tb, vpn)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		check(tlbs[rng.Intn(len(tlbs))], addr.VPN(rng.Uint64()>>rng.Intn(64)))
 	}
 }
 

@@ -151,22 +151,14 @@ func (s Spec) universePages() uint64 {
 // universe wraps and consecutive pages land far apart (no clustering).
 const sparseStride = 0x9E3779B97F4A7C15
 
-// PageVA returns the virtual address of the i-th touched page in
-// first-touch order.
-func (s Spec) PageVA(i uint64) addr.VirtAddr {
-	var universe uint64
-	if s.Kind == Sparse {
-		universe = s.universePages()
-	}
-	return pageVA(s.Kind, i, universe)
-}
-
-// pageVA is PageVA given the spec's kind and universePages, which only a
+// pageVA returns the virtual address of the i-th touched page in
+// first-touch order, given the spec's kind and universePages, which only a
 // sparse spec reads. It is a function, not a Spec method, so that the trace
-// generator's per-access call does not copy the Spec.
+// generator's per-access call does not copy the Spec. The universe is a
+// power of two, so the scatter's modulo is a mask.
 func pageVA(kind Kind, i, universe uint64) addr.VirtAddr {
 	if kind == Sparse {
-		i = (i * sparseStride) % universe
+		i = (i * sparseStride) & (universe - 1)
 	}
 	return BaseVA + addr.VirtAddr(i*4*addr.KB)
 }
@@ -186,9 +178,7 @@ func (s Spec) TouchedPageVAs(f func(va addr.VirtAddr) bool) {
 // Trace generates the timing-mode access stream: a deterministic sequence
 // of n virtual addresses following the spec's pattern.
 type Trace struct {
-	//mehpt:transient -- construction parameter; Spec.RestoreTrace is a method on the caller's (matching) spec
-	spec Spec
-	src  *snapshot.Source // counting source under rng, for checkpoints
+	src *snapshot.Source // counting source under rng, for checkpoints
 	//mehpt:transient -- rebuilt as rand.New over src, whose stream position crosses the checkpoint as TraceState.RNG
 	rng     *rand.Rand
 	n       uint64
@@ -196,12 +186,42 @@ type Trace struct {
 	// sequential cursor state
 	curPage uint64 // index into touched pages
 	curOff  uint64
+
+	// The spec's constants, derived once so that Next neither copies the
+	// Spec nor recomputes them per access.
+
+	//mehpt:transient -- derived from the spec by newTrace; Spec.RestoreTrace is a method on the caller's (matching) spec
+	kind Kind
+	//mehpt:transient -- the spec's HotFraction and SeqFraction, copied by newTrace from the caller's (matching) spec
+	hotFrac, seqFrac float64
+	//mehpt:transient -- derived from the spec by newTrace: touched, hot and block pages, block count, sparse universe
+	pages, hotPages, blockPages, blocks, universe uint64
+}
+
+// newTrace returns a trace of n accesses of s drawing from src, with the
+// spec's constants derived. blockPages is 0 for an unblocked spec, and
+// universe 0 for a dense one.
+func (s Spec) newTrace(src *snapshot.Source, n uint64) *Trace {
+	t := &Trace{src: src, rng: rand.New(src), n: n, kind: s.Kind,
+		hotFrac: s.HotFraction, seqFrac: s.SeqFraction, pages: s.touchedPages()}
+	hot := s.HotBytes
+	if hot == 0 {
+		hot = 256 * addr.KB
+	}
+	t.hotPages = min(hot/(4*addr.KB), t.pages)
+	if s.BlockBytes > 0 {
+		t.blockPages = max(s.BlockBytes/(4*addr.KB), 1)
+		t.blocks = max(t.pages/t.blockPages, 1)
+	}
+	if s.Kind == Sparse {
+		t.universe = s.universePages()
+	}
+	return t
 }
 
 // NewTrace creates a trace of n accesses with the given seed.
 func (s Spec) NewTrace(seed int64, n uint64) *Trace {
-	src := snapshot.NewSource(seed)
-	return &Trace{spec: s, src: src, rng: rand.New(src), n: n}
+	return s.newTrace(snapshot.NewSource(seed), n)
 }
 
 // TraceState is the serializable position of a Trace: the generator stream
@@ -228,16 +248,9 @@ func (t *Trace) State() TraceState {
 
 // RestoreTrace recreates a trace of spec at the recorded position.
 func (s Spec) RestoreTrace(st TraceState) *Trace {
-	src := snapshot.RestoreSource(st.RNG)
-	return &Trace{
-		spec:    s,
-		src:     src,
-		rng:     rand.New(src),
-		n:       st.N,
-		emitted: st.Emitted,
-		curPage: st.CurPage,
-		curOff:  st.CurOff,
-	}
+	t := s.newTrace(snapshot.RestoreSource(st.RNG), st.N)
+	t.emitted, t.curPage, t.curOff = st.Emitted, st.CurPage, st.CurOff
+	return t
 }
 
 // Len returns the total number of accesses the trace will produce.
@@ -249,38 +262,20 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 		return 0, false
 	}
 	t.emitted++
-	s := t.spec
-	pages := s.touchedPages()
 	// Hot-set access: a reference into the small resident working set at
 	// the front of the touched region.
-	if s.HotFraction > 0 && t.rng.Float64() < s.HotFraction {
-		hot := s.HotBytes
-		if hot == 0 {
-			hot = 256 * addr.KB
-		}
-		hotPages := hot / (4 * addr.KB)
-		if hotPages > pages {
-			hotPages = pages
-		}
-		pg := uint64(t.rng.Int63()) % hotPages
+	if t.hotFrac > 0 && t.rng.Float64() < t.hotFrac {
+		pg := uint64(t.rng.Int63()) % t.hotPages
 		off := (uint64(t.rng.Int63()) % (4 * addr.KB)) &^ 7
-		return s.PageVA(pg) + addr.VirtAddr(off), true
+		return pageVA(t.kind, pg, t.universe) + addr.VirtAddr(off), true
 	}
-	if t.rng.Float64() >= s.SeqFraction {
+	if t.rng.Float64() >= t.seqFrac {
 		// Random jump.
-		if s.BlockBytes > 0 {
-			blockPages := s.BlockBytes / (4 * addr.KB)
-			if blockPages == 0 {
-				blockPages = 1
-			}
-			blocks := pages / blockPages
-			if blocks == 0 {
-				blocks = 1
-			}
-			t.curPage = (uint64(t.rng.Int63()) % blocks) * blockPages
+		if t.blockPages > 0 {
+			t.curPage = (uint64(t.rng.Int63()) % t.blocks) * t.blockPages
 			t.curOff = 0
 		} else {
-			t.curPage = uint64(t.rng.Int63()) % pages
+			t.curPage = uint64(t.rng.Int63()) % t.pages
 			t.curOff = uint64(t.rng.Int63()) % (4 * addr.KB)
 			t.curOff &^= 7
 		}
@@ -290,12 +285,12 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 		if t.curOff >= 4*addr.KB {
 			t.curOff = 0
 			t.curPage++
-			if t.curPage >= pages {
+			if t.curPage >= t.pages {
 				t.curPage = 0
 			}
 		}
 	}
-	return s.PageVA(t.curPage) + addr.VirtAddr(t.curOff), true
+	return pageVA(t.kind, t.curPage, t.universe) + addr.VirtAddr(t.curOff), true
 }
 
 // NextBatch fills out with the next accesses of the trace and returns how

@@ -77,14 +77,16 @@ func TestSparsePagesDistinct(t *testing.T) {
 	n := s.touchedPages()
 	seenPage := make(map[addr.VirtAddr]bool, n)
 	seenCluster := make(map[uint64]int, n)
-	for i := uint64(0); i < n; i++ {
-		va := s.PageVA(i)
+	i := 0
+	s.TouchedPageVAs(func(va addr.VirtAddr) bool {
 		if seenPage[va] {
 			t.Fatalf("duplicate sparse page at index %d", i)
 		}
 		seenPage[va] = true
 		seenCluster[pt.ClusterKey(va.PageNumber(addr.Page4K))]++
-	}
+		i++
+		return true
+	})
 	// Sparse pages should rarely share a cluster (at full scale the
 	// low-discrepancy scatter shares none; small test universes share a
 	// little).
@@ -101,12 +103,14 @@ func TestSparsePagesDistinct(t *testing.T) {
 
 func TestDensePagesContiguous(t *testing.T) {
 	s, _ := ByName("BFS", 64)
-	for i := uint64(0); i < 100; i++ {
-		want := BaseVA + addr.VirtAddr(i*4096)
-		if got := s.PageVA(i); got != want {
-			t.Fatalf("dense PageVA(%d) = %#x, want %#x", i, got, want)
+	i := uint64(0)
+	s.TouchedPageVAs(func(va addr.VirtAddr) bool {
+		if want := BaseVA + addr.VirtAddr(i*4096); va != want {
+			t.Fatalf("dense page %d at %#x, want %#x", i, uint64(va), uint64(want))
 		}
-	}
+		i++
+		return i < 100
+	})
 }
 
 func TestTouchedPageVAsCount(t *testing.T) {
@@ -131,15 +135,21 @@ func TestTouchedPageVAsCount(t *testing.T) {
 }
 
 // TestTouchedPageVAsMatchesPageVA: iterating the touched pages, which
-// computes the sparse universe once, yields exactly PageVA(0..n-1), for a
-// sparse and a dense workload.
+// computes the sparse universe once and scatters by mask, yields exactly
+// the page layout's definition for a sparse and a dense workload: page i
+// at BaseVA + 4KB·i, with i scattered to i·sparseStride mod the universe
+// when sparse.
 func TestTouchedPageVAsMatchesPageVA(t *testing.T) {
 	for _, name := range []string{"GUPS", "BFS"} {
 		s, _ := ByName(name, 64)
 		i := uint64(0)
 		s.TouchedPageVAs(func(va addr.VirtAddr) bool {
-			if want := s.PageVA(i); va != want {
-				t.Fatalf("%s: page %d at %#x, PageVA %#x", name, i, uint64(va), uint64(want))
+			page := i
+			if s.Kind == Sparse {
+				page = i * sparseStride % s.universePages()
+			}
+			if want := BaseVA + addr.VirtAddr(page*4096); va != want {
+				t.Fatalf("%s: page %d at %#x, want %#x", name, i, uint64(va), uint64(want))
 			}
 			i++
 			return true
@@ -239,6 +249,29 @@ func TestTHPFractionsMatchTableI(t *testing.T) {
 		s, _ := ByName(name, 1)
 		if s.THPFraction != 1 {
 			t.Errorf("%s THPFraction = %v, want 1", name, s.THPFraction)
+		}
+	}
+}
+
+// TestTraceRestoreContinues: a trace restored from its State after 1,000
+// accesses emits the same next 10,000 addresses as the uninterrupted one,
+// for every application — dense, sparse (GUPS) and blocked (SysBench) —
+// so the constants RestoreTrace re-derives from the spec match NewTrace's.
+func TestTraceRestoreContinues(t *testing.T) {
+	for _, s := range Specs(64) {
+		tr := s.NewTrace(7, 11_000)
+		for i := 0; i < 1000; i++ {
+			tr.Next()
+		}
+		restored := s.RestoreTrace(tr.State())
+		for i := 0; i < 10_000; i++ {
+			want, _ := tr.Next()
+			if got, ok := restored.Next(); !ok || got != want {
+				t.Fatalf("%s: access %d after restore = %#x (ok %v), uninterrupted %#x", s.Name, 1000+i, uint64(got), ok, uint64(want))
+			}
+		}
+		if _, ok := restored.Next(); ok {
+			t.Fatalf("%s: restored trace runs past its length", s.Name)
 		}
 	}
 }

@@ -10,14 +10,6 @@ import (
 // Annotations are declarations of intent the analyzers check, written as
 // //mehpt: comments on the declaration they describe:
 //
-//	//mehpt:guardedby <field>   on a struct field: the field may only be
-//	                            accessed while the named sibling mutex
-//	                            field is held (analyzer lockguard).
-//	//mehpt:ordered <class>     on a mutex struct field: the lock belongs
-//	                            to an ordered class (e.g. the stripe
-//	                            locks); nested same-class acquisition and
-//	                            blocking/allocating calls under the lock
-//	                            are forbidden (analyzer lockorder).
 //	//mehpt:hotpath             on a function, method, or interface
 //	                            method: the function is on the zero-alloc
 //	                            translation pipeline; no heap allocation
@@ -27,9 +19,6 @@ import (
 //	                            method are accepted, and every
 //	                            implementation is expected to carry its
 //	                            own annotation.
-//	//mehpt:locked <expr>       on a function or method: the named lock
-//	                            (spelled as it appears in the body, e.g.
-//	                            "t.mu") is held by the caller on entry.
 //	//mehpt:transient -- <why>  on a struct field of a type with a
 //	                            State()/Restore pair: the field is
 //	                            deliberately not serialized — it is
@@ -39,14 +28,10 @@ import (
 //	                            mandatory: statecover accepts the field as
 //	                            covered only with a recorded justification.
 //
-// Unlike //mehpt:allow, annotations (except transient, whose reason states
-// how the field is reconstituted) need no reason clause — they state a
+// Unlike //mehpt:allow, hotpath needs no reason clause — it states a
 // contract, not an exception.
 const (
-	guardedByPrefix = "//mehpt:guardedby"
-	orderedPrefix   = "//mehpt:ordered"
 	hotpathPrefix   = "//mehpt:hotpath"
-	lockedPrefix    = "//mehpt:locked"
 	transientPrefix = "//mehpt:transient"
 )
 
@@ -54,37 +39,25 @@ const (
 // staleallow analyzer's unknown-annotation check. allow carries optional
 // :file/:package scope suffixes, validated separately by CollectAllows.
 func KnownAnnotations() []string {
-	return []string{"allow", "guardedby", "ordered", "hotpath", "locked", "transient"}
+	return []string{"allow", "hotpath", "transient"}
 }
 
 // Annotations is the per-package annotation table.
 type Annotations struct {
-	// Guarded maps an annotated struct field to the name of the sibling
-	// mutex field that guards it.
-	Guarded map[*types.Var]string
-	// Ordered maps an annotated mutex field to its lock-class name.
-	Ordered map[*types.Var]string
 	// Hot marks annotated functions, methods, and interface methods.
 	Hot map[*types.Func]bool
-	// Locked maps a function to the lock expressions (receiver-relative,
-	// e.g. "t.mu") its callers must hold.
-	Locked map[*types.Func][]string
 	// Transient marks struct fields deliberately excluded from their
 	// type's State() capture (statecover).
 	Transient map[*types.Var]bool
 
-	// Malformed annotations (a guardedby/ordered/locked with no operand)
-	// surface as "directive" diagnostics on the annotated package.
+	// Malformed annotations (a transient with no reason clause) surface as "directive" diagnostics on the annotated package.
 	Malformed []Diagnostic
 }
 
 // CollectAnnotations builds the annotation table for one package.
 func CollectAnnotations(pkg *Package) *Annotations {
 	an := &Annotations{
-		Guarded:   map[*types.Var]string{},
-		Ordered:   map[*types.Var]string{},
 		Hot:       map[*types.Func]bool{},
-		Locked:    map[*types.Func][]string{},
 		Transient: map[*types.Var]bool{},
 	}
 	for _, f := range pkg.Files {
@@ -103,29 +76,21 @@ func CollectAnnotations(pkg *Package) *Annotations {
 	return an
 }
 
-// collectFunc reads hotpath/locked annotations off a function declaration.
+// collectFunc reads the hotpath annotation off a function declaration.
 func (an *Annotations) collectFunc(pkg *Package, d *ast.FuncDecl) {
 	fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
 	if fn == nil {
 		return
 	}
 	for _, c := range commentsOf(d.Doc) {
-		switch {
-		case strings.HasPrefix(c.Text, hotpathPrefix):
+		if strings.HasPrefix(c.Text, hotpathPrefix) {
 			an.Hot[fn] = true
-		case strings.HasPrefix(c.Text, lockedPrefix):
-			arg := annotationArg(c.Text, lockedPrefix)
-			if arg == "" {
-				an.malformed(c, `want "//mehpt:locked <lock-expr>"`)
-				continue
-			}
-			an.Locked[fn] = append(an.Locked[fn], arg)
 		}
 	}
 }
 
-// collectFields reads guardedby/ordered (struct fields) or hotpath
-// (interface methods) annotations off a field list.
+// collectFields reads transient (struct fields) or hotpath (interface
+// methods) annotations off a field list.
 func (an *Annotations) collectFields(pkg *Package, fields *ast.FieldList, iface bool) {
 	if fields == nil {
 		return
@@ -140,17 +105,6 @@ func (an *Annotations) collectFields(pkg *Package, fields *ast.FieldList, iface 
 						an.Hot[fn] = true
 					}
 				}
-			case !iface && strings.HasPrefix(c.Text, guardedByPrefix):
-				arg := annotationArg(c.Text, guardedByPrefix)
-				if arg == "" {
-					an.malformed(c, `want "//mehpt:guardedby <mutex-field>"`)
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						an.Guarded[v] = arg
-					}
-				}
 			case !iface && strings.HasPrefix(c.Text, transientPrefix):
 				if !transientWellFormed(c.Text) {
 					an.malformed(c, `want "//mehpt:transient -- <how the field is reconstituted on restore>"`)
@@ -159,17 +113,6 @@ func (an *Annotations) collectFields(pkg *Package, fields *ast.FieldList, iface 
 				for _, name := range field.Names {
 					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
 						an.Transient[v] = true
-					}
-				}
-			case !iface && strings.HasPrefix(c.Text, orderedPrefix):
-				arg := annotationArg(c.Text, orderedPrefix)
-				if arg == "" {
-					an.malformed(c, `want "//mehpt:ordered <lock-class>"`)
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						an.Ordered[v] = arg
 					}
 				}
 			}
@@ -197,21 +140,6 @@ func transientWellFormed(text string) bool {
 		return false
 	}
 	return strings.TrimSpace(reason) != ""
-}
-
-// annotationArg returns the single operand of an annotation comment, or ""
-// when it is missing. Trailing prose after " -- " is tolerated.
-func annotationArg(text, prefix string) string {
-	rest := text[len(prefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "" // e.g. //mehpt:guardedbyX — not this annotation
-	}
-	rest, _, _ = strings.Cut(rest, "--")
-	fieldsOf := strings.Fields(rest)
-	if len(fieldsOf) != 1 {
-		return ""
-	}
-	return fieldsOf[0]
 }
 
 func commentsOf(cg *ast.CommentGroup) []*ast.Comment {

@@ -8,19 +8,18 @@ import (
 	"strings"
 )
 
-// This file is the type-aware core added for the lock-discipline and
-// hot-path analyzers: per-function summaries (direct allocation sites,
-// blocking sites, static call edges, dynamic call sites), computed lazily
-// per package and cached on the Loader, so queries cross package
-// boundaries — cross-package fact export in the x/tools sense, without
-// leaving the stdlib. Traversal stops at the standard library: std
-// behaviour comes from the curated tables at the bottom of this file,
-// never from walking std sources.
+// This file is the type-aware core of the hot-path analyzer: per-function
+// summaries (direct allocation sites, static call edges, dynamic call
+// sites), computed lazily per package and cached on the Loader, so queries
+// cross package boundaries — cross-package fact export in the x/tools
+// sense, without leaving the stdlib. Traversal stops at the standard
+// library: std behaviour comes from the curated tables at the bottom of
+// this file, never from walking std sources.
 
 // Site is one operation of interest inside a function body.
 type Site struct {
 	Pos  token.Pos
-	Desc string // e.g. "make([]T)", "append may grow", "chan send"
+	Desc string // e.g. "make([]T)", "append may grow"
 	// stmtLine is the starting line of the enclosing statement, for
 	// multi-line-aware //mehpt:allow matching at the site itself.
 	stmtLine int
@@ -43,7 +42,6 @@ type DynSite struct {
 type FuncSummary struct {
 	Fn       *types.Func
 	Allocs   []Site
-	Blocks   []Site
 	Calls    []CallSite
 	Dynamics []DynSite
 	// Decl/File retain the summarized syntax so flow-sensitive passes
@@ -80,7 +78,7 @@ type Facts struct {
 
 // PackageFacts returns the fact table for the package at path, computing
 // and caching it on first use. Standard-library packages return nil: their
-// behaviour is modelled by StdAlloc/StdBlock instead.
+// behaviour is modelled by StdAlloc instead.
 func (f *Facts) PackageFacts(path string) (*PkgFacts, error) {
 	if f == nil || f.loader == nil {
 		return nil, nil
@@ -116,49 +114,6 @@ func (f *Facts) SummaryOf(fn *types.Func) *FuncSummary {
 func (f *Facts) IsHot(fn *types.Func) bool {
 	pf := f.factsFor(fn)
 	return pf != nil && pf.Ann.Hot[fn]
-}
-
-// GuardOf returns the name of the mutex field guarding v, per v's
-// defining package's //mehpt:guardedby annotations.
-func (f *Facts) GuardOf(v *types.Var) (string, bool) {
-	pf := f.factsForVar(v)
-	if pf == nil {
-		return "", false
-	}
-	g, ok := pf.Ann.Guarded[v]
-	return g, ok
-}
-
-// OrderedClassOf returns the lock class of the mutex field v, per its
-// defining package's //mehpt:ordered annotations.
-func (f *Facts) OrderedClassOf(v *types.Var) (string, bool) {
-	pf := f.factsForVar(v)
-	if pf == nil {
-		return "", false
-	}
-	c, ok := pf.Ann.Ordered[v]
-	return c, ok
-}
-
-func (f *Facts) factsForVar(v *types.Var) *PkgFacts {
-	if v == nil || v.Pkg() == nil {
-		return nil
-	}
-	pf, err := f.PackageFacts(v.Pkg().Path())
-	if err != nil {
-		return nil
-	}
-	return pf
-}
-
-// LockedPrecondition returns the lock expressions fn's //mehpt:locked
-// annotations declare held on entry.
-func (f *Facts) LockedPrecondition(fn *types.Func) []string {
-	pf := f.factsFor(fn)
-	if pf == nil {
-		return nil
-	}
-	return pf.Ann.Locked[fn]
 }
 
 func (f *Facts) factsFor(fn *types.Func) *PkgFacts {
@@ -217,16 +172,8 @@ func collectSites(pkg *Package, file *ast.File, body *ast.BlockStmt, sum *FuncSu
 		case *ast.FuncLit:
 			sum.Allocs = append(sum.Allocs, site(n.Pos(), "func literal (closure allocation)"))
 			return false
-		case *ast.SendStmt:
-			sum.Blocks = append(sum.Blocks, site(n.Pos(), "channel send"))
-		case *ast.SelectStmt:
-			sum.Blocks = append(sum.Blocks, site(n.Pos(), "select"))
 		case *ast.GoStmt:
 			sum.Allocs = append(sum.Allocs, site(n.Pos(), "go statement (goroutine allocation)"))
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				sum.Blocks = append(sum.Blocks, site(n.Pos(), "channel receive"))
-			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isString(info, n) {
 				sum.Allocs = append(sum.Allocs, site(n.Pos(), "string concatenation"))
@@ -430,12 +377,10 @@ type Reach struct {
 // ReachKind selects the site class a Reach query hunts.
 type ReachKind int
 
-// Reach kinds: heap allocations, blocking operations, or unanalyzable
-// dynamic calls (interface methods not annotated //mehpt:hotpath, and
-// func-value calls).
+// Reach kinds: heap allocations, or unanalyzable dynamic calls (interface
+// methods not annotated //mehpt:hotpath, and func-value calls).
 const (
 	ReachAlloc ReachKind = iota
-	ReachBlock
 	ReachDyn
 )
 
@@ -507,8 +452,6 @@ func (r *Reach) first(fn *types.Func) *Finding {
 // every implementation carries its own annotation and is checked directly.
 func (r *Reach) sitesOf(sum *FuncSummary) []Site {
 	switch r.Kind {
-	case ReachBlock:
-		return sum.Blocks
 	case ReachDyn:
 		var sites []Site
 		for _, d := range sum.Dynamics {
@@ -525,14 +468,10 @@ func (r *Reach) sitesOf(sum *FuncSummary) []Site {
 
 // stdOffends consults the curated standard-library tables.
 func (r *Reach) stdOffends(fn *types.Func) (string, bool) {
-	switch r.Kind {
-	case ReachBlock:
-		return StdBlock(fn)
-	case ReachDyn:
+	if r.Kind == ReachDyn {
 		return "", false
-	default:
-		return StdAlloc(fn)
 	}
+	return StdAlloc(fn)
 }
 
 // funcName renders pkg.Func or pkg.(Type).Method.
@@ -594,22 +533,6 @@ func StdAlloc(fn *types.Func) (string, bool) {
 	}
 	if stdAllocPkgs[pkg.Path()] {
 		return fmt.Sprintf("%s.%s allocates", pkg.Name(), fn.Name()), true
-	}
-	return "", false
-}
-
-// stdBlockFuncs are std functions that block the calling goroutine.
-var stdBlockFuncs = map[string]bool{
-	"sync.Mutex.Lock": true, "sync.RWMutex.Lock": true,
-	"sync.RWMutex.RLock": true, "sync.WaitGroup.Wait": true,
-	"sync.Cond.Wait": true, "sync.Once.Do": true,
-	"time.Sleep": true, "time.After": true, "time.Tick": true,
-}
-
-// StdBlock reports whether a standard-library function can block.
-func StdBlock(fn *types.Func) (string, bool) {
-	if stdBlockFuncs[funcName(fn)] {
-		return funcName(fn) + " can block", true
 	}
 	return "", false
 }

@@ -8,8 +8,6 @@ import (
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockguard"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/randowner"
 	"repro/internal/analysis/staleallow"
 	"repro/internal/analysis/statecover"
@@ -24,8 +22,6 @@ func All() []*analysis.Analyzer {
 		detflow.Analyzer,
 		errwrap.Analyzer,
 		hotalloc.Analyzer,
-		lockguard.Analyzer,
-		lockorder.Analyzer,
 		randowner.Analyzer,
 		statecover.Analyzer,
 	}

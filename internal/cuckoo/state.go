@@ -137,35 +137,3 @@ func checkGeometry(st TableState, ways int) error {
 	}
 	return nil
 }
-
-// ConcurrentTableState is the serializable form of a ConcurrentTable: the
-// inner table plus the read-path counters kept outside it.
-type ConcurrentTableState struct {
-	Table        TableState
-	ROLookups    uint64
-	ROProbeSlots uint64
-}
-
-// State captures the table under its read lock.
-func (c *ConcurrentTable) State() ConcurrentTableState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return ConcurrentTableState{
-		Table:        c.t.State(),
-		ROLookups:    c.roLookups.Load(),
-		ROProbeSlots: c.roProbeSlots.Load(),
-	}
-}
-
-// RestoreConcurrent rebuilds a concurrent table from recorded state; see
-// RestoreTable for the cfg requirements and the state it rejects.
-func RestoreConcurrent(cfg Config, st ConcurrentTableState) (*ConcurrentTable, error) {
-	t, err := RestoreTable(cfg, st.Table)
-	if err != nil {
-		return nil, err
-	}
-	c := &ConcurrentTable{t: t}
-	c.roLookups.Store(st.ROLookups)
-	c.roProbeSlots.Store(st.ROProbeSlots)
-	return c, nil
-}

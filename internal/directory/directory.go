@@ -57,9 +57,8 @@ func unpack(v uint64) State {
 	return s
 }
 
-// Directory is an elastic cuckoo coherence directory. Not safe for
-// concurrent use (a real design banks it; wrap with cuckoo.ConcurrentTable
-// semantics if needed).
+// Directory is an elastic cuckoo coherence directory, owned by one
+// goroutine like every simulated structure (a real design banks it).
 type Directory struct {
 	t     *cuckoo.Table
 	cores int

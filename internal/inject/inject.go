@@ -164,13 +164,12 @@ func Attach(a *phys.Allocator, p Policy) *Injector {
 }
 
 // AttachStriped installs a policy-driven fault injector on a striped
-// multi-tenant pool. The pool serializes hook consultation machine-wide
-// (phys.Striped.consultHook runs under its hook mutex), so the injector's
-// policy state and counters need no synchronization of their own even when
-// the race-tier stress tests drive the pool from many goroutines.
+// multi-tenant pool, consulted machine-wide before every attempt on any
+// stripe. The injector owns the pool's Hook slot, as Attach does the
+// allocator's.
 func AttachStriped(s *phys.Striped, p Policy) *Injector {
 	in := &Injector{policy: p}
-	s.SetHook(in.hook)
+	s.Hook = in.hook
 	return in
 }
 

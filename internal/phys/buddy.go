@@ -103,7 +103,7 @@ func (m *Memory) ResetStats() {
 // Stats returns a copy of the accumulated statistics.
 func (m *Memory) Stats() Stats {
 	s := m.stats
-	s.AllocsBySize = make(map[uint64]uint64, len(m.stats.AllocsBySize)) //mehpt:allow lockorder -- stats snapshot copies a bounded map; callers accept the pause
+	s.AllocsBySize = make(map[uint64]uint64, len(m.stats.AllocsBySize))
 	for k, v := range m.stats.AllocsBySize {
 		s.AllocsBySize[k] = v
 	}
@@ -189,7 +189,7 @@ func (m *Memory) clearHead(f uint64, order int) {
 
 func (m *Memory) addFree(f uint64, order int) {
 	m.setHead(f, order)
-	m.freeList[order] = append(m.freeList[order], f) //mehpt:allow lockorder -- free-list push is amortized O(1); capacity is bounded by the frame count
+	m.freeList[order] = append(m.freeList[order], f)
 	m.freeBlk[order]++
 	m.freePages += 1 << order
 }
@@ -224,7 +224,7 @@ func (m *Memory) Alloc(size uint64) (addr.PPN, error) {
 func (m *Memory) AllocOrder(order int) (addr.PPN, error) {
 	if order > m.maxOrder {
 		m.stats.FailedAllocs++
-		return 0, fmt.Errorf("%w: order %d exceeds max %d", ErrOutOfMemory, order, m.maxOrder) //mehpt:allow lockorder -- out-of-memory error path; the failed stripe is already stalling
+		return 0, fmt.Errorf("%w: order %d exceeds max %d", ErrOutOfMemory, order, m.maxOrder)
 	}
 	o := order
 	var f uint64
@@ -240,7 +240,7 @@ func (m *Memory) AllocOrder(order int) (addr.PPN, error) {
 	}
 	if !found {
 		m.stats.FailedAllocs++
-		return 0, fmt.Errorf("%w: no free block of order %d (%s)", //mehpt:allow lockorder -- out-of-memory error path; the failed stripe is already stalling
+		return 0, fmt.Errorf("%w: no free block of order %d (%s)",
 			ErrOutOfMemory, order, humanOrder(order))
 	}
 	// Split down to the requested order, returning upper halves to the
@@ -321,7 +321,7 @@ func (m *Memory) FMFI(order int) float64 {
 // leak detectors (the fault-injection sweep, the exhaustion-cycle tests)
 // compare it against a baseline after teardown.
 func (m *Memory) FreeBlockCounts() []uint64 {
-	counts := make([]uint64, m.maxOrder+1) //mehpt:allow lockorder -- leak-detector snapshot, sized by maxOrder (~20 words)
+	counts := make([]uint64, m.maxOrder+1)
 	copy(counts, m.freeBlk[:m.maxOrder+1])
 	return counts
 }

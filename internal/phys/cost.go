@@ -109,11 +109,11 @@ type AllocRequest struct {
 type AllocHook func(AllocRequest) error
 
 // Source is the costed allocation interface the OS model, the page tables,
-// and the chunk stores consume. *Allocator is the single-lock reference
-// implementation over one Memory; *StripedView is the per-owner handle onto
-// a Striped multi-tenant allocator. Consumers depend on this interface so a
-// page table is indifferent to whether its frames come from a private
-// machine or a shared, striped-lock pool.
+// and the chunk stores consume. *Allocator is the reference implementation
+// over one Memory; *StripedView is the per-owner handle onto a Striped
+// multi-tenant allocator. Consumers depend on this interface so a page
+// table is indifferent to whether its frames come from a private machine
+// or a shared, striped pool.
 type Source interface {
 	// Alloc allocates a contiguous block of at least size bytes, returning
 	// the first frame and the cycle cost. A failed attempt still returns its

@@ -105,23 +105,17 @@ type StripedState struct {
 	Stripes      []MemoryState
 }
 
-// State captures the pool. Stripe locks are taken one at a time (the
-// stripe lock class is one-at-a-time by design); Seq is read under the
-// hook mutex it is guarded by.
+// State captures the pool.
 func (s *Striped) State() StripedState {
 	st := StripedState{
 		StripeFrames: s.stripeFrames,
 		AmbientFMFI:  s.AmbientFMFI,
+		Seq:          s.seq,
 		Stripes:      make([]MemoryState, len(s.stripes)),
 	}
-	for i, sp := range s.stripes {
-		sp.mu.Lock()
-		st.Stripes[i] = sp.mem.State() //mehpt:allow lockorder -- checkpoint capture copies one stripe under its lock; callers accept the pause
-		sp.mu.Unlock()
+	for i, mem := range s.stripes {
+		st.Stripes[i] = mem.State()
 	}
-	s.hookMu.Lock()
-	st.Seq = s.seq
-	s.hookMu.Unlock()
 	return st
 }
 
@@ -134,12 +128,12 @@ func RestoreStriped(st StripedState) (*Striped, error) {
 		return nil, fmt.Errorf("phys: snapshot has no stripes")
 	}
 	s := &Striped{
-		stripes:      make([]*stripe, len(st.Stripes)),
+		stripes:      make([]*Memory, len(st.Stripes)),
 		stripeFrames: st.StripeFrames,
 		model:        DefaultCostModel,
 		AmbientFMFI:  st.AmbientFMFI,
+		seq:          st.Seq,
 	}
-	var free uint64
 	for i, ms := range st.Stripes {
 		if ms.Frames != st.StripeFrames {
 			return nil, fmt.Errorf("phys: stripe %d spans %d frames, pool stripes are %d", i, ms.Frames, st.StripeFrames)
@@ -148,25 +142,18 @@ func RestoreStriped(st StripedState) (*Striped, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stripe %d: %w", i, err)
 		}
-		s.stripes[i] = &stripe{mem: mem}
-		free += mem.FreeBytes()
+		s.stripes[i] = mem
+		s.free += mem.FreeBytes()
 	}
-	s.free.Store(free)
-	s.hookMu.Lock()
-	s.seq = st.Seq
-	s.hookMu.Unlock()
 	return s, nil
 }
 
-// InspectStripes calls f with each stripe's Memory in turn, under that
-// stripe's lock. It is the scrubber's window into the pool: f must only
-// read (the Memory accessors are read-only) and must not touch other
-// stripes or the pool itself.
+// InspectStripes calls f with each stripe's Memory in turn. It is the
+// scrubber's window into the pool: f must only read (the Memory accessors
+// are read-only) and must not touch the pool itself.
 func (s *Striped) InspectStripes(f func(idx int, m *Memory)) {
-	for i, sp := range s.stripes {
-		sp.mu.Lock()
-		f(i, sp.mem)
-		sp.mu.Unlock()
+	for i, mem := range s.stripes {
+		f(i, mem)
 	}
 }
 

@@ -2,19 +2,15 @@ package phys
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/addr"
 )
 
 // Striped is a shared physical allocator for the multi-tenant simulation:
-// one machine-wide frame pool partitioned into K independently-locked
-// stripes, each a private buddy Memory over a contiguous slice of the frame
-// space. Concurrent tenants contend only on their home stripe's mutex in
-// the common case, which is what lets the race-tier stress tests drive
-// hundreds of goroutines through one pool without serializing them on a
-// single lock.
+// one machine-wide frame pool partitioned into K stripes, each a private
+// buddy Memory over a contiguous slice of the frame space. Each tenant
+// allocates from its home stripe first and overflows to the next stripe
+// only when the home stripe cannot grant the order.
 //
 // Frame numbering: stripe i owns global frames [i*stripeFrames,
 // (i+1)*stripeFrames); a block allocated locally at frame f maps to global
@@ -23,34 +19,29 @@ import (
 // 2MB-aligned globally and THP data mappings remain valid. 1GB mappings are
 // not supported through Striped.
 //
-// Determinism: the canonical multi-tenant schedule issues allocations
-// sequentially, and every quantity a request observes (home stripe, probe
-// order, Seq, FreeBytes) is then a pure function of the allocation history —
-// so striped runs are bit-identical to themselves at any simulated core
-// count. Under true concurrency (the stress tests) Seq and FreeBytes are
-// racy by construction; those tests assert invariants, not fingerprints.
+// Determinism: a pool is owned by one machine, which issues its
+// allocations sequentially, so every quantity a request observes (home
+// stripe, probe order, Seq, FreeBytes) is a pure function of the
+// allocation history, and striped runs are bit-identical to themselves at
+// any simulated core count.
 type Striped struct {
-	stripes      []*stripe
+	stripes      []*Memory
 	stripeFrames uint64
 	//mehpt:transient -- always DefaultCostModel; RestoreStriped reinstates the constant
 	model CostModel
 
 	// AmbientFMFI is the fragmentation level used for pricing allocations,
-	// mirroring Allocator.AmbientFMFI. Set before use; not synchronized.
+	// mirroring Allocator.AmbientFMFI.
 	AmbientFMFI float64
 
-	//mehpt:transient -- derived counter; RestoreStriped recomputes it from the restored stripes' free bytes
-	free atomic.Uint64 // global free bytes, maintained on alloc/free
-
-	hookMu sync.Mutex
+	// Hook, if non-nil, is consulted before every Alloc attempt on any
+	// stripe (but not AllocRollback), like Allocator.Hook.
 	//mehpt:transient -- injection policy, serialized separately by its owner and re-attached after restore (see StripedState)
-	hook AllocHook //mehpt:guardedby hookMu
-	seq  uint64    //mehpt:guardedby hookMu -- allocation attempts issued
-}
+	Hook AllocHook
 
-type stripe struct {
-	mu  sync.Mutex //mehpt:ordered stripe
-	mem *Memory    //mehpt:guardedby mu
+	//mehpt:transient -- derived counter; RestoreStriped recomputes it from the restored stripes' free bytes
+	free uint64 // global free bytes, maintained on alloc/free
+	seq  uint64 // allocation attempts issued, for AllocRequest.Seq
 }
 
 // stripeAlign keeps every stripe a whole number of 2MB regions so global
@@ -71,24 +62,16 @@ func NewStriped(capacityBytes uint64, k int, ambientFMFI float64) *Striped {
 			k, capacityBytes))
 	}
 	s := &Striped{
-		stripes:      make([]*stripe, k),
+		stripes:      make([]*Memory, k),
 		stripeFrames: frames,
 		model:        DefaultCostModel,
 		AmbientFMFI:  ambientFMFI,
+		free:         uint64(k) * frames * FrameBytes,
 	}
 	for i := range s.stripes {
-		s.stripes[i] = &stripe{mem: NewMemory(frames * FrameBytes)}
+		s.stripes[i] = NewMemory(frames * FrameBytes)
 	}
-	s.free.Store(uint64(k) * frames * FrameBytes)
 	return s
-}
-
-// SetHook installs (or clears) the fault-injection hook consulted before
-// every Alloc attempt, machine-wide across all stripes.
-func (s *Striped) SetHook(h AllocHook) {
-	s.hookMu.Lock()
-	s.hook = h
-	s.hookMu.Unlock()
 }
 
 // Stripes returns the stripe count.
@@ -99,10 +82,8 @@ func (s *Striped) TotalBytes() uint64 {
 	return uint64(len(s.stripes)) * s.stripeFrames * FrameBytes
 }
 
-// FreeBytes returns the pooled free bytes. It is maintained atomically so
-// pressure-threshold injection policies can observe memory conditions
-// without taking every stripe lock.
-func (s *Striped) FreeBytes() uint64 { return s.free.Load() }
+// FreeBytes returns the pooled free bytes.
+func (s *Striped) FreeBytes() uint64 { return s.free }
 
 // View returns owner's handle onto the pool. The owner identity picks the
 // home stripe (splitmix64-spread so adjacent process ids land on different
@@ -121,63 +102,45 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// consultHook runs the installed hook (if any) for one attempt, assigning
-// the attempt's global sequence number.
-func (s *Striped) consultHook(size uint64, order int) error {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	s.seq++
-	if s.hook == nil {
-		return nil
-	}
-	return s.hook(AllocRequest{
-		Size:       size,
-		Order:      order,
-		Seq:        s.seq,
-		FreeBytes:  s.free.Load(),
-		TotalBytes: s.TotalBytes(),
-	})
-}
-
 // alloc probes stripes starting at home, wrapping around, and grants from
 // the first stripe that can satisfy the order. Probing is deterministic
-// given the home stripe and the pool state.
+// given the home stripe and the pool state. With withHook, the attempt
+// takes the next Seq and the Hook may veto it first.
 func (s *Striped) alloc(home int, size uint64, withHook bool) (addr.PPN, uint64, error) {
 	order := OrderFor(size)
 	cycles := s.model.Cycles(BlockBytes(order), s.AmbientFMFI)
 	if withHook {
-		if err := s.consultHook(size, order); err != nil {
-			st := s.stripes[home]
-			st.mu.Lock()
-			st.mem.noteFailedAlloc()
-			st.mu.Unlock()
-			return 0, cycles, err
+		s.seq++
+		if s.Hook != nil {
+			if err := s.Hook(AllocRequest{
+				Size:       size,
+				Order:      order,
+				Seq:        s.seq,
+				FreeBytes:  s.free,
+				TotalBytes: s.TotalBytes(),
+			}); err != nil {
+				s.stripes[home].noteFailedAlloc()
+				return 0, cycles, err
+			}
 		}
 	}
 	for i := 0; i < len(s.stripes); i++ {
 		idx := (home + i) % len(s.stripes)
-		st := s.stripes[idx]
-		st.mu.Lock()
-		if !st.mem.CanAlloc(order) {
-			st.mu.Unlock()
+		mem := s.stripes[idx]
+		if !mem.CanAlloc(order) {
 			continue
 		}
-		ppn, err := st.mem.AllocOrder(order)
+		ppn, err := mem.AllocOrder(order)
 		if err != nil {
-			// CanAlloc held under the same lock; AllocOrder cannot fail
-			// except for an over-max order, which CanAlloc also rejects.
-			st.mu.Unlock()
+			// AllocOrder cannot fail once CanAlloc holds, except for an
+			// over-max order, which CanAlloc also rejects.
 			continue
 		}
-		st.mem.chargeAlloc(cycles)
-		st.mu.Unlock()
-		s.free.Add(^uint64(BlockBytes(order) - 1)) // subtract
+		mem.chargeAlloc(cycles)
+		s.free -= BlockBytes(order)
 		return addr.PPN(uint64(idx)*s.stripeFrames + uint64(ppn)), cycles, nil
 	}
-	st := s.stripes[home]
-	st.mu.Lock()
-	st.mem.noteFailedAlloc()
-	st.mu.Unlock()
+	s.stripes[home].noteFailedAlloc()
 	return 0, cycles, fmt.Errorf("%w: no stripe holds a free block of order %d (%s)",
 		ErrOutOfMemory, order, humanOrder(order))
 }
@@ -189,12 +152,8 @@ func (s *Striped) freeBlock(ppn addr.PPN, size uint64) {
 	if idx >= uint64(len(s.stripes)) {
 		panic(fmt.Sprintf("phys: Striped.Free(%d): frame beyond pool", uint64(ppn)))
 	}
-	local := addr.PPN(uint64(ppn) % s.stripeFrames)
-	st := s.stripes[idx]
-	st.mu.Lock()
-	st.mem.Free(local, order)
-	st.mu.Unlock()
-	s.free.Add(BlockBytes(order))
+	s.stripes[idx].Free(addr.PPN(uint64(ppn)%s.stripeFrames), order)
+	s.free += BlockBytes(order)
 }
 
 // FreeBlockCounts returns the live free-block counts summed across stripes,
@@ -202,12 +161,10 @@ func (s *Striped) freeBlock(ppn addr.PPN, size uint64) {
 // against a baseline after teardown exactly like Memory.FreeBlockCounts.
 func (s *Striped) FreeBlockCounts() []uint64 {
 	counts := make([]uint64, MaxOrder+1)
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		for o, c := range st.mem.FreeBlockCounts() {
+	for _, mem := range s.stripes {
+		for o, c := range mem.FreeBlockCounts() {
 			counts[o] += c
 		}
-		st.mu.Unlock()
 	}
 	return counts
 }
@@ -215,10 +172,8 @@ func (s *Striped) FreeBlockCounts() []uint64 {
 // StatsSum returns the Memory stats summed across stripes.
 func (s *Striped) StatsSum() Stats {
 	sum := Stats{AllocsBySize: make(map[uint64]uint64)}
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		ms := st.mem.Stats()
-		st.mu.Unlock()
+	for _, mem := range s.stripes {
+		ms := mem.Stats()
 		sum.Allocs += ms.Allocs
 		sum.Frees += ms.Frees
 		sum.FailedAllocs += ms.FailedAllocs
@@ -231,22 +186,6 @@ func (s *Striped) StatsSum() Stats {
 		}
 	}
 	return sum
-}
-
-// FMFI returns the pool-wide Free Memory Fragmentation Index for the given
-// order, computed over the combined free lists of every stripe.
-func (s *Striped) FMFI(order int) float64 {
-	var usable, total uint64
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		usable += st.mem.FreeBytesInBlocksGE(order)
-		total += st.mem.FreeBytes()
-		st.mu.Unlock()
-	}
-	if total == 0 {
-		return 1
-	}
-	return 1 - float64(usable)/float64(total)
 }
 
 // StripedView is one owner's phys.Source onto a Striped pool. Views are
@@ -275,8 +214,8 @@ func (v *StripedView) Free(ppn addr.PPN, size uint64) {
 	v.s.freeBlock(ppn, size)
 }
 
-// Interface conformance: both the single-lock reference allocator and the
-// striped per-owner view are allocation sources.
+// Interface conformance: both the single-Memory reference allocator and
+// the striped per-owner view are allocation sources.
 var (
 	_ Source = (*Allocator)(nil)
 	_ Source = (*StripedView)(nil)

@@ -1,15 +1,15 @@
 // Tests for the striped multi-tenant pool: a property test pinning the
-// K=1 pool to the single-lock reference allocator, sequential invariants
-// (alignment, routing, leak detection), and the race-tier stress battery —
-// no frame is ever granted twice, accounting balances, and injection stays
-// typed under concurrency.
+// K=1 pool to the single-Memory reference allocator, invariants
+// (alignment, routing, leak detection), and a stress battery of seeded
+// interleavings of many owners — no frame is ever granted twice,
+// accounting balances, and every attempt takes exactly one hook sequence
+// number.
 package phys
 
 import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/addr"
@@ -17,8 +17,8 @@ import (
 
 // TestStripedMatchesSingleLockReference: a K=1 striped pool driven by a
 // seeded alloc/free script produces exactly the same grants, costs,
-// errors, and final free-list shape as the single-lock reference
-// Allocator over an identically-sized Memory. The striped pool is the
+// errors, and final free-list shape as the reference Allocator over an
+// identically-sized Memory. The striped pool is the
 // reference allocator plus sharding; at K=1 the sharding must vanish.
 func TestStripedMatchesSingleLockReference(t *testing.T) {
 	const capacity = 64 * addr.MB
@@ -143,95 +143,87 @@ func TestStripedTinyStripesPanic(t *testing.T) {
 	NewStriped(4*addr.MB, 8, 0.7)
 }
 
-// TestStripedConcurrentStress is the race-tier invariant battery: many
-// goroutines hammer one pool through private views with interleaved
-// allocs and frees. Invariants:
+// TestStripedConcurrentStress interleaves many owners on one pool: a
+// seeded scheduler picks which owner steps next, and each owner allocates
+// or frees through its private view. Invariants:
 //
 //  1. No double-grant: every granted frame range is disjoint from every
-//     other live grant (checked with a shared frame-ownership bitmap).
-//  2. Accounting balances: after every goroutine frees everything,
-//     allocs == frees, the free-byte counter returns to capacity, and the
-//     free-list shape returns to the baseline (no leaked or split blocks).
+//     other live grant (checked with a frame-ownership bitmap).
+//  2. Accounting balances: after every step the free-byte counter equals
+//     capacity minus the live grants, and after every owner frees
+//     everything, allocs == frees, the counter is back at capacity, and
+//     the free-list shape is back at the baseline (no leaked or split
+//     blocks).
 func TestStripedConcurrentStress(t *testing.T) {
 	const (
-		capacity   = 128 * addr.MB
-		goroutines = 16
-		steps      = 2000
+		capacity = 128 * addr.MB
+		owners   = 16
+		steps    = owners * 2000
 	)
 	pool := NewStriped(capacity, 4, 0.7)
 	baseline := pool.FreeBlockCounts()
-	totalFrames := pool.TotalBytes() / FrameBytes
-
-	// owner[f] marks frame f granted; CompareAndSwap-like discipline under
-	// a plain mutex keeps the checker itself race-free.
-	owner := make([]bool, totalFrames)
-	var ownerMu sync.Mutex
-	claim := func(ppn addr.PPN, size uint64) bool {
+	owner := make([]bool, pool.TotalBytes()/FrameBytes)
+	mark := func(ppn addr.PPN, size uint64, live bool) bool {
 		frames := BlockBytes(OrderFor(size)) / FrameBytes
-		ownerMu.Lock()
-		defer ownerMu.Unlock()
 		for f := uint64(ppn); f < uint64(ppn)+frames; f++ {
-			if owner[f] {
+			if owner[f] == live {
 				return false
 			}
-		}
-		for f := uint64(ppn); f < uint64(ppn)+frames; f++ {
-			owner[f] = true
+			owner[f] = live
 		}
 		return true
 	}
-	release := func(ppn addr.PPN, size uint64) {
-		frames := BlockBytes(OrderFor(size)) / FrameBytes
-		ownerMu.Lock()
-		defer ownerMu.Unlock()
-		for f := uint64(ppn); f < uint64(ppn)+frames; f++ {
-			owner[f] = false
+
+	type live struct {
+		ppn  addr.PPN
+		size uint64
+	}
+	views := make([]*StripedView, owners)
+	rngs := make([]*rand.Rand, owners)
+	held := make([][]live, owners)
+	for id := range views {
+		views[id] = pool.View(uint64(id))
+		rngs[id] = rand.New(rand.NewSource(int64(1000 + id)))
+	}
+	sizes := []uint64{4 * addr.KB, 16 * addr.KB, 64 * addr.KB, 2 * addr.MB}
+	sched := rand.New(rand.NewSource(7))
+	var liveBytes uint64
+	for step := 0; step < steps; step++ {
+		id := sched.Intn(owners)
+		rng := rngs[id]
+		if rng.Intn(3) != 0 || len(held[id]) == 0 {
+			size := sizes[rng.Intn(len(sizes))]
+			ppn, _, err := views[id].Alloc(size)
+			if err != nil {
+				if !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("step %d, owner %d: alloc error not typed: %v", step, id, err)
+				}
+				continue
+			}
+			if !mark(ppn, size, true) {
+				t.Fatalf("step %d, owner %d: frame %d (size %d) granted while already live",
+					step, id, uint64(ppn), size)
+			}
+			held[id] = append(held[id], live{ppn, size})
+			liveBytes += BlockBytes(OrderFor(size))
+		} else {
+			i := rng.Intn(len(held[id]))
+			h := held[id][i]
+			mark(h.ppn, h.size, false)
+			views[id].Free(h.ppn, h.size)
+			held[id] = append(held[id][:i], held[id][i+1:]...)
+			liveBytes -= BlockBytes(OrderFor(h.size))
+		}
+		if got, want := pool.FreeBytes(), pool.TotalBytes()-liveBytes; got != want {
+			t.Fatalf("step %d: free bytes %d, want %d", step, got, want)
 		}
 	}
-
-	sizes := []uint64{4 * addr.KB, 16 * addr.KB, 64 * addr.KB, 2 * addr.MB}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			view := pool.View(uint64(id))
-			rng := rand.New(rand.NewSource(int64(1000 + id)))
-			type live struct {
-				ppn  addr.PPN
-				size uint64
-			}
-			var held []live
-			for i := 0; i < steps; i++ {
-				if rng.Intn(3) != 0 || len(held) == 0 {
-					size := sizes[rng.Intn(len(sizes))]
-					ppn, _, err := view.Alloc(size)
-					if err != nil {
-						if !errors.Is(err, ErrOutOfMemory) {
-							t.Errorf("goroutine %d: alloc error not typed: %v", id, err)
-						}
-						continue
-					}
-					if !claim(ppn, size) {
-						t.Errorf("goroutine %d: frame %d (size %d) granted while already live",
-							id, uint64(ppn), size)
-						return
-					}
-					held = append(held, live{ppn, size})
-				} else {
-					i := rng.Intn(len(held))
-					release(held[i].ppn, held[i].size)
-					view.Free(held[i].ppn, held[i].size)
-					held = append(held[:i], held[i+1:]...)
-				}
-			}
-			for _, h := range held {
-				release(h.ppn, h.size)
-				view.Free(h.ppn, h.size)
-			}
-		}(g)
+	for id := range held {
+		for _, h := range held[id] {
+			mark(h.ppn, h.size, false)
+			views[id].Free(h.ppn, h.size)
+		}
 	}
-	wg.Wait()
 
 	if got := pool.FreeBytes(); got != pool.TotalBytes() {
 		t.Errorf("free bytes after full teardown: %d, want capacity %d", got, pool.TotalBytes())
@@ -249,60 +241,51 @@ func TestStripedConcurrentStress(t *testing.T) {
 }
 
 // TestStripedConcurrentHook: the machine-wide injection hook is consulted
-// exactly once per Alloc attempt even under contention — sequence numbers
-// never repeat or skip — and hook-failed attempts surface typed errors
-// without granting frames.
+// exactly once per Alloc attempt, whichever owner issues it, in a seeded
+// interleaving of owners — sequence numbers are dense, never repeating or
+// skipping — and hook-failed attempts surface typed errors without
+// granting frames.
 func TestStripedConcurrentHook(t *testing.T) {
 	pool := NewStriped(64*addr.MB, 4, 0.7)
-	var mu sync.Mutex
-	seen := map[uint64]bool{}
+	var seqs []uint64
 	injected := errors.New("hook says no")
-	pool.SetHook(func(req AllocRequest) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[req.Seq] {
-			t.Errorf("sequence number %d issued twice", req.Seq)
-		}
-		seen[req.Seq] = true
+	pool.Hook = func(req AllocRequest) error {
+		seqs = append(seqs, req.Seq)
 		if req.Seq%5 == 0 {
 			return injected
 		}
 		return nil
-	})
+	}
 
-	const goroutines, attempts = 8, 300
-	var wg sync.WaitGroup
-	var hits, misses [goroutines]int
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			view := pool.View(uint64(id))
-			for i := 0; i < attempts; i++ {
-				ppn, _, err := view.Alloc(4 * addr.KB)
-				if err != nil {
-					if !errors.Is(err, injected) {
-						t.Errorf("goroutine %d: unexpected alloc error: %v", id, err)
-					}
-					misses[id]++
-					continue
-				}
-				hits[id]++
-				view.Free(ppn, 4*addr.KB)
+	const owners, attempts = 8, 300
+	views := make([]*StripedView, owners)
+	for id := range views {
+		views[id] = pool.View(uint64(id))
+	}
+	sched := rand.New(rand.NewSource(11))
+	failed := 0
+	for a := 0; a < owners*attempts; a++ {
+		id := sched.Intn(owners)
+		ppn, _, err := views[id].Alloc(4 * addr.KB)
+		if err != nil {
+			if !errors.Is(err, injected) {
+				t.Fatalf("attempt %d, owner %d: unexpected alloc error: %v", a, id, err)
 			}
-		}(g)
+			failed++
+			continue
+		}
+		views[id].Free(ppn, 4*addr.KB)
 	}
-	wg.Wait()
 
-	total, failed := 0, 0
-	for g := 0; g < goroutines; g++ {
-		total += hits[g] + misses[g]
-		failed += misses[g]
+	if want := owners * attempts; len(seqs) != want {
+		t.Errorf("hook consulted %d times, want exactly %d", len(seqs), want)
 	}
-	if want := goroutines * attempts; len(seen) != want {
-		t.Errorf("hook consulted %d times, want exactly %d", len(seen), want)
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("attempt %d took sequence number %d, want %d", i, seq, i+1)
+		}
 	}
-	if want := goroutines * attempts / 5; failed != want {
+	if want := owners * attempts / 5; failed != want {
 		t.Errorf("injected failures: %d, want %d (every 5th attempt)", failed, want)
 	}
 	if got := pool.FreeBytes(); got != pool.TotalBytes() {

@@ -1,0 +1,92 @@
+package tenant_test
+
+// The checkpoint corpus: one mid-run machine checkpoint per organization,
+// committed under testdata/checkpoints with the fingerprint of the
+// uninterrupted run. Each must still decode, restore, resume to Done on
+// that fingerprint and scrub clean, so a change to the snapshot format or
+// to what a restore rebuilds either keeps old checkpoints resuming or
+// bumps snapshot.Version with a documented rejection.
+//
+// The files were written by the commit before the shared segment became a
+// plain cuckoo.Table, when its lookups were counted outside the table's own
+// stats (the ROLookups/ROProbeSlots fields of MachineState.SharedTable).
+// Each was captured from NewMachine(corpusConfig(org)) after two
+// StepRound calls, with Machine.Checkpoint; every one carries nonzero
+// read-only lookup counts that a restore must fold back in.
+
+import (
+	"path/filepath"
+	"testing"
+
+	"repro/internal/addr"
+	"repro/internal/scrub"
+	"repro/internal/sim"
+	"repro/internal/snapshot"
+	"repro/internal/tenant"
+)
+
+// corpusConfig is the machine the corpus was captured from: one tenant on
+// an 8MB pool split into two stripes, so more than one stripe is
+// serialized, with a 64-page shared segment.
+func corpusConfig(org sim.Org) tenant.Config {
+	return tenant.Config{
+		Org:             org,
+		Processes:       1,
+		Cores:           1,
+		MemBytes:        8 * addr.MB,
+		Stripes:         2,
+		Seed:            42,
+		AccessesPerProc: 3000,
+		Quantum:         512,
+		Scale:           4096,
+		SharedPages:     64,
+	}
+}
+
+func TestCheckpointCorpusResumes(t *testing.T) {
+	for _, tc := range []struct {
+		org  sim.Org
+		file string
+		fp   string // uninterrupted Run fingerprint
+	}{
+		{sim.Radix, "radix.ckpt", "14b272c038bf4d439b77582dc0065c721d2d9b43d45d70a388087658a7d75050"},
+		{sim.ECPT, "ecpt.ckpt", "195e980c926bf4358d67d08e52202e129ca05888ba1c3a7d61bb666113d6d84f"},
+		{sim.MEHPT, "mehpt.ckpt", "2ee62853f937ee5857b991c1e2ea09f2789e9d4ce1c806792e4264edc4b4dda9"},
+	} {
+		t.Run(tc.org.String(), func(t *testing.T) {
+			cfg := corpusConfig(tc.org)
+			if base, err := tenant.Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			} else if base.Fingerprint != tc.fp {
+				t.Fatalf("uninterrupted fingerprint %s, pinned %s", base.Fingerprint, tc.fp)
+			}
+
+			var st tenant.MachineState
+			if err := snapshot.Load(filepath.Join("testdata", "checkpoints", tc.file), &st); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if st.SharedTable.ROLookups == 0 || st.SharedTable.ROProbeSlots == 0 {
+				t.Fatalf("corpus checkpoint carries no read-only shared lookups (%d/%d); it no longer tests their fold",
+					st.SharedTable.ROLookups, st.SharedTable.ROProbeSlots)
+			}
+			m, err := tenant.RestoreMachine(cfg, &st)
+			if err != nil {
+				t.Fatalf("RestoreMachine: %v", err)
+			}
+			if m.Done() {
+				t.Fatal("corpus checkpoint is already finished")
+			}
+			for !m.Done() {
+				if err := m.StepRound(); err != nil {
+					t.Fatalf("StepRound: %v", err)
+				}
+			}
+			if got := m.Collect().Fingerprint; got != tc.fp {
+				t.Fatalf("resumed fingerprint %s, pinned %s", got, tc.fp)
+			}
+			if vs := scrub.Machine(m); len(vs) != 0 {
+				t.Fatalf("resumed machine scrubs dirty: %v", vs)
+			}
+		})
+	}
+}

@@ -81,8 +81,8 @@ func (m *Machine) CheckTables() []string {
 // CheckShardTLBs verifies TLB coherence: every translation resident in a
 // core's TLBs must still resolve — at the cached page size — through the
 // address space the shard is bound to, or through the shared segment's
-// concurrent table. Unbound shards (a freshly restored machine) carry
-// nothing and pass vacuously.
+// table. Unbound shards (a freshly restored machine) carry nothing and
+// pass vacuously.
 func (m *Machine) CheckShardTLBs() []string {
 	var bad []string
 	for core, sh := range m.shards {
@@ -103,14 +103,14 @@ func (m *Machine) CheckShardTLBs() []string {
 					return
 				}
 			}
-			// Shared-segment pages translate through the concurrent table,
-			// not the per-process organization.
+			// Shared-segment pages translate through the shared table, not
+			// the per-process organization.
 			if s == addr.Page4K {
 				if ppn, ok := m.shared.table.Lookup(uint64(vpn)); ok {
 					if ppn == pay {
 						return
 					}
-					bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches shared page %#x with PPN %#x but the concurrent table resolves %#x",
+					bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches shared page %#x with PPN %#x but the shared table resolves %#x",
 						core, level, uint64(vpn), pay, ppn))
 					return
 				}

@@ -241,7 +241,7 @@ type MachineState struct {
 	Procs []ProcState
 	Sched osmodel.MultiCoreState
 
-	SharedTable    cuckoo.ConcurrentTableState
+	SharedTable    SharedTableState
 	SharedTableRNG snapshot.SourceState
 	SharedRemapRNG snapshot.SourceState
 
@@ -251,18 +251,35 @@ type MachineState struct {
 	Injector   *inject.InjectorState
 }
 
+// SharedTableState is the shared segment's table. ROLookups and
+// ROProbeSlots hold lookups counted outside the table's own stats, as
+// checkpoints from before the segment became a plain cuckoo.Table
+// recorded them. State writes them as zero, and a restore folds them into
+// the table's Lookups and ProbeSlots, so those checkpoints still resume.
+type SharedTableState struct {
+	Table        cuckoo.TableState
+	ROLookups    uint64
+	ROProbeSlots uint64
+}
+
 // State captures the machine. Call it only at a round boundary (between
 // StepRound calls): mid-round state includes shard-resident translation
 // context the snapshot deliberately omits.
 func (m *Machine) State() *MachineState {
 	st := &MachineState{
-		Org:            m.cfg.Org.String(),
-		Processes:      m.cfg.Processes,
-		Seed:           m.cfg.Seed,
-		Pool:           m.pool.State(),
-		Procs:          make([]ProcState, len(m.procs)),
-		Sched:          m.sched.State(),
-		SharedTable:    m.shared.table.State(),
+		Org:       m.cfg.Org.String(),
+		Processes: m.cfg.Processes,
+		Seed:      m.cfg.Seed,
+		Pool:      m.pool.State(),
+		Procs:     make([]ProcState, len(m.procs)),
+		Sched:     m.sched.State(),
+		// The table's own stats count every shared lookup, so the
+		// read-only counts are written as zero.
+		SharedTable: SharedTableState{
+			Table:        m.shared.table.State(),
+			ROLookups:    0,
+			ROProbeSlots: 0,
+		},
 		SharedTableRNG: m.shared.tableSrc.State(),
 		SharedRemapRNG: m.shared.remapSrc.State(),
 		ShardStats:     make([]mmu.Stats, len(m.shards)),

@@ -1,9 +1,9 @@
 // Package tenant is the multi-tenant sharded simulation mode: N simulated
 // cores replaying interleaved traces from many simulated processes, every
-// address space allocating frames from one machine-wide striped-lock pool
-// (phys.Striped), with a read-mostly shared segment translated through a
-// concurrent elastic cuckoo table (cuckoo.ConcurrentTable) and remapped
-// periodically to drive TLB-shootdown traffic.
+// address space allocating frames from one machine-wide striped pool
+// (phys.Striped), with a read-mostly shared segment translated through an
+// elastic cuckoo table (cuckoo.Table) and remapped periodically to drive
+// TLB-shootdown traffic.
 //
 // # Determinism contract
 //
@@ -81,7 +81,7 @@ type Config struct {
 	Cores     int
 	// MemBytes is the pooled physical capacity behind the striped allocator.
 	MemBytes uint64
-	// Stripes is the lock-stripe count; 0 picks min(8, Processes).
+	// Stripes is the stripe count; 0 picks min(8, Processes).
 	Stripes int
 	// FMFI is the ambient fragmentation used to price allocations.
 	FMFI float64
@@ -307,10 +307,10 @@ func (s *shard) bind(p *process) {
 	s.mmu.Bind(p.table)
 }
 
-// sharedRegion is the machine-wide read-mostly segment: a concurrent
-// elastic cuckoo table mapping shared VPNs to pool frames.
+// sharedRegion is the machine-wide read-mostly segment: an elastic cuckoo
+// table mapping shared VPNs to pool frames.
 type sharedRegion struct {
-	table *cuckoo.ConcurrentTable
+	table *cuckoo.Table
 	view  phys.Source
 	pages uint64
 	rng   *rand.Rand // remap picks, owned by the shared-region manager
@@ -439,9 +439,8 @@ func openProcess(cfg Config, pid int, spec workload.Spec, pool *phys.Striped, ps
 }
 
 // openShared boots the shared segment, fresh when st is nil and restored
-// from st otherwise. A fresh segment is premapped, which drives the
-// concurrent table through its growth path (serialized resizes) before the
-// first round.
+// from st otherwise. A fresh segment is premapped, which drives the table
+// through its growth path (gradual resizes) before the first round.
 func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion, error) {
 	sharedSeed := runner.DeriveSubSeed(cfg.Seed, "shared", 0)
 	tableRNG := snapshot.SourceState{Seed: runner.DeriveSubSeed(sharedSeed, "table", 0)}
@@ -464,7 +463,10 @@ func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion
 		Rand:           rand.New(s.tableSrc),
 	}
 	if st != nil {
-		table, err := cuckoo.RestoreConcurrent(tc, st.SharedTable)
+		ts := st.SharedTable.Table
+		ts.Stats.Lookups += st.SharedTable.ROLookups
+		ts.Stats.ProbeSlots += st.SharedTable.ROProbeSlots
+		table, err := cuckoo.RestoreTable(tc, ts)
 		if err != nil {
 			return nil, fmt.Errorf("tenant: shared segment: %w", err)
 		}
@@ -474,7 +476,7 @@ func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion
 		}
 		return s, nil
 	}
-	s.table = cuckoo.NewConcurrent(tc)
+	s.table = cuckoo.New(tc)
 	for page := uint64(0); page < s.pages; page++ {
 		ppn, _, err := s.view.Alloc(4 * addr.KB)
 		if err != nil {
@@ -562,7 +564,7 @@ func runPrivate(p *process, sh *shard, k int) bool {
 }
 
 // sharedAccess touches one page of the shared segment: a TLB probe on the
-// shard, a concurrent-table lookup for the frame, and on a TLB miss the
+// shard, a shared-table lookup for the frame, and on a TLB miss the
 // hashed-walk cost of one shared page-table probe.
 //
 //mehpt:hotpath
@@ -592,8 +594,8 @@ func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
 }
 
 // remapRound performs the end-of-round shared-page remaps, each one a TLB
-// shootdown: a new frame is published through the concurrent table (an
-// upsert, racing only with readers by design), the old frame is freed, and
+// shootdown: a new frame is published through the shared table (an
+// upsert in place), the old frame is freed, and
 // every other live address space is notified. IPI delivery is core-view:
 // one interrupt per core with a resident address space.
 func remapRound(cfg Config, shared *sharedRegion, procs []*process,

@@ -4,11 +4,11 @@
 #
 # The suite (internal/analysis, see DESIGN.md § "Mechanically enforced
 # invariants" and § "Snapshot completeness & determinism taint") runs
-# eight analyzers plus the waiver audit: determinism bans and taint
-# (detflow), RNG ownership (randowner), address units (addrspace), lock
-# discipline (lockguard, lockorder), hot-path allocation (hotalloc), error
-# wrapping (errwrap), snapshot completeness (statecover), and stale
-# //mehpt:allow waivers (staleallow).
+# six analyzers plus the waiver audit: determinism bans and taint
+# (detflow), RNG ownership (randowner), address units (addrspace),
+# hot-path allocation (hotalloc), error wrapping (errwrap), snapshot
+# completeness (statecover), and stale //mehpt:allow waivers
+# (staleallow).
 #
 # Environment knobs:
 #   LINT_JSON  set to a path to also write the machine-readable report

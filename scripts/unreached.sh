@@ -13,8 +13,10 @@
 #
 # A listed function is reached only by tests (or by nothing). It is a
 # deletion candidate, not a verdict: code that tests still call stays
-# until those tests are replaced. The script only reports and always
-# exits 0.
+# until those tests are replaced. The script only reports: it exits 0
+# whatever it lists. It exits 1 when `git ls-files` lists no declarations
+# (outside a git work tree, e.g. in a `git archive` export), since an
+# empty list there would read as "every function is reached".
 #
 # Output: one `path:line: pkg.[Recv.]Name` line per unreached function.
 set -u
@@ -22,23 +24,6 @@ cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-
-for d in cmd/*/ examples/*/; do
-    name=$(basename "$d")
-    go build -gcflags=all=-l -o "$tmp/bin/$name" "./$d" ||
-        echo "unreached.sh: building $d failed; its symbols are missing" >&2
-done
-(cd perfbench && go build -gcflags=all=-l -o "$tmp/bin/perfbench" .) ||
-    echo "unreached.sh: building perfbench failed; its symbols are missing" >&2
-
-# Text symbols of every binary, one per line, generic brackets removed:
-# repro/internal/x.(*Table[go.shape.int]).Get -> repro/internal/x.(*Table).Get
-for b in "$tmp"/bin/*; do
-    go tool nm "$b" 2>/dev/null
-done | awk '$2 == "T" || $2 == "t" { $1 = ""; $2 = ""; sub(/^ +/, ""); print }' |
-    grep '^repro/internal/' |
-    sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' |
-    sort -u >"$tmp/syms"
 
 # Declared funcs as candidate symbols: "file:line pkgpath.Name" for plain
 # functions, "file:line pkgpath.Recv.Name" for methods (matched against
@@ -63,6 +48,27 @@ git ls-files 'internal/*.go' |
                 fi
             done
     done >"$tmp/decls"
+if [ ! -s "$tmp/decls" ]; then
+    echo "unreached.sh: git ls-files lists no declarations under internal/; run it in a git work tree" >&2
+    exit 1
+fi
+
+for d in cmd/*/ examples/*/; do
+    name=$(basename "$d")
+    go build -gcflags=all=-l -o "$tmp/bin/$name" "./$d" ||
+        echo "unreached.sh: building $d failed; its symbols are missing" >&2
+done
+(cd perfbench && go build -gcflags=all=-l -o "$tmp/bin/perfbench" .) ||
+    echo "unreached.sh: building perfbench failed; its symbols are missing" >&2
+
+# Text symbols of every binary, one per line, generic brackets removed:
+# repro/internal/x.(*Table[go.shape.int]).Get -> repro/internal/x.(*Table).Get
+for b in "$tmp"/bin/*; do
+    go tool nm "$b" 2>/dev/null
+done | awk '$2 == "T" || $2 == "t" { $1 = ""; $2 = ""; sub(/^ +/, ""); print }' |
+    grep '^repro/internal/' |
+    sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' |
+    sort -u >"$tmp/syms"
 
 while read -r loc sym; do
     pkg=${sym%%.*}

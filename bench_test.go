@@ -303,7 +303,7 @@ func BenchmarkHotPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := p.Table(addr.Page4K).Settle(); err != nil {
+		if err := p.Table(addr.Page4K).DrainResizes(); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()

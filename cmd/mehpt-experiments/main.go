@@ -68,6 +68,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/inject"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -147,6 +148,14 @@ func main() {
 
 	if !(*fmfi >= 0 && *fmfi <= 1) {
 		fmt.Fprintf(os.Stderr, "mehpt-experiments: -fmfi: %v is not in [0, 1]\n", *fmfi)
+		exitf(2)
+	}
+	if *memGB > 1<<addr.PhysBits/addr.GB {
+		fmt.Fprintf(os.Stderr, "mehpt-experiments: -mem: %d GB exceeds the %d-bit physical address space\n", *memGB, addr.PhysBits)
+		exitf(2)
+	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "mehpt-experiments: -scale: %v\n", err)
 		exitf(2)
 	}
 	if *injectSpec != "" {

@@ -35,6 +35,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mehpt-sim: -fmfi: %v is not in [0, 1]\n", *fmfi)
 		os.Exit(2)
 	}
+	if *memGB > 1<<addr.PhysBits/addr.GB {
+		fmt.Fprintf(os.Stderr, "mehpt-sim: -mem: %d GB exceeds the %d-bit physical address space\n", *memGB, addr.PhysBits)
+		os.Exit(2)
+	}
 
 	var org sim.Org
 	switch *orgStr {

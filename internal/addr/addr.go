@@ -91,13 +91,6 @@ func (va VirtAddr) Offset(s PageSize) uint64 {
 	return uint64(va) & s.Mask()
 }
 
-// Canonical reports whether va is a canonical 48-bit address, i.e. bits
-// [63:48] are a sign extension of bit 47.
-func (va VirtAddr) Canonical() bool {
-	top := uint64(va) >> (VirtBits - 1)
-	return top == 0 || top == (1<<(64-VirtBits+1))-1
-}
-
 // Addr returns the first virtual byte address of the page v at size s.
 func (v VPN) Addr(s PageSize) VirtAddr {
 	return VirtAddr(uint64(v) << pageShift[s])
@@ -124,12 +117,6 @@ func Translate(va VirtAddr, ppn PPN, s PageSize) PhysAddr {
 // (PGD, bits 47:39), matching Figure 1 of the paper.
 func RadixIndex(va VirtAddr, level int) uint {
 	return uint(uint64(va)>>(12+9*uint(level))) & 0x1FF
-}
-
-// AlignDown rounds va down to a multiple of align, which must be a power of
-// two.
-func AlignDown(va VirtAddr, align uint64) VirtAddr {
-	return VirtAddr(uint64(va) &^ (align - 1))
 }
 
 // AlignUp rounds va up to a multiple of align, which must be a power of two.

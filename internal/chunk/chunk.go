@@ -32,10 +32,6 @@ var ErrLadderExhausted = errors.New("chunk: way exceeds capacity of largest chun
 // allocation failure (usually phys.ErrOutOfMemory).
 var ErrTransitionFailed = errors.New("chunk: chunk-size transition failed and rolled back")
 
-// NextChunkBytes returns the default-ladder rung above cur, or 0 if cur is
-// the top.
-func NextChunkBytes(cur uint64) uint64 { return nextIn(Ladder, cur) }
-
 func nextIn(ladder []uint64, cur uint64) uint64 {
 	for i, c := range ladder {
 		if c == cur && i+1 < len(ladder) {
@@ -71,17 +67,11 @@ type Store struct {
 	wayBytes   uint64 // logical way size (a power of two ≥ one slot)
 }
 
-// NewStore creates the backing for a way of initialWayBytes, starting at the
-// smallest chunk size of the default ladder. It returns the allocation cycle
-// cost.
-func NewStore(alloc phys.Source, tbl *l2p.Table, way int, size addr.PageSize, initialWayBytes uint64) (*Store, uint64, error) {
-	return NewStoreLadder(alloc, tbl, way, size, initialWayBytes, Ladder)
-}
-
-// NewStoreLadder is NewStore with a custom chunk-size ladder (e.g. the
-// Figure 15 ablation that only has 1MB chunks). The ladder must be sorted
-// ascending; the smallest feasible rung that covers initialWayBytes within
-// the L2P limit is chosen.
+// NewStoreLadder creates the backing for a way of initialWayBytes on a
+// chunk-size ladder: Ladder, or a custom one such as the Figure 15
+// ablation's 1MB-only ladder. The ladder must be sorted ascending; the
+// smallest feasible rung that covers initialWayBytes within the L2P limit
+// is chosen. It returns the allocation cycle cost.
 func NewStoreLadder(alloc phys.Source, tbl *l2p.Table, way int, size addr.PageSize, initialWayBytes uint64, ladder []uint64) (*Store, uint64, error) {
 	if len(ladder) == 0 {
 		panic("chunk: empty ladder")
@@ -117,9 +107,6 @@ func (s *Store) WayBytes() uint64 { return s.wayBytes }
 // ChunkBytes returns the current chunk size — the way's maximum contiguous
 // allocation unit.
 func (s *Store) ChunkBytes() uint64 { return s.chunkBytes }
-
-// NumChunks returns the number of chunks backing the way.
-func (s *Store) NumChunks() int { return len(s.chunks) }
 
 // FootprintBytes returns the physical memory held: whole chunks, even if the
 // logical way only fills part of the last one (Figure 3a: a 4KB way holds

@@ -14,7 +14,7 @@ func newStore(t *testing.T, memBytes uint64) (*Store, *phys.Memory, *l2p.Table) 
 	mem := phys.NewMemory(memBytes)
 	alloc := phys.NewAllocator(mem, 0) // no fragmentation in unit tests
 	tbl := l2p.New(3)
-	s, _, err := NewStore(alloc, tbl, 0, addr.Page4K, 8*addr.KB)
+	s, _, err := NewStoreLadder(alloc, tbl, 0, addr.Page4K, 8*addr.KB, Ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,8 @@ func newStore(t *testing.T, memBytes uint64) (*Store, *phys.Memory, *l2p.Table) 
 
 func TestNewStoreSingleChunk(t *testing.T) {
 	s, mem, tbl := newStore(t, 64*addr.MB)
-	if s.NumChunks() != 1 || s.ChunkBytes() != 8*addr.KB {
-		t.Errorf("chunks=%d chunkBytes=%d", s.NumChunks(), s.ChunkBytes())
+	if len(s.chunks) != 1 || s.ChunkBytes() != 8*addr.KB {
+		t.Errorf("chunks=%d chunkBytes=%d", len(s.chunks), s.ChunkBytes())
 	}
 	if s.WayBytes() != 8*addr.KB || s.FootprintBytes() != 8*addr.KB {
 		t.Errorf("way=%d footprint=%d", s.WayBytes(), s.FootprintBytes())
@@ -43,17 +43,17 @@ func TestGrowWithinChunk(t *testing.T) {
 	mem := phys.NewMemory(64 * addr.MB)
 	alloc := phys.NewAllocator(mem, 0)
 	tbl := l2p.New(3)
-	s, _, err := NewStore(alloc, tbl, 0, addr.Page4K, 4*addr.KB)
+	s, _, err := NewStoreLadder(alloc, tbl, 0, addr.Page4K, 4*addr.KB, Ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumChunks() != 1 {
-		t.Fatalf("chunks = %d", s.NumChunks())
+	if len(s.chunks) != 1 {
+		t.Fatalf("chunks = %d", len(s.chunks))
 	}
 	if _, err := s.Extend(8 * addr.KB); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumChunks() != 1 || tbl.Used(0, addr.Page4K) != 1 {
+	if len(s.chunks) != 1 || tbl.Used(0, addr.Page4K) != 1 {
 		t.Error("growing within the chunk must not allocate")
 	}
 }
@@ -70,8 +70,8 @@ func TestGrowToL2PLimit(t *testing.T) {
 			t.Fatalf("Extend(%d): %v", target, err)
 		}
 	}
-	if s.NumChunks() != 64 {
-		t.Errorf("chunks = %d, want 64", s.NumChunks())
+	if len(s.chunks) != 64 {
+		t.Errorf("chunks = %d, want 64", len(s.chunks))
 	}
 	if tbl.Used(0, addr.Page4K) != 64 {
 		t.Errorf("L2P used = %d, want 64", tbl.Used(0, addr.Page4K))
@@ -84,7 +84,7 @@ func TestGrowToL2PLimit(t *testing.T) {
 		t.Errorf("Extend past L2P limit: err = %v, want ErrL2PFull", err)
 	}
 	// Failed extension must not leak entries or chunks.
-	if s.NumChunks() != 64 || tbl.Used(0, addr.Page4K) != 64 {
+	if len(s.chunks) != 64 || tbl.Used(0, addr.Page4K) != 64 {
 		t.Error("failed Extend leaked resources")
 	}
 }
@@ -100,8 +100,8 @@ func TestTransition(t *testing.T) {
 	if _, err := s.Transition(1 * addr.MB); err != nil {
 		t.Fatal(err)
 	}
-	if s.ChunkBytes() != 1*addr.MB || s.NumChunks() != 1 {
-		t.Errorf("after transition: chunkBytes=%d chunks=%d", s.ChunkBytes(), s.NumChunks())
+	if s.ChunkBytes() != 1*addr.MB || len(s.chunks) != 1 {
+		t.Errorf("after transition: chunkBytes=%d chunks=%d", s.ChunkBytes(), len(s.chunks))
 	}
 	if tbl.Used(0, addr.Page4K) != 1 {
 		t.Errorf("L2P used = %d, want 1", tbl.Used(0, addr.Page4K))
@@ -114,20 +114,20 @@ func TestTransition(t *testing.T) {
 	if _, err := s.Extend(2 * addr.MB); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumChunks() != 2 {
-		t.Errorf("chunks = %d, want 2", s.NumChunks())
+	if len(s.chunks) != 2 {
+		t.Errorf("chunks = %d, want 2", len(s.chunks))
 	}
 }
 
 func TestTransitionLadderTop(t *testing.T) {
-	if next := NextChunkBytes(64 * addr.MB); next != 0 {
-		t.Errorf("NextChunkBytes(64MB) = %d, want 0", next)
+	if next := nextIn(Ladder, 64*addr.MB); next != 0 {
+		t.Errorf("nextIn(Ladder, 64MB) = %d, want 0", next)
 	}
-	if next := NextChunkBytes(8 * addr.KB); next != 1*addr.MB {
-		t.Errorf("NextChunkBytes(8KB) = %d", next)
+	if next := nextIn(Ladder, 8*addr.KB); next != 1*addr.MB {
+		t.Errorf("nextIn(Ladder, 8KB) = %d", next)
 	}
-	if next := NextChunkBytes(12345); next != 0 {
-		t.Errorf("NextChunkBytes(off-ladder) = %d, want 0", next)
+	if next := nextIn(Ladder, 12345); next != 0 {
+		t.Errorf("nextIn(Ladder, off-ladder) = %d, want 0", next)
 	}
 }
 
@@ -153,18 +153,18 @@ func TestShrink(t *testing.T) {
 	if _, err := s.Extend(128 * addr.KB); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumChunks() != 16 {
-		t.Fatalf("chunks = %d, want 16", s.NumChunks())
+	if len(s.chunks) != 16 {
+		t.Fatalf("chunks = %d, want 16", len(s.chunks))
 	}
 	s.ShrinkTo(32 * addr.KB)
-	if s.NumChunks() != 4 || tbl.Used(0, addr.Page4K) != 4 {
-		t.Errorf("after shrink: chunks=%d l2p=%d, want 4/4", s.NumChunks(), tbl.Used(0, addr.Page4K))
+	if len(s.chunks) != 4 || tbl.Used(0, addr.Page4K) != 4 {
+		t.Errorf("after shrink: chunks=%d l2p=%d, want 4/4", len(s.chunks), tbl.Used(0, addr.Page4K))
 	}
 	if s.WayBytes() != 32*addr.KB {
 		t.Errorf("WayBytes = %d", s.WayBytes())
 	}
 	s.Free()
-	if s.NumChunks() != 0 || tbl.Used(0, addr.Page4K) != 0 {
+	if len(s.chunks) != 0 || tbl.Used(0, addr.Page4K) != 0 {
 		t.Error("Free leaked resources")
 	}
 	if mem.FreeBytes() != mem.TotalBytes() {
@@ -199,15 +199,15 @@ func TestAllocationFailureRollsBack(t *testing.T) {
 	mem := phys.NewMemory(32 * addr.KB) // room for only 4 chunks
 	alloc := phys.NewAllocator(mem, 0)
 	tbl := l2p.New(3)
-	s, _, err := NewStore(alloc, tbl, 0, addr.Page4K, 8*addr.KB)
+	s, _, err := NewStoreLadder(alloc, tbl, 0, addr.Page4K, 8*addr.KB, Ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Extend(256 * addr.KB); err == nil {
 		t.Fatal("Extend should have failed")
 	}
-	if s.NumChunks() != 1 || s.WayBytes() != 8*addr.KB {
-		t.Errorf("rollback failed: chunks=%d way=%d", s.NumChunks(), s.WayBytes())
+	if len(s.chunks) != 1 || s.WayBytes() != 8*addr.KB {
+		t.Errorf("rollback failed: chunks=%d way=%d", len(s.chunks), s.WayBytes())
 	}
 	if tbl.Used(0, addr.Page4K) != 1 {
 		t.Errorf("L2P leaked: used=%d", tbl.Used(0, addr.Page4K))

@@ -116,7 +116,7 @@ func TestConcurrentStatsCountReadPath(t *testing.T) {
 		if way, ok := c.WayOf(k); ok {
 			return uint64(way) + 1
 		}
-		return uint64(c.Ways())
+		return uint64(c.cfg.Ways)
 	}
 	resizing := 0
 	for k := uint64(0); k < 2000; k++ { // enough inserts to drive resizes

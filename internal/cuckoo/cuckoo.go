@@ -206,9 +206,6 @@ func (t *Table) Resizing() bool { return t.next != nil }
 // Stats returns the accumulated operation counts.
 func (t *Table) Stats() Stats { return t.stats }
 
-// Ways returns W.
-func (t *Table) Ways() int { return t.cfg.Ways }
-
 // occupancy is evaluated against the resize-target capacity.
 func (t *Table) occupancy() float64 {
 	return float64(t.occupied) / float64(t.Capacity())
@@ -248,14 +245,6 @@ type Slot struct {
 	Way    int
 	InNext bool
 	Idx    uint64
-}
-
-// Probe returns the slot way i's lookup of key probes.
-//
-//mehpt:hotpath
-func (t *Table) Probe(i int, key uint64) Slot {
-	w, idx := t.locate(i, key)
-	return Slot{Way: i, InNext: w != t.cur[i], Idx: idx}
 }
 
 // WayOf returns the way index currently holding key.

@@ -28,7 +28,7 @@ func checkInvariants(t *testing.T, tab *Table, model map[uint64]uint64) {
 	}
 	for key, val := range model {
 		found := false
-		for i := 0; i < tab.Ways(); i++ {
+		for i := 0; i < tab.cfg.Ways; i++ {
 			w, idx := tab.locate(i, key)
 			if w.slots[idx].Key == key {
 				if w.slots[idx].Val != val {
@@ -40,7 +40,7 @@ func checkInvariants(t *testing.T, tab *Table, model map[uint64]uint64) {
 		}
 		if !found {
 			t.Fatalf("key %#x unreachable via its %d hash paths (resizing=%v)",
-				key, tab.Ways(), tab.Resizing())
+				key, tab.cfg.Ways, tab.Resizing())
 		}
 	}
 	// No phantom occupants: total live slots must equal the model size.

@@ -22,9 +22,6 @@ type WaySet uint8
 // Add marks way i as a candidate.
 func (s WaySet) Add(i int) WaySet { return s | 1<<uint(i) }
 
-// Remove clears way i.
-func (s WaySet) Remove(i int) WaySet { return s &^ (1 << uint(i)) }
-
 // Has reports whether way i is a candidate.
 func (s WaySet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 
@@ -66,22 +63,20 @@ func NewTables() *Tables {
 	}
 }
 
-func pmdRegion(va addr.VirtAddr) uint64 { return uint64(va) >> addr.Page2M.Shift() }
-func pudRegion(va addr.VirtAddr) uint64 { return uint64(va) >> addr.Page1G.Shift() }
-
-// table returns the CWT level responsible for page size s: 4KB pages are
-// tracked at PMD grain, 2MB and 1GB pages at PUD grain.
-func (t *Tables) table(s addr.PageSize) (map[uint64]*sectionInfo, func(addr.VirtAddr) uint64) {
+// table returns the CWT level responsible for page size s and the shift
+// from a VA to its region there: 4KB pages are tracked at PMD grain (2MB
+// regions), 2MB and 1GB pages at PUD grain (1GB regions).
+func (t *Tables) table(s addr.PageSize) (map[uint64]*sectionInfo, uint) {
 	if s == addr.Page4K {
-		return t.pmd, pmdRegion
+		return t.pmd, addr.Page2M.Shift()
 	}
-	return t.pud, pudRegion
+	return t.pud, addr.Page1G.Shift()
 }
 
 // Note records that a translation for va at size s now lives in way w.
 func (t *Tables) Note(va addr.VirtAddr, s addr.PageSize, w int) {
-	m, region := t.table(s)
-	r := region(va)
+	m, shift := t.table(s)
+	r := uint64(va) >> shift
 	si := m[r]
 	if si == nil {
 		si = &sectionInfo{}
@@ -95,8 +90,8 @@ func (t *Tables) Note(va addr.VirtAddr, s addr.PageSize, w int) {
 // way to. The from bit stays set conservatively (other pages of the region
 // may still live there); only the new way is guaranteed-added.
 func (t *Tables) Moved(va addr.VirtAddr, s addr.PageSize, to int) {
-	m, region := t.table(s)
-	if si := m[region(va)]; si != nil {
+	m, shift := t.table(s)
+	if si := m[uint64(va)>>shift]; si != nil {
 		si.ways[s] = si.ways[s].Add(to)
 	} else {
 		t.Note(va, s, to)
@@ -106,8 +101,8 @@ func (t *Tables) Moved(va addr.VirtAddr, s addr.PageSize, to int) {
 // Drop records that a translation for va at size s was removed. When the
 // region's last translation of that size goes, the way bitmap clears.
 func (t *Tables) Drop(va addr.VirtAddr, s addr.PageSize) {
-	m, region := t.table(s)
-	r := region(va)
+	m, shift := t.table(s)
+	r := uint64(va) >> shift
 	si := m[r]
 	if si == nil {
 		return
@@ -134,10 +129,10 @@ func (t *Tables) Drop(va addr.VirtAddr, s addr.PageSize) {
 // exists and the walk can fault without touching the HPTs.
 func (t *Tables) Candidates(va addr.VirtAddr) [addr.NumPageSizes]WaySet {
 	var out [addr.NumPageSizes]WaySet
-	if si := t.pmd[pmdRegion(va)]; si != nil {
+	if si := t.pmd[uint64(va)>>addr.Page2M.Shift()]; si != nil {
 		out[addr.Page4K] = si.ways[addr.Page4K]
 	}
-	if si := t.pud[pudRegion(va)]; si != nil {
+	if si := t.pud[uint64(va)>>addr.Page1G.Shift()]; si != nil {
 		out[addr.Page2M] = si.ways[addr.Page2M]
 		out[addr.Page1G] = si.ways[addr.Page1G]
 	}

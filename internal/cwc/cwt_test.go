@@ -15,9 +15,8 @@ func TestWaySet(t *testing.T) {
 	if s.Count() != 2 {
 		t.Errorf("Count = %d", s.Count())
 	}
-	s = s.Remove(0)
-	if s.Has(0) || s.Count() != 1 {
-		t.Errorf("after remove: %b", s)
+	if s.Add(2) != s || s.Add(1).Count() != 3 {
+		t.Errorf("Add not idempotent or not counted: %b", s)
 	}
 }
 

@@ -159,10 +159,10 @@ func (t *Table) FootprintBytes() uint64 {
 	return b
 }
 
-// ScalarStats returns the accumulated counters without deep-copying the
-// reinsertion histogram (left empty in the copy). The per-run result
-// aggregation reads only scalar fields, and the histogram copy was its
-// last allocation.
+// ScalarStats returns the accumulated counters, folding in the underlying
+// cuckoo table's resize counts. The reinsertion histogram is left empty in
+// the copy: the per-run result aggregation reads only scalar fields, and
+// copying the histogram would be its one allocation.
 func (t *Table) ScalarStats() Stats {
 	s := t.stats
 	s.Reinsertions = stats.Histogram{}
@@ -171,34 +171,6 @@ func (t *Table) ScalarStats() Stats {
 	s.Downsizes = cs.Downsizes
 	return s
 }
-
-// Stats returns a copy of the accumulated statistics, folding in the
-// underlying cuckoo table's counters.
-func (t *Table) Stats() Stats {
-	s := t.stats
-	s.Reinsertions = stats.Histogram{}
-	s.Reinsertions.Merge(&t.stats.Reinsertions)
-	cs := t.tb.Stats()
-	s.Upsizes = cs.Upsizes
-	s.Downsizes = cs.Downsizes
-	return s
-}
-
-// Len returns the number of clustered entries stored.
-func (t *Table) Len() uint64 { return t.tb.Len() }
-
-// EntriesPerWay returns the steady-state per-way slot count.
-func (t *Table) EntriesPerWay() uint64 { return t.tb.EntriesPerWay() }
-
-// WayBytes returns the contiguous size of one way.
-func (t *Table) WayBytes() uint64 { return t.tb.EntriesPerWay() * pt.EntryBytes }
-
-// Resizing reports whether a gradual resize is in flight.
-func (t *Table) Resizing() bool { return t.tb.Resizing() }
-
-// DrainResize completes any in-flight resize. On a migration failure the
-// resize stays in flight and the table remains valid.
-func (t *Table) DrainResize() error { return t.tb.DrainResize() }
 
 // PageSize returns the page size this table translates.
 func (t *Table) PageSize() addr.PageSize { return t.size }
@@ -251,12 +223,6 @@ func (t *Table) Delete(key uint64) uint64 {
 //
 //mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
-
-// ProbeAddr returns the physical address way i's hardware probe for key
-// touches, resolving through the rehash pointers to old or new ways.
-func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
-	return t.slotAddr(t.tb.Probe(i, key))
-}
 
 // slotAddr returns the physical address of a probe slot: the first group
 // backs the old ways, the last the resize target.

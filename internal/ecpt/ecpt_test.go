@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cuckoo"
 	"repro/internal/phys"
 	"repro/internal/pt"
 )
@@ -54,15 +55,15 @@ func TestContiguousWayGrowth(t *testing.T) {
 		}
 	}
 	tab := p.Table(addr.Page4K)
-	if tab.Stats().Upsizes == 0 {
+	if tab.ScalarStats().Upsizes == 0 {
 		t.Fatal("no upsizes")
 	}
 	// Max contiguous allocation equals the largest way ever allocated.
-	if got, want := tab.Stats().MaxContiguousAlloc, tab.WayBytes(); got < want {
+	if got, want := tab.ScalarStats().MaxContiguousAlloc, tab.tb.EntriesPerWay()*pt.EntryBytes; got < want {
 		t.Errorf("MaxContiguousAlloc = %d < final way %d", got, want)
 	}
-	if tab.Stats().MaxContiguousAlloc < 64*addr.KB {
-		t.Errorf("way stayed tiny: %d", tab.Stats().MaxContiguousAlloc)
+	if tab.ScalarStats().MaxContiguousAlloc < 64*addr.KB {
+		t.Errorf("way stayed tiny: %d", tab.ScalarStats().MaxContiguousAlloc)
 	}
 }
 
@@ -73,7 +74,7 @@ func TestPeakIncludesOldAndNew(t *testing.T) {
 	tab := p.Table(addr.Page4K)
 	rng := rand.New(rand.NewSource(61))
 	i := 0
-	for !tab.Resizing() {
+	for !tab.tb.Resizing() {
 		p.Map(addr.VPN(rng.Uint64()&0xFFFFFF), addr.Page4K, addr.PPN(i))
 		i++
 		if i > 200000 {
@@ -81,11 +82,11 @@ func TestPeakIncludesOldAndNew(t *testing.T) {
 		}
 	}
 	cur := tab.FootprintBytes()
-	steady := tab.WayBytes() * 3
+	steady := tab.tb.EntriesPerWay() * pt.EntryBytes * 3
 	if cur <= steady {
 		t.Errorf("mid-resize footprint %d not above steady %d", cur, steady)
 	}
-	tab.DrainResize()
+	tab.tb.DrainResize()
 	if tab.FootprintBytes() >= cur {
 		t.Errorf("footprint did not drop after resize completed")
 	}
@@ -140,7 +141,7 @@ func TestUpsizeFailureKeepsRunningUntilFull(t *testing.T) {
 	if !sawErr {
 		t.Fatal("table kept growing despite fragmentation caps")
 	}
-	if p.Table(addr.Page4K).Stats().FailedAllocs == 0 {
+	if p.Table(addr.Page4K).ScalarStats().FailedAllocs == 0 {
 		t.Error("no failed allocations recorded")
 	}
 }
@@ -175,39 +176,68 @@ func TestModelEquivalence(t *testing.T) {
 	}
 }
 
+// heldSlotAddr returns the physical address of the slot holding key, read
+// from the table's captured state: the old ways live in the first group,
+// the resize target in the last. It is the address a walk that hits key
+// must report as its probe.
+func heldSlotAddr(st TableState, key uint64) (addr.PhysAddr, bool) {
+	for gen, ways := range [][]cuckoo.WayState{st.Cuckoo.Cur, st.Cuckoo.Next} {
+		g := st.Groups[0]
+		if gen == 1 {
+			g = st.Groups[len(st.Groups)-1]
+		}
+		for w, ws := range ways {
+			for idx, e := range ws.Slots {
+				if e.Key == key {
+					return g.Bases[w].Addr(addr.Page4K) + addr.PhysAddr(uint64(idx)*pt.EntryBytes), true
+				}
+			}
+		}
+	}
+	return 0, false
+}
+
+// TestProbeAddrsStable: walking a mapped page twice reports the same probe
+// address.
 func TestProbeAddrsStable(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	va := addr.VirtAddr(0x5555_0000)
-	key := pt.ClusterKey(va.PageNumber(addr.Page4K))
-	tbl := p.Table(addr.Page4K)
-	ways := DefaultConfig(19).Ways
-	if ways != 3 {
-		t.Fatalf("way count = %d", ways)
+	if _, err := p.Map(va.PageNumber(addr.Page4K), addr.Page4K, 7); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < ways; i++ {
-		if a, b := tbl.ProbeAddr(i, key), tbl.ProbeAddr(i, key); a != b {
-			t.Errorf("probe address unstable for way %d", i)
-		}
+	_, a, aok := p.Walk(va)
+	_, b, bok := p.Walk(va)
+	if !aok || !bok || a != b || a == 0 {
+		t.Errorf("probe address unstable: %#x,%v then %#x,%v", uint64(a), aok, uint64(b), bok)
 	}
 }
 
+// TestWayOfConsistentWithProbe: WayOf finds every page just mapped, and
+// Walk's probe address is the slot that holds its cluster, in whichever
+// generation of ways the rehash pointers place it.
 func TestWayOfConsistentWithProbe(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	rng := rand.New(rand.NewSource(99))
+	var vpns []addr.VPN
 	for i := 0; i < 5000; i++ {
 		vpn := addr.VPN(rng.Uint64() & 0xFFFFF)
 		p.Map(vpn, addr.Page4K, addr.PPN(i))
-		va := vpn.Addr(addr.Page4K)
-		w, ok := p.WayOf(va, addr.Page4K)
-		if !ok {
+		if _, ok := p.WayOf(vpn.Addr(addr.Page4K), addr.Page4K); !ok {
 			t.Fatalf("WayOf missed vpn %d just mapped", vpn)
 		}
-		_, probe, ok := p.Walk(va)
-		if !ok {
-			t.Fatalf("Walk missed vpn %d just mapped", vpn)
+		vpns = append(vpns, vpn)
+		if i%500 != 499 {
+			continue
 		}
-		if want := p.Table(addr.Page4K).ProbeAddr(w, pt.ClusterKey(vpn)); probe != want {
-			t.Fatalf("vpn %d: Walk probe %#x, probe of way %d %#x", vpn, uint64(probe), w, uint64(want))
+		st := p.Table(addr.Page4K).State()
+		for _, vpn := range vpns {
+			_, probe, ok := p.Walk(vpn.Addr(addr.Page4K))
+			if !ok {
+				t.Fatalf("Walk missed mapped vpn %d", vpn)
+			}
+			if want, held := heldSlotAddr(st, pt.ClusterKey(vpn)); !held || probe != want {
+				t.Fatalf("vpn %d: Walk probe %#x, holding slot %#x (found %v)", vpn, uint64(probe), uint64(want), held)
+			}
 		}
 	}
 }
@@ -237,7 +267,7 @@ func TestClusterSharing(t *testing.T) {
 	for i := 0; i < pt.ClusterSpan; i++ {
 		p.Map(base+addr.VPN(i), addr.Page4K, addr.PPN(i))
 	}
-	if n := p.Table(addr.Page4K).Len(); n != 1 {
+	if n := p.Table(addr.Page4K).tb.Len(); n != 1 {
 		t.Errorf("cluster entries = %d, want 1", n)
 	}
 }

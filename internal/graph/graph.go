@@ -89,9 +89,6 @@ func (g *Graph) layout() {
 	g.totalSpan = uint64(cur - g.Base)
 }
 
-// SpanBytes returns the virtual footprint of the graph's arrays.
-func (g *Graph) SpanBytes() uint64 { return g.totalSpan }
-
 // Degree returns node v's out-degree.
 func (g *Graph) Degree(v uint32) uint64 {
 	return g.offsets[uint64(v)+1] - g.offsets[uint64(v)]
@@ -381,12 +378,6 @@ func (g *Graph) BetweennessCentrality(sources uint64, t Tracer) float64 {
 		}
 	}
 	return max
-}
-
-// Kernels returns the kernel names this package implements, in the paper's
-// application order.
-func Kernels() []string {
-	return []string{"BC", "BFS", "CC", "DC", "DFS", "PR", "SSSP", "TC"}
 }
 
 // Run executes the named kernel with reasonable default parameters,

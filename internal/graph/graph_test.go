@@ -30,7 +30,7 @@ func TestGenerateCSRInvariants(t *testing.T) {
 			t.Fatalf("edge target %d out of range", e)
 		}
 	}
-	if g.SpanBytes() == 0 {
+	if g.totalSpan == 0 {
 		t.Error("zero span")
 	}
 }
@@ -143,9 +143,12 @@ func TestBetweennessNonNegative(t *testing.T) {
 	}
 }
 
+// kernels are the names Run accepts, in the paper's application order.
+var kernels = []string{"BC", "BFS", "CC", "DC", "DFS", "PR", "SSSP", "TC"}
+
 func TestRunAllKernels(t *testing.T) {
 	g := testGraph(t, 800, 6)
-	for _, k := range Kernels() {
+	for _, k := range kernels {
 		var n uint64
 		if _, err := g.Run(k, func(addr.VirtAddr) { n++ }); err != nil {
 			t.Errorf("%s: %v", k, err)
@@ -163,8 +166,8 @@ func TestRunAllKernels(t *testing.T) {
 // virtual arrays.
 func TestTraceAddressesInSpan(t *testing.T) {
 	g := testGraph(t, 600, 6)
-	lo, hi := g.Base, g.Base+addr.VirtAddr(g.SpanBytes())
-	for _, k := range Kernels() {
+	lo, hi := g.Base, g.Base+addr.VirtAddr(g.totalSpan)
+	for _, k := range kernels {
 		bad := 0
 		g.Run(k, func(va addr.VirtAddr) {
 			if va < lo || va >= hi {

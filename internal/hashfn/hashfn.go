@@ -131,9 +131,6 @@ func New(seed uint64) Func {
 	}
 }
 
-// Seed returns the seed this function was created with.
-func (f Func) Seed() uint64 { return f.seed }
-
 // crcWords computes crc64.Checksum(le64(a) || le64(b), ECMA) without
 // materializing the byte buffer. TestCRCWordsMatchesChecksum pins the
 // equivalence.
@@ -227,9 +224,6 @@ func NewMixer(fns []Func) *Mixer {
 	return m
 }
 
-// Ways returns the family size.
-func (m *Mixer) Ways() int { return len(m.deltas) }
-
 // CRC returns the raw (pre-finalizer) CRC of key under way 0, the shared
 // intermediate every HashAt call reuses.
 func (m *Mixer) CRC(key uint64) uint64 { return m.base.rawCRC(key) }
@@ -238,10 +232,4 @@ func (m *Mixer) CRC(key uint64) uint64 { return m.base.rawCRC(key) }
 // equals fns[i].Hash(key) exactly.
 func (m *Mixer) HashAt(i int, crc0 uint64) uint64 {
 	return finalize(crc0 ^ m.deltas[i])
-}
-
-// Hash returns way i's hash of key, running the shared CRC itself. Callers
-// probing several ways should hoist CRC and use HashAt.
-func (m *Mixer) Hash(i int, key uint64) uint64 {
-	return m.HashAt(i, m.CRC(key))
 }

@@ -57,7 +57,7 @@ func TestUniformity(t *testing.T) {
 		for b, c := range counts {
 			if c < mean*3/4 || c > mean*5/4 {
 				t.Errorf("seed %d bucket %d count %d out of [%d,%d]",
-					f.Seed(), b, c, mean*3/4, mean*5/4)
+					f.seed, b, c, mean*3/4, mean*5/4)
 			}
 		}
 	}
@@ -67,10 +67,10 @@ func TestFamilyDistinctSeeds(t *testing.T) {
 	fam := Family(0, 8)
 	seen := make(map[uint64]bool)
 	for _, f := range fam {
-		if seen[f.Seed()] {
-			t.Fatalf("duplicate seed %d in family", f.Seed())
+		if seen[f.seed] {
+			t.Fatalf("duplicate seed %d in family", f.seed)
 		}
-		seen[f.Seed()] = true
+		seen[f.seed] = true
 	}
 }
 

@@ -28,7 +28,7 @@ func TestChunkTransitionChain(t *testing.T) {
 	alloc := phys.NewAllocator(mem, 0.7)
 	tbl := l2p.New(3)
 
-	s, _, err := chunk.NewStore(alloc, tbl, 0, addr.Page4K, 8*addr.KB)
+	s, _, err := chunk.NewStoreLadder(alloc, tbl, 0, addr.Page4K, 8*addr.KB, chunk.Ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestChunkTransitionChain(t *testing.T) {
 	inject.Attach(alloc, inject.MinSize{Bytes: 1 * addr.MB})
 
 	preFree := mem.FreeBytes()
-	preChunk, preWay, preNum := s.ChunkBytes(), s.WayBytes(), s.NumChunks()
+	preChunk, preWay, preFoot := s.ChunkBytes(), s.WayBytes(), s.FootprintBytes()
 
 	_, err = s.Transition(2 * addr.MB)
 	if err == nil {
@@ -48,9 +48,9 @@ func TestChunkTransitionChain(t *testing.T) {
 	if !errors.Is(err, phys.ErrOutOfMemory) || !errors.Is(err, inject.ErrInjected) {
 		t.Errorf("chain must reach phys.ErrOutOfMemory and inject.ErrInjected: %v", err)
 	}
-	if s.ChunkBytes() != preChunk || s.WayBytes() != preWay || s.NumChunks() != preNum {
-		t.Errorf("store not rolled back: chunk %d way %d n %d, want %d/%d/%d",
-			s.ChunkBytes(), s.WayBytes(), s.NumChunks(), preChunk, preWay, preNum)
+	if s.ChunkBytes() != preChunk || s.WayBytes() != preWay || s.FootprintBytes() != preFoot {
+		t.Errorf("store not rolled back: chunk %d way %d footprint %d, want %d/%d/%d",
+			s.ChunkBytes(), s.WayBytes(), s.FootprintBytes(), preChunk, preWay, preFoot)
 	}
 	if got := mem.FreeBytes(); got != preFree {
 		t.Errorf("buddy state changed across rolled-back transition: free %d, want %d", got, preFree)

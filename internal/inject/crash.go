@@ -88,11 +88,3 @@ func (c *Crasher) At(point string) error {
 	}
 	return nil
 }
-
-// Hits returns how many times the named point has been visited.
-func (c *Crasher) Hits(point string) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits[point]
-}

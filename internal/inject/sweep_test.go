@@ -123,7 +123,7 @@ func sweepOnce(t *testing.T, spec string, seed int64) sweepFingerprint {
 	}
 
 	if tb := table.Table(addr.Page4K); tb != nil {
-		fp.Stash = tb.StashLen()
+		fp.Stash = len(tb.State().Stash)
 		fp.TableStats = tb.Stats()
 	}
 	fp.InjectStats = in.Stats()

@@ -92,19 +92,10 @@ func New(n uint64, seed uint64) *Table {
 	}
 }
 
-// Len returns the number of elements stored.
-func (t *Table) Len() uint64 { return t.count }
-
 // Capacity returns the total slot count.
 func (t *Table) Capacity() uint64 {
 	return uint64(len(t.top)+len(t.bot)) * SlotsPerBucket
 }
-
-// Stats returns the operation counters.
-func (t *Table) Stats() Stats { return t.stats }
-
-// TopBuckets returns the size of the top level, for tests.
-func (t *Table) TopBuckets() int { return len(t.top) }
 
 // candidates returns the four candidate buckets of key: two per level.
 func (t *Table) candidates(key uint64) [4]*bucket {
@@ -204,21 +195,6 @@ func (t *Table) altTopBucket(key uint64, b *bucket) *bucket {
 		return b0
 	}
 	return nil
-}
-
-// Delete removes key.
-func (t *Table) Delete(key uint64) bool {
-	for _, b := range t.candidates(key) {
-		for i := range b.slots {
-			if b.slots[i].key == key {
-				b.slots[i].key = EmptyKey
-				b.slots[i].val = 0
-				t.count--
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // resize performs the level-hashing in-place expansion: a new top level of

@@ -8,7 +8,7 @@ import (
 )
 
 // TestLookupAllocFree guards the page-walk hot path: once the table is
-// populated and settled, Table.Lookup, PageTable.Translate, and the fused
+// populated and its resizes drained, Table.Lookup, PageTable.Translate, and the fused
 // PageTable.Walk must never allocate — the Mixer probe, the flat ways, and
 // the stash scan are all in-place reads.
 func TestLookupAllocFree(t *testing.T) {
@@ -20,7 +20,7 @@ func TestLookupAllocFree(t *testing.T) {
 		}
 	}
 	tb := p.Table(addr.Page4K)
-	if err := tb.Settle(); err != nil {
+	if err := tb.DrainResizes(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -251,10 +251,6 @@ func (t *Table) Len() uint64 {
 	return n
 }
 
-// StashLen returns the number of entries currently in the software stash
-// (nonzero only after degraded resizes under memory pressure).
-func (t *Table) StashLen() int { return len(t.stash) }
-
 // PageSize returns the page size this table translates.
 func (t *Table) PageSize() addr.PageSize { return t.size }
 
@@ -719,21 +715,4 @@ func (t *Table) Free() {
 			w.pending.Free()
 		}
 	}
-}
-
-// Settle repeatedly drains resizes and re-evaluates the resizing policy
-// until the table reaches a fixed point. Gradual resizes normally advance
-// only on inserts, so after a burst of deletes several pending downsizes may
-// be queued behind one another; Settle applies them all.
-func (t *Table) Settle() error {
-	for i := 0; i < 64; i++ {
-		if err := t.drainResizes(); err != nil {
-			return err
-		}
-		t.maybeResize()
-		if !t.Resizing() {
-			return nil
-		}
-	}
-	return nil
 }

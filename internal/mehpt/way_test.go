@@ -22,7 +22,7 @@ func newTestWay(t *testing.T, entries uint64) (*way, *phys.Allocator) {
 	mem := phys.NewMemory(256 * addr.MB)
 	alloc := phys.NewAllocator(mem, 0)
 	tbl := l2p.New(3)
-	st, _, err := chunk.NewStore(alloc, tbl, 0, addr.Page4K, entries*pt.EntryBytes)
+	st, _, err := chunk.NewStoreLadder(alloc, tbl, 0, addr.Page4K, entries*pt.EntryBytes, chunk.Ladder)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,25 +161,3 @@ func (o *OS) mapPage(va addr.VirtAddr, s addr.PageSize) (uint64, error) {
 	}
 	return cycles, nil
 }
-
-// Prefault maps every page backing the region [va, va+bytes) eagerly,
-// charging the same costs as demand faults. Experiment drivers use it to
-// populate page tables at full scale without running a timing simulation.
-func (o *OS) Prefault(va addr.VirtAddr, bytes uint64) (uint64, error) {
-	var total uint64
-	end := va + addr.VirtAddr(bytes)
-	for cur := va; cur < end; {
-		if tr, ok := o.pt.Translate(cur); ok {
-			cur = addr.AlignDown(cur, tr.Size.Bytes()) + addr.VirtAddr(tr.Size.Bytes())
-			continue
-		}
-		c, err := o.HandleFault(cur)
-		total += c
-		if err != nil {
-			return total, err
-		}
-		tr, _ := o.pt.Translate(cur)
-		cur = addr.AlignDown(cur, tr.Size.Bytes()) + addr.VirtAddr(tr.Size.Bytes())
-	}
-	return total, nil
-}

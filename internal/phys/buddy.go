@@ -291,16 +291,6 @@ func (m *Memory) Free(f addr.PPN, order int) {
 	m.stats.Frees++
 }
 
-// FreeBytesInBlocksGE returns the number of free bytes residing in free
-// blocks of at least the given order.
-func (m *Memory) FreeBytesInBlocksGE(order int) uint64 {
-	var pages uint64
-	for o := order; o <= m.maxOrder; o++ {
-		pages += m.freeBlk[o] << o
-	}
-	return pages * FrameBytes
-}
-
 // FMFI returns the Free Memory Fragmentation Index for the given order: the
 // fraction of free memory that is unusable for an allocation of that order
 // because it sits in smaller blocks. 0 means perfectly defragmented; 1 means
@@ -310,9 +300,11 @@ func (m *Memory) FMFI(order int) float64 {
 	if m.freePages == 0 {
 		return 1
 	}
-	usable := float64(m.FreeBytesInBlocksGE(order))
-	total := float64(m.FreeBytes())
-	return 1 - usable/total
+	var usable uint64 // free pages in blocks of at least order
+	for o := order; o <= m.maxOrder; o++ {
+		usable += m.freeBlk[o] << o
+	}
+	return 1 - float64(usable)/float64(m.freePages)
 }
 
 // FreeBlockCounts returns the live free-block count per order. Together with

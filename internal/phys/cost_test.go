@@ -114,11 +114,6 @@ func TestFragmenterReachesTarget(t *testing.T) {
 	if !mem.CanAlloc(refOrder) {
 		t.Error("no 64MB block available at FMFI 0.7; paper expects success")
 	}
-	fr.Release()
-	if mem.FreeBytes() != mem.TotalBytes() {
-		t.Errorf("Release did not return all memory: free %d of %d",
-			mem.FreeBytes(), mem.TotalBytes())
-	}
 }
 
 // TestFragmenterExtreme reproduces the paper's failure mode: above 0.7 FMFI

@@ -13,13 +13,7 @@ import (
 // (usable for large allocations) or shredded into isolated free 4KB frames
 // that can never coalesce.
 type Fragmenter struct {
-	mem    *Memory
-	pinned []pinnedBlock // blocker allocations, released by Release
-}
-
-type pinnedBlock struct {
-	ppn   addr.PPN
-	order int
+	mem *Memory
 }
 
 // NewFragmenter returns a fragmenter over mem. The memory should be fresh
@@ -94,29 +88,9 @@ func (fr *Fragmenter) Fragment(targetFMFI, freeFraction float64, refOrder int, r
 		}
 		// Shredded region: free scatterPer isolated 4KB frames at even
 		// offsets, keep the rest pinned.
-		offsets := rng.Perm(int(regionFrames / 2))[:scatterPer]
-		freed := make(map[uint64]bool, scatterPer)
-		for _, off := range offsets {
-			f := uint64(base) + 2*uint64(off)
-			fr.mem.Free(addr.PPN(f), 0)
-			freed[f] = true
-		}
-		// Record the pinned remainder as individual frames so Release can
-		// return them. To keep bookkeeping compact we record the region and
-		// the freed set as frame pins.
-		for f := uint64(base); f < uint64(base)+regionFrames; f++ {
-			if !freed[f] {
-				fr.pinned = append(fr.pinned, pinnedBlock{addr.PPN(f), 0})
-			}
+		for _, off := range rng.Perm(int(regionFrames / 2))[:scatterPer] {
+			fr.mem.Free(base+addr.PPN(2*off), 0)
 		}
 	}
 	return nil
-}
-
-// Release frees all blocker allocations, defragmenting the memory.
-func (fr *Fragmenter) Release() {
-	for _, p := range fr.pinned {
-		fr.mem.Free(p.ppn, p.order)
-	}
-	fr.pinned = nil
 }

@@ -156,19 +156,6 @@ func (s *Striped) freeBlock(ppn addr.PPN, size uint64) {
 	s.free += BlockBytes(order)
 }
 
-// FreeBlockCounts returns the live free-block counts summed across stripes,
-// indexed by order — the pool-wide leak-detection fingerprint, comparable
-// against a baseline after teardown exactly like Memory.FreeBlockCounts.
-func (s *Striped) FreeBlockCounts() []uint64 {
-	counts := make([]uint64, MaxOrder+1)
-	for _, mem := range s.stripes {
-		for o, c := range mem.FreeBlockCounts() {
-			counts[o] += c
-		}
-	}
-	return counts
-}
-
 // StatsSum returns the Memory stats summed across stripes.
 func (s *Striped) StatsSum() Stats {
 	sum := Stats{AllocsBySize: make(map[uint64]uint64)}

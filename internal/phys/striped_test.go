@@ -15,6 +15,19 @@ import (
 	"repro/internal/addr"
 )
 
+// poolBlockCounts returns the live free-block counts summed across the
+// pool's stripes, indexed by order: the pool-wide leak fingerprint,
+// compared against a baseline after teardown.
+func poolBlockCounts(s *Striped) []uint64 {
+	counts := make([]uint64, MaxOrder+1)
+	for _, mem := range s.stripes {
+		for o, c := range mem.FreeBlockCounts() {
+			counts[o] += c
+		}
+	}
+	return counts
+}
+
 // TestStripedMatchesSingleLockReference: a K=1 striped pool driven by a
 // seeded alloc/free script produces exactly the same grants, costs,
 // errors, and final free-list shape as the reference Allocator over an
@@ -74,7 +87,7 @@ func TestStripedMatchesSingleLockReference(t *testing.T) {
 		copy(out, xs)
 		return out
 	}
-	if got, want := pad(pool.FreeBlockCounts()), pad(ref.Mem.FreeBlockCounts()); !reflect.DeepEqual(got, want) {
+	if got, want := pad(poolBlockCounts(pool)), pad(ref.Mem.FreeBlockCounts()); !reflect.DeepEqual(got, want) {
 		t.Errorf("free-list shape diverges:\nstriped   %v\nreference %v", got, want)
 	}
 	ps, rs := pool.StatsSum(), ref.Mem.Stats()
@@ -112,7 +125,7 @@ func TestStripedAlignment(t *testing.T) {
 // like the buddy allocator's double-free guard.
 func TestStripedFreeRouting(t *testing.T) {
 	pool := NewStriped(16*addr.MB, 2, 0.7)
-	baseline := pool.FreeBlockCounts()
+	baseline := poolBlockCounts(pool)
 	a := pool.View(1)
 	b := pool.View(2)
 	p1, _, err := a.Alloc(64 * addr.KB)
@@ -121,7 +134,7 @@ func TestStripedFreeRouting(t *testing.T) {
 	}
 	// Cross-view free: view b returns a's block; routing is by PPN, not home.
 	b.Free(p1, 64*addr.KB)
-	if got := pool.FreeBlockCounts(); !reflect.DeepEqual(got, baseline) {
+	if got := poolBlockCounts(pool); !reflect.DeepEqual(got, baseline) {
 		t.Errorf("free-list shape after alloc+cross-view free: %v, want baseline %v", got, baseline)
 	}
 	defer func() {
@@ -161,7 +174,7 @@ func TestStripedConcurrentStress(t *testing.T) {
 		steps    = owners * 2000
 	)
 	pool := NewStriped(capacity, 4, 0.7)
-	baseline := pool.FreeBlockCounts()
+	baseline := poolBlockCounts(pool)
 	owner := make([]bool, pool.TotalBytes()/FrameBytes)
 	mark := func(ppn addr.PPN, size uint64, live bool) bool {
 		frames := BlockBytes(OrderFor(size)) / FrameBytes
@@ -228,7 +241,7 @@ func TestStripedConcurrentStress(t *testing.T) {
 	if got := pool.FreeBytes(); got != pool.TotalBytes() {
 		t.Errorf("free bytes after full teardown: %d, want capacity %d", got, pool.TotalBytes())
 	}
-	if got := pool.FreeBlockCounts(); !reflect.DeepEqual(got, baseline) {
+	if got := poolBlockCounts(pool); !reflect.DeepEqual(got, baseline) {
 		t.Errorf("free-list shape leaked:\ngot      %v\nbaseline %v", got, baseline)
 	}
 	s := pool.StatsSum()

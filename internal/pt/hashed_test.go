@@ -20,8 +20,8 @@ type hashedPT interface {
 	WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool)
 }
 
-// walkCase is one page table under test: the table, the per-size table's
-// probe of one way, and the addresses to check.
+// walkCase is one page table under test: the table, the address the walk
+// of a key held in a given way must probe, and the addresses to check.
 type walkCase struct {
 	p     hashedPT
 	probe func(s addr.PageSize, way int, key uint64) addr.PhysAddr
@@ -57,9 +57,36 @@ func newMEHPT(t *testing.T, alloc phys.Source) *mehpt.PageTable {
 	return p
 }
 
+// ecptCase checks ECPT probes against the slot holding the key in the
+// table's captured state (old ways in the first group, the resize target
+// in the last), captured once the case is built: walks move no entry.
 func ecptCase(p *ecpt.PageTable) walkCase {
+	var st *ecpt.PageTableState
 	return walkCase{p: p, probe: func(s addr.PageSize, way int, key uint64) addr.PhysAddr {
-		return p.Table(s).ProbeAddr(way, key)
+		if st == nil {
+			c := p.State()
+			st = &c
+		}
+		for _, ts := range st.Tables {
+			if ts.Size != s {
+				continue
+			}
+			for gen, ways := range [][]cuckoo.WayState{ts.Cuckoo.Cur, ts.Cuckoo.Next} {
+				if way >= len(ways) {
+					continue // no resize in flight
+				}
+				g := ts.Groups[0]
+				if gen == 1 {
+					g = ts.Groups[len(ts.Groups)-1]
+				}
+				for idx, e := range ways[way].Slots {
+					if e.Key == key {
+						return g.Bases[way].Addr(addr.Page4K) + addr.PhysAddr(uint64(idx)*pt.EntryBytes)
+					}
+				}
+			}
+		}
+		return 0
 	}}
 }
 
@@ -136,7 +163,7 @@ func stashResident(t *testing.T) walkCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Table(addr.Page4K).StashLen() != 1 {
+	if len(r.State().Tables[0].Stash) != 1 {
 		t.Fatal("restored table has no stash-resident entry")
 	}
 	c := mehptCase(r)
@@ -167,7 +194,12 @@ func TestWalkMatchesTranslateAndWayProbe(t *testing.T) {
 		}},
 		{"ECPT/mid-resize", func(t *testing.T) walkCase {
 			p := newECPT(t)
-			return midResize(t, ecptCase(p), p.Table(addr.Page4K).Resizing)
+			// A resize in flight holds both generations of ways.
+			return midResize(t, ecptCase(p), func() bool {
+				blocks := 0
+				p.Table(addr.Page4K).VisitOwnedFrames(func(addr.PPN, uint64) { blocks++ })
+				return blocks > ecpt.DefaultConfig(19).Ways
+			})
 		}},
 		{"ME-HPT/mid-resize", func(t *testing.T) walkCase {
 			p := newMEHPT(t, phys.NewAllocator(phys.NewMemory(2*addr.GB), 0))

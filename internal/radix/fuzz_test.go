@@ -190,7 +190,7 @@ func checkAgainstOracle(t *testing.T, op int, p *PageTable, mem *phys.Memory, wa
 	}
 	frames := map[addr.PPN]bool{}
 	p.VisitOwnedFrames(func(base addr.PPN, bytes uint64) { frames[base] = true })
-	if n := p.Stats().Nodes; len(frames) != n {
+	if n := p.stats.Nodes; len(frames) != n {
 		t.Fatalf("op %d: %d distinct owned frames, Stats().Nodes = %d", op, len(frames), n)
 	}
 	if used := mem.TotalBytes() - mem.FreeBytes(); used != p.FootprintBytes() {

@@ -125,9 +125,6 @@ func NewPageTableLevels(alloc phys.Source, levels int) (*PageTable, error) {
 	return p, nil
 }
 
-// Depth returns the tree depth (4 or 5).
-func (p *PageTable) Depth() int { return p.levels }
-
 // newNode allocates a frame for a fresh node and returns the node's id.
 func (p *PageTable) newNode() (int32, error) {
 	ppn, cycles, err := p.alloc.Alloc(4 * addr.KB)
@@ -150,9 +147,6 @@ func (p *PageTable) newNode() (int32, error) {
 	p.nodes = append(p.nodes, ref)
 	return int32(len(p.nodes) - 1), nil
 }
-
-// Stats returns the accumulated statistics.
-func (p *PageTable) Stats() Stats { return p.stats }
 
 // FootprintBytes returns the page-table memory held: one 4KB frame per node.
 func (p *PageTable) FootprintBytes() uint64 {
@@ -292,17 +286,6 @@ func sizeAtLevel(lvl int) addr.PageSize {
 	panic("radix: no page size at PGD level")
 }
 
-// TranslateSize resolves vpn at exactly the given page size.
-//
-//mehpt:hotpath
-func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
-	tr, ok := p.Translate(vpn.Addr(s))
-	if !ok || tr.Size != s {
-		return 0, false
-	}
-	return tr.PPN, true
-}
-
 // AppendWalkAddrs appends to pas the physical addresses of the page-table
 // entries a hardware walker reads for va, root first. The walk stops early
 // at a huge leaf or a non-present entry. The boolean reports whether a
@@ -326,21 +309,6 @@ func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]ad
 		id = payload(w)
 	}
 	return pas, pt.Translation{}, false
-}
-
-// NodeFrameAt returns the physical frame of the tree node traversed at the
-// given level for va (Levels-1 = root), and whether the walk reaches it.
-// The MMU's page-walk caches key on these frames.
-func (p *PageTable) NodeFrameAt(va addr.VirtAddr, lvl int) (addr.PPN, bool) {
-	id := uint64(0)
-	for l := p.levels - 1; l > lvl; l-- {
-		w := p.nodes[id].pte[addr.RadixIndex(va, l)]
-		if !isTable(w, l) {
-			return 0, false
-		}
-		id = payload(w)
-	}
-	return p.nodes[id].frame, true
 }
 
 // Free releases every tree node (process teardown).

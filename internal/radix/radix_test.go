@@ -38,18 +38,18 @@ func TestMapTranslateUnmap(t *testing.T) {
 
 func TestFourKBMappingUsesFourNodes(t *testing.T) {
 	p, _ := newPT(t)
-	before := p.Stats().Nodes
+	before := p.stats.Nodes
 	if before != 1 {
 		t.Fatalf("fresh tree has %d nodes, want 1 (root)", before)
 	}
 	p.Map(addr.VPN(0x11111), addr.Page4K, 1)
 	// One PUD + one PMD + one PTE node beyond the root.
-	if got := p.Stats().Nodes; got != 4 {
+	if got := p.stats.Nodes; got != 4 {
 		t.Errorf("nodes after first 4KB map = %d, want 4", got)
 	}
 	// A second mapping in the same 2MB region adds nothing.
 	p.Map(addr.VPN(0x11112), addr.Page4K, 2)
-	if got := p.Stats().Nodes; got != 4 {
+	if got := p.stats.Nodes; got != 4 {
 		t.Errorf("nodes after neighbour map = %d, want 4", got)
 	}
 }
@@ -60,7 +60,7 @@ func TestHugePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 2MB leaf sits at the PMD: root + PUD + PMD = 3 nodes.
-	if got := p.Stats().Nodes; got != 3 {
+	if got := p.stats.Nodes; got != 3 {
 		t.Errorf("nodes for 2MB map = %d, want 3", got)
 	}
 	va := addr.VPN(5).Addr(addr.Page2M) + 0x12345
@@ -117,24 +117,27 @@ func TestWalkAddrs(t *testing.T) {
 	}
 }
 
+// TestNodeFrameAt: each level of a complete walk reads its entry from a
+// distinct node frame (the frames the MMU's page-walk caches key on), and
+// a walk of an unmapped address stops above the leaf level.
 func TestNodeFrameAt(t *testing.T) {
 	p, _ := newPT(t)
 	vpn := addr.VPN(0x44444)
 	p.Map(vpn, addr.Page4K, 3)
-	va := vpn.Addr(addr.Page4K)
+	pas, _, ok := p.AppendWalkAddrs(nil, vpn.Addr(addr.Page4K))
+	if !ok || len(pas) != Levels {
+		t.Fatalf("walk of a mapped page: %d levels, ok %v", len(pas), ok)
+	}
 	frames := map[addr.PPN]bool{}
-	for lvl := Levels - 1; lvl >= 0; lvl-- {
-		f, ok := p.NodeFrameAt(va, lvl)
-		if !ok {
-			t.Fatalf("NodeFrameAt(level %d) missed", lvl)
-		}
+	for i, pa := range pas {
+		f := pa.PageNumber(addr.Page4K)
 		if frames[f] {
-			t.Errorf("level %d reuses a node frame", lvl)
+			t.Errorf("level %d reuses a node frame", Levels-1-i)
 		}
 		frames[f] = true
 	}
-	if _, ok := p.NodeFrameAt(0xBAD_000_000, 0); ok {
-		t.Error("NodeFrameAt found a node for unmapped address")
+	if pas, _, ok := p.AppendWalkAddrs(nil, 0xBAD_000_000); ok || len(pas) == Levels {
+		t.Errorf("walk of an unmapped address read %d levels, ok %v", len(pas), ok)
 	}
 }
 
@@ -160,9 +163,9 @@ func TestModelEquivalence(t *testing.T) {
 		}
 	}
 	for vpn, want := range model {
-		got, ok := p.TranslateSize(vpn, addr.Page4K)
-		if !ok || got != want {
-			t.Fatalf("TranslateSize(%d) = %d,%v want %d", vpn, got, ok, want)
+		tr, ok := p.Translate(vpn.Addr(addr.Page4K))
+		if !ok || tr.Size != addr.Page4K || tr.PPN != want {
+			t.Fatalf("Translate(%d) = %+v,%v want %d", vpn, tr, ok, want)
 		}
 	}
 }
@@ -205,15 +208,15 @@ func TestFiveLevelTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Depth() != 5 {
-		t.Fatalf("Depth = %d", p.Depth())
+	if p.levels != 5 {
+		t.Fatalf("depth = %d", p.levels)
 	}
 	vpn := addr.VPN(0x54321)
 	if _, err := p.Map(vpn, addr.Page4K, 11); err != nil {
 		t.Fatal(err)
 	}
 	// The first 4KB mapping needs root + 4 intermediate/leaf nodes.
-	if got := p.Stats().Nodes; got != 5 {
+	if got := p.stats.Nodes; got != 5 {
 		t.Errorf("nodes = %d, want 5", got)
 	}
 	tr, ok := p.Translate(vpn.Addr(addr.Page4K))

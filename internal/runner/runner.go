@@ -92,9 +92,6 @@ type Result[R any] struct {
 	Stack string
 }
 
-// Failed reports whether the job errored or panicked.
-func (r Result[R]) Failed() bool { return r.Err != nil || r.Panic != nil }
-
 // MapSafe is Map with per-job fault isolation: each do invocation runs
 // under a recover, so one panicking job cannot take down the whole matrix —
 // the remaining jobs complete and the caller gets partial results plus a

@@ -77,7 +77,7 @@ func TestCleanMachines(t *testing.T) {
 			m := steppedMachine(t, org, 3)
 			wantClean(t, m, "mid-run")
 
-			restored, err := tenant.RestoreMachine(m.Config(), m.State())
+			restored, err := tenant.RestoreMachine(scrubConfig(org), m.State())
 			if err != nil {
 				t.Fatalf("RestoreMachine: %v", err)
 			}
@@ -100,7 +100,7 @@ func corrupt(t *testing.T, org sim.Org, mutate func(m *tenant.Machine, st *tenan
 	m := steppedMachine(t, org, 3)
 	st := m.State()
 	mutate(m, st)
-	bad, err := tenant.RestoreMachine(m.Config(), st)
+	bad, err := tenant.RestoreMachine(scrubConfig(org), st)
 	if err != nil {
 		t.Fatalf("RestoreMachine over corrupted state: %v", err)
 	}

@@ -460,10 +460,6 @@ func (m *Machine) RunStream(src trace.Stream) (Result, error) {
 // running).
 func (m *Machine) Table() osmodel.PageTable { return m.table }
 
-// Mem returns the machine's physical memory, for frame-accounting checks
-// (the fault sweep compares free-list state against a baseline).
-func (m *Machine) Mem() *phys.Memory { return m.mem }
-
 // SetAmbientFMFI overrides the fragmentation level used to *price*
 // allocations without physically shredding memory. Experiment drivers use
 // it so a pristine buddy allocator still charges the paper's 0.7-FMFI

@@ -30,13 +30,6 @@ func (r *Recorder) Record(name string, rows any) {
 	r.sections = append(r.sections, Section{Name: name, Rows: rows})
 }
 
-// Sections returns the recorded sections in insertion order.
-func (r *Recorder) Sections() []Section {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Section(nil), r.sections...)
-}
-
 // WriteJSON emits the recorded sections as an indented JSON document.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	r.mu.Lock()

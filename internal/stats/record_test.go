@@ -54,7 +54,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(r.Sections()); got != 1600 {
+	if got := len(r.sections); got != 1600 {
 		t.Fatalf("sections = %d, want 1600", got)
 	}
 }

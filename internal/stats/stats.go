@@ -99,15 +99,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Max returns the largest observed value, or 0 if empty.
-func (h *Histogram) Max() int {
-	vs := h.Values()
-	if len(vs) == 0 || vs[len(vs)-1] < 0 {
-		return 0
-	}
-	return vs[len(vs)-1]
-}
-
 // Values returns the observed values in ascending order.
 func (h *Histogram) Values() []int {
 	vs := make([]int, 0, len(h.counts))

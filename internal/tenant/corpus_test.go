@@ -15,7 +15,10 @@ package tenant_test
 // read-only lookup counts that a restore must fold back in.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
@@ -43,16 +46,20 @@ func corpusConfig(org sim.Org) tenant.Config {
 	}
 }
 
+// corpus is the committed checkpoint of each organization with the
+// fingerprint of the uninterrupted corpusConfig run.
+var corpus = []struct {
+	org  sim.Org
+	file string
+	fp   string // uninterrupted Run fingerprint
+}{
+	{sim.Radix, "radix.ckpt", "14b272c038bf4d439b77582dc0065c721d2d9b43d45d70a388087658a7d75050"},
+	{sim.ECPT, "ecpt.ckpt", "195e980c926bf4358d67d08e52202e129ca05888ba1c3a7d61bb666113d6d84f"},
+	{sim.MEHPT, "mehpt.ckpt", "2ee62853f937ee5857b991c1e2ea09f2789e9d4ce1c806792e4264edc4b4dda9"},
+}
+
 func TestCheckpointCorpusResumes(t *testing.T) {
-	for _, tc := range []struct {
-		org  sim.Org
-		file string
-		fp   string // uninterrupted Run fingerprint
-	}{
-		{sim.Radix, "radix.ckpt", "14b272c038bf4d439b77582dc0065c721d2d9b43d45d70a388087658a7d75050"},
-		{sim.ECPT, "ecpt.ckpt", "195e980c926bf4358d67d08e52202e129ca05888ba1c3a7d61bb666113d6d84f"},
-		{sim.MEHPT, "mehpt.ckpt", "2ee62853f937ee5857b991c1e2ea09f2789e9d4ce1c806792e4264edc4b4dda9"},
-	} {
+	for _, tc := range corpus {
 		t.Run(tc.org.String(), func(t *testing.T) {
 			cfg := corpusConfig(tc.org)
 			if base, err := tenant.Run(cfg); err != nil {
@@ -86,6 +93,58 @@ func TestCheckpointCorpusResumes(t *testing.T) {
 			}
 			if vs := scrub.Machine(m); len(vs) != 0 {
 				t.Fatalf("resumed machine scrubs dirty: %v", vs)
+			}
+		})
+	}
+}
+
+// TestScrubIsReadOnly: scrubbing a machine mid-run leaves what a checkpoint
+// of it carries unchanged, and its run ending on the uninterrupted
+// fingerprint. The TLB-coherence check resolves every cached translation;
+// resolving through the counted lookup paths would move table statistics
+// that the state and the fingerprint carry.
+func TestScrubIsReadOnly(t *testing.T) {
+	// checkpointed is State() through a gob round trip, as a checkpoint
+	// carries it. The decoded values are compared, not the bytes: gob
+	// writes maps (histogram counts, allocation sizes) in iteration order,
+	// so two encodings of one state can differ byte for byte.
+	checkpointed := func(t *testing.T, m *tenant.Machine) *tenant.MachineState {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(m.State()); err != nil {
+			t.Fatalf("encoding State: %v", err)
+		}
+		var st tenant.MachineState
+		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+			t.Fatalf("decoding State: %v", err)
+		}
+		return &st
+	}
+	for _, tc := range corpus {
+		t.Run(tc.org.String(), func(t *testing.T) {
+			m, err := tenant.NewMachine(corpusConfig(tc.org))
+			if err != nil {
+				t.Fatalf("NewMachine: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := m.StepRound(); err != nil {
+					t.Fatalf("StepRound: %v", err)
+				}
+			}
+			before := checkpointed(t, m)
+			if vs := scrub.Machine(m); len(vs) != 0 {
+				t.Fatalf("mid-run machine scrubs dirty: %v", vs)
+			}
+			if after := checkpointed(t, m); !reflect.DeepEqual(before, after) {
+				t.Fatal("scrub changed the machine state")
+			}
+			for !m.Done() {
+				if err := m.StepRound(); err != nil {
+					t.Fatalf("StepRound: %v", err)
+				}
+			}
+			if got := m.Collect().Fingerprint; got != tc.fp {
+				t.Fatalf("fingerprint after a mid-run scrub %s, uninterrupted %s", got, tc.fp)
 			}
 		})
 	}

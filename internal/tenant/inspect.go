@@ -61,9 +61,6 @@ func (m *Machine) VisitSharedMappings(f func(page uint64, ppn addr.PPN)) {
 	})
 }
 
-// SharedPages returns the shared-segment page count.
-func (m *Machine) SharedPages() uint64 { return m.shared.pages }
-
 // CheckTables runs every organization's structural self-checks (occupancy
 // counters, resize bits, chunk backing, tree node accounting) across all
 // tenants, returning one message per violation prefixed with the owning
@@ -83,30 +80,43 @@ func (m *Machine) CheckTables() []string {
 // address space the shard is bound to, or through the shared segment's
 // table. Unbound shards (a freshly restored machine) carry nothing and
 // pass vacuously.
+//
+// It resolves through the read-only visitors (VisitMappings, the shared
+// table's Range), never Translate or Lookup: those count into table
+// statistics that the machine state and the fingerprint carry, so a scrub
+// through them would change the run it inspects.
 func (m *Machine) CheckShardTLBs() []string {
+	shared := make(map[uint64]uint64, m.shared.pages)
+	m.shared.table.Range(func(key, val uint64) bool {
+		shared[key] = val
+		return true
+	})
 	var bad []string
 	for core, sh := range m.shards {
 		// An unbound shard's TLBs were never filled (bind flushes), so any
 		// resident entry is already a violation: nothing resolves.
-		table := sh.mmu.Table()
+		live := map[pageKey]addr.PPN{}
+		if table := sh.mmu.Table(); table != nil {
+			table.(mappingVisitor).VisitMappings(func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) {
+				live[pageKey{vpn, s}] = ppn
+			})
+		}
 		sh.mmu.TLB.VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
-			if table != nil {
-				if tr, ok := table.Translate(vpn.Addr(s)); ok && tr.Size == s {
-					if uint64(tr.PPN) == pay {
-						return
-					}
-					// The MMU completes TLB hits from the cached payload, so
-					// a payload that drifted from the table is a silently
-					// wrong translation, not just a bookkeeping error.
-					bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches %v page %#x with PPN %#x but the table resolves %#x",
-						core, level, s, uint64(vpn), pay, uint64(tr.PPN)))
+			if ppn, size, ok := resolve(live, vpn.Addr(s)); ok && size == s {
+				if uint64(ppn) == pay {
 					return
 				}
+				// The MMU completes TLB hits from the cached payload, so
+				// a payload that drifted from the table is a silently
+				// wrong translation, not just a bookkeeping error.
+				bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches %v page %#x with PPN %#x but the table resolves %#x",
+					core, level, s, uint64(vpn), pay, uint64(ppn)))
+				return
 			}
 			// Shared-segment pages translate through the shared table, not
 			// the per-process organization.
 			if s == addr.Page4K {
-				if ppn, ok := m.shared.table.Lookup(uint64(vpn)); ok {
+				if ppn, ok := shared[uint64(vpn)]; ok {
 					if ppn == pay {
 						return
 					}
@@ -120,4 +130,22 @@ func (m *Machine) CheckShardTLBs() []string {
 		})
 	}
 	return bad
+}
+
+// pageKey names one mapping: a page number at a page size.
+type pageKey struct {
+	vpn  addr.VPN
+	size addr.PageSize
+}
+
+// resolve translates va against a table's live mappings the way the
+// table's Translate does: the largest page size that maps va wins.
+func resolve(live map[pageKey]addr.PPN, va addr.VirtAddr) (addr.PPN, addr.PageSize, bool) {
+	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
+		s := addr.PageSize(i)
+		if ppn, ok := live[pageKey{va.PageNumber(s), s}]; ok {
+			return ppn, s, true
+		}
+	}
+	return 0, 0, false
 }

@@ -144,14 +144,8 @@ func open(cfg Config, st *MachineState) (m *Machine, err error) {
 	return m, nil
 }
 
-// Config returns the machine's configuration with defaults applied.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Done reports whether every tenant has exhausted its budget (or failed).
 func (m *Machine) Done() bool { return m.live == 0 }
-
-// Live returns the number of tenants still running.
-func (m *Machine) Live() int { return m.live }
 
 // Rounds returns the scheduling rounds executed so far.
 func (m *Machine) Rounds() uint64 { return m.sched.Rounds() }

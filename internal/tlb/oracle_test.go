@@ -180,10 +180,10 @@ func (r *refHierarchy) entries() []visited {
 func checkRef(t *testing.T, op int, h *Hierarchy, ref *refHierarchy) {
 	t.Helper()
 	for s := range h.l1 {
-		if got, want := h.l1[s].Stats(), ref.l1[s].stats; got != want {
+		if got, want := h.l1[s].stats, ref.l1[s].stats; got != want {
 			t.Fatalf("op %d: %v L1 stats %+v, reference %+v", op, addr.PageSize(s), got, want)
 		}
-		if got, want := h.l2[s].Stats(), ref.l2[s].stats; got != want {
+		if got, want := h.l2[s].stats, ref.l2[s].stats; got != want {
 			t.Fatalf("op %d: %v L2 stats %+v, reference %+v", op, addr.PageSize(s), got, want)
 		}
 	}

@@ -220,9 +220,6 @@ func (t *TLB) Flush() {
 // Latency returns the hit latency.
 func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
-// Stats returns hit/miss counters.
-func (t *TLB) Stats() Stats { return t.stats }
-
 // BatchWidth is the pipeline width of the batched translation path: the
 // sim loop hands the MMU up to this many accesses per call, and every
 // batched stage (TLB, table probes, cache) sizes its scratch to it. 64 is

@@ -117,11 +117,8 @@ func TestBinaryAnonymousRoundTrip(t *testing.T) {
 func TestVarintBinaryVarintRoundTrip(t *testing.T) {
 	original := validTrace(t)
 
-	var vas []addr.VirtAddr
-	if _, err := Replay(bytes.NewReader(original), func(va addr.VirtAddr) bool {
-		vas = append(vas, va)
-		return true
-	}); err != nil {
+	vas, err := replayAll(bytes.NewReader(original))
+	if err != nil {
 		t.Fatal(err)
 	}
 

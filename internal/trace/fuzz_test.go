@@ -63,20 +63,20 @@ func FuzzReaderAdversarial(f *testing.F) {
 // records as the full trace.
 func TestReaderTruncation(t *testing.T) {
 	valid := validTrace(t)
-	full, err := Replay(bytes.NewReader(valid), func(addr.VirtAddr) bool { return true })
-	if err != nil || full != 5 {
-		t.Fatalf("full replay: %d records, err %v; want 5, nil", full, err)
+	full, err := replayAll(bytes.NewReader(valid))
+	if err != nil || len(full) != 5 {
+		t.Fatalf("full replay: %d records, err %v; want 5, nil", len(full), err)
 	}
 	for cut := 0; cut < len(valid); cut++ {
-		n, err := Replay(bytes.NewReader(valid[:cut]), func(addr.VirtAddr) bool { return true })
+		got, err := replayAll(bytes.NewReader(valid[:cut]))
 		if cut < 8 {
 			if err == nil {
 				t.Fatalf("cut %d: truncated header accepted", cut)
 			}
 			continue
 		}
-		if n > full {
-			t.Fatalf("cut %d: %d records from a prefix of a %d-record trace", cut, n, full)
+		if len(got) > len(full) {
+			t.Fatalf("cut %d: %d records from a prefix of a %d-record trace", cut, len(got), len(full))
 		}
 		if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 			t.Fatalf("cut %d: unexpected error kind: %v", cut, err)

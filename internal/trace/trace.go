@@ -111,26 +111,3 @@ func Record(w io.Writer, gen func(emit func(addr.VirtAddr))) (uint64, error) {
 	}
 	return tw.Len(), tw.Flush()
 }
-
-// Replay calls f for every access in the trace until EOF or f returns
-// false, returning the number of accesses replayed.
-func Replay(r io.Reader, f func(va addr.VirtAddr) bool) (uint64, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	for {
-		va, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-		if !f(va) {
-			return n, nil
-		}
-	}
-}

@@ -12,6 +12,28 @@ import (
 	"repro/internal/workload"
 )
 
+// replayAll decodes a trace of either format through OpenStream, the path
+// the simulator replays from, returning every record up to the end of the
+// trace or the first decode error.
+func replayAll(r io.Reader) ([]addr.VirtAddr, error) {
+	s, err := OpenStream(r)
+	if err != nil {
+		return nil, err
+	}
+	var vas []addr.VirtAddr
+	buf := make([]addr.VirtAddr, 64)
+	for {
+		n, err := s.NextBatch(buf)
+		if errors.Is(err, io.EOF) {
+			return vas, nil
+		}
+		if err != nil {
+			return vas, err
+		}
+		vas = append(vas, buf[:n]...)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	addrs := []addr.VirtAddr{0x1000, 0x1040, 0x1080, 0xFFFF_0000, 0x0, 0x1000}
 	var buf bytes.Buffer
@@ -23,13 +45,9 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || n != uint64(len(addrs)) {
 		t.Fatalf("Record = %d, %v", n, err)
 	}
-	var got []addr.VirtAddr
-	m, err := Replay(&buf, func(va addr.VirtAddr) bool {
-		got = append(got, va)
-		return true
-	})
-	if err != nil || m != uint64(len(addrs)) {
-		t.Fatalf("Replay = %d, %v", m, err)
+	got, err := replayAll(&buf)
+	if err != nil || len(got) != len(addrs) {
+		t.Fatalf("replay = %d records, %v", len(got), err)
 	}
 	for i := range addrs {
 		if got[i] != addrs[i] {
@@ -54,17 +72,16 @@ func TestRoundTripProperty(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		i := 0
-		ok := true
-		Replay(&buf, func(va addr.VirtAddr) bool {
-			if va != addrs[i] {
-				ok = false
+		got, err := replayAll(&buf)
+		if err != nil || len(got) != n {
+			return false
+		}
+		for i := range got {
+			if got[i] != addrs[i] {
 				return false
 			}
-			i++
-			return true
-		})
-		return ok && i == n
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -87,9 +104,17 @@ func TestEarlyStop(t *testing.T) {
 			emit(addr.VirtAddr(i * 64))
 		}
 	})
-	n, err := Replay(&buf, func(addr.VirtAddr) bool { return false })
-	if err != nil || n != 1 {
-		t.Errorf("early stop replayed %d (%v), want 1", n, err)
+	// A reader stopped after one record resumes at the second.
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one [1]addr.VirtAddr
+	if n, err := r.NextBatch(one[:]); err != nil || n != 1 || one[0] != 0 {
+		t.Fatalf("first batch = %d %#x (%v), want 1 record at 0", n, uint64(one[0]), err)
+	}
+	if va, err := r.Next(); err != nil || va != 64 {
+		t.Errorf("resumed at %#x (%v), want 0x40", uint64(va), err)
 	}
 }
 
@@ -131,18 +156,17 @@ func TestWorkloadTraceRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	if _, err := Replay(&buf, func(va addr.VirtAddr) bool {
-		if va != orig[i] {
-			t.Fatalf("access %d = %#x, want %#x", i, va, orig[i])
-		}
-		i++
-		return true
-	}); err != nil {
+	got, err := replayAll(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if i != len(orig) {
-		t.Fatalf("replayed %d of %d", i, len(orig))
+	if len(got) != len(orig) {
+		t.Fatalf("replayed %d of %d", len(got), len(orig))
+	}
+	for i := range got {
+		if got[i] != orig[i] {
+			t.Fatalf("access %d = %#x, want %#x", i, got[i], orig[i])
+		}
 	}
 }
 

@@ -14,6 +14,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -105,23 +106,41 @@ func Specs(scale uint64) []Spec {
 	}
 }
 
-// ByName returns the spec with the given name at the given scale.
+// ErrEmptySpec is returned for a scale that divides an application's
+// touched footprint below one page: its trace would have no page to
+// access.
+var ErrEmptySpec = errors.New("workload: scale leaves the application no touched page")
+
+// ByName returns the spec with the given name at the given scale. It
+// returns an error wrapping ErrEmptySpec if the scale empties the spec.
 func ByName(name string, scale uint64) (Spec, error) {
 	for _, s := range Specs(scale) {
 		if s.Name == name {
+			if err := s.check(scale); err != nil {
+				return Spec{}, err
+			}
 			return s, nil
 		}
 	}
 	return Spec{}, fmt.Errorf("workload: unknown application %q", name)
 }
 
-// Names returns the application names in the paper's order.
-func Names() []string {
-	names := make([]string, 0, 11)
-	for _, s := range Specs(1) {
-		names = append(names, s.Name)
+// CheckScale returns an error wrapping ErrEmptySpec if scale empties any
+// application's spec.
+func CheckScale(scale uint64) error {
+	for _, s := range Specs(scale) {
+		if err := s.check(scale); err != nil {
+			return err
+		}
 	}
-	return names
+	return nil
+}
+
+func (s Spec) check(scale uint64) error {
+	if s.touchedPages() == 0 {
+		return fmt.Errorf("%w: %s at scale %d", ErrEmptySpec, s.Name, scale)
+	}
+	return nil
 }
 
 // touchedPages returns how many distinct 4KB pages the workload faults in.
@@ -252,9 +271,6 @@ func (s Spec) RestoreTrace(st TraceState) *Trace {
 	t.emitted, t.curPage, t.curOff = st.Emitted, st.CurPage, st.CurOff
 	return t
 }
-
-// Len returns the total number of accesses the trace will produce.
-func (t *Trace) Len() uint64 { return t.n }
 
 // Next returns the next access, or false when the trace is exhausted.
 func (t *Trace) Next() (addr.VirtAddr, bool) {

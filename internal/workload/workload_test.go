@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/addr"
@@ -8,7 +9,10 @@ import (
 )
 
 func TestSpecsComplete(t *testing.T) {
-	names := Names()
+	var names []string
+	for _, s := range Specs(1) {
+		names = append(names, s.Name)
+	}
 	want := []string{"BC", "BFS", "CC", "DC", "DFS", "GUPS", "MUMmer", "PR", "SSSP", "SysBench", "TC"}
 	if len(names) != len(want) {
 		t.Fatalf("got %d specs, want %d", len(names), len(want))
@@ -30,6 +34,28 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope", 1); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestEmptySpecRejected: a scale that divides an application's touched
+// footprint below one page is an error, not a trace that divides by zero
+// pages.
+func TestEmptySpecRejected(t *testing.T) {
+	if _, err := ByName("GUPS", 1<<32); !errors.Is(err, ErrEmptySpec) {
+		t.Errorf("ByName(GUPS, 2^32) error %v, want ErrEmptySpec", err)
+	}
+	if err := CheckScale(1 << 32); !errors.Is(err, ErrEmptySpec) {
+		t.Errorf("CheckScale(2^32) = %v, want ErrEmptySpec", err)
+	}
+	// MUMmer, the smallest footprint, is the first to empty.
+	if err := CheckScale(16384); err != nil {
+		t.Errorf("CheckScale(16384) = %v", err)
+	}
+	if _, err := ByName("MUMmer", 16385); !errors.Is(err, ErrEmptySpec) {
+		t.Errorf("ByName(MUMmer, 16385) error %v, want ErrEmptySpec", err)
+	}
+	if _, err := ByName("BC", 16385); err != nil {
+		t.Errorf("ByName(BC, 16385) = %v", err)
 	}
 }
 
@@ -176,7 +202,7 @@ func TestTraceStaysInTouchedRegion(t *testing.T) {
 			if !ok {
 				break
 			}
-			page := addr.AlignDown(va, 4*addr.KB)
+			page := va.PageNumber(addr.Page4K).Addr(addr.Page4K)
 			if !touched[page] {
 				t.Fatalf("%s: access %#x outside touched set", name, va)
 			}
@@ -209,7 +235,7 @@ func TestTraceLength(t *testing.T) {
 		}
 		n++
 	}
-	if n != 123 || tr.Len() != 123 {
+	if n != 123 || tr.n != 123 {
 		t.Errorf("trace emitted %d accesses, want 123", n)
 	}
 }

@@ -342,17 +342,11 @@ func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 	return w.slotPA(w.locate(key))
 }
 
-// Insert stores key→val, resizing as needed. It returns the cycle cost of
-// any physical allocations, including on failure.
+// Insert stores key→val, resizing as needed. key must be absent, from
+// the ways and the stash alike (pt.SizeTable.Insert): Insert does not
+// probe for it. It returns the cycle cost of any physical allocations,
+// including on failure.
 func (t *Table) Insert(key, val uint64) (cycles uint64, err error) {
-	if i, idx, ok := t.lookupSlot(key); ok {
-		t.ways[i].slots[idx].Val = val
-		return 0, nil
-	}
-	if si := t.stashIndex(key); si >= 0 {
-		t.stash[si].Val = val
-		return 0, nil
-	}
 	// A stalled migration is not fatal to this insert: the stuck entry was
 	// rolled back and stays reachable; a later tick retries it.
 	c, _ := t.rehashTick() //mehpt:allow errwrap -- a stalled migration is a scheduling hint, not a failure (see comment above)

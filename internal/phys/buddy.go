@@ -57,7 +57,6 @@ type Stats struct {
 	FailedAllocs  uint64
 	MaxContiguous uint64 // largest single allocation ever granted, in bytes
 	AllocCycles   uint64 // total cycles charged by the cost model (if attached)
-	AllocsBySize  map[uint64]uint64
 }
 
 // NewMemory returns an allocator over capacityBytes of physical memory.
@@ -73,7 +72,6 @@ func NewMemory(capacityBytes uint64) *Memory {
 		maxOrder = hi
 	}
 	m := newEmpty(frames, maxOrder)
-	m.stats.AllocsBySize = make(map[uint64]uint64)
 	// Seed the free lists with maximal aligned blocks covering the range.
 	f := uint64(0)
 	for f < frames {
@@ -97,18 +95,11 @@ func (m *Memory) FreeBytes() uint64 { return m.freePages * FrameBytes }
 // pre-fragmenting memory so that the fragmenter's own blocker allocations do
 // not pollute the page tables' contiguity measurements.
 func (m *Memory) ResetStats() {
-	m.stats = Stats{AllocsBySize: make(map[uint64]uint64)}
+	m.stats = Stats{}
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (m *Memory) Stats() Stats {
-	s := m.stats
-	s.AllocsBySize = make(map[uint64]uint64, len(m.stats.AllocsBySize))
-	for k, v := range m.stats.AllocsBySize {
-		s.AllocsBySize[k] = v
-	}
-	return s
-}
+func (m *Memory) Stats() Stats { return m.stats }
 
 // OrderFor returns the buddy order needed for an allocation of the given
 // byte size: the smallest order whose block covers size.
@@ -250,7 +241,6 @@ func (m *Memory) AllocOrder(order int) (addr.PPN, error) {
 		m.addFree(f+(1<<o), o)
 	}
 	m.stats.Allocs++
-	m.stats.AllocsBySize[BlockBytes(order)]++
 	if b := BlockBytes(order); b > m.stats.MaxContiguous {
 		m.stats.MaxContiguous = b
 	}

@@ -133,6 +133,5 @@ func (m *Memory) allocLowest(order int) (addr.PPN, bool) {
 		m.addFree(bestFrame+(1<<bestOrder), bestOrder)
 	}
 	m.stats.Allocs++
-	m.stats.AllocsBySize[BlockBytes(order)]++
 	return addr.PPN(bestFrame), true
 }

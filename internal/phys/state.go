@@ -31,7 +31,7 @@ func (m *Memory) State() MemoryState {
 		FreeList:  make([][]uint64, len(m.freeList)),
 		FreeBlk:   m.freeBlk,
 		FreePages: m.freePages,
-		Stats:     m.Stats(), // deep-copies AllocsBySize
+		Stats:     m.stats,
 	}
 	for f := range st.HeadOrder {
 		st.HeadOrder[f] = -1
@@ -88,10 +88,6 @@ func RestoreMemory(st MemoryState) (*Memory, error) {
 	m.freeBlk = st.FreeBlk
 	m.freePages = st.FreePages
 	m.stats = st.Stats
-	m.stats.AllocsBySize = make(map[uint64]uint64, len(st.Stats.AllocsBySize))
-	for k, v := range st.Stats.AllocsBySize {
-		m.stats.AllocsBySize[k] = v
-	}
 	return m, nil
 }
 

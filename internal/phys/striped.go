@@ -158,7 +158,7 @@ func (s *Striped) freeBlock(ppn addr.PPN, size uint64) {
 
 // StatsSum returns the Memory stats summed across stripes.
 func (s *Striped) StatsSum() Stats {
-	sum := Stats{AllocsBySize: make(map[uint64]uint64)}
+	var sum Stats
 	for _, mem := range s.stripes {
 		ms := mem.Stats()
 		sum.Allocs += ms.Allocs
@@ -167,9 +167,6 @@ func (s *Striped) StatsSum() Stats {
 		sum.AllocCycles += ms.AllocCycles
 		if ms.MaxContiguous > sum.MaxContiguous {
 			sum.MaxContiguous = ms.MaxContiguous
-		}
-		for sz, n := range ms.AllocsBySize {
-			sum.AllocsBySize[sz] += n
 		}
 	}
 	return sum

@@ -26,8 +26,11 @@ type SizeTable interface {
 	// WayOf returns the way holding key, without touching statistics.
 	//mehpt:hotpath
 	WayOf(key uint64) (int, bool)
-	// Insert stores key→id and returns the allocation cycles it spent,
-	// including on failure.
+	// Insert stores key→id for a key the table does not hold, and returns
+	// the allocation cycles it spent, including on failure. Its one caller,
+	// Hashed.Map, has just missed key in Lookup, so an implementation need
+	// not probe for key again (ME-HPT does not; ECPT's cuckoo.Table
+	// upserts).
 	Insert(key, id uint64) (uint64, error)
 	// Delete removes the present key and returns the allocation cycles it
 	// spent.

@@ -92,9 +92,10 @@ type Config struct {
 	FMFI float64
 	// FreeFraction is how much physical memory the fragmenter leaves free.
 	FreeFraction float64
-	// Populate pre-faults every touched page before the timed trace
-	// (experiment drivers measuring only page-table state set this and use
-	// Accesses = 0).
+	// Populate pre-faults every touched page, in first-touch order, before
+	// the timed trace (experiment drivers measuring only page-table state
+	// set this and use Accesses = 0). Each page faults once: a second Run
+	// resumes where the first one's populate stopped.
 	Populate bool
 	// MEHPTConfig optionally overrides the ME-HPT feature toggles
 	// (ablations). Nil means the full design.
@@ -223,6 +224,13 @@ type Machine struct {
 	injector *inject.Injector // nil unless Config.Inject is set
 	// eng is the access loop over the machine's MMU, data caches, and OS.
 	eng Engine
+	// populated counts the touched pages, in first-touch order, that
+	// populate has mapped; the next populate resumes after them.
+	populated uint64
+	// popFaults is the OS fault count when populate last stopped. A
+	// different count at the next populate means a trace run has faulted
+	// pages in since, which may include touched pages past populated.
+	popFaults uint64
 	// Trace-decode scratch, allocated once with the machine: the buffer
 	// crosses the vaSource interface boundary, so as a local it would
 	// escape to the heap on every Run* call. A machine runs one trace
@@ -290,27 +298,17 @@ func Run(cfg Config) Result {
 	return m.Run()
 }
 
-// Run executes the trace on an already-built machine.
+// Run executes the trace on an already-built machine. With
+// Config.Populate it first faults in the touched pages; a populate that an
+// allocation failure stopped fails the run, and the next Run resumes it at
+// the page that failed. Populate never faults a page that is mapped.
 func (m *Machine) Run() Result {
 	res := Result{Org: m.cfg.Org, Workload: m.cfg.Workload.Name, THP: m.cfg.THP}
 
 	if m.cfg.Populate {
-		fail := false
-		m.cfg.Workload.TouchedPageVAs(func(va addr.VirtAddr) bool {
-			if _, ok := m.table.Translate(va); ok {
-				return true
-			}
-			cycles, err := m.eng.OS.HandleFault(va)
-			res.OSCycles += cycles
-			if err != nil {
-				res.Failed = true
-				res.FailReason = err.Error()
-				fail = true
-				return false
-			}
-			return true
-		})
-		if fail {
+		if err := m.populate(&res); err != nil {
+			res.Failed = true
+			res.FailReason = err.Error()
 			m.finish(&res)
 			return res
 		}
@@ -320,6 +318,41 @@ func (m *Machine) Run() Result {
 	m.runSource(tr, &res)
 	m.finish(&res)
 	return res
+}
+
+// populate faults in the touched pages after the ones an earlier populate
+// mapped, adding the fault cycles to res, and stops at the first fault
+// that fails. Without THP a page past the resume point cannot be mapped
+// yet: the OS maps only the 4KB page that faulted, and TouchedPageVAs
+// yields each page once. So populate probes the table first only under
+// THP, where an earlier 2MB fault covers later pages of its region, or
+// when a trace run has faulted pages in since populate last ran.
+func (m *Machine) populate(res *Result) error {
+	check := m.cfg.THP || m.eng.OS.Stats().Faults != m.popFaults
+	var err error
+	var i uint64
+	m.cfg.Workload.TouchedPageVAs(func(va addr.VirtAddr) bool {
+		i++
+		if i <= m.populated {
+			return true
+		}
+		if check {
+			if _, ok := m.table.Translate(va); ok {
+				m.populated = i
+				return true
+			}
+		}
+		cycles, ferr := m.eng.OS.HandleFault(va)
+		res.OSCycles += cycles
+		if ferr != nil {
+			err = ferr
+			return false
+		}
+		m.populated = i
+		return true
+	})
+	m.popFaults = m.eng.OS.Stats().Faults
+	return err
 }
 
 // vaSource feeds the trace loops a batch of virtual addresses at a time;

@@ -2,21 +2,33 @@ package stats
 
 // HistogramState is the serializable form of a Histogram, used by the
 // checkpoint/restore layer (internal/snapshot callers) to carry histogram
-// contents across a crash. Counts holds every observed value, whether the
-// histogram keeps it inline or in its map.
+// contents across a crash.
 type HistogramState struct {
+	// Bins holds every observed value with its count, in ascending value
+	// order, whether the histogram keeps the value inline or in its map.
+	Bins []Bin
+	// Counts is the value→count map that checkpoints written before Bins
+	// carry instead. gob writes a map in iteration order, so two encodings
+	// of one state could differ byte for byte; State leaves Counts nil, and
+	// Restore reads it only so those checkpoints still resume.
 	Counts map[int]uint64
 	Total  uint64
 	Sum    float64
 }
 
+// Bin is one observed value and how many times it was observed.
+type Bin struct {
+	Value int
+	Count uint64
+}
+
 // State returns a deep copy of the histogram's contents.
 func (h *Histogram) State() HistogramState {
-	st := HistogramState{Total: h.total, Sum: h.sum}
+	st := HistogramState{Counts: nil, Total: h.total, Sum: h.sum}
 	if vs := h.Values(); len(vs) > 0 {
-		st.Counts = make(map[int]uint64, len(vs))
-		for _, v := range vs {
-			st.Counts[v] = h.Count(v)
+		st.Bins = make([]Bin, len(vs))
+		for i, v := range vs {
+			st.Bins[i] = Bin{Value: v, Count: h.Count(v)}
 		}
 	}
 	return st
@@ -25,14 +37,22 @@ func (h *Histogram) State() HistogramState {
 // Restore replaces the histogram's contents with the recorded state.
 func (h *Histogram) Restore(st HistogramState) {
 	*h = Histogram{total: st.Total, sum: st.Sum}
-	for v, c := range st.Counts {
-		if uint(v) < smallValues {
-			h.small[v] = c
-			continue
-		}
-		if h.counts == nil {
-			h.counts = make(map[int]uint64)
-		}
-		h.counts[v] = c
+	for _, b := range st.Bins {
+		h.put(b.Value, b.Count)
 	}
+	for v, c := range st.Counts {
+		h.put(v, c)
+	}
+}
+
+// put sets the count of value v, leaving the total and sum alone.
+func (h *Histogram) put(v int, c uint64) {
+	if uint(v) < smallValues {
+		h.small[v] = c
+		return
+	}
+	if h.counts == nil {
+		h.counts = make(map[int]uint64)
+	}
+	h.counts[v] = c
 }

@@ -156,7 +156,9 @@ func TestHistogramSmallAddDoesNotAllocate(t *testing.T) {
 }
 
 // TestHistogramInlineAndMapValuesRoundTrip: values on both sides of the
-// inline range survive State→Restore and Merge exactly.
+// inline range survive State→Restore and Merge exactly, State lists them
+// in ascending order, and a state in the map form of older checkpoints
+// restores to the same histogram.
 func TestHistogramInlineAndMapValuesRoundTrip(t *testing.T) {
 	var h Histogram
 	for i, v := range []int{-1, 0, 63, 64, 1 << 60} {
@@ -165,17 +167,22 @@ func TestHistogramInlineAndMapValuesRoundTrip(t *testing.T) {
 		}
 	}
 	st := h.State()
-	want := map[int]uint64{-1: 1, 0: 2, 63: 3, 64: 4, 1 << 60: 5}
-	if !reflect.DeepEqual(st.Counts, want) || st.Total != 15 {
-		t.Fatalf("State = %+v, want counts %v over 15", st, want)
+	want := []Bin{{-1, 1}, {0, 2}, {63, 3}, {64, 4}, {1 << 60, 5}}
+	if !reflect.DeepEqual(st.Bins, want) || st.Counts != nil || st.Total != 15 {
+		t.Fatalf("State = %+v, want bins %v over 15", st, want)
 	}
 	if got := h.Values(); !reflect.DeepEqual(got, []int{-1, 0, 63, 64, 1 << 60}) {
 		t.Errorf("Values = %v", got)
 	}
-	var restored, merged Histogram
+	var restored, merged, legacy Histogram
 	restored.Restore(st)
 	merged.Merge(&h)
-	for name, g := range map[string]*Histogram{"restored": &restored, "merged": &merged} {
+	legacy.Restore(HistogramState{
+		Counts: map[int]uint64{-1: 1, 0: 2, 63: 3, 64: 4, 1 << 60: 5},
+		Total:  st.Total,
+		Sum:    st.Sum,
+	})
+	for name, g := range map[string]*Histogram{"restored": &restored, "merged": &merged, "legacy": &legacy} {
 		if got := g.State(); !reflect.DeepEqual(got, st) {
 			t.Errorf("%s State = %+v, want %+v", name, got, st)
 		}

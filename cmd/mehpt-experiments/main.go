@@ -67,6 +67,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/experiments"
 	"repro/internal/inject"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -150,8 +151,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mehpt-experiments: -fmfi: %v is not in [0, 1]\n", *fmfi)
 		exitf(2)
 	}
-	if *memGB > 1<<addr.PhysBits/addr.GB {
-		fmt.Fprintf(os.Stderr, "mehpt-experiments: -mem: %d GB exceeds the %d-bit physical address space\n", *memGB, addr.PhysBits)
+	memBytes, err := sim.MemBytes(*memGB)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mehpt-experiments: -mem: %v\n", err)
 		exitf(2)
 	}
 	if err := workload.CheckScale(*scale); err != nil {
@@ -206,7 +208,7 @@ func main() {
 	o := experiments.DefaultOptions()
 	o.Scale = *scale
 	o.TimedAccesses = *accesses
-	o.MemBytes = *memGB * addr.GB
+	o.MemBytes = memBytes
 	o.FMFI = *fmfi
 	o.Seed = *seed
 	o.Parallel = *parallel

@@ -25,6 +25,11 @@ func main() {
 	)
 	flag.Parse()
 
+	memBytes, err := sim.MemBytes(*memGB)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mehpt-inspect: -mem: %v\n", err)
+		os.Exit(2)
+	}
 	spec, err := workload.ByName(*app, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -32,7 +37,7 @@ func main() {
 	}
 	m, err := sim.NewMachine(sim.Config{
 		Org: sim.MEHPT, Workload: spec, THP: *thp, Populate: true,
-		Seed: *seed, MemBytes: *memGB * addr.GB,
+		Seed: *seed, MemBytes: memBytes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "machine:", err)

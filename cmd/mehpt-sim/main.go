@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/addr"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -35,8 +34,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mehpt-sim: -fmfi: %v is not in [0, 1]\n", *fmfi)
 		os.Exit(2)
 	}
-	if *memGB > 1<<addr.PhysBits/addr.GB {
-		fmt.Fprintf(os.Stderr, "mehpt-sim: -mem: %d GB exceeds the %d-bit physical address space\n", *memGB, addr.PhysBits)
+	memBytes, err := sim.MemBytes(*memGB)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mehpt-sim: -mem: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -71,7 +71,7 @@ func main() {
 		Accesses: *accesses,
 		Populate: *populate,
 		Seed:     *seed,
-		MemBytes: *memGB * addr.GB,
+		MemBytes: memBytes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "machine:", err)

@@ -269,6 +269,10 @@ func replay(args []string) {
 	default:
 		fatal(fmt.Errorf("unknown -pt %q", *orgStr))
 	}
+	memBytes, err := sim.MemBytes(*memGB)
+	if err != nil {
+		fatal(fmt.Errorf("-mem: %w", err))
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		fatal(err)
@@ -277,7 +281,7 @@ func replay(args []string) {
 
 	m, err := sim.NewMachine(sim.Config{
 		Org: org, Workload: workload.Spec{Name: "replay"},
-		Seed: *seed, MemBytes: *memGB * addr.GB,
+		Seed: *seed, MemBytes: memBytes,
 	})
 	if err != nil {
 		fatal(err)

@@ -21,6 +21,7 @@ func FuzzTranslateRoundTrip(f *testing.F) {
 	f.Add(uint64(0x5800_0000_0), byte(0), uint64(0xABCDE), uint64(4095))
 	f.Add(uint64(0x1234), byte(1), uint64(7), uint64(1<<20))
 	f.Add(uint64(42), byte(2), uint64(1)<<35, uint64(12345))
+	f.Add(uint64(77), byte(0), uint64(1)<<48-2, uint64(9)) // the largest PPN a cluster slot holds
 	f.Add(^uint64(0), byte(255), ^uint64(0), ^uint64(0))
 
 	f.Fuzz(func(t *testing.T, vpnRaw uint64, sizeSel byte, ppnRaw, offRaw uint64) {

@@ -32,16 +32,23 @@ var ErrOutOfMemory = errors.New("phys: cannot allocate contiguous block")
 
 // Memory is a buddy allocator over a physically-contiguous frame range.
 // It is not safe for concurrent use; the simulator is single-threaded per
-// simulated machine.
+// simulated machine. Its free map costs the host about 2 bits per frame
+// in each gigabyte where a free block of 128KB or less has been recorded,
+// and about 2 bits per 64 frames elsewhere.
 type Memory struct {
 	frames   uint64 // total number of 4KB frames
 	maxOrder int    // largest order usable given capacity
 	// The free heads are one bit per order-o-aligned block for each order
-	// o, about 2 bits per frame in all (see headBit). Orders up to
-	// groupOrder share one word per 32-frame group, so the tests one
-	// Free makes across orders read one word; heads[o] holds each higher
-	// order's bitmap. All of it is one backing allocation.
-	groups    []uint64
+	// o (see headBit). Orders up to groupOrder share one word per 32-frame
+	// group, so the tests one Free makes across orders read one word.
+	// The group words come in chunks of one gigabyte's frames: groups[c]
+	// is absentChunk until the first setHead of a group order in gigabyte
+	// c allocates it, so a machine pays for the group words of the
+	// gigabytes where it has recorded a free block of 128KB or less, not
+	// of all it has.
+	// heads[o] holds each higher order's bitmap, all of them in one
+	// backing allocation.
+	groups    []*[chunkGroups]uint64
 	heads     [MaxOrder + 1][]uint64
 	freeList  [][]uint64           // per-order stacks of (possibly stale) free heads
 	freeBlk   [MaxOrder + 1]uint64 // live free-block count per order
@@ -120,24 +127,39 @@ func BlockBytes(order int) uint64 { return FrameBytes << order }
 // order 5.
 const groupOrder = 5
 
+// A chunk of group words covers the frames of one MaxOrder block (1GB):
+// chunkGroups words, frame f's chunk f>>MaxOrder.
+const (
+	chunkGroupShift = MaxOrder - groupOrder
+	chunkGroups     = 1 << chunkGroupShift
+)
+
 // newEmpty returns an allocator with no free block and zeroed counters.
 func newEmpty(frames uint64, maxOrder int) *Memory {
-	m := &Memory{frames: frames, maxOrder: maxOrder, freeList: make([][]uint64, MaxOrder+1)}
-	// Size every bitmap so that any frame below frames indexes it.
+	m := &Memory{frames: frames, maxOrder: maxOrder, freeList: make([][]uint64, MaxOrder+1),
+		groups: make([]*[chunkGroups]uint64, (frames-1)>>MaxOrder+1)}
+	for c := range m.groups {
+		m.groups[c] = &absentChunk
+	}
+	// Size every higher-order bitmap so that any frame below frames
+	// indexes it.
 	words := func(o int) uint64 { return ((frames-1)>>o)/64 + 1 }
-	groups := (frames-1)>>groupOrder + 1
-	total := groups
+	total := uint64(0)
 	for o := groupOrder + 1; o <= maxOrder; o++ {
 		total += words(o)
 	}
 	backing := make([]uint64, total)
-	m.groups, backing = backing[:groups:groups], backing[groups:]
 	for o := groupOrder + 1; o <= maxOrder; o++ {
 		n := words(o)
 		m.heads[o], backing = backing[:n:n], backing[n:]
 	}
 	return m
 }
+
+// absentChunk is every absent chunk of group words: all zero and never
+// written, since setHead replaces it before it sets a bit, and clearHead
+// only clears a bit that is set.
+var absentChunk [chunkGroups]uint64
 
 // headBit locates the bit recording that frame f heads a free block of
 // the given order. Group word f>>5 packs the heads of frames 32g..32g+31
@@ -148,7 +170,7 @@ func (m *Memory) headBit(f uint64, order int) (*uint64, uint64) {
 		b := f >> order
 		return &m.heads[order][b/64], 1 << (b % 64)
 	}
-	return &m.groups[f>>groupOrder], 1 << (64 - 64>>order + (f&31)>>order)
+	return &m.groups[f>>MaxOrder][f>>groupOrder&(chunkGroups-1)], 1 << (64 - 64>>order + (f&31)>>order)
 }
 
 // alignedHeadBits[i] has, for the frame at offset i of its group, its head
@@ -168,11 +190,17 @@ func (m *Memory) isHead(f uint64, order int) bool {
 	return *w&bit != 0
 }
 
+// setHead marks f as heading a free block of the given order. A group
+// order's bit in an absent chunk first allocates the chunk.
 func (m *Memory) setHead(f uint64, order int) {
+	if c := &m.groups[f>>MaxOrder]; order <= groupOrder && *c == &absentChunk {
+		*c = new([chunkGroups]uint64)
+	}
 	w, bit := m.headBit(f, order)
 	*w |= bit
 }
 
+// clearHead unmarks f, which must head a free block of the given order.
 func (m *Memory) clearHead(f uint64, order int) {
 	w, bit := m.headBit(f, order)
 	*w &^= bit
@@ -256,7 +284,7 @@ func (m *Memory) Free(f addr.PPN, order int) {
 	}
 	// Double free: fr already heads a free block at an order it is
 	// aligned to. The group orders take one word test.
-	doubleFree := m.groups[fr>>groupOrder]&alignedHeadBits[fr&(1<<groupOrder-1)] != 0
+	doubleFree := m.groups[fr>>MaxOrder][fr>>groupOrder&(chunkGroups-1)]&alignedHeadBits[fr&(1<<groupOrder-1)] != 0
 	for o := groupOrder + 1; o <= m.maxOrder && fr&(1<<o-1) == 0; o++ {
 		doubleFree = doubleFree || m.isHead(fr, o)
 	}

@@ -143,20 +143,159 @@ func checkFreeMap(t *testing.T, op int, m *Memory, held []heldBlock) {
 	}
 }
 
-// TestNewMemoryHeap pins the host cost of the free map: a 64GB machine's
-// head bits take about 2 bits per 4KB frame, so construction grows the
-// live heap by at most 4.5 MiB.
+// TestNewMemoryHeap pins the host cost of the free map: a fresh 64GB
+// machine holds only the bitmaps of orders above groupOrder, about 64 KiB,
+// since no gigabyte has been split below 128KB yet, so construction
+// allocates at most 256 KiB. It counts bytes allocated, not the live heap,
+// which a GC of earlier garbage would make read low.
 func TestNewMemoryHeap(t *testing.T) {
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	m := NewMemory(64 * addr.GB)
-	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
-	grew := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	t.Logf("NewMemory(64GB) grew the heap by %.2f MiB", grew/(1<<20))
-	if grew > 4.5*(1<<20) {
-		t.Errorf("NewMemory(64GB) grew the heap by %.2f MiB, want at most 4.5 MiB", grew/(1<<20))
+	grew := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("NewMemory(64GB) allocated %.1f KiB", grew/(1<<10))
+	if grew > 256*(1<<10) {
+		t.Errorf("NewMemory(64GB) allocated %.1f KiB, want at most 256 KiB", grew/(1<<10))
+	}
+}
+
+// TestChunksAcrossGigabytes runs a memory of four whole gigabytes and a
+// 1000-frame tail, five chunks of group words, with chunks 1, 3 and the
+// tail's touched and 0 and 2 absent around them. Allocs and frees cross
+// the chunk boundaries, the free walk must tile the range over the absent
+// chunks, State→RestoreMemory→State must be exact and keep them absent,
+// and double frees must panic whether or not the chunk is present.
+func TestChunksAcrossGigabytes(t *testing.T) {
+	const gb = uint64(1) << MaxOrder
+	m := NewMemory((4*gb + 1000) * FrameBytes)
+	present := func(want ...bool) {
+		t.Helper()
+		for c, w := range want {
+			if got := m.groups[c] != &absentChunk; got != w {
+				t.Fatalf("chunk %d present = %v, want %v", c, got, w)
+			}
+		}
+	}
+	// Only the tail's order-5 and order-3 blocks have group-order heads.
+	present(false, false, false, false, true)
+	checkFreeMap(t, 0, m, nil)
+
+	var held []heldBlock
+	alloc := func(order int) addr.PPN {
+		t.Helper()
+		ppn, err := m.AllocOrder(order)
+		if err != nil {
+			t.Fatalf("AllocOrder(%d): %v", order, err)
+		}
+		held = append(held, heldBlock{ppn, order})
+		return ppn
+	}
+	release := func(base addr.PPN, order int) {
+		t.Helper()
+		for j, b := range held {
+			if b == (heldBlock{base, order}) {
+				held = append(held[:j], held[j+1:]...)
+				m.Free(base, order)
+				return
+			}
+		}
+		t.Fatalf("block %d/o%d is not held", base, order)
+	}
+	groupHeads := func() []uint64 {
+		var heads []uint64
+		m.VisitFreeBlocks(func(h uint64, o int) {
+			if o <= groupOrder {
+				heads = append(heads, h)
+			}
+		})
+		return heads
+	}
+	// Take every gigabyte whole, then the tail: nothing is free.
+	for range 4 {
+		alloc(MaxOrder)
+	}
+	for _, o := range []int{9, 8, 7, 6, 5, 3} {
+		alloc(o)
+	}
+	if m.FreeBytes() != 0 {
+		t.Fatalf("%d bytes free after taking every block", m.FreeBytes())
+	}
+	checkFreeMap(t, 1, m, held)
+
+	// Splitting gigabyte 1 down to order 0 touches chunk 1; taking every
+	// piece of it leaves gigabyte 3 the only free block, so the next split
+	// touches chunk 3.
+	release(addr.PPN(gb), MaxOrder)
+	alloc(0)
+	for o := MaxOrder - 1; o >= 0; o-- {
+		alloc(o)
+	}
+	release(addr.PPN(3*gb), MaxOrder)
+	alloc(3)
+	present(false, true, false, true, true)
+	checkFreeMap(t, 2, m, held)
+
+	// Free frame 1 of gigabyte 1, the first group of chunk 1: free
+	// group-order heads now sit on both sides of absent chunk 2, and the
+	// walk must step over absent chunk 0 to the first and over chunk 2 to
+	// the rest.
+	release(addr.PPN(gb+1), 0)
+	checkFreeMap(t, 3, m, held)
+	if heads := groupHeads(); len(heads) < 2 || heads[0] != gb+1 || heads[1] < 3*gb {
+		t.Fatalf("group-order free heads %v, want frame %d then gigabyte 3's", heads, gb+1)
+	}
+	// The first order-0 alloc takes frame gb+1 back from chunk 1; the
+	// second finds none left there and splits a block of chunk 3.
+	if p := uint64(alloc(0)); p != gb+1 {
+		t.Fatalf("first order-0 alloc got frame %d, want %d", p, gb+1)
+	}
+	if p := uint64(alloc(0)); p < 3*gb || p >= 4*gb {
+		t.Fatalf("second order-0 alloc got frame %d, want one in gigabyte 3", p)
+	}
+	release(addr.PPN(gb+1), 0)
+	checkFreeMap(t, 4, m, held)
+
+	st := m.State()
+	r, err := RestoreMemory(st)
+	if err != nil {
+		t.Fatalf("RestoreMemory: %v", err)
+	}
+	if got := r.State(); !reflect.DeepEqual(got, st) {
+		t.Fatal("State→RestoreMemory→State differs")
+	}
+	m = r
+	// Restore allocates the chunks that hold a free group-order head: not
+	// the fully allocated tail's.
+	present(false, true, false, true, false)
+	checkFreeMap(t, 5, m, held)
+
+	// A double free panics on a group-order head in either present chunk,
+	// and in an absent one on a freed gigabyte, whose head is above
+	// groupOrder.
+	heads := groupHeads()
+	for _, h := range []uint64{gb + 1, heads[len(heads)-1]} {
+		if !panics(func() { m.Free(addr.PPN(h), 0) }) {
+			t.Errorf("freeing free frame %d again did not panic", h)
+		}
+	}
+	release(0, MaxOrder)
+	if !panics(func() { m.Free(0, MaxOrder) }) {
+		t.Error("freeing free gigabyte 0 again did not panic")
+	}
+	if !panics(func() { m.Free(0, 0) }) {
+		t.Error("freeing a frame of free gigabyte 0 did not panic")
+	}
+	present(false, true, false, true, false)
+
+	// Give every block back: the pieces coalesce to whole gigabytes.
+	for len(held) > 0 {
+		b := held[len(held)-1]
+		release(b.base, b.order)
+	}
+	checkFreeMap(t, 6, m, nil)
+	if got := m.FreeBlockCounts()[MaxOrder]; got != 4 {
+		t.Errorf("%d free gigabytes after freeing everything, want 4", got)
 	}
 }

@@ -207,8 +207,13 @@ func (m *Memory) nextHead(from uint64, order int) uint64 {
 		return (w*64 + uint64(bits.TrailingZeros64(word))) << order
 	}
 	perGroup := uint64(32) >> order
-	for g := b / perGroup; g < uint64(len(m.groups)); g++ {
-		word := m.groups[g] >> (64 - 64>>order) & (1<<perGroup - 1)
+	for g := b / perGroup; g < (m.frames-1)>>groupOrder+1; g++ {
+		c := m.groups[g>>chunkGroupShift]
+		if c == &absentChunk {
+			g |= chunkGroups - 1 // on to the next chunk
+			continue
+		}
+		word := c[g&(chunkGroups-1)] >> (64 - 64>>order) & (1<<perGroup - 1)
 		if first := g * perGroup; b > first {
 			word &^= 1<<(b-first) - 1
 		}

@@ -23,7 +23,7 @@ const (
 )
 
 // slabOracle is the flat specification a Slab must match: the live
-// clusters by id, the free stack, and the next fresh id.
+// clusters by id in checkpoint form, the free stack, and the next fresh id.
 type slabOracle struct {
 	live  map[uint64]Cluster
 	ids   []uint64 // live ids, for picking one by argument
@@ -45,7 +45,7 @@ func (o *slabOracle) alloc(t *testing.T, op int, s *Slab) uint64 {
 	if id := s.Alloc(); id != want {
 		t.Fatalf("op %d: Alloc = %d, want %d", op, id, want)
 	}
-	if *s.At(want) != (Cluster{}) {
+	if *s.At(want) != (packedCluster{}) {
 		t.Fatalf("op %d: Alloc handed out cluster %d unzeroed", op, want)
 	}
 	o.live[want] = Cluster{}
@@ -118,7 +118,7 @@ func FuzzSlabOps(f *testing.F) {
 		}
 		var s Slab
 		o := &slabOracle{live: map[uint64]Cluster{}}
-		pins := map[uint64]*Cluster{}
+		pins := map[uint64]*packedCluster{}
 		// pin records At's pointer for id if id's chunk is already full.
 		pin := func(id uint64) {
 			if id < s.n&^(chunkLen-1) && len(pins) < 64 {
@@ -154,12 +154,13 @@ func FuzzSlabOps(f *testing.F) {
 				}
 				id := o.ids[arg%uint64(len(o.ids))]
 				sub, ppn := uint(arg>>12)%ClusterSpan, addr.PPN(op+1)
-				s.At(id).Set(sub, ppn)
+				s.At(id).set(sub, ppn)
 				c := o.live[id]
-				c.Set(sub, ppn)
+				c.ValidMask |= 1 << sub
+				c.PPNs[sub] = ppn
 				o.live[id] = c
-				if *s.At(id) != c {
-					t.Fatalf("op %d: cluster %d = %+v after Set, oracle %+v", op, id, *s.At(id), c)
+				if got := s.At(id).export(); got != c {
+					t.Fatalf("op %d: cluster %d = %+v after set, oracle %+v", op, id, got, c)
 				}
 				pin(id)
 			case slabRoundTrip:
@@ -186,7 +187,7 @@ func FuzzSlabOps(f *testing.F) {
 }
 
 // TestSlabGrowthAllocatesLiveBytesOnce: growing a slab to 600k clusters
-// allocates at most 1.3× the bytes its clusters occupy. A flat slice grown
+// allocates at most 1.3× the bytes its packed clusters occupy. A flat slice grown
 // by append re-copies the whole array on every growth, about 5× in all.
 func TestSlabGrowthAllocatesLiveBytesOnce(t *testing.T) {
 	const clusters = 600_000
@@ -197,7 +198,7 @@ func TestSlabGrowthAllocatesLiveBytesOnce(t *testing.T) {
 		s.Alloc()
 	}
 	runtime.ReadMemStats(&after)
-	live := float64(clusters) * float64(unsafe.Sizeof(Cluster{}))
+	live := float64(clusters) * float64(unsafe.Sizeof(packedCluster{}))
 	got := float64(after.TotalAlloc-before.TotalAlloc) / live
 	if got > 1.3 {
 		t.Errorf("growing to %d clusters allocated %.2f× the live cluster bytes, want ≤ 1.3×", clusters, got)

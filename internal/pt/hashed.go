@@ -105,8 +105,12 @@ func (h *Hashed[T]) LiveTables() []T {
 
 // Map installs the translation vpn→ppn at the given page size. It returns
 // the allocation cycles the insert and any resize it triggers spent; the
-// first mapping at a size creates that size's table uncharged.
+// first mapping at a size creates that size's table uncharged. It rejects
+// a PPN above 2^48-2, which a cluster slot cannot hold.
 func (h *Hashed[T]) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
+	if ppn > maxPPN {
+		return 0, fmt.Errorf("pt: PPN %#x does not fit a cluster slot", uint64(ppn))
+	}
 	t, err := h.Ensure(s)
 	if err != nil {
 		return 0, err
@@ -114,11 +118,11 @@ func (h *Hashed[T]) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, er
 	key := ClusterKey(vpn)
 	sub := SubIndex(vpn)
 	if id, ok := t.Lookup(key); ok {
-		h.slab.At(id).Set(sub, ppn)
+		h.slab.At(id).set(sub, ppn)
 		return 0, nil
 	}
 	id := h.slab.Alloc()
-	h.slab.At(id).Set(sub, ppn)
+	h.slab.At(id).set(sub, ppn)
 	cycles, err := t.Insert(key, id)
 	if err != nil {
 		h.slab.Free(id)
@@ -140,10 +144,10 @@ func (h *Hashed[T]) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 		return 0, false
 	}
 	c := h.slab.At(id)
-	if _, valid := c.Get(SubIndex(vpn)); !valid {
+	if _, valid := c.get(SubIndex(vpn)); !valid {
 		return 0, false
 	}
-	if c.Clear(SubIndex(vpn)) {
+	if c.clear(SubIndex(vpn)) {
 		cycles := t.Delete(key)
 		h.slab.Free(id)
 		return cycles, true
@@ -178,7 +182,7 @@ func (h *Hashed[T]) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 	if !ok {
 		return 0, false
 	}
-	return h.slab.At(id).Get(SubIndex(vpn))
+	return h.slab.At(id).get(SubIndex(vpn))
 }
 
 // Walk resolves va and returns the physical address of the probe slot that
@@ -200,7 +204,7 @@ func (h *Hashed[T]) Walk(va addr.VirtAddr) (Translation, addr.PhysAddr, bool) {
 		if !ok {
 			continue
 		}
-		if ppn, valid := h.slab.At(id).Get(SubIndex(vpn)); valid {
+		if ppn, valid := h.slab.At(id).get(SubIndex(vpn)); valid {
 			return Translation{PPN: ppn, Size: s}, probe, true
 		}
 	}
@@ -270,7 +274,7 @@ func (h *Hashed[T]) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr
 			c := h.slab.At(id)
 			base := BaseVPN(key)
 			for sub := uint(0); sub < ClusterSpan; sub++ {
-				if ppn, ok := c.Get(sub); ok {
+				if ppn, ok := c.get(sub); ok {
 					f(base+addr.VPN(sub), size, ppn)
 				}
 			}

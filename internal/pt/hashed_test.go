@@ -252,3 +252,25 @@ func TestWalkMatchesTranslateAndWayProbe(t *testing.T) {
 		})
 	}
 }
+
+// TestMapPPNBound: a cluster slot holds PPNs up to 2^48-2, so both hashed
+// organizations map and translate that PPN and reject the next one with an
+// error, leaving the table without the translation.
+func TestMapPPNBound(t *testing.T) {
+	const top = addr.PPN(1<<48 - 2)
+	for name, p := range map[string]hashedPT{
+		"ECPT":   newECPT(t),
+		"ME-HPT": newMEHPT(t, phys.NewAllocator(phys.NewMemory(2*addr.GB), 0)),
+	} {
+		mustMap(t, p, 8, addr.Page4K, top)
+		if tr, ok := p.Translate(addr.VPN(8).Addr(addr.Page4K)); !ok || tr.PPN != top {
+			t.Errorf("%s: Translate after Map(%#x) = %+v,%v", name, uint64(top), tr, ok)
+		}
+		if _, err := p.Map(9, addr.Page4K, top+1); err == nil {
+			t.Errorf("%s: Map(%#x) succeeded, want an error", name, uint64(top+1))
+		}
+		if tr, ok := p.Translate(addr.VPN(9).Addr(addr.Page4K)); ok {
+			t.Errorf("%s: rejected Map left a translation %+v", name, tr)
+		}
+	}
+}

@@ -29,38 +29,81 @@ func SubIndex(vpn addr.VPN) uint { return uint(uint64(vpn) % ClusterSpan) }
 // BaseVPN returns the first VPN covered by the cluster with the given key.
 func BaseVPN(key uint64) addr.VPN { return addr.VPN(key * ClusterSpan) }
 
-// Cluster is the payload of one clustered entry: up to 8 translations.
+// Cluster is the checkpoint form of one clustered entry: up to 8
+// translations, slot i valid when ValidMask bit i is set, an invalid
+// slot's PPN 0. It is the SlabState element; the slab itself holds the
+// 48-byte packedCluster.
 type Cluster struct {
 	ValidMask uint8
 	PPNs      [ClusterSpan]addr.PPN
 }
 
-// Set stores a translation in slot sub.
-func (c *Cluster) Set(sub uint, ppn addr.PPN) {
-	c.PPNs[sub] = ppn
-	c.ValidMask |= 1 << sub
+// maxPPN is the largest PPN a cluster slot holds: a slot stores ppn+1 in
+// 48 bits, 0 meaning empty.
+const maxPPN = 1<<48 - 2
+
+// packedCluster is the slab's form of one clustered entry. Slot i holds
+// ppn+1 split into a 32-bit low part lo[i] and a 16-bit high part hi[i],
+// and 0 means empty, so the 8 slots take 48 bytes and, with the 16-byte
+// way slot that names the cluster, an entry costs the host the 64 bytes
+// it simulates.
+type packedCluster struct {
+	lo [ClusterSpan]uint32
+	hi [ClusterSpan]uint16
 }
 
-// Get returns the translation in slot sub, if valid.
-func (c *Cluster) Get(sub uint) (addr.PPN, bool) {
-	if c.ValidMask&(1<<sub) == 0 {
-		return 0, false
+// set stores ppn, at most maxPPN, in slot sub.
+func (c *packedCluster) set(sub uint, ppn addr.PPN) {
+	v := uint64(ppn) + 1
+	c.lo[sub], c.hi[sub] = uint32(v), uint16(v>>32)
+}
+
+// get returns the translation in slot sub, if valid.
+func (c *packedCluster) get(sub uint) (addr.PPN, bool) {
+	v := uint64(c.lo[sub]) | uint64(c.hi[sub])<<32
+	return addr.PPN(v - 1), v != 0
+}
+
+// clear invalidates slot sub and reports whether the cluster became empty.
+func (c *packedCluster) clear(sub uint) bool {
+	c.lo[sub], c.hi[sub] = 0, 0
+	return *c == packedCluster{}
+}
+
+// export returns the checkpoint form of c.
+func (c *packedCluster) export() Cluster {
+	var out Cluster
+	for sub := uint(0); sub < ClusterSpan; sub++ {
+		if ppn, ok := c.get(sub); ok {
+			out.ValidMask |= 1 << sub
+			out.PPNs[sub] = ppn
+		}
 	}
-	return c.PPNs[sub], true
+	return out
 }
 
-// Clear invalidates slot sub and reports whether the cluster became empty.
-func (c *Cluster) Clear(sub uint) bool {
-	c.ValidMask &^= 1 << sub
-	c.PPNs[sub] = 0
-	return c.ValidMask == 0
+// pack returns the slab form of c. It reports false for a cluster export
+// never returns: a valid slot whose PPN exceeds maxPPN, or an invalid one
+// whose PPN is not 0.
+func pack(c Cluster) (packedCluster, bool) {
+	var out packedCluster
+	for sub := uint(0); sub < ClusterSpan; sub++ {
+		ppn := c.PPNs[sub]
+		switch {
+		case c.ValidMask&(1<<sub) != 0 && ppn <= maxPPN:
+			out.set(sub, ppn)
+		case c.ValidMask&(1<<sub) != 0 || ppn != 0:
+			return packedCluster{}, false
+		}
+	}
+	return out, true
 }
 
 // Slab chunk geometry: ids are split into a chunk index (id >> chunkShift)
 // and an offset within the chunk (id & (chunkLen-1)).
 const (
 	chunkShift = 13
-	chunkLen   = 1 << chunkShift // 8192 clusters, 576 KiB
+	chunkLen   = 1 << chunkShift // 8192 clusters, 384 KiB
 	// fullChunksFrom is the first chunk index allocated at full length.
 	fullChunksFrom = 8
 )
@@ -73,8 +116,8 @@ func startCap(ci int) int {
 	return chunkLen / 4
 }
 
-// Slab stores cluster payloads and hands out stable 64-bit ids that fit in a
-// cuckoo table's value word. The zero value is ready to use.
+// Slab stores packed cluster payloads and hands out stable 64-bit ids that
+// fit in a cuckoo table's value word. The zero value is ready to use.
 //
 // Clusters live in chunks of chunkLen that are never copied once full, so
 // growing a large slab allocates about its live size once instead of
@@ -85,7 +128,7 @@ func startCap(ci int) int {
 // from fullChunksFrom on, a chunk is allocated full at once, its slack
 // then under an eighth of the slab.
 type Slab struct {
-	chunks [][]Cluster
+	chunks [][]packedCluster
 	n      uint64 // clusters ever allocated; ids are 0..n-1
 	free   []uint64
 }
@@ -95,24 +138,24 @@ func (s *Slab) Alloc() uint64 {
 	if k := len(s.free); k > 0 {
 		id := s.free[k-1]
 		s.free = s.free[:k-1]
-		*s.At(id) = Cluster{}
+		*s.At(id) = packedCluster{}
 		return id
 	}
 	id := s.n
 	ci := int(id >> chunkShift)
 	if ci == len(s.chunks) {
-		var c []Cluster
+		var c []packedCluster
 		if ci > 0 {
-			c = make([]Cluster, 0, startCap(ci))
+			c = make([]packedCluster, 0, startCap(ci))
 		}
 		s.chunks = append(s.chunks, c)
 	}
 	c := &s.chunks[ci]
 	switch {
 	case ci == 0:
-		*c = append(*c, Cluster{})
+		*c = append(*c, packedCluster{})
 	case len(*c) == cap(*c):
-		grown := make([]Cluster, len(*c)+1, 2*cap(*c))
+		grown := make([]packedCluster, len(*c)+1, 2*cap(*c))
 		copy(grown, *c)
 		*c = grown
 	default:
@@ -128,7 +171,7 @@ func (s *Slab) Alloc() uint64 {
 // the pointer stays valid across later Allocs, since full chunks never
 // move; a pointer into the tail chunk is invalidated by the Alloc that
 // grows it.
-func (s *Slab) At(id uint64) *Cluster {
+func (s *Slab) At(id uint64) *packedCluster {
 	return &s.chunks[id>>chunkShift][id&(chunkLen-1)]
 }
 

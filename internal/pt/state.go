@@ -5,8 +5,8 @@ import "fmt"
 // SlabState is the serializable form of a Slab. The free list is preserved
 // verbatim — its stack order determines which ids future Allocs hand out,
 // so bit-identical resumption requires the exact list, not just its
-// membership. Clusters is the flat id-indexed array, independent of how
-// the slab chunks it.
+// membership. Clusters is the flat id-indexed array in Cluster form,
+// independent of how the slab chunks and packs it.
 type SlabState struct {
 	Clusters []Cluster
 	Free     []uint64
@@ -18,8 +18,10 @@ func (s *Slab) State() SlabState {
 		Clusters: make([]Cluster, 0, s.n),
 		Free:     make([]uint64, len(s.free)),
 	}
-	for _, c := range s.chunks {
-		st.Clusters = append(st.Clusters, c...)
+	for _, chunk := range s.chunks {
+		for i := range chunk {
+			st.Clusters = append(st.Clusters, chunk[i].export())
+		}
 	}
 	copy(st.Free, s.free)
 	return st
@@ -28,7 +30,8 @@ func (s *Slab) State() SlabState {
 // Restore replaces the slab's contents with the recorded state. It rejects
 // a free list naming an id out of range or naming one id twice, which the
 // resumed run would otherwise trip over as a panic or as two clusters
-// sharing one id; the slab is left unchanged then.
+// sharing one id, and a cluster the packed form cannot hold (a PPN above
+// maxPPN, or a PPN in an invalid slot); the slab is left unchanged then.
 func (s *Slab) Restore(st SlabState) error {
 	n := uint64(len(st.Clusters))
 	onFree := make([]bool, n)
@@ -41,7 +44,7 @@ func (s *Slab) Restore(st SlabState) error {
 		}
 		onFree[id] = true
 	}
-	s.chunks = nil
+	var chunks [][]packedCluster
 	for lo := uint64(0); lo < n; lo += chunkLen {
 		part := st.Clusters[lo:min(lo+chunkLen, n)]
 		// Chunk 0 is sized exactly, as one flat slice would be; a later
@@ -53,10 +56,16 @@ func (s *Slab) Restore(st SlabState) error {
 				size *= 2
 			}
 		}
-		c := make([]Cluster, len(part), size)
-		copy(c, part)
-		s.chunks = append(s.chunks, c)
+		c := make([]packedCluster, len(part), size)
+		for i, cl := range part {
+			var ok bool
+			if c[i], ok = pack(cl); !ok {
+				return fmt.Errorf("pt: cluster id %d holds a PPN no cluster slot can: %+v", lo+uint64(i), cl)
+			}
+		}
+		chunks = append(chunks, c)
 	}
+	s.chunks = chunks
 	s.n = n
 	s.free = make([]uint64, len(st.Free))
 	copy(s.free, st.Free)

@@ -42,6 +42,38 @@ func TestStreamMatchesPlainSource(t *testing.T) {
 	}
 }
 
+// TestDirectDrawsMatchStdlib: the source's own Int63 and Float64, drawn
+// without a Rand, match a Rand over rand.NewSource for 12k mixed draws on
+// seeds that cover math/rand's seed reduction (0, negative, above 2^31),
+// and a source restored at any recorded position resumes the stdlib
+// stream there.
+func TestDirectDrawsMatchStdlib(t *testing.T) {
+	for _, seed := range []int64{0, 1, -5, 42, 1 << 40, -1 << 62} {
+		src := NewSource(seed)
+		std := rand.New(rand.NewSource(seed))
+		for i := 0; i < 12_000; i++ {
+			if i%2 == 0 {
+				if a, b := src.Int63(), std.Int63(); a != b {
+					t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, a, b)
+				}
+			} else if a, b := src.Float64(), std.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, a, b)
+			}
+			if i%4001 == 0 {
+				r := RestoreSource(src.State())
+				for k := 0; k < 700; k++ {
+					if a, b := r.Int63(), src.Int63(); a != b {
+						t.Fatalf("seed %d: restored at draw %d, step %d: %d != %d", seed, i, k, a, b)
+					}
+				}
+				for k := 0; k < 700; k++ {
+					std.Int63()
+				}
+			}
+		}
+	}
+}
+
 func TestRestoreResumesStream(t *testing.T) {
 	src := NewSource(7)
 	r := rand.New(src)

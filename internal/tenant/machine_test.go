@@ -8,6 +8,7 @@ package tenant
 
 import (
 	"errors"
+	"math/bits"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -207,6 +208,17 @@ func TestRestoreMismatch(t *testing.T) {
 		// sharing one cluster between two keys.
 		"slab free range": func(st *MachineState) { sl := slab(st); sl.Free = append(sl.Free, uint64(len(sl.Clusters))) },
 		"slab truncated":  func(st *MachineState) { sl := slab(st); sl.Clusters = sl.Clusters[:len(sl.Clusters)/2] },
+		// A PPN past what a packed cluster slot holds.
+		"slab ppn bound": func(st *MachineState) {
+			for i, c := range slab(st).Clusters {
+				if c.ValidMask != 0 {
+					sub := bits.TrailingZeros8(c.ValidMask)
+					slab(st).Clusters[i].PPNs[sub] = 1 << 48
+					return
+				}
+			}
+			t.Fatal("proc 0's slab has no valid slot")
+		},
 		"slab free twice": func(st *MachineState) {
 			sl := slab(st)
 			id := uint64(len(sl.Clusters))

@@ -16,7 +16,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/addr"
 	"repro/internal/pt"
@@ -197,9 +196,7 @@ func (s Spec) TouchedPageVAs(f func(va addr.VirtAddr) bool) {
 // Trace generates the timing-mode access stream: a deterministic sequence
 // of n virtual addresses following the spec's pattern.
 type Trace struct {
-	src *snapshot.Source // counting source under rng, for checkpoints
-	//mehpt:transient -- rebuilt as rand.New over src, whose stream position crosses the checkpoint as TraceState.RNG
-	rng     *rand.Rand
+	src     *snapshot.Source // counting source, drawn directly; its position is TraceState.RNG
 	n       uint64
 	emitted uint64
 	// sequential cursor state
@@ -221,7 +218,7 @@ type Trace struct {
 // spec's constants derived. blockPages is 0 for an unblocked spec, and
 // universe 0 for a dense one.
 func (s Spec) newTrace(src *snapshot.Source, n uint64) *Trace {
-	t := &Trace{src: src, rng: rand.New(src), n: n, kind: s.Kind,
+	t := &Trace{src: src, n: n, kind: s.Kind,
 		hotFrac: s.HotFraction, seqFrac: s.SeqFraction, pages: s.touchedPages()}
 	hot := s.HotBytes
 	if hot == 0 {
@@ -280,19 +277,19 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 	t.emitted++
 	// Hot-set access: a reference into the small resident working set at
 	// the front of the touched region.
-	if t.hotFrac > 0 && t.rng.Float64() < t.hotFrac {
-		pg := uint64(t.rng.Int63()) % t.hotPages
-		off := (uint64(t.rng.Int63()) % (4 * addr.KB)) &^ 7
+	if t.hotFrac > 0 && t.src.Float64() < t.hotFrac {
+		pg := uint64(t.src.Int63()) % t.hotPages
+		off := (uint64(t.src.Int63()) % (4 * addr.KB)) &^ 7
 		return pageVA(t.kind, pg, t.universe) + addr.VirtAddr(off), true
 	}
-	if t.rng.Float64() >= t.seqFrac {
+	if t.src.Float64() >= t.seqFrac {
 		// Random jump.
 		if t.blockPages > 0 {
-			t.curPage = (uint64(t.rng.Int63()) % t.blocks) * t.blockPages
+			t.curPage = (uint64(t.src.Int63()) % t.blocks) * t.blockPages
 			t.curOff = 0
 		} else {
-			t.curPage = uint64(t.rng.Int63()) % t.pages
-			t.curOff = uint64(t.rng.Int63()) % (4 * addr.KB)
+			t.curPage = uint64(t.src.Int63()) % t.pages
+			t.curOff = uint64(t.src.Int63()) % (4 * addr.KB)
 			t.curOff &^= 7
 		}
 	} else {

@@ -287,6 +287,19 @@ func (t *Table) LookupSlot(key uint64) (uint64, Slot, bool) {
 	return 0, Slot{}, false
 }
 
+// Replace overwrites the value of key, if present, in place. It counts
+// nothing, draws no randomness and never resizes.
+func (t *Table) Replace(key, val uint64) {
+	crc := t.mixer.CRC(key)
+	for i := 0; i < t.cfg.Ways; i++ {
+		w, idx := t.locateHash(i, t.mixer.HashAt(i, crc))
+		if w.slots[idx].Key == key {
+			w.slots[idx].Val = val
+			return
+		}
+	}
+}
+
 // Insert adds key with value val. If key is already present its value is
 // replaced. It returns the number of cuckoo re-insertions performed.
 func (t *Table) Insert(key, val uint64) (int, error) {

@@ -194,6 +194,9 @@ func (t *Table) Insert(key, val uint64) (uint64, error) {
 	return t.stats.AllocCycles - before, err
 }
 
+// SetValue overwrites the value of the present key, counting nothing.
+func (t *Table) SetValue(key, val uint64) { t.tb.Replace(key, val) }
+
 // Lookup returns the value for key.
 //
 //mehpt:hotpath

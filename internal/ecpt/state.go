@@ -161,8 +161,8 @@ func (t *Table) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
 	}
 }
 
-// Range calls f for every stored (cluster key, cluster id).
-func (t *Table) Range(f func(key, id uint64)) {
+// Range calls f for every stored (cluster key, value).
+func (t *Table) Range(f func(key, val uint64)) {
 	t.tb.Range(func(key, val uint64) bool {
 		f(key, val)
 		return true

@@ -250,9 +250,9 @@ func (t *Table) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
 	}
 }
 
-// Range calls f for every stored (cluster key, cluster id), stash-resident
+// Range calls f for every stored (cluster key, value), stash-resident
 // entries included.
-func (t *Table) Range(f func(key, id uint64)) {
+func (t *Table) Range(f func(key, val uint64)) {
 	for _, w := range t.ways {
 		for _, e := range w.slots {
 			if e.Key != cuckoo.EmptyKey {

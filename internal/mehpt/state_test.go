@@ -17,14 +17,20 @@ import (
 // one cluster between two keys, or running on to a different fingerprint.
 func TestRestorePageTableRejectsBadSlab(t *testing.T) {
 	p, mem := newPT(t, 1*addr.GB)
+	// Two pages per cluster, so every cluster is in the slab: a one-page
+	// cluster is stored inline in its way slot and names no slab id.
 	for i := addr.VPN(0); i < 200; i++ {
-		if _, err := p.Map(i*pt.ClusterSpan, addr.Page4K, addr.PPN(100+i)); err != nil {
-			t.Fatal(err)
+		for _, sub := range []addr.VPN{0, 5} {
+			if _, err := p.Map(i*pt.ClusterSpan+sub, addr.Page4K, addr.PPN(100+i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for i := addr.VPN(0); i < 200; i += 7 {
-		if _, ok := p.Unmap(i*pt.ClusterSpan, addr.Page4K); !ok {
-			t.Fatalf("Unmap of cluster %d missed", i)
+		for _, sub := range []addr.VPN{0, 5} {
+			if _, ok := p.Unmap(i*pt.ClusterSpan+sub, addr.Page4K); !ok {
+				t.Fatalf("Unmap of cluster %d page %d missed", i, sub)
+			}
 		}
 	}
 	alloc := phys.NewAllocator(mem, 0)
@@ -45,12 +51,13 @@ func TestRestorePageTableRejectsBadSlab(t *testing.T) {
 		t.Fatal("intact state does not round-trip")
 	}
 
-	// stored returns the first two slots that hold a cluster id.
+	// stored returns the first two slots that hold a slab cluster id (an
+	// inline value has bit 63 set).
 	stored := func(st *PageTableState) (a, b *cuckoo.Entry) {
 		for wi := range st.Tables[0].Ways {
 			for si := range st.Tables[0].Ways[wi].Slots {
 				e := &st.Tables[0].Ways[wi].Slots[si]
-				if e.Key == cuckoo.EmptyKey {
+				if e.Key == cuckoo.EmptyKey || e.Val>>63 != 0 {
 					continue
 				}
 				if a == nil {

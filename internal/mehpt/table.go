@@ -292,7 +292,7 @@ func (t *Table) stashIndex(key uint64) int {
 	return -1
 }
 
-// Lookup returns the cluster id stored for key, consulting the software
+// Lookup returns the value stored for key, consulting the software
 // stash after the W hash probes (the OS-walked overflow path).
 //
 //mehpt:hotpath
@@ -361,6 +361,16 @@ func (t *Table) Insert(key, val uint64) (cycles uint64, err error) {
 	cycles += t.maybeResize()
 	t.notePeak()
 	return cycles, nil
+}
+
+// SetValue overwrites the value of the present key, in its way or in the
+// stash, counting nothing.
+func (t *Table) SetValue(key, val uint64) {
+	if i, idx, ok := t.lookupSlot(key); ok {
+		t.ways[i].slots[idx].Val = val
+	} else if si := t.stashIndex(key); si >= 0 {
+		t.stash[si].Val = val
+	}
 }
 
 // Delete removes key and returns the allocation cycles spent by the

@@ -7,38 +7,44 @@ import (
 )
 
 // SizeTable is one per-page-size hashed table mapping cluster keys
-// (ClusterKey) to slab cluster ids. ECPT and ME-HPT differ only below this
-// interface: how ways are allocated, probed, and resized. Everything above
-// it — lazy per-size tables, the shared cluster slab, largest-size-first
+// (ClusterKey) to 64-bit values: a slab cluster id, or a one-page cluster
+// stored inline (see inlineBit). The table stores values opaquely. ECPT
+// and ME-HPT differ only below this interface: how ways are allocated,
+// probed, and resized. Everything above it — lazy per-size tables, the
+// shared cluster slab, the value encoding, largest-size-first
 // translation, and the footprint totals — is Hashed.
 type SizeTable interface {
 	comparable
 	// PageSize returns the page size the table translates.
 	PageSize() addr.PageSize
-	// Lookup returns the cluster id stored for key.
+	// Lookup returns the value stored for key.
 	//mehpt:hotpath
 	Lookup(key uint64) (uint64, bool)
 	// Walk is Lookup additionally returning the physical address of the
 	// probe slot the hardware walk reads for key, with Lookup's statistics
 	// footprint.
 	//mehpt:hotpath
-	Walk(key uint64) (id uint64, probe addr.PhysAddr, ok bool)
+	Walk(key uint64) (val uint64, probe addr.PhysAddr, ok bool)
 	// WayOf returns the way holding key, without touching statistics.
 	//mehpt:hotpath
 	WayOf(key uint64) (int, bool)
-	// Insert stores key→id for a key the table does not hold, and returns
-	// the allocation cycles it spent, including on failure. Its one caller,
-	// Hashed.Map, has just missed key in Lookup, so an implementation need
-	// not probe for key again (ME-HPT does not; ECPT's cuckoo.Table
-	// upserts).
-	Insert(key, id uint64) (uint64, error)
+	// Insert stores key→val for a key the table does not hold, and
+	// returns the allocation cycles it spent, including on failure. Its
+	// one caller, Hashed.Map, has just missed key in Lookup, so an
+	// implementation need not probe for key again (ME-HPT does not; ECPT's
+	// cuckoo.Table upserts).
+	Insert(key, val uint64) (uint64, error)
+	// SetValue overwrites the value of the present key in place. The value
+	// is host-only, so SetValue counts nothing, draws no randomness, and
+	// never resizes: every simulated counter stays as it was.
+	SetValue(key, val uint64)
 	// Delete removes the present key and returns the allocation cycles it
 	// spent.
 	Delete(key uint64) uint64
 	// Totals returns the table's footprint and allocation counters.
 	Totals() Totals
-	// Range calls f for every stored (key, id).
-	Range(f func(key, id uint64))
+	// Range calls f for every stored (key, val).
+	Range(f func(key, val uint64))
 	// VisitOwnedFrames reports every physical block the table owns.
 	VisitOwnedFrames(f func(base addr.PPN, bytes uint64))
 	// Check returns one message per structural inconsistency.
@@ -103,10 +109,50 @@ func (h *Hashed[T]) LiveTables() []T {
 	return out
 }
 
+// A table value is either a slab cluster id or, with inlineBit set, a
+// cluster holding one page stored in the value word itself: the PPN in
+// bits 0–47 and its sub-index in bits 48–50, bits 51–62 zero. Most sparse
+// clusters never get a second page, so they cost no slab cluster and a
+// walk of one reads no memory beyond its way slot.
+const (
+	inlineBit      = 1 << 63
+	inlineSubShift = 48
+	inlinePPNMask  = 1<<inlineSubShift - 1
+	// inlineReserved are the bits an inline value holds zero.
+	inlineReserved = (inlineBit - 1) &^ (inlinePPNMask | (ClusterSpan-1)<<inlineSubShift)
+)
+
+// inlineValue returns the value of a cluster holding ppn, at most maxPPN,
+// in slot sub and no other.
+func inlineValue(sub uint, ppn addr.PPN) uint64 {
+	return inlineBit | uint64(sub)<<inlineSubShift | uint64(ppn)
+}
+
+// inlinePage returns the slot and PPN of an inline value.
+func inlinePage(val uint64) (uint, addr.PPN) {
+	return uint(val>>inlineSubShift) % ClusterSpan, addr.PPN(val & inlinePPNMask)
+}
+
+// get returns the translation in slot sub of the cluster val names. It is
+// a Slab method, not a generic Hashed one, so that it inlines into the
+// walk.
+//
+//mehpt:hotpath
+func (s *Slab) get(val uint64, sub uint) (addr.PPN, bool) {
+	if val&inlineBit != 0 {
+		return addr.PPN(val & inlinePPNMask), val&^inlinePPNMask == inlineBit|uint64(sub)<<inlineSubShift
+	}
+	return s.At(val).get(sub)
+}
+
 // Map installs the translation vpn→ppn at the given page size. It returns
 // the allocation cycles the insert and any resize it triggers spent; the
 // first mapping at a size creates that size's table uncharged. It rejects
 // a PPN above 2^48-2, which a cluster slot cannot hold.
+//
+// A new cluster is inserted inline. The first mapping of a second page in
+// it promotes it to a slab cluster holding both; no cluster is demoted
+// back to inline.
 func (h *Hashed[T]) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
 	if ppn > maxPPN {
 		return 0, fmt.Errorf("pt: PPN %#x does not fit a cluster slot", uint64(ppn))
@@ -117,17 +163,25 @@ func (h *Hashed[T]) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, er
 	}
 	key := ClusterKey(vpn)
 	sub := SubIndex(vpn)
-	if id, ok := t.Lookup(key); ok {
-		h.slab.At(id).set(sub, ppn)
+	val, ok := t.Lookup(key)
+	if !ok {
+		return t.Insert(key, inlineValue(sub, ppn))
+	}
+	if val&inlineBit == 0 {
+		h.slab.At(val).set(sub, ppn)
 		return 0, nil
 	}
-	id := h.slab.Alloc()
-	h.slab.At(id).set(sub, ppn)
-	cycles, err := t.Insert(key, id)
-	if err != nil {
-		h.slab.Free(id)
+	if vsub, vppn := inlinePage(val); vsub != sub {
+		id := h.slab.Alloc()
+		c := h.slab.At(id)
+		c.set(vsub, vppn)
+		c.set(sub, ppn)
+		val = id
+	} else {
+		val = inlineValue(sub, ppn)
 	}
-	return cycles, err
+	t.SetValue(key, val)
+	return 0, nil
 }
 
 // Unmap removes the translation for vpn at the given page size, reporting
@@ -139,17 +193,20 @@ func (h *Hashed[T]) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 		return 0, false
 	}
 	key := ClusterKey(vpn)
-	id, ok := t.Lookup(key)
+	sub := SubIndex(vpn)
+	val, ok := t.Lookup(key)
 	if !ok {
 		return 0, false
 	}
-	c := h.slab.At(id)
-	if _, valid := c.get(SubIndex(vpn)); !valid {
+	if _, valid := h.slab.get(val, sub); !valid {
 		return 0, false
 	}
-	if c.clear(SubIndex(vpn)) {
+	if val&inlineBit != 0 {
+		return t.Delete(key), true
+	}
+	if h.slab.At(val).clear(sub) {
 		cycles := t.Delete(key)
-		h.slab.Free(id)
+		h.slab.Free(val)
 		return cycles, true
 	}
 	return 0, true
@@ -178,11 +235,11 @@ func (h *Hashed[T]) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 	if t == none {
 		return 0, false
 	}
-	id, ok := t.Lookup(ClusterKey(vpn))
+	val, ok := t.Lookup(ClusterKey(vpn))
 	if !ok {
 		return 0, false
 	}
-	return h.slab.At(id).get(SubIndex(vpn))
+	return h.slab.get(val, SubIndex(vpn))
 }
 
 // Walk resolves va and returns the physical address of the probe slot that
@@ -200,11 +257,11 @@ func (h *Hashed[T]) Walk(va addr.VirtAddr) (Translation, addr.PhysAddr, bool) {
 			continue
 		}
 		vpn := va.PageNumber(s)
-		id, probe, ok := t.Walk(ClusterKey(vpn))
+		val, probe, ok := t.Walk(ClusterKey(vpn))
 		if !ok {
 			continue
 		}
-		if ppn, valid := h.slab.At(id).get(SubIndex(vpn)); valid {
+		if ppn, valid := h.slab.get(val, SubIndex(vpn)); valid {
 			return Translation{PPN: ppn, Size: s}, probe, true
 		}
 	}
@@ -270,11 +327,10 @@ func (h *Hashed[T]) Free() {
 func (h *Hashed[T]) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
 	for _, t := range h.LiveTables() {
 		size := t.PageSize()
-		t.Range(func(key, id uint64) {
-			c := h.slab.At(id)
+		t.Range(func(key, val uint64) {
 			base := BaseVPN(key)
 			for sub := uint(0); sub < ClusterSpan; sub++ {
-				if ppn, ok := c.get(sub); ok {
+				if ppn, ok := h.slab.get(val, sub); ok {
 					f(base+addr.VPN(sub), size, ppn)
 				}
 			}
@@ -306,10 +362,12 @@ func (h *Hashed[T]) SlabState() SlabState { return h.slab.State() }
 
 // RestoreTables replaces the slab and the per-size tables with restored
 // ones. Each table is placed at its own page size; one whose size is out
-// of range is dropped. It rejects a slab Restore rejects, and a table
-// value that is no slab id, is on the free list, or is stored under two
-// keys: the resumed run would panic on the first, and share one cluster
-// between two keys on the others. The page table is unchanged on error.
+// of range is dropped. It rejects a slab Restore rejects, an inline value
+// with a reserved bit set or a PPN above 2^48-2, and a slab value that is
+// no slab id, is on the free list, or is stored under two keys: the
+// resumed run would translate to a page no Map installed on the first
+// two, panic on the third, and share one cluster between two keys on the
+// others. The page table is unchanged on error.
 func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) error {
 	var s Slab
 	if err := s.Restore(slab); err != nil {
@@ -329,17 +387,22 @@ func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) error {
 		if t.PageSize() >= addr.NumPageSizes {
 			continue
 		}
-		t.Range(func(key, id uint64) {
+		t.Range(func(key, val uint64) {
 			switch {
 			case err != nil:
-			case id >= s.n:
-				err = fmt.Errorf("pt: %v key %#x: cluster id %d out of range of %d clusters", t.PageSize(), key, id, s.n)
-			case use[id] == onFree:
-				err = fmt.Errorf("pt: %v key %#x: cluster id %d is on the free list", t.PageSize(), key, id)
-			case use[id] == stored:
-				err = fmt.Errorf("pt: %v key %#x: cluster id %d is stored under another key too", t.PageSize(), key, id)
+			case val&inlineBit != 0 && val&inlineReserved != 0:
+				err = fmt.Errorf("pt: %v key %#x: inline value %#x sets reserved bits", t.PageSize(), key, val)
+			case val&inlineBit != 0 && val&inlinePPNMask > maxPPN:
+				err = fmt.Errorf("pt: %v key %#x: inline value %#x holds a PPN no cluster slot can", t.PageSize(), key, val)
+			case val&inlineBit != 0:
+			case val >= s.n:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d out of range of %d clusters", t.PageSize(), key, val, s.n)
+			case use[val] == onFree:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d is on the free list", t.PageSize(), key, val)
+			case use[val] == stored:
+				err = fmt.Errorf("pt: %v key %#x: cluster id %d is stored under another key too", t.PageSize(), key, val)
 			default:
-				use[id] = stored
+				use[val] = stored
 			}
 		})
 		if err != nil {

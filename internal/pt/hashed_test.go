@@ -163,12 +163,17 @@ func stashResident(t *testing.T) walkCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.State().Tables[0].Stash) != 1 {
+	stash := r.State().Tables[0].Stash
+	if len(stash) != 1 {
 		t.Fatal("restored table has no stash-resident entry")
 	}
+	// A second page in the stashed one-page cluster promotes it to the
+	// slab, rewriting the stash entry's value.
+	second := pt.BaseVPN(stash[0].Key) + 5
+	mustMap(t, r, second, addr.Page4K, 7)
 	c := mehptCase(r)
-	c.vas = vas
-	c.stashed = 1
+	c.vas = append(vas, second.Addr(addr.Page4K))
+	c.stashed = 2
 	return c
 }
 

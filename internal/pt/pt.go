@@ -102,31 +102,23 @@ func pack(c Cluster) (packedCluster, bool) {
 // Slab chunk geometry: ids are split into a chunk index (id >> chunkShift)
 // and an offset within the chunk (id & (chunkLen-1)).
 const (
-	chunkShift = 13
-	chunkLen   = 1 << chunkShift // 8192 clusters, 384 KiB
-	// fullChunksFrom is the first chunk index allocated at full length.
-	fullChunksFrom = 8
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift // 256 clusters, 12 KiB
+	// maxBlockChunks caps the chunks one backing allocation holds: 8192
+	// clusters, 384 KiB.
+	maxBlockChunks = 32
 )
 
-// startCap returns the capacity a new chunk ci > 0 is allocated with.
-func startCap(ci int) int {
-	if ci >= fullChunksFrom {
-		return chunkLen
-	}
-	return chunkLen / 4
-}
-
 // Slab stores packed cluster payloads and hands out stable 64-bit ids that
-// fit in a cuckoo table's value word. The zero value is ready to use.
+// fit in a cuckoo table's value word, with bit 63, which marks an inline
+// value (see Hashed.Map), clear. The zero value is ready to use.
 //
-// Clusters live in chunks of chunkLen that are never copied once full, so
-// growing a large slab allocates about its live size once instead of
-// re-copying the whole array on every growth. Chunk 0 grows by append, so
-// a slab of at most chunkLen clusters costs what one flat slice would.
-// Chunks 1 to fullChunksFrom-1 start at a quarter of chunkLen and double
-// to full, which bounds the slack of a mid-sized slab to its tail chunk;
-// from fullChunksFrom on, a chunk is allocated full at once, its slack
-// then under an eighth of the slab.
+// Clusters live in chunks of chunkLen that never move, carved from backing
+// blocks that are never copied: when the chunks run out, Alloc allocates a
+// block of a quarter as many chunks as the slab has, at least one and at
+// most maxBlockChunks. A slab therefore allocates its clusters' bytes
+// once, its slack is under a quarter of it (or one chunk), and a large
+// slab takes one allocation per 8192 clusters.
 type Slab struct {
 	chunks [][]packedCluster
 	n      uint64 // clusters ever allocated; ids are 0..n-1
@@ -144,33 +136,25 @@ func (s *Slab) Alloc() uint64 {
 	id := s.n
 	ci := int(id >> chunkShift)
 	if ci == len(s.chunks) {
-		var c []packedCluster
-		if ci > 0 {
-			c = make([]packedCluster, 0, startCap(ci))
-		}
-		s.chunks = append(s.chunks, c)
+		s.addChunks(min(max(ci/4, 1), maxBlockChunks))
 	}
-	c := &s.chunks[ci]
-	switch {
-	case ci == 0:
-		*c = append(*c, packedCluster{})
-	case len(*c) == cap(*c):
-		grown := make([]packedCluster, len(*c)+1, 2*cap(*c))
-		copy(grown, *c)
-		*c = grown
-	default:
-		*c = (*c)[:len(*c)+1]
-	}
+	s.chunks[ci] = s.chunks[ci][:len(s.chunks[ci])+1]
 	s.n++
 	return id
 }
 
+// addChunks appends k empty chunks carved from one new backing block.
+func (s *Slab) addChunks(k int) {
+	block := make([]packedCluster, k*chunkLen)
+	for lo := 0; lo < len(block); lo += chunkLen {
+		s.chunks = append(s.chunks, block[lo:lo:lo+chunkLen])
+	}
+}
+
 // At returns the cluster with the given id, and panics on an id Alloc never
 // returned: every chunk's length is exactly the clusters allocated in it,
-// so the slice bounds checks reject any id >= n. Once id's chunk is full
-// the pointer stays valid across later Allocs, since full chunks never
-// move; a pointer into the tail chunk is invalidated by the Alloc that
-// grows it.
+// so the slice bounds checks reject any id >= n. The pointer stays valid
+// across later Allocs, since chunks never move.
 func (s *Slab) At(id uint64) *packedCluster {
 	return &s.chunks[id>>chunkShift][id&(chunkLen-1)]
 }

@@ -44,28 +44,19 @@ func (s *Slab) Restore(st SlabState) error {
 		}
 		onFree[id] = true
 	}
-	var chunks [][]packedCluster
-	for lo := uint64(0); lo < n; lo += chunkLen {
-		part := st.Clusters[lo:min(lo+chunkLen, n)]
-		// Chunk 0 is sized exactly, as one flat slice would be; a later
-		// partial chunk gets the capacity Alloc would have grown it to.
-		size := len(part)
-		if lo > 0 {
-			size = startCap(int(lo >> chunkShift))
-			for size < len(part) {
-				size *= 2
-			}
+	// The restored clusters share one backing block of whole chunks;
+	// later Allocs add blocks by the usual rule.
+	var r Slab
+	r.addChunks(int((n + chunkLen - 1) >> chunkShift))
+	for id, cl := range st.Clusters {
+		p, ok := pack(cl)
+		if !ok {
+			return fmt.Errorf("pt: cluster id %d holds a PPN no cluster slot can: %+v", id, cl)
 		}
-		c := make([]packedCluster, len(part), size)
-		for i, cl := range part {
-			var ok bool
-			if c[i], ok = pack(cl); !ok {
-				return fmt.Errorf("pt: cluster id %d holds a PPN no cluster slot can: %+v", lo+uint64(i), cl)
-			}
-		}
-		chunks = append(chunks, c)
+		c := &r.chunks[id>>chunkShift]
+		*c = append(*c, p) // within the chunk's capacity: no copy
 	}
-	s.chunks = chunks
+	s.chunks = r.chunks
 	s.n = n
 	s.free = make([]uint64, len(st.Free))
 	copy(s.free, st.Free)

@@ -75,15 +75,19 @@ func (o Org) String() string {
 // the memory-level parallelism afforded by modern processors", Section I).
 const DataMLP = 4
 
-// ErrMemRange reports a physical memory size past the addr.PhysBits-bit
-// physical address space.
-var ErrMemRange = errors.New("sim: memory exceeds the physical address space")
+// ErrMemRange reports a physical memory size of 0 or past the
+// addr.PhysBits-bit physical address space.
+var ErrMemRange = errors.New("sim: memory size outside the physical address space")
 
 // MemBytes returns gb gigabytes in bytes for Config.MemBytes, or an
-// ErrMemRange if they exceed the addr.PhysBits-bit physical address space
-// (65536 GB). It compares before it multiplies, so no gb overflows into a
-// small size.
+// ErrMemRange if gb is 0 or they exceed the addr.PhysBits-bit physical
+// address space (65536 GB). A MemBytes of 0 would make NewMachine run the
+// default 64 GB while the caller reports 0. It compares before it
+// multiplies, so no gb overflows into a small size.
 func MemBytes(gb uint64) (uint64, error) {
+	if gb == 0 {
+		return 0, fmt.Errorf("%w: 0 GB", ErrMemRange)
+	}
 	if gb > 1<<addr.PhysBits/addr.GB {
 		return 0, fmt.Errorf("%w: %d GB, at most %d GB in %d bits", ErrMemRange, gb, uint64(1<<addr.PhysBits/addr.GB), addr.PhysBits)
 	}

@@ -134,13 +134,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestMemBytesBound: the CLIs' -mem bound takes the whole 46-bit physical
-// address space and rejects one gigabyte more, and a size whose byte count
-// would wrap (2^34 GB multiplies to 0) is rejected, not wrapped.
+// address space and rejects one gigabyte more, a size whose byte count
+// would wrap (2^34 GB multiplies to 0) is rejected, not wrapped, and so is
+// 0 GB, which NewMachine would run as its 64 GB default.
 func TestMemBytesBound(t *testing.T) {
 	if b, err := MemBytes(65536); err != nil || b != 1<<addr.PhysBits {
 		t.Errorf("MemBytes(65536) = %d, %v; want %d, nil", b, err, uint64(1)<<addr.PhysBits)
 	}
-	for _, gb := range []uint64{65537, 1 << 34, 1<<34 + 64, ^uint64(0)} {
+	for _, gb := range []uint64{0, 65537, 1 << 34, 1<<34 + 64, ^uint64(0)} {
 		if b, err := MemBytes(gb); !errors.Is(err, ErrMemRange) {
 			t.Errorf("MemBytes(%d) = %d, %v; want ErrMemRange", gb, b, err)
 		}

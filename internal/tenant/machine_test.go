@@ -182,6 +182,19 @@ func TestRestoreMismatch(t *testing.T) {
 		t.Fatal("proc 0 has no 4KB ECPT table")
 		return nil
 	}
+	// inline returns a 4KB ECPT slot holding a one-page cluster inline:
+	// bit 63 set, the PPN in bits 0-47, its sub-index in bits 48-50.
+	inline := func(st *MachineState) *cuckoo.Entry {
+		for _, w := range ecpt4K(st).Cur {
+			for i := range w.Slots {
+				if e := &w.Slots[i]; e.Key != cuckoo.EmptyKey && e.Val>>63 != 0 {
+					return e
+				}
+			}
+		}
+		t.Fatal("proc 0's 4KB ECPT holds no inline cluster")
+		return nil
+	}
 	for name, mut := range map[string]func(*MachineState){
 		"trace short":     func(st *MachineState) { st.Procs[0].Trace.N = st.Procs[0].Trace.Emitted + st.Procs[0].Left/2 },
 		"trace overrun":   func(st *MachineState) { st.Procs[0].Trace.Emitted = st.Procs[0].Trace.N + 1 },
@@ -219,6 +232,10 @@ func TestRestoreMismatch(t *testing.T) {
 			}
 			t.Fatal("proc 0's slab has no valid slot")
 		},
+		// An inline value no Map writes: a reserved bit (51-62) set, and
+		// a PPN past what a cluster slot holds.
+		"inline reserved bits": func(st *MachineState) { inline(st).Val |= 1 << 51 },
+		"inline ppn bound":     func(st *MachineState) { e := inline(st); e.Val |= 1<<48 - 1 },
 		"slab free twice": func(st *MachineState) {
 			sl := slab(st)
 			id := uint64(len(sl.Clusters))

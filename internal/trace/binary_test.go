@@ -268,6 +268,40 @@ func TestBinaryNextBatchAllocFree(t *testing.T) {
 	}
 }
 
+// TestVarintNextBatchAllocFree: the varint Reader's NextBatch, the replay
+// path for traces in the older format, decodes from its buffered reader
+// without allocating.
+func TestVarintNextBatchAllocFree(t *testing.T) {
+	const records = 40_000
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		// Forward and backward deltas of several varint lengths.
+		if err := w.Append(addr.VirtAddr(uint64(i)*4096 ^ uint64(i%7)<<30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [64]addr.VirtAddr
+	if n := testing.AllocsPerRun(500, func() {
+		got, err := r.NextBatch(out[:])
+		if got != len(out) || err != nil {
+			t.Fatalf("NextBatch = %d, %v mid-trace", got, err)
+		}
+	}); n != 0 {
+		t.Errorf("NextBatch allocates %v objects per call", n)
+	}
+}
+
 // FuzzBinaryReaderAdversarial: arbitrary bytes must never panic the decoder
 // or let it fabricate more records than the input could hold (every record
 // is 8 bytes).

@@ -301,3 +301,19 @@ func TestTraceRestoreContinues(t *testing.T) {
 		}
 	}
 }
+
+// TestNextBatchAllocFree guards the generator's hot path: NextBatch of
+// every application's trace draws from its source and allocates nothing.
+func TestNextBatchAllocFree(t *testing.T) {
+	for _, s := range Specs(256) {
+		tr := s.NewTrace(7, 1<<20)
+		var out [64]addr.VirtAddr
+		if n := testing.AllocsPerRun(500, func() {
+			if got := tr.NextBatch(out[:]); got != len(out) {
+				t.Fatalf("%s: NextBatch = %d mid-trace", s.Name, got)
+			}
+		}); n != 0 {
+			t.Errorf("%s: NextBatch allocates %v objects per call", s.Name, n)
+		}
+	}
+}

@@ -32,8 +32,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// Finish, when non-nil, runs once after every package in the run has
 	// been analyzed. It is the hook for whole-run audits (staleallow's
-	// dead-waiver scan) that cannot be decided package-by-package because
-	// cross-package fact queries mark waivers used in other packages.
+	// dead-waiver scan).
 	// Finish diagnostics are NOT subject to //mehpt:allow suppression: a
 	// finding about a directive is fixed by editing the directive, not by
 	// stacking another waiver on top of it.
@@ -47,8 +46,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts answers cross-package questions (function summaries, hot-path
-	// annotations, transitive reachability) for type-aware analyzers.
+	// Facts answers cross-package questions (function declarations and
+	// their taint summaries) for type-aware analyzers.
 	Facts *Facts
 	// Ann is the annotation table of the package under analysis.
 	Ann *Annotations

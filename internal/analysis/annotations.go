@@ -10,15 +10,6 @@ import (
 // Annotations are declarations of intent the analyzers check, written as
 // //mehpt: comments on the declaration they describe:
 //
-//	//mehpt:hotpath             on a function, method, or interface
-//	                            method: the function is on the zero-alloc
-//	                            translation pipeline; no heap allocation
-//	                            may be reachable from it (analyzer
-//	                            hotalloc). On an interface method it marks
-//	                            a contract boundary: dynamic calls to the
-//	                            method are accepted, and every
-//	                            implementation is expected to carry its
-//	                            own annotation.
 //	//mehpt:transient -- <why>  on a struct field of a type with a
 //	                            State()/Restore pair: the field is
 //	                            deliberately not serialized — it is
@@ -27,25 +18,17 @@ import (
 //	                            repositioned RNGs). The reason clause is
 //	                            mandatory: statecover accepts the field as
 //	                            covered only with a recorded justification.
-//
-// Unlike //mehpt:allow, hotpath needs no reason clause — it states a
-// contract, not an exception.
-const (
-	hotpathPrefix   = "//mehpt:hotpath"
-	transientPrefix = "//mehpt:transient"
-)
+const transientPrefix = "//mehpt:transient"
 
 // KnownAnnotations lists every valid //mehpt: comment head, for the
 // staleallow analyzer's unknown-annotation check. allow carries optional
 // :file/:package scope suffixes, validated separately by CollectAllows.
 func KnownAnnotations() []string {
-	return []string{"allow", "hotpath", "transient"}
+	return []string{"allow", "transient"}
 }
 
 // Annotations is the per-package annotation table.
 type Annotations struct {
-	// Hot marks annotated functions, methods, and interface methods.
-	Hot map[*types.Func]bool
 	// Transient marks struct fields deliberately excluded from their
 	// type's State() capture (statecover).
 	Transient map[*types.Var]bool
@@ -56,19 +39,11 @@ type Annotations struct {
 
 // CollectAnnotations builds the annotation table for one package.
 func CollectAnnotations(pkg *Package) *Annotations {
-	an := &Annotations{
-		Hot:       map[*types.Func]bool{},
-		Transient: map[*types.Var]bool{},
-	}
+	an := &Annotations{Transient: map[*types.Var]bool{}}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				an.collectFunc(pkg, n)
-			case *ast.StructType:
-				an.collectFields(pkg, n.Fields, false)
-			case *ast.InterfaceType:
-				an.collectFields(pkg, n.Methods, true)
+			if st, ok := n.(*ast.StructType); ok {
+				an.collectFields(pkg, st.Fields)
 			}
 			return true
 		})
@@ -76,44 +51,21 @@ func CollectAnnotations(pkg *Package) *Annotations {
 	return an
 }
 
-// collectFunc reads the hotpath annotation off a function declaration.
-func (an *Annotations) collectFunc(pkg *Package, d *ast.FuncDecl) {
-	fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-	if fn == nil {
-		return
-	}
-	for _, c := range commentsOf(d.Doc) {
-		if strings.HasPrefix(c.Text, hotpathPrefix) {
-			an.Hot[fn] = true
-		}
-	}
-}
-
-// collectFields reads transient (struct fields) or hotpath (interface
-// methods) annotations off a field list.
-func (an *Annotations) collectFields(pkg *Package, fields *ast.FieldList, iface bool) {
-	if fields == nil {
-		return
-	}
+// collectFields reads transient annotations off a struct's field list.
+func (an *Annotations) collectFields(pkg *Package, fields *ast.FieldList) {
 	for _, field := range fields.List {
 		comments := append(commentsOf(field.Doc), commentsOf(field.Comment)...)
 		for _, c := range comments {
-			switch {
-			case iface && strings.HasPrefix(c.Text, hotpathPrefix):
-				for _, name := range field.Names {
-					if fn, ok := pkg.Info.Defs[name].(*types.Func); ok {
-						an.Hot[fn] = true
-					}
-				}
-			case !iface && strings.HasPrefix(c.Text, transientPrefix):
-				if !transientWellFormed(c.Text) {
-					an.malformed(c, `want "//mehpt:transient -- <how the field is reconstituted on restore>"`)
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						an.Transient[v] = true
-					}
+			if !strings.HasPrefix(c.Text, transientPrefix) {
+				continue
+			}
+			if !transientWellFormed(c.Text) {
+				an.malformed(c, `want "//mehpt:transient -- <how the field is reconstituted on restore>"`)
+				continue
+			}
+			for _, name := range field.Names {
+				if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
+					an.Transient[v] = true
 				}
 			}
 		}

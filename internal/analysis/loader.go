@@ -21,7 +21,7 @@ type Package struct {
 	Info  *types.Info
 	// Std marks a package resolved from GOROOT. Fact computation stops at
 	// the standard-library boundary: std behaviour comes from the curated
-	// tables in facts.go, never from traversing std sources.
+	// tables in taint.go, never from traversing std sources.
 	Std bool
 	// loader is the loader that produced this package, so fact queries can
 	// reach sibling and dependency packages through the same cache.

@@ -2,16 +2,12 @@
 // depends on. A //mehpt:allow directive is a standing exception; once the
 // code it excused changes, the directive outlives its finding and silently
 // pre-forgives the next regression on that line. staleallow errors on any
-// allow entry that suppressed zero diagnostics during the run (the
-// per-package suppression pass and the fact engine's cross-package
-// SiteWaived checks both mark the shared entry), and flags misspelled
-// annotation heads and waivers naming unknown analyzers — the typos that
-// otherwise turn into directives that never match anything.
+// allow entry that suppressed zero diagnostics during the run, and flags
+// misspelled annotation heads and waivers naming unknown analyzers — the
+// typos that otherwise turn into directives that never match anything.
 //
-// The stale audit runs in the whole-run Finish phase: a waiver written in
-// package A can be consumed by a reach query issued while analyzing
-// package B, so staleness is only decidable after every package has been
-// analyzed. Audited entries are gated on the analyzers that actually ran
+// The stale audit runs in the whole-run Finish phase, after every package
+// has been analyzed. Audited entries are gated on the analyzers that actually ran
 // (a subset run with -analyzers never condemns waivers for rules it
 // skipped), and entries naming staleallow itself are exempt: Finish
 // diagnostics are deliberately unsuppressable, so such a waiver could

@@ -7,8 +7,6 @@ import (
 	"repro/internal/analysis/addrspace"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/errwrap"
-	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/randowner"
 	"repro/internal/analysis/staleallow"
 	"repro/internal/analysis/statecover"
 )
@@ -21,8 +19,6 @@ func All() []*analysis.Analyzer {
 		addrspace.Analyzer,
 		detflow.Analyzer,
 		errwrap.Analyzer,
-		hotalloc.Analyzer,
-		randowner.Analyzer,
 		statecover.Analyzer,
 	}
 	names := make([]string, 0, len(base))

@@ -16,9 +16,9 @@ import (
 // records where such a value reaches a determinism sink (fingerprint
 // computation, the stats layer, snapshot state) or map iteration order
 // reaches an order sink (output writer, seed/hash derivation, returned
-// slice). Summaries are cached on PkgFacts like the allocation/blocking
-// facts, so queries cross package boundaries without leaving the stdlib —
-// the taint analogue of the x/tools fact export.
+// slice). Summaries are cached on PkgFacts (facts.go), so queries cross
+// package boundaries without leaving the stdlib — the taint analogue of
+// the x/tools fact export.
 //
 // The engine tracks explicit value flow only: taint moves through
 // assignments, operators, composite literals, and call results/arguments,

@@ -18,8 +18,18 @@ func loadTaintPkg(t *testing.T) (*Package, *Facts) {
 	return pkg, &Facts{loader: loader}
 }
 
+func lookupFunc(t *testing.T, pkg *Package, name string) *types.Func {
+	t.Helper()
+	obj := pkg.Types.Scope().Lookup(name)
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		t.Fatalf("%s: not a function (%v)", name, obj)
+	}
+	return fn
+}
+
 // TestCrossPackageTaintRoundTrip checks that taint summaries survive the
-// package boundary the same way allocation facts do: analyzing tainta
+// package boundary: analyzing tainta
 // computes taintb's summaries on demand, the source's Returns fact and
 // the wrapper's ParamSink fact both export, and the clean path stays
 // clean.

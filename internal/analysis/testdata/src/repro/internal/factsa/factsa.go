@@ -1,20 +1,8 @@
-// Package factsa is the caller side of the cross-package fact
-// round-trip test.
+// Package factsa is the caller side of the cross-package fact cache test.
 package factsa
 
 import "repro/internal/factsb"
 
-//mehpt:hotpath
-func Hot(s []int) []int {
+func Grow(s []int) []int {
 	return factsb.Grow(s)
-}
-
-//mehpt:hotpath
-func Clean(x int) int {
-	return factsb.Pure(x)
-}
-
-//mehpt:hotpath
-func HotWaived(s []int) []int {
-	return factsb.GrowWaived(s)
 }

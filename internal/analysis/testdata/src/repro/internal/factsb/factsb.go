@@ -1,21 +1,7 @@
-// Package factsb is the callee side of the cross-package fact
-// round-trip test: its summaries are computed when package factsa is
-// analyzed, and its waivers must be honoured from the other side of the
-// package boundary.
+// Package factsb is the callee side of the cross-package fact cache test:
+// its facts are computed when package factsa is loaded.
 package factsb
 
-// Grow allocates: callers reaching it through the call graph offend.
 func Grow(s []int) []int {
 	return append(s, 1)
-}
-
-// Pure is allocation-free.
-func Pure(x int) int {
-	return x * 2
-}
-
-// GrowWaived allocates too, but the site is waived here in its own
-// package — hot callers in factsa must not be flagged for reaching it.
-func GrowWaived(s []int) []int {
-	return append(s, 1) //mehpt:allow hotalloc -- round-trip fixture: waiver crosses the package boundary
 }

@@ -117,8 +117,6 @@ func toFront(r uint64, k uint, p uint64) uint64 {
 // word as it is; past it the scan runs in slot order, so its loads do not
 // wait on the recency word and a miss in a full set runs a fixed trip
 // count.
-//
-//mehpt:hotpath
 func (c *Cache) probe(pa addr.PhysAddr) (want, si uint64, hit bool) {
 	ln := uint64(pa) >> c.lineBits
 	want, si = ln+1, c.setOf(ln)
@@ -144,8 +142,6 @@ func (c *Cache) probe(pa addr.PhysAddr) (want, si uint64, hit bool) {
 // into the slot the LRU nibble names, the victim when the set is full and
 // an empty slot otherwise (empties are a suffix of recency order), and
 // that nibble moves to the front, so the empties stay a suffix.
-//
-//mehpt:hotpath
 func (c *Cache) push(si, want uint64) {
 	r := c.recency[si]
 	p := r >> (4 * c.lruPos) & 15
@@ -207,8 +203,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Access performs one memory access and returns its round-trip latency. It
 // probes each level once, outward until one hits (DRAM when none does), and
 // fills the line into every level that missed (inclusive hierarchy).
-//
-//mehpt:hotpath
 func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 	var wants, sets [3]uint64
 	lat := h.dramLatency
@@ -234,8 +228,6 @@ func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 // AccessBatch performs one memory access per element of pas, writing each
 // access's round-trip latency into lats[i], exactly as len(pas) sequential
 // Access calls.
-//
-//mehpt:hotpath
 func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 	for i, pa := range pas {
 		lats[i] = h.Access(pa)
@@ -251,8 +243,6 @@ func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 // exactly why a four-access sequential radix walk is materially slower than
 // a single hashed probe (Figure 9's mechanism, and Section I's point that
 // tree walks cannot exploit memory-level parallelism).
-//
-//mehpt:hotpath
 func (h *Hierarchy) AccessPT(pa addr.PhysAddr) uint64 {
 	_ = pa
 	h.dramHits++

@@ -217,8 +217,6 @@ func (t *Table) occupancy() float64 {
 // for them. Both tables of way i use the same hash function and power-of-two
 // sizes, so one hash value serves both — only the mask differs (the paper's
 // upsize-bit property).
-//
-//mehpt:hotpath
 func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 	w := t.cur[i]
 	idx := h & (w.size() - 1)
@@ -231,8 +229,6 @@ func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 
 // locate is locateHash with the hash computed here. Multi-way loops hoist
 // the shared CRC through t.mixer instead of calling this per way.
-//
-//mehpt:hotpath
 func (t *Table) locate(i int, key uint64) (*way, uint64) {
 	return t.locateHash(i, t.fns[i].Hash(key))
 }
@@ -248,8 +244,6 @@ type Slot struct {
 }
 
 // WayOf returns the way index currently holding key.
-//
-//mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) {
 	crc := t.mixer.CRC(key)
 	for i := 0; i < t.cfg.Ways; i++ {
@@ -262,8 +256,6 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 }
 
 // Lookup returns the value stored for key.
-//
-//mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	v, _, ok := t.LookupSlot(key)
 	return v, ok
@@ -272,8 +264,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // LookupSlot is Lookup additionally reporting the slot that hit — the
 // fused walk prices its probe from it without hashing key a second time.
 // Its statistics footprint is identical to Lookup's.
-//
-//mehpt:hotpath
 func (t *Table) LookupSlot(key uint64) (uint64, Slot, bool) {
 	t.stats.Lookups++
 	crc := t.mixer.CRC(key)

@@ -38,8 +38,6 @@ type LRU struct {
 func NewLRU(entries int) LRU { return LRU{entries: entries} }
 
 // Lookup reports whether tag is cached, making it the most recent on a hit.
-//
-//mehpt:hotpath
 func (c *LRU) Lookup(tag uint64) bool {
 	for i, t := range c.tags {
 		if t == tag {
@@ -53,14 +51,12 @@ func (c *LRU) Lookup(tag uint64) bool {
 
 // Insert makes tag the most recent entry, evicting the least recent one
 // when the cache is full.
-//
-//mehpt:hotpath
 func (c *LRU) Insert(tag uint64) {
 	if c.Lookup(tag) {
 		return
 	}
 	if len(c.tags) < c.entries {
-		c.tags = append(c.tags, 0) //mehpt:allow hotalloc -- one-time warm-up growth up to c.entries, amortized to zero
+		c.tags = append(c.tags, 0) // grows to c.entries once; later inserts reuse it
 	}
 	copy(c.tags[1:], c.tags)
 	c.tags[0] = tag
@@ -102,8 +98,6 @@ func New() *Walker {
 // it must also fetch the CWT entry from memory; the returned address is
 // that extra access (to be priced by the cache hierarchy). Probing fills
 // the caches, as the subsequent CWT fetch would.
-//
-//mehpt:hotpath
 func (w *Walker) Probe(va addr.VirtAddr) (hit bool, cwtFetch addr.PhysAddr, lat uint64) {
 	pmdRegion := uint64(va) >> addr.Page2M.Shift()
 	pudRegion := uint64(va) >> addr.Page1G.Shift()

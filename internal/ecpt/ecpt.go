@@ -198,14 +198,10 @@ func (t *Table) Insert(key, val uint64) (uint64, error) {
 func (t *Table) SetValue(key, val uint64) { t.tb.Replace(key, val) }
 
 // Lookup returns the value for key.
-//
-//mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 
 // Walk is Lookup additionally returning the physical address of the probe
 // slot of the way that hit, with the same statistics footprint.
-//
-//mehpt:hotpath
 func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 	id, slot, ok := t.tb.LookupSlot(key)
 	if !ok {
@@ -223,14 +219,10 @@ func (t *Table) Delete(key uint64) uint64 {
 }
 
 // WayOf returns the way holding key.
-//
-//mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
 
 // slotAddr returns the physical address of a probe slot: the first group
 // backs the old ways, the last the resize target.
-//
-//mehpt:hotpath
 func (t *Table) slotAddr(s cuckoo.Slot) addr.PhysAddr {
 	g := &t.groups[0]
 	if s.InNext {

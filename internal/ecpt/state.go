@@ -97,7 +97,7 @@ func RestoreTable(st TableState, alloc phys.Source, cfg Config) (*Table, error) 
 		MaxKicks:       cfg.MaxKicks,
 		RehashBatch:    cfg.RehashBatch,
 		HashSeed:       cfg.HashSeed + uint64(st.Size)*0x2000,
-		Rand:           cfg.Rand, //mehpt:allow randowner -- restore path: the table's own counted source, repositioned by the checkpoint, not a shared generator
+		Rand:           cfg.Rand,
 		Hooks: cuckoo.Hooks{
 			AllocWays:      t.allocWays,
 			FreeWays:       t.freeWays,

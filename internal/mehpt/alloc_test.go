@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cuckoo"
 	"repro/internal/pt"
 )
 
@@ -65,4 +66,59 @@ func TestLookupAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRareWalkAllocFree extends the guard to the walk's rare branches: a
+// key below a resizing way's rehash pointer, which indexes the way's new
+// size, and a key in the software stash.
+func TestRareWalkAllocFree(t *testing.T) {
+	p, _ := newPT(t, 1*addr.GB)
+	var keys, below []uint64
+	for i := uint64(0); len(below) == 0; i++ {
+		if i == 1<<16 {
+			t.Fatal("no mapped key lies below a rehash pointer")
+		}
+		vpn := addr.VPN(i * pt.ClusterSpan)
+		if _, err := p.Map(vpn, addr.Page4K, addr.PPN(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, pt.ClusterKey(vpn))
+		below = belowPtr(p.Table(addr.Page4K), keys)
+	}
+	tb := p.Table(addr.Page4K)
+	var i int
+	if n := testing.AllocsPerRun(1000, func() {
+		k := below[i]
+		i = (i + 1) % len(below)
+		if _, _, ok := tb.Walk(k); !ok {
+			t.Fatal("walk below the rehash pointer missed")
+		}
+	}); n != 0 {
+		t.Errorf("Walk below the rehash pointer allocates %v objects per call", n)
+	}
+
+	stashed := pt.ClusterKey(addr.VPN(1 << 40))
+	tb.stashPut(cuckoo.Entry{Key: stashed, Val: 7})
+	if n := testing.AllocsPerRun(1000, func() {
+		if v, _, ok := tb.Walk(stashed); !ok || v != 7 {
+			t.Fatalf("stash walk = %d,%v", v, ok)
+		}
+	}); n != 0 {
+		t.Errorf("Walk of a stashed key allocates %v objects per call", n)
+	}
+}
+
+// belowPtr returns the keys whose old-size index lies below their way's
+// rehash pointer during a resize: their walks index the way's new size.
+func belowPtr(tb *Table, keys []uint64) []uint64 {
+	var out []uint64
+	for _, k := range keys {
+		if i, _, ok := tb.lookupSlot(k); ok {
+			w := tb.ways[i]
+			if w.resizing && w.fn.Hash(k)&(w.size-1) < w.ptr {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
 }

@@ -267,8 +267,6 @@ func (t *Table) Resizing() bool {
 // lookupSlot finds the way index and slot index holding key. One CRC pass
 // serves all W probes (hashfn.Mixer); each way reuses its hash across the
 // old and new index masks during resizes.
-//
-//mehpt:hotpath
 func (t *Table) lookupSlot(key uint64) (int, uint64, bool) {
 	crc := t.mixer.CRC(key)
 	for i, w := range t.ways {
@@ -281,8 +279,6 @@ func (t *Table) lookupSlot(key uint64) (int, uint64, bool) {
 }
 
 // stashIndex returns the stash position of key, or -1.
-//
-//mehpt:hotpath
 func (t *Table) stashIndex(key uint64) int {
 	for i, e := range t.stash {
 		if e.Key == key {
@@ -294,8 +290,6 @@ func (t *Table) stashIndex(key uint64) int {
 
 // Lookup returns the value stored for key, consulting the software
 // stash after the W hash probes (the OS-walked overflow path).
-//
-//mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
 	if i, idx, ok := t.lookupSlot(key); ok {
@@ -311,8 +305,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // slot that holds key, with the same statistics footprint. A
 // stash-resident entry reports way 0's probe address (WayOf does not see
 // the stash).
-//
-//mehpt:hotpath
 func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 	t.stats.Lookups++ // mirrors Lookup
 	if i, idx, ok := t.lookupSlot(key); ok {
@@ -327,16 +319,12 @@ func (t *Table) Walk(key uint64) (uint64, addr.PhysAddr, bool) {
 
 // WayOf returns the way index currently holding key, and whether it is in
 // a way (stash-resident entries are not).
-//
-//mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) {
 	i, _, ok := t.lookupSlot(key)
 	return i, ok
 }
 
 // ProbeAddr returns the physical address of way i's probe slot for key.
-//
-//mehpt:hotpath
 func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 	w := t.ways[i]
 	return w.slotPA(w.locate(key))
@@ -344,21 +332,20 @@ func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 
 // Insert stores key→val, resizing as needed. key must be absent, from
 // the ways and the stash alike (pt.SizeTable.Insert): Insert does not
-// probe for it. It returns the cycle cost of any physical allocations,
-// including on failure.
-func (t *Table) Insert(key, val uint64) (cycles uint64, err error) {
+// probe for it. It returns the cycle cost of the physical allocations a
+// resize the insert triggers makes.
+func (t *Table) Insert(key, val uint64) (uint64, error) {
 	// A stalled migration is not fatal to this insert: the stuck entry was
 	// rolled back and stays reachable; a later tick retries it.
-	c, _ := t.rehashTick() //mehpt:allow errwrap -- a stalled migration is a scheduling hint, not a failure (see comment above)
-	cycles += c
+	_ = t.rehashTick() //mehpt:allow errwrap -- a stalled migration is a scheduling hint, not a failure (see comment above)
 	kicks, err := t.place(cuckoo.Entry{Key: key, Val: val}, -1, true)
 	if err != nil {
-		return cycles, err
+		return 0, err
 	}
 	t.stats.Inserts++
 	t.stats.Reinsertions.Add(kicks)
 	t.drainStash()
-	cycles += t.maybeResize()
+	cycles := t.maybeResize()
 	t.notePeak()
 	return cycles, nil
 }
@@ -612,8 +599,7 @@ func (t *Table) drainStash() {
 // A stalled migration stops that way's progress for this tick — the entry
 // was rolled back and the pointer rewound — and the first stall error is
 // returned; later ticks retry with fresh displacement choices.
-func (t *Table) rehashTick() (uint64, error) {
-	var cycles uint64
+func (t *Table) rehashTick() error {
 	var firstErr error
 	for _, w := range t.ways {
 		if !w.resizing {
@@ -637,7 +623,7 @@ func (t *Table) rehashTick() (uint64, error) {
 			t.notePeak()
 		}
 	}
-	return cycles, firstErr
+	return firstErr
 }
 
 // migrateOne rehashes the entry under w's rehash pointer. It returns true
@@ -697,7 +683,7 @@ func (t *Table) migrateOne(w *way) (bool, error) {
 // valid); the caller decides whether to retry or surface the error.
 func (t *Table) drainResizes() error {
 	for t.Resizing() {
-		if _, err := t.rehashTick(); err != nil {
+		if err := t.rehashTick(); err != nil {
 			return err
 		}
 	}

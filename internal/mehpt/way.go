@@ -69,8 +69,6 @@ func (w *way) free() uint64 { return w.capacity() - w.occ }
 // the rehash pointer: hash keys whose old index is below the pointer belong
 // to the new table, indexed with one more (upsize) or one fewer (downsize)
 // bit of the same hash (Section IV-C).
-//
-//mehpt:hotpath
 func (w *way) locate(key uint64) uint64 {
 	return w.locateHash(w.fn.Hash(key))
 }
@@ -78,8 +76,6 @@ func (w *way) locate(key uint64) uint64 {
 // locateHash is locate for a precomputed hash value — the multi-way probe
 // loops compute one CRC per key through the table's Mixer and index every
 // way (and both resize sizes) from it.
-//
-//mehpt:hotpath
 func (w *way) locateHash(h uint64) uint64 {
 	oldIdx := h & (w.size - 1)
 	if !w.resizing || oldIdx >= w.ptr {
@@ -91,8 +87,6 @@ func (w *way) locateHash(h uint64) uint64 {
 // slotPA returns the physical address of slot idx, resolved through the
 // chunk store(s). During an out-of-place resize, new-table indices resolve
 // through the pending store.
-//
-//mehpt:hotpath
 func (w *way) slotPA(idx uint64) addr.PhysAddr {
 	off := idx * pt.EntryBytes
 	if w.pending != nil {

@@ -54,12 +54,10 @@ type Table interface {
 // HPTPageTable is the interface both ecpt.PageTable and mehpt.PageTable
 // satisfy (through pt.Hashed): the hashed-walk operations the MMU needs.
 type HPTPageTable interface {
-	//mehpt:hotpath
 	Translate(va addr.VirtAddr) (pt.Translation, bool)
 	// Walk is Translate additionally returning the physical address of the
 	// probe slot holding the translation, with Translate's statistics
 	// footprint: one probe sweep serves the TLB-miss path.
-	//mehpt:hotpath
 	Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 }
 
@@ -69,7 +67,6 @@ type walker interface {
 	// walk resolves va in the bound table, pricing its memory accesses
 	// through mem, and returns the translation, the walk latency, and
 	// whether a translation exists.
-	//mehpt:hotpath
 	walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool)
 	// bind makes table the walk target; it must be of the walker's family.
 	bind(table Table)
@@ -131,8 +128,6 @@ func (m *MMU) Table() Table { return m.table }
 // on a miss. TLB coherence — every resident entry resolves in the bound
 // table with the same PPN — is the scrubber-enforced invariant that makes
 // the payload trustworthy.
-//
-//mehpt:hotpath
 func (m *MMU) Translate(va addr.VirtAddr) Result {
 	m.stats.Translations++
 	r, s, pay, lat := m.TLB.LookupVA(va)
@@ -151,8 +146,6 @@ func (m *MMU) Translate(va addr.VirtAddr) Result {
 // (parallel-probe) miss latency is tlbLat, and fills the TLB on success.
 // Both the scalar Translate and the batch pipeline's TranslateWalk funnel
 // through this, which keeps their results and stats bit-identical.
-//
-//mehpt:hotpath
 func (m *MMU) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
 	tr, walk, ok := m.walker.walk(va, m.Mem)
@@ -184,8 +177,6 @@ func (m *MMU) walk(va addr.VirtAddr, tlbLat uint64) Result {
 // caller's pending data accesses also touch; everything before it commutes
 // (TLB hits touch only TLB state). At most BatchWidth elements are consumed
 // per call.
-//
-//mehpt:hotpath
 func (m *MMU) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
 	if len(vas) > tlb.BatchWidth {
 		vas = vas[:tlb.BatchWidth]
@@ -205,8 +196,6 @@ func (m *MMU) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, 
 // batch, so only the page walk remains. missLat is the miss latency
 // TranslateBatchPAs returned. Calling Translate instead would double-count
 // the TLB probes.
-//
-//mehpt:hotpath
 func (m *MMU) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
 	return m.walk(va, missLat)
 }
@@ -249,8 +238,6 @@ type hashedWalker struct {
 // the CWC lookup (both fixed-latency); the ME-HPT L2P access hides behind
 // the CWC as well (Section V-D), so the pre-probe latency is
 // max(hash, CWC) = CWC.
-//
-//mehpt:hotpath
 func (w *hashedWalker) walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool) {
 	walk := uint64(hashfn.Latency)
 	hit, cwtPA, cwcLat := w.cwc.Probe(va)
@@ -293,8 +280,6 @@ type radixWalker struct {
 }
 
 // walk performs the sequential tree walk.
-//
-//mehpt:hotpath
 func (w *radixWalker) walk(va addr.VirtAddr, mem *cache.Hierarchy) (pt.Translation, uint64, bool) {
 	pas, tr, ok := w.table.AppendWalkAddrs(w.buf[:0], va)
 	// The PWCs are probed in parallel: skip the deepest cached prefix (a

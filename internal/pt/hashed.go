@@ -18,15 +18,12 @@ type SizeTable interface {
 	// PageSize returns the page size the table translates.
 	PageSize() addr.PageSize
 	// Lookup returns the value stored for key.
-	//mehpt:hotpath
 	Lookup(key uint64) (uint64, bool)
 	// Walk is Lookup additionally returning the physical address of the
 	// probe slot the hardware walk reads for key, with Lookup's statistics
 	// footprint.
-	//mehpt:hotpath
 	Walk(key uint64) (val uint64, probe addr.PhysAddr, ok bool)
 	// WayOf returns the way holding key, without touching statistics.
-	//mehpt:hotpath
 	WayOf(key uint64) (int, bool)
 	// Insert stores key→val for a key the table does not hold, and
 	// returns the allocation cycles it spent, including on failure. Its
@@ -136,8 +133,6 @@ func inlinePage(val uint64) (uint, addr.PPN) {
 // get returns the translation in slot sub of the cluster val names. It is
 // a Slab method, not a generic Hashed one, so that it inlines into the
 // walk.
-//
-//mehpt:hotpath
 func (s *Slab) get(val uint64, sub uint) (addr.PPN, bool) {
 	if val&inlineBit != 0 {
 		return addr.PPN(val & inlinePPNMask), val&^inlinePPNMask == inlineBit|uint64(sub)<<inlineSubShift
@@ -214,8 +209,6 @@ func (h *Hashed[T]) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 
 // Translate resolves va against all page sizes, largest first (a huge-page
 // mapping shadows any stale base-page entries).
-//
-//mehpt:hotpath
 func (h *Hashed[T]) Translate(va addr.VirtAddr) (Translation, bool) {
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
 		s := addr.PageSize(i)
@@ -227,8 +220,6 @@ func (h *Hashed[T]) Translate(va addr.VirtAddr) (Translation, bool) {
 }
 
 // TranslateSize resolves vpn at exactly the given page size.
-//
-//mehpt:hotpath
 func (h *Hashed[T]) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
 	var none T
 	t := h.tables[s]
@@ -246,8 +237,6 @@ func (h *Hashed[T]) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 // holds its cluster — the fused equivalent of Translate, WayOf, and a probe
 // of the winning way, with Translate's statistics footprint (one lookup per
 // instantiated size table until the hit).
-//
-//mehpt:hotpath
 func (h *Hashed[T]) Walk(va addr.VirtAddr) (Translation, addr.PhysAddr, bool) {
 	var none T
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
@@ -270,8 +259,6 @@ func (h *Hashed[T]) Walk(va addr.VirtAddr) (Translation, addr.PhysAddr, bool) {
 
 // WayOf returns the way index holding va's cluster at page size s — ground
 // truth for the cuckoo walk tables.
-//
-//mehpt:hotpath
 func (h *Hashed[T]) WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool) {
 	var none T
 	t := h.tables[s]

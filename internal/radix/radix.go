@@ -257,8 +257,6 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 }
 
 // Translate resolves va by walking the tree.
-//
-//mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	id := uint64(0)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
@@ -291,14 +289,12 @@ func sizeAtLevel(lvl int) addr.PageSize {
 // at a huge leaf or a non-present entry. The boolean reports whether a
 // translation was found. A walk is at most MaxLevels accesses, so a caller
 // that reuses a scratch buffer of that capacity walks without allocating.
-//
-//mehpt:hotpath
 func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
 	id := uint64(0)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
 		ref := &p.nodes[id]
 		idx := addr.RadixIndex(va, lvl)
-		pas = append(pas, ref.frame.Addr(addr.Page4K)+addr.PhysAddr(uint64(idx)*entryBytes)) //mehpt:allow hotalloc -- appends into caller-owned scratch; steady state never grows it
+		pas = append(pas, ref.frame.Addr(addr.Page4K)+addr.PhysAddr(uint64(idx)*entryBytes))
 		w := ref.pte[idx]
 		if w&ptePresent == 0 {
 			return pas, pt.Translation{}, false

@@ -18,21 +18,31 @@ func residentRing() []addr.VirtAddr {
 	return ring
 }
 
-// warmMachine builds a machine of the given organization and faults the
-// resident ring in.
-func warmMachine(t *testing.T, org Org) (*Machine, []addr.VirtAddr) {
+// walkRing is a 16384-reference ring over as many pages, 16 times the L2
+// TLB's 1024 entries: replayed in order, every reference misses every TLB
+// and walks the page table.
+func walkRing() []addr.VirtAddr {
+	ring := make([]addr.VirtAddr, 16384)
+	for i := range ring {
+		ring[i] = workload.BaseVA + addr.VirtAddr(i)*4*addr.KB
+	}
+	return ring
+}
+
+// warmMachine builds a machine of the given organization and faults ring
+// in.
+func warmMachine(t *testing.T, org Org, ring []addr.VirtAddr) *Machine {
 	t.Helper()
 	m, err := NewMachine(Config{Org: org, Workload: workload.Spec{Name: "steady"},
 		Seed: 1, MemBytes: 4 * addr.GB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := residentRing()
 	var tally Tally
 	if err := m.eng.Run(ring, &tally); err != nil {
 		t.Fatal(err)
 	}
-	return m, ring
+	return m
 }
 
 // TestRunBatchesAllocs bounds the per-call allocations of RunBatches over a
@@ -43,7 +53,8 @@ func TestRunBatchesAllocs(t *testing.T) {
 	const batch = 8192
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
 		t.Run(org.String(), func(t *testing.T) {
-			m, ring := warmMachine(t, org)
+			ring := residentRing()
+			m := warmMachine(t, org, ring)
 			var failed bool
 			allocs := testing.AllocsPerRun(20, func() {
 				pos := 0
@@ -74,20 +85,51 @@ func TestRunBatchesAllocs(t *testing.T) {
 func TestEngineRunAllocFree(t *testing.T) {
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
 		t.Run(org.String(), func(t *testing.T) {
-			m, ring := warmMachine(t, org)
-			var tally Tally
-			var err error
-			allocs := testing.AllocsPerRun(100, func() {
-				if e := m.eng.Run(ring, &tally); e != nil {
-					err = e
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if allocs != 0 {
+			ring := residentRing()
+			m := warmMachine(t, org, ring)
+			if allocs := engineAllocs(t, m, ring, 100); allocs != 0 {
 				t.Errorf("Engine.Run allocates %v times per call, want 0", allocs)
 			}
 		})
 	}
+}
+
+// TestEngineRunWalkAllocFree: the walk path allocates nothing either. Once
+// the ring is mapped, every replayed reference misses every TLB and walks,
+// for every organization.
+func TestEngineRunWalkAllocFree(t *testing.T) {
+	for _, org := range []Org{Radix, ECPT, MEHPT} {
+		t.Run(org.String(), func(t *testing.T) {
+			ring := walkRing()
+			m := warmMachine(t, org, ring)
+			const runs = 5
+			before := m.eng.MMU.Stats()
+			allocs := engineAllocs(t, m, ring, runs)
+			after := m.eng.MMU.Stats()
+			refs := uint64(runs+1) * uint64(len(ring)) // AllocsPerRun adds a warm-up call
+			if walks := after.Walks - before.Walks; walks != refs {
+				t.Fatalf("%d of %d replayed references walked, want all", walks, refs)
+			}
+			if allocs != 0 {
+				t.Errorf("walk-bound Engine.Run allocates %v times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// engineAllocs replays ring through m's engine and returns the
+// allocations per Engine.Run call.
+func engineAllocs(t *testing.T, m *Machine, ring []addr.VirtAddr, runs int) float64 {
+	t.Helper()
+	var tally Tally
+	var err error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if e := m.eng.Run(ring, &tally); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }

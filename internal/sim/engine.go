@@ -25,11 +25,8 @@ type Tally struct {
 // MMU is the translation front end an Engine drives: a *mmu.MMU, or a test
 // double that fakes a fault the OS cannot fix.
 type MMU interface {
-	//mehpt:hotpath
 	Translate(va addr.VirtAddr) mmu.Result
-	//mehpt:hotpath
 	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
-	//mehpt:hotpath
 	TranslateWalk(va addr.VirtAddr, missLat uint64) mmu.Result
 	Stats() mmu.Stats
 }
@@ -63,8 +60,6 @@ type Engine struct {
 // OS fault handler's error, or ErrFaultPersisted. That reference's
 // translation and fault-handling cycles are in t, but t.Accesses does not
 // count it; drivers that count attempted references add it themselves.
-//
-//mehpt:hotpath
 func (e *Engine) Run(vas []addr.VirtAddr, t *Tally) error {
 	mm, mem := e.MMU, e.Cache
 	accesses, xlat, data := t.Accesses, t.XlatCycles, t.DataCycles
@@ -93,7 +88,7 @@ func (e *Engine) Run(vas []addr.VirtAddr, t *Tally) error {
 		r := mm.TranslateWalk(va, missLat)
 		xlat += r.Cycles
 		if r.Fault {
-			cycles, ferr := e.OS.HandleFault(va) //mehpt:allow hotalloc -- fault path: a miss leaves the translation fast path by design
+			cycles, ferr := e.OS.HandleFault(va)
 			t.OSCycles += cycles
 			if ferr != nil {
 				err = ferr

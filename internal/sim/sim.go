@@ -378,7 +378,6 @@ func (m *Machine) populate(res *Result) error {
 // a short (including zero) fill ends the run. workload.Trace satisfies it
 // directly; funcSource and streamSource adapt the other producers.
 type vaSource interface {
-	//mehpt:hotpath
 	NextBatch(out []addr.VirtAddr) int
 }
 
@@ -462,9 +461,8 @@ func (m *Machine) RunAddresses(gen func(emit func(va addr.VirtAddr))) Result {
 // funcSource adapts a plain fill callback to vaSource.
 type funcSource func(out []addr.VirtAddr) int
 
-//mehpt:hotpath
 func (f funcSource) NextBatch(out []addr.VirtAddr) int {
-	return f(out) //mehpt:allow hotalloc -- the callback is the caller's trace generator, outside the modeled pipeline; one dynamic call per BatchWidth accesses
+	return f(out)
 }
 
 // RunBatches drives the machine from a batch producer: next fills the
@@ -487,7 +485,6 @@ type streamSource struct {
 	err error
 }
 
-//mehpt:hotpath
 func (s *streamSource) NextBatch(out []addr.VirtAddr) int {
 	n, err := s.s.NextBatch(out)
 	if err != nil && err != io.EOF {

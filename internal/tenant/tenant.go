@@ -497,8 +497,6 @@ func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion
 // quantum end. Neither the draws nor the trace depend on translation
 // results, so the RNG draw order — and every canonical result — matches a
 // one-access-at-a-time loop.
-//
-//mehpt:hotpath
 func runQuantum(cfg Config, p *process, sh *shard, shared *sharedRegion) {
 	n := cfg.Quantum
 	if n > p.left {
@@ -531,8 +529,6 @@ func runQuantum(cfg Config, p *process, sh *shard, shared *sharedRegion) {
 // runPrivate runs p's next k private trace accesses through the shard's
 // engine, faulting on demand. It returns false when the tenant fails; the
 // access that failed is not counted.
-//
-//mehpt:hotpath
 func runPrivate(p *process, sh *shard, k int) bool {
 	var vas []addr.VirtAddr
 	if p.replay != nil {
@@ -566,8 +562,6 @@ func runPrivate(p *process, sh *shard, k int) bool {
 // sharedAccess touches one page of the shared segment: a TLB probe on the
 // shard, a shared-table lookup for the frame, and on a TLB miss the
 // hashed-walk cost of one shared page-table probe.
-//
-//mehpt:hotpath
 func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
 	page := uint64(p.rng.Int63()) % shared.pages
 	va := SharedBaseVA + addr.VirtAddr(page*4*addr.KB)

@@ -57,6 +57,24 @@ func TestHierarchyLookupAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("hierarchy lookup allocates %v objects per call", n)
 	}
+
+	// Five pages of one 4-way L1 set, looked up in insertion order: the
+	// first was evicted from L1 by the fifth, and each refill evicts the
+	// next, so every lookup hits L2 and refills L1.
+	var vas [5]addr.VirtAddr
+	for i := range vas {
+		vas[i] = addr.VirtAddr(0x4000_0000 + i*16*4096)
+		h.Insert(vas[i], addr.Page4K, uint64(i))
+	}
+	var i int
+	if n := testing.AllocsPerRun(1000, func() {
+		if r, _, _ := h.Lookup(vas[i], addr.Page4K); r != HitL2 {
+			t.Fatalf("lookup of page %d = %v, want an L2 hit", i, r)
+		}
+		i = (i + 1) % len(vas)
+	}); n != 0 {
+		t.Errorf("L2 hit with L1 refill allocates %v objects per call", n)
+	}
 }
 
 // TestLookupBatchPAsAllocFree guards the fused entry point the simulator's

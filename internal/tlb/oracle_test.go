@@ -20,7 +20,6 @@ type refTLB struct {
 	sets    [][]refEntry
 	ways    int
 	latency uint64
-	stats   Stats
 }
 
 // newRefTLB applies New's geometry rule: a Ways value of 0 or above
@@ -60,11 +59,9 @@ func (r *refTLB) front(vpn addr.VPN, i int) {
 func (r *refTLB) lookup(vpn addr.VPN) (uint64, bool) {
 	i := r.index(vpn)
 	if i < 0 {
-		r.stats.Misses++
 		return 0, false
 	}
 	r.front(vpn, i)
-	r.stats.Hits++
 	return (*r.set(vpn))[0].pay, true
 }
 
@@ -175,18 +172,10 @@ func (r *refHierarchy) entries() []visited {
 	return out
 }
 
-// checkRef fails the test unless every TLB's counters and the resident
-// entries, in recency order, equal the reference model's.
+// checkRef fails the test unless every TLB's resident entries, in recency
+// order, equal the reference model's.
 func checkRef(t *testing.T, op int, h *Hierarchy, ref *refHierarchy) {
 	t.Helper()
-	for s := range h.l1 {
-		if got, want := h.l1[s].stats, ref.l1[s].stats; got != want {
-			t.Fatalf("op %d: %v L1 stats %+v, reference %+v", op, addr.PageSize(s), got, want)
-		}
-		if got, want := h.l2[s].stats, ref.l2[s].stats; got != want {
-			t.Fatalf("op %d: %v L2 stats %+v, reference %+v", op, addr.PageSize(s), got, want)
-		}
-	}
 	var got []visited
 	h.VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
 		got = append(got, visited{vpn, s, level, pay})

@@ -16,11 +16,6 @@ type Config struct {
 	Latency uint64 // round-trip cycles
 }
 
-// Stats counts TLB behaviour.
-type Stats struct {
-	Hits, Misses uint64
-}
-
 // TLB is one set-associative translation lookaside buffer keyed by VPN.
 //
 // The tag store is a single flat set-major array (sets × ways), with 0
@@ -35,8 +30,8 @@ type Stats struct {
 // Each slot also carries a 64-bit payload (the PPN of the cached
 // translation), moved in lockstep with its tag. A real TLB stores the frame
 // number next to the tag; modelling that lets a hit return the completed
-// translation without re-probing the page table. Payloads are timing- and
-// stats-invisible: only the tag array decides hit/miss, LRU, and eviction.
+// translation without re-probing the page table. Payloads are
+// timing-invisible: only the tag array decides hit/miss, LRU, and eviction.
 type TLB struct {
 	cfg     Config
 	sets    uint64
@@ -47,7 +42,6 @@ type TLB struct {
 	tags    []uint64 // sets × ways, set-major; 0 = empty
 	pays    []uint64 // payload per slot, parallel to tags in the same allocation
 	heads   []uint32 // MRU slot of each set
-	stats   Stats
 }
 
 // New creates a TLB. A Ways value of 0 or ≥ Entries makes it fully
@@ -128,29 +122,23 @@ func promote(tags, pays []uint64, h, p int) {
 	tags[h], pays[h] = tag, pay
 }
 
-// probe looks vpn up, promoting it to MRU and counting the hit or miss. It
-// returns vpn's set, so an L2 hit refills L1 without a second probe.
-//
-//mehpt:hotpath
+// probe looks vpn up, promoting it to MRU on a hit. It returns vpn's set,
+// so an L2 hit refills L1 without a second probe.
 func (t *TLB) probe(vpn addr.VPN) (si, pay uint64, hit bool) {
 	si = t.setOf(vpn)
 	tags, pays, h := t.ring(si)
 	p := find(tags, h, uint64(vpn)+1)
 	if p < 0 {
-		t.stats.Misses++
 		return si, 0, false
 	}
 	pay = pays[p]
 	promote(tags, pays, h, p)
-	t.stats.Hits++
 	return si, pay, true
 }
 
 // push makes tag, which must be absent, the MRU entry of set si: the head
 // steps back one slot, onto the LRU victim when the set is full and onto
 // the last empty slot otherwise, so the empties stay a suffix.
-//
-//mehpt:hotpath
 func (t *TLB) push(si, tag, pay uint64) {
 	h := t.heads[si]
 	if h == 0 {
@@ -164,8 +152,6 @@ func (t *TLB) push(si, tag, pay uint64) {
 
 // Lookup probes for vpn, updating LRU on a hit and returning the slot's
 // payload.
-//
-//mehpt:hotpath
 func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 	_, pay, hit := t.probe(vpn)
 	return pay, hit
@@ -173,8 +159,6 @@ func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 
 // Insert installs vpn with its payload, evicting the set's LRU entry if
 // needed. Re-inserting a resident vpn refreshes its payload and MRU slot.
-//
-//mehpt:hotpath
 func (t *TLB) Insert(vpn addr.VPN, pay uint64) {
 	si := t.setOf(vpn)
 	tags, pays, h := t.ring(si)
@@ -231,8 +215,8 @@ const BatchWidth = 64
 //
 // live has bit s set once size s has had an Insert since the last Flush;
 // Invalidate leaves it set. A size whose bit is clear holds no entry, so
-// Lookup counts its two misses without probing. With THP off every full
-// miss would otherwise scan the empty 2MB and 1GB TLBs as well.
+// Lookup misses it without probing. With THP off every full miss would
+// otherwise scan the empty 2MB and 1GB TLBs as well.
 type Hierarchy struct {
 	l1   [addr.NumPageSizes]*TLB
 	l2   [addr.NumPageSizes]*TLB
@@ -265,15 +249,10 @@ const (
 
 // Lookup probes L1 then L2 for va at page size s, returning the outcome,
 // the hit payload, and the lookup latency. An L2 hit refills L1. A size
-// with no Insert since the last Flush is not probed: both levels count
-// the miss their probes would have.
-//
-//mehpt:hotpath
+// with no Insert since the last Flush is not probed.
 func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, uint64) {
 	l1, l2 := h.l1[s], h.l2[s]
 	if h.live&(1<<s) == 0 {
-		l1.stats.Misses++
-		l2.stats.Misses++
 		return MissAll, 0, l1.cfg.Latency + l2.cfg.Latency
 	}
 	vpn := va.PageNumber(s)
@@ -293,8 +272,6 @@ func (h *Hierarchy) Lookup(va addr.VirtAddr, s addr.PageSize) (Result, uint64, u
 // hit it returns the level, winning page size, payload, and that size's hit
 // latency; on a full miss it returns MissAll with the maximum per-size miss
 // latency (the parallel-probe timing model the scalar path uses).
-//
-//mehpt:hotpath
 func (h *Hierarchy) LookupVA(va addr.VirtAddr) (Result, addr.PageSize, uint64, uint64) {
 	var miss uint64
 	for _, s := range addr.Sizes() {
@@ -312,13 +289,11 @@ func (h *Hierarchy) LookupVA(va addr.VirtAddr) (Result, addr.PageSize, uint64, u
 // address of each resolved element; the per-element metadata collapses into
 // aggregates — the L1-hit count and the summed lookup latency. It stops at
 // the first element that misses every structure: that element's probes
-// have already been performed and counted, so the caller must complete it
+// have already been performed and priced, so the caller must complete it
 // with the page walk directly, NOT by calling LookupVA again. Returns the
 // resolved count n, the L1-hit count among them, the summed latency, and
 // (when n < len(vas)) element n's full-miss latency. At most BatchWidth
 // elements are consumed per call.
-//
-//mehpt:hotpath
 func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64, uint64) {
 	if len(vas) > BatchWidth {
 		vas = vas[:BatchWidth]
@@ -340,8 +315,6 @@ func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (in
 
 // Insert installs a completed translation (payload pay, the PPN) into both
 // levels.
-//
-//mehpt:hotpath
 func (h *Hierarchy) Insert(va addr.VirtAddr, s addr.PageSize, pay uint64) {
 	vpn := va.PageNumber(s)
 	h.live |= 1 << s

@@ -206,8 +206,6 @@ func (r *BinaryReader) Remaining() uint64 { return r.remaining }
 // an error wrapping ErrTruncated. Sections are not visible here — records
 // stream contiguously in section order; callers that need per-section
 // framing use ReadSections or walk Sections() counts themselves.
-//
-//mehpt:hotpath
 func (r *BinaryReader) NextBatch(out []addr.VirtAddr) (int, error) {
 	if r.remaining == 0 || len(out) == 0 {
 		if r.err != nil {
@@ -228,15 +226,15 @@ func (r *BinaryReader) NextBatch(out []addr.VirtAddr) (int, error) {
 		if n > stagingRecords {
 			n = stagingRecords
 		}
-		read, err := io.ReadFull(r.r, r.buf[:n*8]) //mehpt:allow hotalloc -- bufio read into the reused staging buffer; stdlib allocates only on its error path
+		read, err := io.ReadFull(r.r, r.buf[:n*8])
 		whole := read / 8
 		for i := 0; i < whole; i++ {
-			out[decoded+i] = addr.VirtAddr(binary.LittleEndian.Uint64(r.buf[i*8 : i*8+8])) //mehpt:allow hotalloc -- LE load from the staging buffer; compiles to a single move, no allocation
+			out[decoded+i] = addr.VirtAddr(binary.LittleEndian.Uint64(r.buf[i*8 : i*8+8]))
 		}
 		decoded += whole
 		r.remaining -= uint64(whole)
 		if err != nil {
-			r.err = fmt.Errorf("%w: %d records missing", ErrTruncated, r.remaining) //mehpt:allow hotalloc -- decode-failure path: a truncated trace ends the replay
+			r.err = fmt.Errorf("%w: %d records missing", ErrTruncated, r.remaining)
 			r.remaining = 0
 			if decoded > 0 {
 				return decoded, nil

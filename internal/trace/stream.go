@@ -21,7 +21,6 @@ import (
 //   - (0, other) is a decode failure; the records already returned are
 //     valid.
 type Stream interface {
-	//mehpt:hotpath
 	NextBatch(out []addr.VirtAddr) (int, error)
 }
 
@@ -30,8 +29,6 @@ type Stream interface {
 // this decodes record-at-a-time into out; the batching benefit for this
 // format is amortizing the per-access interface call in the simulator, not
 // the decode itself.
-//
-//mehpt:hotpath
 func (r *Reader) NextBatch(out []addr.VirtAddr) (int, error) {
 	if r.err != nil {
 		err := r.err
@@ -39,7 +36,7 @@ func (r *Reader) NextBatch(out []addr.VirtAddr) (int, error) {
 		return 0, err
 	}
 	for i := range out {
-		va, err := r.Next() //mehpt:allow hotalloc -- legacy varint decode: record-at-a-time by design; the binary format is the allocation-free fast path
+		va, err := r.Next()
 		if err != nil {
 			if i > 0 {
 				r.err = err

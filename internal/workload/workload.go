@@ -310,8 +310,6 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 // many it produced — short only when the trace ends. It draws the exact
 // RNG sequence len-sequential-Next-calls would, so a batched consumer sees
 // a bit-identical access stream.
-//
-//mehpt:hotpath
 func (t *Trace) NextBatch(out []addr.VirtAddr) int {
 	for i := range out {
 		va, ok := t.Next()

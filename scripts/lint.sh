@@ -4,10 +4,9 @@
 #
 # The suite (internal/analysis, see DESIGN.md § "Mechanically enforced
 # invariants" and § "Snapshot completeness & determinism taint") runs
-# six analyzers plus the waiver audit: determinism bans and taint
-# (detflow), RNG ownership (randowner), address units (addrspace),
-# hot-path allocation (hotalloc), error wrapping (errwrap), snapshot
-# completeness (statecover), and stale //mehpt:allow waivers
+# four analyzers plus the waiver audit: determinism bans and taint
+# (detflow), address units (addrspace), error wrapping (errwrap),
+# snapshot completeness (statecover), and stale //mehpt:allow waivers
 # (staleallow).
 #
 # Environment knobs:

@@ -49,8 +49,6 @@ type Pass struct {
 	// Facts answers cross-package questions (function declarations and
 	// their taint summaries) for type-aware analyzers.
 	Facts *Facts
-	// Ann is the annotation table of the package under analysis.
-	Ann *Annotations
 
 	diags *[]Diagnostic
 }
@@ -116,8 +114,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // accumulator (keyed by analyzer name; entries must pre-exist).
 func runAnalyzers(pkg *Package, analyzers []*Analyzer, metrics map[string]*Metrics) ([]Diagnostic, error) {
 	allows, diags := pkg.loader.AllowsFor(pkg)
-	ann := CollectAnnotations(pkg)
-	diags = append(diags, ann.Malformed...)
 	facts := &Facts{loader: pkg.loader}
 	for _, a := range analyzers {
 		var raw []Diagnostic
@@ -128,7 +124,6 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer, metrics map[string]*Metri
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			Facts:     facts,
-			Ann:       ann,
 			diags:     &raw,
 		}
 		start := time.Now()

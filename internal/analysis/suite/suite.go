@@ -8,7 +8,6 @@ import (
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/staleallow"
-	"repro/internal/analysis/statecover"
 )
 
 // All returns every analyzer in the mehpt-lint suite. staleallow is built
@@ -19,7 +18,6 @@ func All() []*analysis.Analyzer {
 		addrspace.Analyzer,
 		detflow.Analyzer,
 		errwrap.Analyzer,
-		statecover.Analyzer,
 	}
 	names := make([]string, 0, len(base))
 	for _, a := range base {

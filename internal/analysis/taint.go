@@ -241,9 +241,9 @@ func calleeName(call *ast.CallExpr) string {
 // IsStateStruct reports whether t (after pointer stripping) is a module
 // checkpoint state struct: an exported named struct defined under the
 // repro module whose name is "State" or ends in "State". Writes into such
-// structs are snapshot sinks for detflow and coverage subjects for
-// statecover. Unexported *State types (in-memory bookkeeping that never
-// meets a gob encoder) are deliberately excluded.
+// structs are snapshot sinks for detflow. Unexported *State types
+// (in-memory bookkeeping that never meets a gob encoder) are deliberately
+// excluded.
 func IsStateStruct(t types.Type) bool {
 	named := namedOf(t)
 	if named == nil {

@@ -157,7 +157,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 // metadata and never chases heap pointers.
 type Hierarchy struct {
 	levels [3]Cache
-	//mehpt:transient -- fixed geometry parameter; RestoreHierarchy re-derives it from the caller's HierarchyConfig
+	// Not in the snapshot: fixed geometry parameter; RestoreHierarchy re-derives it from the caller's HierarchyConfig
 	dramLatency uint64
 	dramHits    uint64
 }

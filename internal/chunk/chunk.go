@@ -54,9 +54,9 @@ func (s *Store) nextRung() uint64 {
 // list, the current chunk size, and the L2P entries that point at the
 // chunks. It is pure accounting — slot contents live in the page table.
 type Store struct {
-	//mehpt:transient -- RestoreStore reattaches the separately restored physical allocator
+	// Not in the snapshot: RestoreStore reattaches the separately restored physical allocator
 	alloc phys.Source
-	//mehpt:transient -- RestoreStore reattaches the separately restored L2P table
+	// Not in the snapshot: RestoreStore reattaches the separately restored L2P table
 	l2p    *l2p.Table
 	way    int
 	size   addr.PageSize

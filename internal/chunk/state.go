@@ -1,6 +1,8 @@
 package chunk
 
 import (
+	"fmt"
+
 	"repro/internal/addr"
 	"repro/internal/l2p"
 	"repro/internal/phys"
@@ -39,8 +41,27 @@ func (s *Store) State() State {
 // RestoreStore rebuilds a store over an already-restored allocator and L2P
 // table. It performs no allocation: the chunks in st are owned already
 // (their frames are marked allocated in the restored phys state, and their
-// L2P entries are part of the restored L2P accounting).
-func RestoreStore(st State, alloc phys.Source, tbl *l2p.Table) *Store {
+// L2P entries are part of the restored L2P accounting). It rejects a way
+// or page size the L2P table has no subtable for, a chunk size that is no
+// rung of the store's ladder, a way size that is not a power of two, and a
+// chunk list that does not cover the way exactly.
+func RestoreStore(st State, alloc phys.Source, tbl *l2p.Table) (*Store, error) {
+	ladder := st.Ladder
+	if ladder == nil {
+		ladder = Ladder
+	}
+	rung := false
+	for _, c := range ladder {
+		rung = rung || c == st.ChunkBytes
+	}
+	switch {
+	case st.Way < 0 || st.Way >= tbl.Ways() || !st.Size.Valid():
+		return nil, fmt.Errorf("chunk: way %d of %d at page size %d has no L2P subtable", st.Way, tbl.Ways(), st.Size)
+	case !rung || st.WayBytes == 0 || st.WayBytes&(st.WayBytes-1) != 0:
+		return nil, fmt.Errorf("chunk: chunk size %d on ladder %v or way size %d is invalid", st.ChunkBytes, ladder, st.WayBytes)
+	case len(st.Chunks) != chunksFor(st.WayBytes, st.ChunkBytes):
+		return nil, fmt.Errorf("chunk: %d chunks of %d bytes back a %d-byte way", len(st.Chunks), st.ChunkBytes, st.WayBytes)
+	}
 	s := &Store{
 		alloc:      alloc,
 		l2p:        tbl,
@@ -55,7 +76,7 @@ func RestoreStore(st State, alloc phys.Source, tbl *l2p.Table) *Store {
 	}
 	s.chunks = make([]addr.PPN, len(st.Chunks))
 	copy(s.chunks, st.Chunks)
-	return s
+	return s, nil
 }
 
 // Chunks returns the chunk base PPNs (scrubber access: each chunk is

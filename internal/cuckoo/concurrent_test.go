@@ -123,7 +123,7 @@ func TestConcurrentStatsCountReadPath(t *testing.T) {
 		if _, err := c.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
-		if c.Resizing() {
+		if c.next != nil {
 			resizing++
 		}
 		// Look up a present key and an absent one after every insert.
@@ -197,7 +197,7 @@ func TestConcurrentResizeSerialized(t *testing.T) {
 		if _, err := c.Insert(k, k+7); err != nil {
 			t.Fatal(err)
 		}
-		if !sawResize && c.Resizing() {
+		if !sawResize && c.next != nil {
 			sawResize = true
 		}
 		for r := 0; r < 4; r++ {

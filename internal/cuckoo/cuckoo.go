@@ -112,11 +112,11 @@ func (w *way) size() uint64 { return uint64(len(w.slots)) }
 
 // Table is the elastic cuckoo hash table. It is not safe for concurrent use.
 type Table struct {
-	//mehpt:transient -- RestoreTable requires the caller to re-supply the same Config (incl. a repositioned Rand)
+	// Not in the snapshot: RestoreTable requires the caller to re-supply the same Config (incl. a repositioned Rand)
 	cfg Config
-	//mehpt:transient -- pure function of cfg.HashSeed/Ways, re-derived by RestoreTable
+	// Not in the snapshot: pure function of cfg.HashSeed/Ways, re-derived by RestoreTable
 	fns []hashfn.Func
-	//mehpt:transient -- rebuilt from fns by RestoreTable
+	// Not in the snapshot: rebuilt from fns by RestoreTable
 	mixer *hashfn.Mixer // family-wide single-CRC hashing (read-only)
 	cur   []*way        // current table, one per way
 	next  []*way        // resize target, nil when not resizing
@@ -124,12 +124,12 @@ type Table struct {
 	rehashPtr []uint64
 	occupied  uint64
 	stats     Stats
-	//mehpt:transient -- owned and positioned by whoever supplied Config.Rand; RestoreTable panics without one
+	// Not in the snapshot: owned and positioned by whoever supplied Config.Rand; RestoreTable panics without one
 	rng *rand.Rand
 	// journal is tryPlace's displacement log, reused across insertions so
 	// the write path does not allocate in steady state. Chains are bounded
 	// by MaxKicks, and tryPlace is never re-entered while a chain is live.
-	//mehpt:transient -- scratch buffer, cleared at the end of every insert; always empty between operations
+	// Not in the snapshot: scratch buffer, cleared at the end of every insert; always empty between operations
 	journal []undo
 }
 
@@ -193,15 +193,21 @@ func (t *Table) EntriesPerWay() uint64 {
 	return t.cur[0].size()
 }
 
+// WaySizes returns the slots per way of the current ways and, during a
+// resize, of the target ways.
+func (t *Table) WaySizes() []uint64 {
+	if t.next != nil {
+		return []uint64{t.cur[0].size(), t.next[0].size()}
+	}
+	return []uint64{t.cur[0].size()}
+}
+
 // Capacity returns the total live slot count across ways. During a resize
 // this counts the target table, matching how occupancy thresholds are
 // evaluated.
 func (t *Table) Capacity() uint64 {
 	return t.EntriesPerWay() * uint64(t.cfg.Ways)
 }
-
-// Resizing reports whether a gradual resize is in flight.
-func (t *Table) Resizing() bool { return t.next != nil }
 
 // Stats returns the accumulated operation counts.
 func (t *Table) Stats() Stats { return t.stats }

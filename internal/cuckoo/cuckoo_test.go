@@ -152,7 +152,7 @@ func TestLookupDuringResize(t *testing.T) {
 			for kk, vv := range inserted {
 				if v, ok := tb.Lookup(kk); !ok || v != vv {
 					t.Fatalf("mid-resize Lookup(%d) = %d,%v want %d (resizing=%v)",
-						kk, v, ok, vv, tb.Resizing())
+						kk, v, ok, vv, tb.next != nil)
 				}
 			}
 		}
@@ -164,13 +164,13 @@ func TestDeleteDuringResize(t *testing.T) {
 	for k := uint64(0); k < 2000; k++ {
 		tb.Insert(k, k)
 	}
-	if !tb.Resizing() {
+	if tb.next == nil {
 		// Force a resize window: insert until one starts.
-		for k := uint64(2000); !tb.Resizing() && k < 100000; k++ {
+		for k := uint64(2000); tb.next == nil && k < 100000; k++ {
 			tb.Insert(k, k)
 		}
 	}
-	if !tb.Resizing() {
+	if tb.next == nil {
 		t.Skip("could not catch table mid-resize")
 	}
 	// Delete a batch mid-resize.
@@ -420,7 +420,7 @@ func TestRestoreTableRejectsBadGeometry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !tb.Resizing() {
+	if tb.next == nil {
 		t.Fatal("no resize in flight; the mutations need one")
 	}
 	cfg := tb.cfg

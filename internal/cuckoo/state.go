@@ -84,7 +84,8 @@ func (t *Table) State() TableState {
 // the restored allocator state. cfg must carry the same Ways/HashSeed as
 // the captured table (the hash family is re-derived from them) and, for
 // bit-identical resumption, a Rand repositioned to its captured draw
-// count. It returns an error for state checkGeometry rejects.
+// count. It returns an error for state checkGeometry rejects and for a
+// stored key in a slot where a lookup of it would not look.
 func RestoreTable(cfg Config, st TableState) (*Table, error) {
 	cfg = normalizeConfig(cfg)
 	rng := cfg.Rand
@@ -106,6 +107,21 @@ func RestoreTable(cfg Config, st TableState) (*Table, error) {
 	t.cur = restoreWays(st.Cur, t.fns)
 	t.next = restoreWays(st.Next, t.fns)
 	copy(t.rehashPtr, st.RehashPtr)
+	for i := range t.cur {
+		for _, ws := range [][]*way{t.cur, t.next} {
+			if ws == nil {
+				continue
+			}
+			for j, e := range ws[i].slots {
+				if e.Key == EmptyKey {
+					continue
+				}
+				if w, idx := t.locate(i, e.Key); w != ws[i] || idx != uint64(j) {
+					return nil, fmt.Errorf("cuckoo: way %d slot %d holds key %#x, which a lookup would not find there", i, j, e.Key)
+				}
+			}
+		}
+	}
 	return t, nil
 }
 

@@ -64,7 +64,7 @@ type Table struct {
 	size addr.PageSize
 	ways int
 	tb   *cuckoo.Table
-	//mehpt:transient -- RestoreTable reattaches the separately restored physical allocator
+	// Not in the snapshot: RestoreTable reattaches the separately restored physical allocator
 	alloc phys.Source
 	// groups holds live way allocations oldest-first: during a resize the
 	// first group backs the old table and the last the new one.

@@ -74,7 +74,7 @@ func TestPeakIncludesOldAndNew(t *testing.T) {
 	tab := p.Table(addr.Page4K)
 	rng := rand.New(rand.NewSource(61))
 	i := 0
-	for !tab.tb.Resizing() {
+	for len(tab.tb.WaySizes()) < 2 {
 		p.Map(addr.VPN(rng.Uint64()&0xFFFFFF), addr.Page4K, addr.PPN(i))
 		i++
 		if i > 200000 {

@@ -1,7 +1,9 @@
 package ecpt
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/addr"
 	"repro/internal/cuckoo"
@@ -69,8 +71,12 @@ func (t *Table) State() TableState {
 // allocating: the group bases are frames the restored allocator already
 // shows as owned. cfg must carry the captured table's HashSeed/Ways and a
 // Rand repositioned to its captured draw count. It returns an error for
-// way geometry cuckoo.RestoreTable rejects.
+// way geometry cuckoo.RestoreTable rejects, a way count other than cfg's,
+// and way groups Check rejects.
 func RestoreTable(st TableState, alloc phys.Source, cfg Config) (*Table, error) {
+	if st.Ways != cfg.Ways {
+		return nil, fmt.Errorf("size %v: %d ways, config has %d", st.Size, st.Ways, cfg.Ways)
+	}
 	t := &Table{size: st.Size, ways: st.Ways, alloc: alloc}
 	t.stats = Stats{
 		MaxContiguousAlloc: st.Stats.MaxContiguousAlloc,
@@ -108,6 +114,9 @@ func RestoreTable(st TableState, alloc phys.Source, cfg Config) (*Table, error) 
 	var err error
 	if t.tb, err = cuckoo.RestoreTable(ccfg, st.Cuckoo); err != nil {
 		return nil, fmt.Errorf("size %v: %w", st.Size, err)
+	}
+	if bad := t.Check(); len(bad) > 0 {
+		return nil, errors.New(strings.Join(bad, "; "))
 	}
 	return t, nil
 }
@@ -170,22 +179,19 @@ func (t *Table) Range(f func(key, val uint64)) {
 }
 
 // Check runs the structural consistency checks the scrubber reports: the
-// group list must back the cuckoo geometry (one group steady-state, two
-// mid-resize), with group sizes matching the way sizes.
+// group list must back the cuckoo geometry, one group of one base per way
+// for each way array in order (the current ways, then mid-resize the
+// target ways), each group's entries per way matching its array's size.
 func (t *Table) Check() []string {
-	want := 1
-	if t.tb.Resizing() {
-		want = 2
-	}
-	if len(t.groups) != want {
-		return []string{fmt.Sprintf("size %v: %d way groups, resize state wants %d", t.size, len(t.groups), want)}
+	sizes := t.tb.WaySizes()
+	if len(t.groups) != len(sizes) {
+		return []string{fmt.Sprintf("size %v: %d way groups, resize state wants %d", t.size, len(t.groups), len(sizes))}
 	}
 	var bad []string
-	last := t.groups[len(t.groups)-1]
-	if last.entriesPerWay != t.tb.EntriesPerWay() {
-		bad = append(bad, fmt.Sprintf("size %v: steady group backs %d entries/way, table is at %d", t.size, last.entriesPerWay, t.tb.EntriesPerWay()))
-	}
 	for gi, g := range t.groups {
+		if g.entriesPerWay != sizes[gi] {
+			bad = append(bad, fmt.Sprintf("size %v group %d: backs %d entries/way, table is at %d", t.size, gi, g.entriesPerWay, sizes[gi]))
+		}
 		if len(g.bases) != t.ways {
 			bad = append(bad, fmt.Sprintf("size %v group %d: %d way bases for %d ways", t.size, gi, len(g.bases), t.ways))
 		}

@@ -162,6 +162,12 @@ func TestPeakTracking(t *testing.T) {
 	if tb.SaveRestoreEntries() != 20 {
 		t.Errorf("SaveRestoreEntries=%d, want 20", tb.SaveRestoreEntries())
 	}
+	// A checkpoint carries the peak: a restored table reports it live.
+	var r Table
+	r.Restore(tb.State())
+	if r.TotalUsed() != 20 || r.PeakUsed() != 30 {
+		t.Errorf("restored TotalUsed=%d PeakUsed=%d, want 20/30", r.TotalUsed(), r.PeakUsed())
+	}
 }
 
 // TestGUPSScenario reproduces the paper's Section VII-D arithmetic: a 4KB

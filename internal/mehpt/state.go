@@ -1,7 +1,10 @@
 package mehpt
 
 import (
+	"errors"
 	"fmt"
+	"strings"
+
 	"repro/internal/addr"
 	"repro/internal/chunk"
 	"repro/internal/cuckoo"
@@ -120,7 +123,8 @@ func (t *Table) State() TableState {
 // restoreTable rebuilds one per-page-size table from recorded state. No
 // physical allocation happens: the chunk stores are reattached to frames
 // the restored allocator already shows as owned. It returns an error for
-// state checkWays rejects.
+// state checkWays, chunk.RestoreStore or Check rejects, and for a stored
+// key in a slot where a lookup of it would not look.
 func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) (*Table, error) {
 	if cfg.Rand == nil {
 		panic("mehpt: restore requires an explicitly positioned Config.Rand")
@@ -147,16 +151,29 @@ func restoreTable(st TableState, alloc phys.Source, tbl *l2p.Table, cfg Config) 
 			slots:    append([]cuckoo.Entry(nil), ws.Slots...),
 			size:     ws.Size,
 			occ:      ws.Occ,
-			store:    chunk.RestoreStore(ws.Store, alloc, tbl),
 			resizing: ws.Resizing,
 			up:       ws.Up,
 			newSize:  ws.NewSize,
 			ptr:      ws.Ptr,
 		}
+		var err error
+		if w.store, err = chunk.RestoreStore(ws.Store, alloc, tbl); err != nil {
+			return nil, fmt.Errorf("size %v way %d: %w", st.Size, i, err)
+		}
 		if ws.Pending != nil {
-			w.pending = chunk.RestoreStore(*ws.Pending, alloc, tbl)
+			if w.pending, err = chunk.RestoreStore(*ws.Pending, alloc, tbl); err != nil {
+				return nil, fmt.Errorf("size %v way %d: pending: %w", st.Size, i, err)
+			}
+		}
+		for j, e := range w.slots {
+			if e.Key != cuckoo.EmptyKey && w.locate(e.Key) != uint64(j) {
+				return nil, fmt.Errorf("size %v way %d slot %d holds key %#x, which a lookup would not find there", st.Size, i, j, e.Key)
+			}
 		}
 		t.ways[i] = w
+	}
+	if bad := t.Check(); len(bad) > 0 {
+		return nil, errors.New(strings.Join(bad, "; "))
 	}
 	return t, nil
 }

@@ -102,23 +102,23 @@ type Stats struct {
 
 // Table is one per-page-size ME-HPT. It is not safe for concurrent use.
 type Table struct {
-	//mehpt:transient -- restoreTable requires the caller to re-supply the same Config (incl. a repositioned Rand)
+	// Not in the snapshot: restoreTable requires the caller to re-supply the same Config (incl. a repositioned Rand)
 	cfg  Config
 	size addr.PageSize
-	//mehpt:transient -- reattached by restoreTable to the separately restored physical allocator
+	// Not in the snapshot: reattached by restoreTable to the separately restored physical allocator
 	alloc phys.Source
-	//mehpt:transient -- reattached by restoreTable to the separately restored L2P table
+	// Not in the snapshot: reattached by restoreTable to the separately restored L2P table
 	l2p  *l2p.Table
 	ways []*way
-	//mehpt:transient -- pure function of cfg.HashSeed and page size, re-derived by restoreTable
+	// Not in the snapshot: pure function of cfg.HashSeed and page size, re-derived by restoreTable
 	mixer *hashfn.Mixer // family-wide single-CRC hashing (read-only)
-	//mehpt:transient -- owned and positioned by whoever supplied Config.Rand; restoreTable panics without one
+	// Not in the snapshot: owned and positioned by whoever supplied Config.Rand; restoreTable panics without one
 	rng   *rand.Rand
 	stats Stats
 	// journal is tryPlace's displacement log, reused across insertions so
 	// the write path does not allocate in steady state. Chains are bounded
 	// by MaxKicks, and tryPlace is never re-entered while a chain is live.
-	//mehpt:transient -- scratch buffer, cleared at the end of every insert; always empty between operations
+	// Not in the snapshot: scratch buffer, cleared at the end of every insert; always empty between operations
 	journal []undo
 	// stash is the software overflow list: entries the table accepted but
 	// could not re-place during a degraded resize (e.g. a transition

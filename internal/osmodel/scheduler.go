@@ -79,17 +79,17 @@ type SchedulerStats struct {
 // happens more often at higher C); they are reported but excluded from the
 // canonical fingerprint.
 type MultiCore struct {
-	//mehpt:transient -- construction parameter re-supplied to RestoreMultiCore, not state
+	// Not in the snapshot: construction parameter re-supplied to RestoreMultiCore, not state
 	costs SwitchCosts
-	//mehpt:transient -- construction parameter re-supplied to RestoreMultiCore, not state
+	// Not in the snapshot: construction parameter re-supplied to RestoreMultiCore, not state
 	cores int
-	//mehpt:transient -- the processes are restored separately and re-attached by RestoreMultiCore
+	// Not in the snapshot: the processes are restored separately and re-attached by RestoreMultiCore
 	procs []*Proc
 	// incumbent[c] is the pid resident on core c, or -1 when the core has
 	// run nothing yet.
 	incumbent []int
 	src       *snapshot.Source // counting source under rng, for checkpoints
-	//mehpt:transient -- rebuilt as rand.New over src, whose stream position crosses the checkpoint as MultiCoreState.RNG
+	// Not in the snapshot: rebuilt as rand.New over src, whose stream position crosses the checkpoint as MultiCoreState.RNG
 	rng    *rand.Rand
 	perm   []int // scratch for the per-round permutation
 	rounds uint64

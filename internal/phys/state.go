@@ -50,9 +50,9 @@ func (m *Memory) State() MemoryState {
 // the normal constructor path (which would seed fresh free lists). It
 // returns an error if st describes a free map the allocator cannot hold:
 // a HeadOrder not one entry per frame, a MaxOrder out of range, a head
-// misaligned, past the end or above MaxOrder, or a free-list entry that
-// is no aligned frame of the range. The counters are restored as recorded;
-// the scrubber, not restore, checks them against the free map.
+// misaligned, past the end or above MaxOrder, two free blocks that
+// overlap, a free-list entry that is no aligned frame of the range, or
+// free-page and per-order block counters the free map does not add up to.
 func RestoreMemory(st MemoryState) (*Memory, error) {
 	if st.Frames == 0 || uint64(len(st.HeadOrder)) != st.Frames {
 		return nil, fmt.Errorf("phys: snapshot records %d head orders for %d frames", len(st.HeadOrder), st.Frames)
@@ -84,6 +84,19 @@ func RestoreMemory(st MemoryState) (*Memory, error) {
 			m.freeList[o] = make([]uint64, len(list))
 			copy(m.freeList[o], list)
 		}
+	}
+	var blocks [MaxOrder + 1]uint64
+	var pages, end uint64
+	overlap := false
+	m.VisitFreeBlocks(func(head uint64, order int) {
+		overlap = overlap || head < end
+		end = max(end, head+1<<order)
+		blocks[order]++
+		pages += 1 << order
+	})
+	if overlap || blocks != st.FreeBlk || pages != st.FreePages {
+		return nil, fmt.Errorf("phys: snapshot free map (%d pages in %v blocks, overlapping %v) disagrees with its counters (%d pages in %v)",
+			pages, blocks, overlap, st.FreePages, st.FreeBlk)
 	}
 	m.freeBlk = st.FreeBlk
 	m.freePages = st.FreePages

@@ -27,7 +27,7 @@ import (
 type Striped struct {
 	stripes      []*Memory
 	stripeFrames uint64
-	//mehpt:transient -- always DefaultCostModel; RestoreStriped reinstates the constant
+	// Not in the snapshot: always DefaultCostModel; RestoreStriped reinstates the constant
 	model CostModel
 
 	// AmbientFMFI is the fragmentation level used for pricing allocations,
@@ -36,10 +36,10 @@ type Striped struct {
 
 	// Hook, if non-nil, is consulted before every Alloc attempt on any
 	// stripe (but not AllocRollback), like Allocator.Hook.
-	//mehpt:transient -- injection policy, serialized separately by its owner and re-attached after restore (see StripedState)
+	// Not in the snapshot: injection policy, serialized separately by its owner and re-attached after restore (see StripedState)
 	Hook AllocHook
 
-	//mehpt:transient -- derived counter; RestoreStriped recomputes it from the restored stripes' free bytes
+	// Not in the snapshot: derived counter; RestoreStriped recomputes it from the restored stripes' free bytes
 	free uint64 // global free bytes, maintained on alloc/free
 	seq  uint64 // allocation attempts issued, for AllocRequest.Seq
 }
@@ -196,6 +196,28 @@ func (v *StripedView) AllocRollback(size uint64) (addr.PPN, uint64, error) {
 // view's home stripe: the block may have overflowed to a neighbor).
 func (v *StripedView) Free(ppn addr.PPN, size uint64) {
 	v.s.freeBlock(ppn, size)
+}
+
+// Holds reports whether the size-byte block at ppn is one the allocator
+// could have granted and not taken back: aligned to its order, inside one
+// stripe, and overlapping no free block. Freeing any other block panics.
+func (s *Striped) Holds(ppn addr.PPN, size uint64) bool {
+	order, idx := OrderFor(size), uint64(ppn)/s.stripeFrames
+	if idx >= uint64(len(s.stripes)) {
+		return false
+	}
+	m, f := s.stripes[idx], uint64(ppn)%s.stripeFrames
+	if order > m.maxOrder || f&(1<<order-1) != 0 || f+1<<order > m.frames {
+		return false
+	}
+	for o := 0; o <= m.maxOrder; o++ {
+		// A free block of order o at or above the block's contains it;
+		// one below it lies inside it.
+		if o >= order && m.isHead(f&^(1<<o-1), o) || o < order && m.nextHead(f, o) < f+1<<order {
+			return false
+		}
+	}
+	return true
 }
 
 // Interface conformance: both the single-Memory reference allocator and

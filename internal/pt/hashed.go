@@ -348,8 +348,9 @@ func (h *Hashed[T]) CheckTables() []string {
 func (h *Hashed[T]) SlabState() SlabState { return h.slab.State() }
 
 // RestoreTables replaces the slab and the per-size tables with restored
-// ones. Each table is placed at its own page size; one whose size is out
-// of range is dropped. It rejects a slab Restore rejects, an inline value
+// ones. Each table is placed at its own page size. It rejects a table
+// whose size is no page size or is another table's, a slab Restore
+// rejects, an inline value
 // with a reserved bit set or a PPN above 2^48-2, and a slab value that is
 // no slab id, is on the free list, or is stored under two keys: the
 // resumed run would translate to a page no Map installed on the first
@@ -370,10 +371,13 @@ func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) error {
 		use[id] = onFree
 	}
 	var err error
+	var placed [addr.NumPageSizes]bool
 	for _, t := range tables {
-		if t.PageSize() >= addr.NumPageSizes {
-			continue
+		size := t.PageSize()
+		if !size.Valid() || placed[size] {
+			return fmt.Errorf("pt: a table of page size %d is out of range or repeated", size)
 		}
+		placed[size] = true
 		t.Range(func(key, val uint64) {
 			switch {
 			case err != nil:
@@ -398,9 +402,7 @@ func (h *Hashed[T]) RestoreTables(slab SlabState, tables []T) error {
 	}
 	h.slab = s
 	for _, t := range tables {
-		if size := t.PageSize(); size < addr.NumPageSizes {
-			h.tables[size] = t
-		}
+		h.tables[t.PageSize()] = t
 	}
 	return nil
 }

@@ -97,10 +97,10 @@ type Stats struct {
 // PageTable is one process's radix-tree page table.
 type PageTable struct {
 	nodes []nodeRef // indexed by node id; id 0 is the root
-	//mehpt:transient -- Restore numbers the snapshot's nodes densely, so a restored table has no free id
+	// Not in the snapshot: Restore numbers the snapshot's nodes densely, so a restored table has no free id
 	freeIDs []int32 // recycled ids, reused LIFO
 	levels  int
-	//mehpt:transient -- Restore reattaches the separately restored physical allocator
+	// Not in the snapshot: Restore reattaches the separately restored physical allocator
 	alloc phys.Source
 	stats Stats
 }

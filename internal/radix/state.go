@@ -2,6 +2,7 @@ package radix
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/addr"
 	"repro/internal/phys"
@@ -61,16 +62,16 @@ func (p *PageTable) State() State {
 // Restore rebuilds a tree from recorded state without allocating: the node
 // frames in st are already owned in the restored allocator state. Node i
 // of st becomes node id i. The recorded nodes must form one tree rooted at
-// node 0, with every entry well formed for its level, or Restore returns
-// an error.
+// node 0, with every entry well formed for its level and the node count
+// the stats record, or Restore returns an error.
 func Restore(st State, alloc phys.Source) (*PageTable, error) {
 	if st.Levels < Levels || st.Levels > MaxLevels {
 		return nil, fmt.Errorf("radix: unsupported depth %d", st.Levels)
 	}
-	p := &PageTable{levels: st.Levels, alloc: alloc, stats: st.Stats}
 	if len(st.Nodes) == 0 {
-		return p, nil
+		return nil, fmt.Errorf("radix: snapshot has no root node")
 	}
+	p := &PageTable{levels: st.Levels, alloc: alloc, stats: st.Stats}
 	p.nodes = make([]nodeRef, len(st.Nodes))
 	var build func(id int32, lvl int) error
 	build = func(id int32, lvl int) error {
@@ -111,6 +112,9 @@ func Restore(st State, alloc phys.Source) (*PageTable, error) {
 		if p.nodes[i].pte == nil {
 			return nil, fmt.Errorf("radix: node %d is not reachable from the root", i)
 		}
+	}
+	if bad := p.CheckTables(); len(bad) > 0 {
+		return nil, fmt.Errorf("radix: %s", strings.Join(bad, "; "))
 	}
 	return p, nil
 }

@@ -2,15 +2,15 @@ package scrub_test
 
 // Proof obligations for the scrubber: a healthy machine — fresh, mid-run,
 // completed, or restored from a checkpoint — scrubs clean, and each
-// violation class provably fires when its invariant is seeded broken. The
-// corruptions are injected by mutating a captured MachineState and
-// restoring it, exactly the surface a bad checkpoint or a memory error
-// would corrupt in practice.
+// violation class provably fires when its invariant is seeded broken.
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/phys"
 	"repro/internal/scrub"
 	"repro/internal/sim"
 	"repro/internal/tenant"
@@ -93,135 +93,136 @@ func TestCleanMachines(t *testing.T) {
 	}
 }
 
-// corrupt captures a stepped machine, hands the state to mutate, restores,
-// and returns the scrub findings.
-func corrupt(t *testing.T, org sim.Org, mutate func(m *tenant.Machine, st *tenant.MachineState)) []scrub.Violation {
-	t.Helper()
-	m := steppedMachine(t, org, 3)
-	st := m.State()
-	mutate(m, st)
-	bad, err := tenant.RestoreMachine(scrubConfig(org), st)
-	if err != nil {
-		t.Fatalf("RestoreMachine over corrupted state: %v", err)
-	}
-	return scrub.Machine(bad)
+// The restore refuses a machine state whose free map, frame ownership or
+// table structure is corrupt, so the buddy, ownership and mapping
+// corruptions below are seeded into a running machine through its pool,
+// as an allocator bug would seed them, and the table corruptions are
+// checked at the restore, which runs the checks the scrubber reports.
+
+// stripeZero calls f with the first stripe of m's pool.
+func stripeZero(m *tenant.Machine, f func(mem *phys.Memory)) {
+	m.Pool().InspectStripes(func(idx int, mem *phys.Memory) {
+		if idx == 0 {
+			f(mem)
+		}
+	})
 }
 
-// TestDetectsBuddyDrift seeds a free-page counter that disagrees with the
-// stripe's free lists.
-func TestDetectsBuddyDrift(t *testing.T) {
-	vs := corrupt(t, sim.MEHPT, func(_ *tenant.Machine, st *tenant.MachineState) {
-		st.Pool.Stripes[0].FreePages += 10
+// dataFrame returns the 4KB frame of some private mapping of m.
+func dataFrame(t *testing.T, m *tenant.Machine) addr.PPN {
+	t.Helper()
+	var frame addr.PPN
+	found := false
+	m.VisitDataMappings(func(_ int, _ addr.VPN, s addr.PageSize, ppn addr.PPN) {
+		if !found && s == addr.Page4K {
+			frame, found = ppn, true
+		}
 	})
-	wantClass(t, vs, scrub.ClassBuddy)
+	if !found {
+		t.Skip("no 4KB mapping to corrupt")
+	}
+	return frame
+}
+
+// TestDetectsBuddyDrift seeds a pool free-byte counter that disagrees with
+// the stripes' free lists: a block taken from a stripe behind the pool's
+// back.
+func TestDetectsBuddyDrift(t *testing.T) {
+	m := steppedMachine(t, sim.MEHPT, 3)
+	stripeZero(m, func(mem *phys.Memory) {
+		if _, err := mem.Alloc(40 * addr.KB); err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+	})
+	wantClass(t, scrub.Machine(m), scrub.ClassBuddy)
 }
 
 // TestDetectsOverlappingFreeBlocks seeds a free block nested inside a
 // larger live free block.
 func TestDetectsOverlappingFreeBlocks(t *testing.T) {
-	vs := corrupt(t, sim.MEHPT, func(_ *tenant.Machine, st *tenant.MachineState) {
-		sp := &st.Pool.Stripes[0]
-		for head, o := range sp.HeadOrder {
-			if o >= 2 {
-				// Mark the block's second frame as an order-0 block of its
-				// own, with the counters patched to stay self-consistent so
-				// only the overlap can fire.
-				sp.HeadOrder[head+1] = 0
-				sp.FreeBlk[0]++
-				sp.FreePages++
-				return
-			}
-		}
-		t.Skip("no order>=2 free block to nest inside")
-	})
-	wantClass(t, vs, scrub.ClassBuddy)
-}
-
-// TestDetectsFreedOwnedFrame seeds the allocator freeing a frame a tenant
-// page table still owns — the double-free/use-after-free shape. The stripe
-// counters are patched to stay self-consistent, so only the cross-layer
-// ownership check can catch it.
-func TestDetectsFreedOwnedFrame(t *testing.T) {
-	vs := corrupt(t, sim.MEHPT, func(m *tenant.Machine, st *tenant.MachineState) {
-		owned, found := uint64(0), false
-		m.VisitPageTableFrames(func(pid int, base addr.PPN, bytes uint64) {
-			if !found {
-				owned, found = uint64(base), true
+	m := steppedMachine(t, sim.MEHPT, 3)
+	stripeZero(m, func(mem *phys.Memory) {
+		head, found := uint64(0), false
+		mem.VisitFreeBlocks(func(h uint64, order int) {
+			if !found && order >= 2 {
+				head, found = h, true
 			}
 		})
 		if !found {
-			t.Skip("no page-table frames to corrupt")
+			t.Skip("no order>=2 free block to nest inside")
 		}
-		sp := &st.Pool.Stripes[owned/st.Pool.StripeFrames]
-		sp.HeadOrder[owned%st.Pool.StripeFrames] = 0
-		sp.FreeBlk[0]++
-		sp.FreePages++
+		// Free the block's second frame as an order-0 block of its own;
+		// the stripe's counters count it, so the overlap fires.
+		mem.Free(addr.PPN(head+1), 0)
 	})
-	wantClass(t, vs, scrub.ClassOwnership)
+	wantClass(t, scrub.Machine(m), scrub.ClassBuddy)
 }
 
-// TestDetectsDanglingMapping seeds a translation pointing outside the pool.
+// TestDetectsFreedOwnedFrame seeds the allocator freeing a frame a tenant
+// page table still owns — the double-free/use-after-free shape. The pool
+// accounts the free, so only the cross-layer ownership check can catch it.
+func TestDetectsFreedOwnedFrame(t *testing.T) {
+	m := steppedMachine(t, sim.MEHPT, 3)
+	var owned addr.PPN
+	var bytes uint64
+	m.VisitPageTableFrames(func(pid int, base addr.PPN, n uint64) {
+		if bytes == 0 {
+			owned, bytes = base, n
+		}
+	})
+	if bytes == 0 {
+		t.Skip("no page-table frames to corrupt")
+	}
+	m.Pool().View(0).Free(owned, bytes)
+	wantClass(t, scrub.Machine(m), scrub.ClassOwnership)
+}
+
+// TestDetectsDanglingMapping seeds a translation whose frame the allocator
+// has taken back.
 func TestDetectsDanglingMapping(t *testing.T) {
-	vs := corrupt(t, sim.MEHPT, func(_ *tenant.Machine, st *tenant.MachineState) {
-		slab := &st.Procs[0].MEHPT.Slab
-		for ci := range slab.Clusters {
-			c := &slab.Clusters[ci]
-			for sub := uint(0); sub < 8; sub++ {
-				if c.ValidMask&(1<<sub) != 0 {
-					c.PPNs[sub] = 1 << 40
-					return
-				}
-			}
-		}
-		t.Skip("no live cluster to corrupt")
-	})
-	wantClass(t, vs, scrub.ClassMapping)
+	m := steppedMachine(t, sim.MEHPT, 3)
+	m.Pool().View(0).Free(dataFrame(t, m), 4*addr.KB)
+	wantClass(t, scrub.Machine(m), scrub.ClassMapping)
 }
 
-// TestDetectsDoubleOwnership seeds two translations resolving to the same
-// physical frame.
+// TestDetectsDoubleOwnership seeds two owners of one physical frame: a
+// mapped frame freed behind its tenant's back is the first frame the
+// allocator grants next, to the next fault or shared-page remap.
 func TestDetectsDoubleOwnership(t *testing.T) {
-	vs := corrupt(t, sim.MEHPT, func(_ *tenant.Machine, st *tenant.MachineState) {
-		slab := &st.Procs[0].MEHPT.Slab
-		for ci := range slab.Clusters {
-			c := &slab.Clusters[ci]
-			var valid []uint
-			for sub := uint(0); sub < 8; sub++ {
-				if c.ValidMask&(1<<sub) != 0 {
-					valid = append(valid, sub)
-				}
-			}
-			if len(valid) >= 2 {
-				c.PPNs[valid[1]] = c.PPNs[valid[0]]
-				return
-			}
-		}
-		t.Skip("no cluster with two live translations")
-	})
-	wantClass(t, vs, scrub.ClassOwnership)
+	m := steppedMachine(t, sim.MEHPT, 3)
+	m.Pool().View(0).Free(dataFrame(t, m), 4*addr.KB)
+	if err := m.StepRound(); err != nil {
+		t.Fatalf("StepRound: %v", err)
+	}
+	wantClass(t, scrub.Machine(m), scrub.ClassOwnership)
 }
 
-// TestDetectsTableCorruption seeds organization-specific structural damage:
-// a drifted ME-HPT occupancy counter, a truncated ECPT way group, a radix
-// node count that disagrees with the tree.
+// TestDetectsTableCorruption seeds organization-specific structural damage
+// into a checkpoint: a drifted ME-HPT occupancy counter, a truncated ECPT
+// way group, a radix node count that disagrees with the tree. The restore
+// runs the table checks the scrubber reports as table-structure
+// violations, and must refuse each state with that check's finding.
 func TestDetectsTableCorruption(t *testing.T) {
-	t.Run("mehpt-occ", func(t *testing.T) {
-		vs := corrupt(t, sim.MEHPT, func(_ *tenant.Machine, st *tenant.MachineState) {
-			st.Procs[0].MEHPT.Tables[0].Ways[0].Occ++
-		})
-		wantClass(t, vs, scrub.ClassTable)
-	})
-	t.Run("ecpt-groups", func(t *testing.T) {
-		vs := corrupt(t, sim.ECPT, func(_ *tenant.Machine, st *tenant.MachineState) {
+	for _, tc := range []struct {
+		name   string
+		org    sim.Org
+		mutate func(st *tenant.MachineState)
+		want   string
+	}{
+		{"mehpt-occ", sim.MEHPT, func(st *tenant.MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Occ++ }, "live slots"},
+		{"ecpt-groups", sim.ECPT, func(st *tenant.MachineState) {
 			g := &st.Procs[0].ECPT.Tables[0].Groups[0]
 			g.Bases = g.Bases[:len(g.Bases)-1]
+		}, "way bases for"},
+		{"radix-nodes", sim.Radix, func(st *tenant.MachineState) { st.Procs[0].Radix.Stats.Nodes++ }, "tree reaches"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := steppedMachine(t, tc.org, 3).State()
+			tc.mutate(st)
+			_, err := tenant.RestoreMachine(scrubConfig(tc.org), st)
+			if !errors.Is(err, tenant.ErrMismatch) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreMachine over corrupted state: got %v, want ErrMismatch reporting %q", err, tc.want)
+			}
 		})
-		wantClass(t, vs, scrub.ClassTable)
-	})
-	t.Run("radix-nodes", func(t *testing.T) {
-		vs := corrupt(t, sim.Radix, func(_ *tenant.Machine, st *tenant.MachineState) {
-			st.Procs[0].Radix.Stats.Nodes++
-		})
-		wantClass(t, vs, scrub.ClassTable)
-	})
+	}
 }

@@ -254,7 +254,7 @@ type Machine struct {
 	// crosses the vaSource interface boundary, so as a local it would
 	// escape to the heap on every Run* call. A machine runs one trace
 	// loop at a time, so sharing it is safe.
-	//mehpt:transient -- per-batch scratch, dead between NextBatch calls
+	// Not in the snapshot: per-batch scratch, dead between NextBatch calls
 	vaBuf [mmu.BatchWidth]addr.VirtAddr
 }
 
@@ -481,7 +481,7 @@ func (m *Machine) RunBatches(next func(out []addr.VirtAddr) int) Result {
 // error (anything but clean io.EOF) for RunStream to report.
 type streamSource struct {
 	s trace.Stream
-	//mehpt:transient -- replay error latch, only meaningful within one RunStream call
+	// Not in the snapshot: replay error latch, only meaningful within one RunStream call
 	err error
 }
 

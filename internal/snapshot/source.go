@@ -33,9 +33,9 @@ type Source struct {
 	draws uint64
 	// ring[i] holds the output ringLen steps before the one that next
 	// replaces it; pos is the slot the next step replaces.
-	//mehpt:transient -- RestoreSource re-derives the ring by reseeding with Seed and burning Draws steps
+	// Not in the snapshot: RestoreSource re-derives the ring by reseeding with Seed and burning Draws steps
 	ring [ringLen]uint64
-	//mehpt:transient -- re-derived with the ring by reseeding and burning Draws steps
+	// Not in the snapshot: re-derived with the ring by reseeding and burning Draws steps
 	pos int
 }
 

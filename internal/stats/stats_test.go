@@ -186,6 +186,9 @@ func TestHistogramInlineAndMapValuesRoundTrip(t *testing.T) {
 		if got := g.State(); !reflect.DeepEqual(got, st) {
 			t.Errorf("%s State = %+v, want %+v", name, got, st)
 		}
+		if g.Mean() != h.Mean() {
+			t.Errorf("%s Mean = %v, want %v", name, g.Mean(), h.Mean())
+		}
 		vs := g.Values()
 		if vs[len(vs)-1] != 1<<60 || g.Count(-1) != 1 || g.Count(63) != 3 {
 			t.Errorf("%s: largest %d, Count(-1) %d, Count(63) %d", name, vs[len(vs)-1], g.Count(-1), g.Count(63))

@@ -1,9 +1,13 @@
 package tenant
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
+	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/cuckoo"
 	"repro/internal/ecpt"
@@ -47,7 +51,7 @@ type Machine struct {
 	injector *inject.Injector
 	sd       stats.Shootdowns
 	live     int
-	//mehpt:transient -- chaos-harness kill switch, armed per run via SetCrasher; a recovered machine starts disarmed by design
+	// Not in the snapshot: chaos-harness kill switch, armed per run via SetCrasher; a recovered machine starts disarmed by design
 	crasher *inject.Crasher
 }
 
@@ -105,6 +109,11 @@ func open(cfg Config, st *MachineState) (m *Machine, err error) {
 	shared, err := openShared(cfg, pool, st)
 	if err != nil {
 		return nil, err
+	}
+	if st != nil {
+		if err := checkOwners(pool, procs, shared); err != nil {
+			return nil, err
+		}
 	}
 
 	m = &Machine{
@@ -335,7 +344,86 @@ func RestoreMachine(cfg Config, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("%w: snapshot carries %d proc and %d shard records for %d/%d",
 			ErrMismatch, len(st.Procs), len(st.ShardStats), cfg.Processes, cfg.Cores)
 	}
+	if st.Live < 0 || st.Live > cfg.Processes {
+		return nil, fmt.Errorf("%w: snapshot has %d live tenants of %d", ErrMismatch, st.Live, cfg.Processes)
+	}
+	if err := checkDraws(cfg, st); err != nil {
+		return nil, err
+	}
 	return open(cfg, st)
+}
+
+// checkDraws rejects a generator position no run of cfg can reach, before
+// anything is restored: a restore burns a source's recorded draws one step
+// at a time, so an absurd count would hang it instead of failing it.
+//
+// Each generator draws only on events of the run. An access draws at most
+// four steps from its tenant's trace (a hot-set or jump Float64 and two
+// Int63) and two from its overlay (a Float64 and a shared-page pick), and
+// it faults, allocates and inserts into a page table at most a few times;
+// each insert picks a way at most MaxKicks times per placement, for the
+// entry itself and the entries a resize step migrates with it. A round
+// shuffles the Processes pids once and picks RemapsPerRound shared pages,
+// and the shared segment's premap inserts SharedPages entries. Rounds
+// number at most AccessesPerProc/Quantum + 1, since every live tenant runs
+// a quantum of its budget each round. Allowing 2^16 steps per event leaves
+// a wide margin over the few each event draws, redraws of a rejected
+// Float64 or Intn included.
+func checkDraws(cfg Config, st *MachineState) error {
+	rounds := cfg.AccessesPerProc/cfg.Quantum + 1
+	events := uint64(cfg.Processes)*cfg.AccessesPerProc + cfg.SharedPages +
+		rounds*uint64(cfg.Processes+cfg.RemapsPerRound)
+	limit := uint64(math.MaxUint64)
+	if events < 1<<48 {
+		limit = events << 16
+	}
+	srcs := []snapshot.SourceState{st.SharedTableRNG, st.SharedRemapRNG, st.Sched.RNG}
+	for _, ps := range st.Procs {
+		srcs = append(srcs, ps.Trace.RNG, ps.Overlay, ps.Table)
+	}
+	if st.Injector != nil {
+		srcs = append(srcs, st.Injector.RNG...)
+	}
+	for _, s := range srcs {
+		if s.Draws > limit {
+			return fmt.Errorf("%w: a generator records %d draws, a run of this config draws at most %d",
+				ErrMismatch, s.Draws, limit)
+		}
+	}
+	return nil
+}
+
+// checkOwners rejects a restored machine whose page tables, private
+// mappings and shared segment do not hold disjoint blocks the pool shows
+// as granted. Owners free their blocks sooner or later, and freeing a
+// block the pool does not show as granted panics in the allocator; a
+// block with two owners is a machine no run could have made.
+func checkOwners(pool *phys.Striped, procs []*process, shared *sharedRegion) error {
+	type block struct {
+		base  addr.PPN
+		bytes uint64
+	}
+	var blocks []block
+	claim := func(base addr.PPN, bytes uint64) { blocks = append(blocks, block{base, bytes}) }
+	for _, p := range procs {
+		p.table.(frameVisitor).VisitOwnedFrames(claim)
+		p.table.(mappingVisitor).VisitMappings(func(_ addr.VPN, s addr.PageSize, ppn addr.PPN) {
+			claim(ppn<<(s.Shift()-addr.Page4K.Shift()), s.Bytes())
+		})
+	}
+	shared.table.Range(func(_, ppn uint64) bool {
+		claim(addr.PPN(ppn), 4*addr.KB)
+		return true
+	})
+	slices.SortFunc(blocks, func(a, b block) int { return cmp.Compare(a.base, b.base) })
+	var end addr.PPN
+	for _, b := range blocks {
+		if !pool.Holds(b.base, b.bytes) || b.base < end {
+			return fmt.Errorf("a %d-byte block at frame %d is not allocated in the pool, or has two owners", b.bytes, b.base)
+		}
+		end = b.base + addr.PPN(phys.BlockBytes(phys.OrderFor(b.bytes))/phys.FrameBytes)
+	}
+	return nil
 }
 
 // check rejects a restored shared table that does not map exactly the

@@ -7,9 +7,12 @@ package tenant
 // identity must be refused with ErrMismatch.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/bits"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +36,25 @@ func ckptConfig(org sim.Org, cores int) Config {
 	}
 }
 
+// ResizeConfig is one tenant whose ECPT and ME-HPT tables are in the
+// middle of an upsize at the end of rounds four and five, so a checkpoint
+// taken there carries rehash pointers, target ways and, for ECPT, two way
+// groups. It is exported for the restore fuzzer in package tenant_test.
+func ResizeConfig(org sim.Org) Config {
+	return Config{
+		Org:             org,
+		Processes:       1,
+		Cores:           1,
+		MemBytes:        64 * addr.MB,
+		Stripes:         2,
+		Seed:            42,
+		AccessesPerProc: 6000,
+		Quantum:         512,
+		Scale:           64,
+		SharedPages:     64,
+	}
+}
+
 func runToEnd(t *testing.T, m *Machine) *Result {
 	t.Helper()
 	for !m.Done() {
@@ -43,86 +65,106 @@ func runToEnd(t *testing.T, m *Machine) *Result {
 	return m.Collect()
 }
 
-// TestGoldenRoundTrip snapshots a machine mid-run, restores it from disk,
-// and requires the resumed fingerprint to equal both the interrupted
-// machine's own completion and a fresh uninterrupted Run.
+// TestGoldenRoundTrip snapshots a machine after each of its first rounds,
+// restores it from disk, and requires the round trip to be exact (see
+// roundTrips), for every organization and core count, and for the
+// mid-resize config at the rounds its tables resize through.
 func TestGoldenRoundTrip(t *testing.T) {
 	for _, org := range []sim.Org{sim.MEHPT, sim.ECPT, sim.Radix} {
 		for _, cores := range []int{1, 3} {
 			t.Run(org.String()+"/"+string(rune('0'+cores))+"c", func(t *testing.T) {
-				cfg := ckptConfig(org, cores)
-				base, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-
-				m, err := NewMachine(cfg)
-				if err != nil {
-					t.Fatalf("NewMachine: %v", err)
-				}
-				for i := 0; i < 2; i++ {
-					if err := m.StepRound(); err != nil {
-						t.Fatalf("StepRound: %v", err)
-					}
-				}
-				path := filepath.Join(t.TempDir(), "mid.ckpt")
-				if err := m.Checkpoint(path); err != nil {
-					t.Fatalf("Checkpoint: %v", err)
-				}
-
-				cont := runToEnd(t, m).Fingerprint
-				if cont != base.Fingerprint {
-					t.Fatalf("stepped machine diverged from Run: %s vs %s", cont, base.Fingerprint)
-				}
-
-				restored, err := LoadMachine(cfg, path)
-				if err != nil {
-					t.Fatalf("LoadMachine: %v", err)
-				}
-				res := runToEnd(t, restored).Fingerprint
-				if res != base.Fingerprint {
-					t.Fatalf("restored machine diverged: %s vs %s", res, base.Fingerprint)
-				}
+				roundTrips(t, ckptConfig(org, cores), 0, 3)
 			})
 		}
+		t.Run(org.String()+"/resize", func(t *testing.T) {
+			roundTrips(t, ResizeConfig(org), 3, 6)
+		})
 	}
 }
 
 // TestRoundTripUnderInjection proves the injector's generators and counters
 // cross the checkpoint: an injected run resumed mid-run must reproduce the
-// uninterrupted injected fingerprint.
+// uninterrupted injected run exactly.
 func TestRoundTripUnderInjection(t *testing.T) {
-	// rate=0.001 at this scale fails some tenants and spares others, so the
-	// checkpoint carries both failed ProcResults and live generators.
-	cfg := ckptConfig(sim.MEHPT, 2)
-	cfg.Inject = "rate=0.001"
+	for _, org := range []sim.Org{sim.MEHPT, sim.ECPT, sim.Radix} {
+		for _, cores := range []int{1, 3} {
+			t.Run(org.String()+"/"+string(rune('0'+cores))+"c", func(t *testing.T) {
+				// rate=0.001 at this scale fails some tenants and spares
+				// others, so the checkpoint carries both failed
+				// ProcResults and live generators.
+				cfg := ckptConfig(org, cores)
+				cfg.Inject = "rate=0.001"
+				roundTrips(t, cfg, 0, 3)
+			})
+		}
+	}
+}
 
+// gobState is the encoding of st a checkpoint carries.
+func gobState(t *testing.T, st *MachineState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatalf("encoding a state: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// roundTrips checkpoints cfg's machine to disk after each round from first
+// to last and restores every checkpoint. The restored machine must
+// re-capture the checkpointed state: the same encoded bytes and, in
+// memory, a state reflect.DeepEqual to the original's, which also catches
+// an unexported state field gob drops. It must then finish on the state
+// and fingerprint of the uninterrupted run.
+func roundTrips(t *testing.T, cfg Config, first, last int) {
+	t.Helper()
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	ref, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	if fp := runToEnd(t, ref).Fingerprint; fp != base.Fingerprint {
+		t.Fatalf("stepped machine diverged from Run: %s vs %s", fp, base.Fingerprint)
+	}
+	final := gobState(t, ref.State())
+
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	for round := 0; round <= last; round++ {
+		if m.Done() {
+			t.Fatalf("machine finished before round %d", round)
+		}
+		if round >= first {
+			path := filepath.Join(t.TempDir(), "mid.ckpt")
+			if err := m.Checkpoint(path); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			restored, err := LoadMachine(cfg, path)
+			if err != nil {
+				t.Fatalf("round %d: LoadMachine: %v", round, err)
+			}
+			orig, again := m.State(), restored.State()
+			if !bytes.Equal(gobState(t, orig), gobState(t, again)) {
+				t.Fatalf("round %d: the restored machine's state encodes differently", round)
+			}
+			if !reflect.DeepEqual(orig, again) {
+				t.Fatalf("round %d: the restored machine's state differs in memory", round)
+			}
+			if fp := runToEnd(t, restored).Fingerprint; fp != base.Fingerprint {
+				t.Fatalf("round %d: restored machine diverged: %s vs %s", round, fp, base.Fingerprint)
+			}
+			if !bytes.Equal(gobState(t, restored.State()), final) {
+				t.Fatalf("round %d: restored machine finished on another state than the uninterrupted run", round)
+			}
+		}
 		if err := m.StepRound(); err != nil {
 			t.Fatalf("StepRound: %v", err)
 		}
-	}
-	if m.Done() {
-		t.Fatal("machine finished before the checkpoint; pick a gentler policy")
-	}
-	path := filepath.Join(t.TempDir(), "inj.ckpt")
-	if err := m.Checkpoint(path); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	restored, err := LoadMachine(cfg, path)
-	if err != nil {
-		t.Fatalf("LoadMachine: %v", err)
-	}
-	if got := runToEnd(t, restored).Fingerprint; got != base.Fingerprint {
-		t.Fatalf("injected restore diverged: %s vs %s", got, base.Fingerprint)
 	}
 }
 
@@ -165,6 +207,16 @@ func TestRestoreMismatch(t *testing.T) {
 		t.Fatalf("StepRound: %v", err)
 	}
 
+	// The ME-HPT mutations run on an ME-HPT machine.
+	mcfg := ckptConfig(sim.MEHPT, 2)
+	mm, err := NewMachine(mcfg)
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	if err := mm.StepRound(); err != nil {
+		t.Fatalf("StepRound: %v", err)
+	}
+
 	// State the resumed run would trip over only later, as a panic: a
 	// generated trace shorter than the remaining budget, and scheduler
 	// entries MultiCore indexes the process list with. A free map the
@@ -181,6 +233,16 @@ func TestRestoreMismatch(t *testing.T) {
 		}
 		t.Fatal("proc 0 has no 4KB ECPT table")
 		return nil
+	}
+	// sharedSlot returns a used slot of the shared table's first way.
+	sharedSlot := func(st *MachineState) int {
+		for i, e := range shared(st).Cur[0].Slots {
+			if e.Key != cuckoo.EmptyKey {
+				return i
+			}
+		}
+		t.Fatal("the shared table's first way is empty")
+		return 0
 	}
 	// inline returns a 4KB ECPT slot holding a one-page cluster inline:
 	// bit 63 set, the PPN in bits 0-47, its sub-index in bits 48-50.
@@ -284,10 +346,103 @@ func TestRestoreMismatch(t *testing.T) {
 			o := sp.MaxOrder
 			sp.HeadOrder[(sp.Frames-1)&^(1<<o-1)] = int8(o)
 		},
+		// ECPT way groups that do not back the cuckoo ways: the first
+		// two panicked in the first round, the last two ran on to a
+		// machine the scrubber flags.
+		"ecpt groups empty": func(st *MachineState) { st.Procs[0].ECPT.Tables[0].Groups = nil },
+		"ecpt bases short": func(st *MachineState) {
+			g := &st.Procs[0].ECPT.Tables[0].Groups[0]
+			g.Bases = g.Bases[:1]
+		},
+		"ecpt one way":        func(st *MachineState) { st.Procs[0].ECPT.Tables[0].Ways = 1 },
+		"ecpt entries double": func(st *MachineState) { st.Procs[0].ECPT.Tables[0].Groups[0].EntriesPerWay *= 2 },
+		// A page size past the table array's bounds, and a second table
+		// of one size.
+		"table size negative": func(st *MachineState) { st.Procs[0].ECPT.Tables[0].Size = -1 },
+		"table size repeated": func(st *MachineState) {
+			ts := st.Procs[0].ECPT.Tables
+			st.Procs[0].ECPT.Tables = append(ts, ts[0])
+		},
+		"mehpt table size negative": func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Size = -1 },
+		// Chunk stores that do not cover their way: a divide by zero, an
+		// index out of range, and slot offsets past the way.
+		"mehpt chunk bytes zero":  func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.ChunkBytes = 0 },
+		"mehpt chunk bytes one":   func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.ChunkBytes = 1 },
+		"mehpt chunks truncated":  func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.Chunks = nil },
+		"mehpt way bytes zero":    func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.WayBytes = 0 },
+		"mehpt way bytes one":     func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.WayBytes = 1 },
+		"mehpt store page size":   func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Store.Size = -1 },
+		"mehpt occupancy counter": func(st *MachineState) { st.Procs[0].MEHPT.Tables[0].Ways[0].Occ++ },
+		"mehpt slot moved": func(st *MachineState) {
+			slots := st.Procs[0].MEHPT.Tables[0].Ways[0].Slots
+			for i := range slots {
+				if slots[i].Key != cuckoo.EmptyKey {
+					j := (i + 1) % len(slots)
+					slots[i], slots[j] = slots[j], slots[i]
+					return
+				}
+			}
+		},
+		// A tree with no root, and stats that miscount its nodes.
+		"radix nodes truncated": func(st *MachineState) { st.Procs[0].Radix.Nodes = nil },
+		"radix node count":      func(st *MachineState) { st.Procs[0].Radix.Stats.Nodes++ },
+		// Free maps whose blocks overlap or whose counters disagree: the
+		// first panicked with a double free.
+		"head inside free block": func(st *MachineState) {
+			sp := stripe(st)
+			for f, o := range sp.HeadOrder {
+				if o >= 1 {
+					sp.HeadOrder[f+1] = 0
+					return
+				}
+			}
+			t.Fatal("stripe 0 has no free block of two frames or more")
+		},
+		"free block counter": func(st *MachineState) { stripe(st).FreeBlk[0]++ },
+		"free page counter":  func(st *MachineState) { stripe(st).FreePages-- },
+		"stripes truncated":  func(st *MachineState) { st.Pool.Stripes = st.Pool.Stripes[:1] },
+		// Blocks the pool does not show as granted, or grants twice: each
+		// is freed sooner or later, and freeing it panics.
+		"shared frame beyond pool": func(st *MachineState) { shared(st).Cur[0].Slots[sharedSlot(st)].Val = 1 << 40 },
+		"shared frame twice": func(st *MachineState) {
+			w := shared(st).Cur[0]
+			i := sharedSlot(st)
+			for j := range w.Slots {
+				if j != i && w.Slots[j].Key != cuckoo.EmptyKey {
+					w.Slots[j].Val = w.Slots[i].Val
+					return
+				}
+			}
+		},
+		"ecpt base beyond pool": func(st *MachineState) { st.Procs[0].ECPT.Tables[0].Groups[0].Bases[0] = 1 << 40 },
+		// Shared ways or slots out of hash order: a lookup misses a
+		// mapped page and the shared access panicked.
+		"shared ways swapped": func(st *MachineState) {
+			ts := shared(st)
+			ts.Cur[0], ts.Cur[1] = ts.Cur[1], ts.Cur[0]
+			ts.RehashPtr[0], ts.RehashPtr[1] = ts.RehashPtr[1], ts.RehashPtr[0]
+			if ts.Next != nil {
+				ts.Next[0], ts.Next[1] = ts.Next[1], ts.Next[0]
+			}
+		},
+		"shared slot moved": func(st *MachineState) {
+			w := shared(st).Cur[0]
+			i := sharedSlot(st)
+			j := (i + 1) % len(w.Slots)
+			w.Slots[i], w.Slots[j] = w.Slots[j], w.Slots[i]
+		},
+		// A live count the scheduler loop never reaches zero from, and a
+		// generator position whose replay would not end.
+		"live negative":  func(st *MachineState) { st.Live = -1 },
+		"live above":     func(st *MachineState) { st.Live = cfg.Processes + 1 },
+		"draws too many": func(st *MachineState) { st.SharedRemapRNG.Draws = 1 << 40 },
 	} {
 		src, scfg := m, cfg
 		if strings.HasPrefix(name, "radix ") {
 			src, scfg = rm, rcfg
+		}
+		if strings.HasPrefix(name, "mehpt ") {
+			src, scfg = mm, mcfg
 		}
 		st := src.State()
 		mut(st)

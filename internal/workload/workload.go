@@ -206,11 +206,11 @@ type Trace struct {
 	// The spec's constants, derived once so that Next neither copies the
 	// Spec nor recomputes them per access.
 
-	//mehpt:transient -- derived from the spec by newTrace; Spec.RestoreTrace is a method on the caller's (matching) spec
+	// Not in the snapshot: derived from the spec by newTrace; Spec.RestoreTrace is a method on the caller's (matching) spec
 	kind Kind
-	//mehpt:transient -- the spec's HotFraction and SeqFraction, copied by newTrace from the caller's (matching) spec
+	// Not in the snapshot: the spec's HotFraction and SeqFraction, copied by newTrace from the caller's (matching) spec
 	hotFrac, seqFrac float64
-	//mehpt:transient -- derived from the spec by newTrace: touched, hot and block pages, block count, sparse universe
+	// Not in the snapshot: derived from the spec by newTrace: touched, hot and block pages, block count, sparse universe
 	pages, hotPages, blockPages, blocks, universe uint64
 }
 

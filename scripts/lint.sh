@@ -4,10 +4,11 @@
 #
 # The suite (internal/analysis, see DESIGN.md § "Mechanically enforced
 # invariants" and § "Snapshot completeness & determinism taint") runs
-# four analyzers plus the waiver audit: determinism bans and taint
-# (detflow), address units (addrspace), error wrapping (errwrap),
-# snapshot completeness (statecover), and stale //mehpt:allow waivers
-# (staleallow).
+# three analyzers plus the waiver audit: determinism bans and taint
+# (detflow), address units (addrspace), error wrapping (errwrap), and
+# stale //mehpt:allow waivers (staleallow). Snapshot completeness is
+# held by the restore gates instead (README.md § "Linting the
+# invariants").
 #
 # Environment knobs:
 #   LINT_JSON  set to a path to also write the machine-readable report

@@ -36,8 +36,8 @@ type Entry struct {
 }
 
 // ErrTableFull is returned when an insertion cannot be placed even after
-// forcing resizes — either the per-way cap was reached or memory pressure
-// kept the table from growing. The error chain carries the underlying
+// forcing resizes — the embedder's AllocWays hook refused to back a larger
+// table (memory pressure, or a cap it enforces). The error chain carries the underlying
 // cause (e.g. phys.ErrOutOfMemory through the embedder's AllocWays hook);
 // the rejected entry is never left partially placed.
 var ErrTableFull = errors.New("cuckoo: table full")
@@ -53,7 +53,6 @@ var ErrMigrationFailed = errors.New("cuckoo: gradual-rehash migration failed")
 type Config struct {
 	Ways           int     // number of ways W (the paper uses 3)
 	InitialEntries uint64  // initial per-way slot count, a power of two
-	MaxEntries     uint64  // per-way slot cap; 0 means unlimited
 	UpsizeAt       float64 // occupancy ratio triggering an upsize (0.6)
 	DownsizeAt     float64 // occupancy ratio triggering a downsize (0.2)
 	MaxKicks       int     // bound on cuckoo displacement chains
@@ -379,7 +378,7 @@ func (t *Table) tryPlace(e Entry, exclude int) (int, bool) {
 // drain the in-flight resize if there is one, start an upsize otherwise.
 // On failure the table is unchanged — every partial displacement chain was
 // rolled back — and the error wraps ErrTableFull plus the underlying cause
-// (allocation failure, migration failure, or the per-way cap).
+// (allocation failure, migration failure, or an AllocWays refusal).
 func (t *Table) place(e Entry, exclude int) (int, error) {
 	if kicks, ok := t.tryPlace(e, exclude); ok {
 		return kicks, nil
@@ -418,13 +417,9 @@ func (t *Table) placeMigration(e Entry, exclude int) (int, error) {
 }
 
 // forceUpsize starts an upsize regardless of occupancy, used to break
-// over-long displacement chains. It still honours the per-way cap.
+// over-long displacement chains. The AllocWays hook may still refuse it.
 func (t *Table) forceUpsize() error {
-	size := t.cur[0].size()
-	if t.cfg.MaxEntries > 0 && size*2 > t.cfg.MaxEntries {
-		return fmt.Errorf("per-way cap %d entries reached", t.cfg.MaxEntries)
-	}
-	return t.startResize(size * 2)
+	return t.startResize(t.cur[0].size() * 2)
 }
 
 func (t *Table) pickWay(exclude int) int {
@@ -464,9 +459,6 @@ func (t *Table) maybeResize() {
 	size := t.cur[0].size()
 	switch {
 	case t.occupancy() > t.cfg.UpsizeAt:
-		if t.cfg.MaxEntries > 0 && size*2 > t.cfg.MaxEntries {
-			return
-		}
 		if err := t.startResize(size * 2); err != nil {
 			t.stats.FailedUps++
 		}

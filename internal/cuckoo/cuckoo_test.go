@@ -2,6 +2,7 @@ package cuckoo
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -276,8 +277,21 @@ func TestFreeHookCalled(t *testing.T) {
 	}
 }
 
+// capWays returns an AllocWays hook that refuses ways of more than max
+// slots: the way an embedder caps a table.
+func capWays(max uint64) func(uint64) error {
+	return func(entries uint64) error {
+		if entries > max {
+			return fmt.Errorf("per-way cap %d entries reached", max)
+		}
+		return nil
+	}
+}
+
+// TestMaxEntriesCap: a table whose AllocWays hook caps the way size fills
+// to the cap and then refuses inserts with ErrTableFull.
 func TestMaxEntriesCap(t *testing.T) {
-	tb := newTestTable(t, func(c *Config) { c.MaxEntries = 256 })
+	tb := newTestTable(t, func(c *Config) { c.Hooks.AllocWays = capWays(256) })
 	var lastErr error
 	for k := uint64(0); k < 5000; k++ {
 		if _, lastErr = tb.Insert(k, k); lastErr != nil {

@@ -113,16 +113,16 @@ func TestPropertyInsertRemoveResize(t *testing.T) {
 	}
 }
 
-// TestPropertyLoadFactorBounded: with a per-way cap the table must refuse
-// cleanly (ErrTableFull) rather than overfill; occupancy never exceeds
-// capacity at any point.
+// TestPropertyLoadFactorBounded: with a per-way cap (an AllocWays hook
+// refusing larger ways) the table must refuse cleanly (ErrTableFull)
+// rather than overfill; occupancy never exceeds capacity at any point.
 func TestPropertyLoadFactorBounded(t *testing.T) {
 	tab := New(Config{
 		Ways:           3,
 		InitialEntries: 16,
-		MaxEntries:     64,
 		HashSeed:       7,
 		Rand:           rand.New(rand.NewSource(7)),
+		Hooks:          Hooks{AllocWays: capWays(64)},
 	})
 	rng := rand.New(rand.NewSource(8))
 	inserted := uint64(0)

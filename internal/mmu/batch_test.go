@@ -24,26 +24,53 @@ func newMMU(t *testing.T, kind string) (*MMU, vaMapper) {
 	return m, pt
 }
 
-// batchPair builds two identical MMU+table pairs of the requested kind and
-// maps the same pages into both: mapped 4K pages, a 2M page, and a deliberate
-// unmapped hole so batches hit the fault path too.
-func batchPair(t *testing.T, kind string) (a, b *MMU, vas []addr.VirtAddr) {
+// page names one mapping: a page number at a page size.
+type page struct {
+	vpn  addr.VPN
+	size addr.PageSize
+}
+
+// installed is the flat specification of what a batchPair maps: page →
+// PPN, resolved largest size first.
+type installed map[page]addr.PPN
+
+// mapPage maps vpn→ppn at size s into every table of pts and records it.
+func (in installed) mapPage(t *testing.T, pts []vaMapper, vpn addr.VPN, s addr.PageSize, ppn addr.PPN) {
 	t.Helper()
-	am, apt := newMMU(t, kind)
-	bm, bpt := newMMU(t, kind)
-	base := addr.VirtAddr(0x4000_0000)
-	for i := 0; i < 512; i++ {
-		va := base + addr.VirtAddr(i)*4096
-		if _, err := apt.Map(va.PageNumber(addr.Page4K), addr.Page4K, addr.PPN(i+1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bpt.Map(va.PageNumber(addr.Page4K), addr.Page4K, addr.PPN(i+1)); err != nil {
+	for _, p := range pts {
+		if _, err := p.Map(vpn, s, ppn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	huge := addr.VPN(0x8000_0000 >> 21)
-	apt.Map(huge, addr.Page2M, 7777)
-	bpt.Map(huge, addr.Page2M, 7777)
+	in[page{vpn, s}] = ppn
+}
+
+// pa returns the physical address va translates to, if any page maps it.
+func (in installed) pa(va addr.VirtAddr) (addr.PhysAddr, bool) {
+	for _, s := range []addr.PageSize{addr.Page1G, addr.Page2M, addr.Page4K} {
+		if ppn, ok := in[page{va.PageNumber(s), s}]; ok {
+			return addr.Translate(va, ppn, s), true
+		}
+	}
+	return 0, false
+}
+
+// batchPair builds two identical MMU+table pairs of the requested kind and
+// maps the same pages into both: mapped 4K pages, a 2M page, and a deliberate
+// unmapped hole so batches hit the fault path too. It returns the mappings
+// it installed.
+func batchPair(t *testing.T, kind string) (a, b *MMU, vas []addr.VirtAddr, in installed) {
+	t.Helper()
+	am, apt := newMMU(t, kind)
+	bm, bpt := newMMU(t, kind)
+	in = installed{}
+	pts := []vaMapper{apt, bpt}
+	base := addr.VirtAddr(0x4000_0000)
+	for i := 0; i < 512; i++ {
+		va := base + addr.VirtAddr(i)*4096
+		in.mapPage(t, pts, va.PageNumber(addr.Page4K), addr.Page4K, addr.PPN(i+1))
+	}
+	in.mapPage(t, pts, addr.VPN(0x8000_0000>>21), addr.Page2M, 7777)
 
 	rng := rand.New(rand.NewSource(11))
 	vas = make([]addr.VirtAddr, 3000)
@@ -57,7 +84,7 @@ func batchPair(t *testing.T, kind string) (a, b *MMU, vas []addr.VirtAddr) {
 			vas[i] = base + addr.VirtAddr(rng.Intn(512))*4096
 		}
 	}
-	return am, bm, vas
+	return am, bm, vas, in
 }
 
 // TestTranslateBatchMatchesScalar: the batched pipeline — TranslateBatchPAs
@@ -67,11 +94,13 @@ func batchPair(t *testing.T, kind string) (a, b *MMU, vas []addr.VirtAddr) {
 // both walker families, across hit, miss, huge-page, and fault elements: the
 // same addresses, the same summed cycles for every resolved prefix, the
 // walked element's Result (the batch's miss latency plus the walk) equal to
-// the scalar one, and the same final Stats.
+// the scalar one, and the same final Stats. Every physical address either
+// path produces must also be the one the installed mappings give, and an
+// address no mapping covers must fault.
 func TestTranslateBatchMatchesScalar(t *testing.T) {
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
-			scalar, batch, vas := batchPair(t, kind)
+			scalar, batch, vas, in := batchPair(t, kind)
 			var pas [BatchWidth]addr.PhysAddr
 			segments := []int{1, 5, 31, 64, 64, 17, 3, 20}
 			pos, seg := 0, 0
@@ -89,6 +118,9 @@ func TestTranslateBatchMatchesScalar(t *testing.T) {
 					if want.Fault || pas[i] != want.PA {
 						t.Fatalf("element %d (va %#x): batch pa %#x, scalar %+v", pos+i, chunk[i], pas[i], want)
 					}
+					if pa, ok := in.pa(chunk[i]); !ok || pas[i] != pa {
+						t.Fatalf("element %d (va %#x): batch pa %#x, installed %#x,%v", pos+i, chunk[i], pas[i], pa, ok)
+					}
 					wantSum += want.Cycles
 				}
 				if latSum != wantSum {
@@ -99,6 +131,9 @@ func TestTranslateBatchMatchesScalar(t *testing.T) {
 					if got := batch.TranslateWalk(chunk[n], missLat); got != want {
 						t.Fatalf("element %d (va %#x): walk %+v (miss latency %d), scalar %+v",
 							pos+n, chunk[n], got, missLat, want)
+					}
+					if pa, ok := in.pa(chunk[n]); ok == want.Fault || ok && want.PA != pa {
+						t.Fatalf("element %d (va %#x): walk %+v, installed %#x,%v", pos+n, chunk[n], want, pa, ok)
 					}
 					n++
 				}
@@ -119,7 +154,7 @@ func TestTranslateBatchMatchesScalar(t *testing.T) {
 func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
-			ref, fused, vas := batchPair(t, kind)
+			ref, fused, vas, _ := batchPair(t, kind)
 			var pas [BatchWidth]addr.PhysAddr
 			var one [1]addr.PhysAddr
 			segments := []int{64, 3, 31, 1, 64, 20}

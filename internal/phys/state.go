@@ -109,7 +109,6 @@ func RestoreMemory(st MemoryState) (*Memory, error) {
 // serialized) policy after restore.
 type StripedState struct {
 	StripeFrames uint64
-	AmbientFMFI  float64
 	Seq          uint64
 	Stripes      []MemoryState
 }
@@ -118,7 +117,6 @@ type StripedState struct {
 func (s *Striped) State() StripedState {
 	st := StripedState{
 		StripeFrames: s.stripeFrames,
-		AmbientFMFI:  s.AmbientFMFI,
 		Seq:          s.seq,
 		Stripes:      make([]MemoryState, len(s.stripes)),
 	}
@@ -128,11 +126,12 @@ func (s *Striped) State() StripedState {
 	return st
 }
 
-// RestoreStriped rebuilds a pool from recorded state. The global free-byte
-// counter is recomputed from the restored stripes; the injection hook
-// starts detached. It returns an error if a stripe does not restore or
+// RestoreStriped rebuilds a pool from recorded state, pricing allocations
+// at ambientFMFI as NewStriped does: the pricing level is configuration,
+// not state. The global free-byte counter is recomputed from the restored
+// stripes; the injection hook starts detached. It returns an error if a stripe does not restore or
 // does not span StripeFrames frames.
-func RestoreStriped(st StripedState) (*Striped, error) {
+func RestoreStriped(st StripedState, ambientFMFI float64) (*Striped, error) {
 	if len(st.Stripes) == 0 {
 		return nil, fmt.Errorf("phys: snapshot has no stripes")
 	}
@@ -140,7 +139,7 @@ func RestoreStriped(st StripedState) (*Striped, error) {
 		stripes:      make([]*Memory, len(st.Stripes)),
 		stripeFrames: st.StripeFrames,
 		model:        DefaultCostModel,
-		AmbientFMFI:  st.AmbientFMFI,
+		AmbientFMFI:  ambientFMFI,
 		seq:          st.Seq,
 	}
 	for i, ms := range st.Stripes {

@@ -32,6 +32,7 @@ type Striped struct {
 
 	// AmbientFMFI is the fragmentation level used for pricing allocations,
 	// mirroring Allocator.AmbientFMFI.
+	// Not in the snapshot: configuration; RestoreStriped takes it as an argument
 	AmbientFMFI float64
 
 	// Hook, if non-nil, is consulted before every Alloc attempt on any

@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// batchCfg is a small machine for the differential tests: unfragmented so
+// batchCfg is a small machine for the loop tests: unfragmented so
 // construction is fast, big enough that every access class (fault, walk, TLB
 // hit at both levels, DRAM data miss) occurs.
 func batchCfg(org Org, inject string) Config {
@@ -39,31 +39,14 @@ func batchTestVAs(seed int64, n int) []addr.VirtAddr {
 	return vas
 }
 
-// scalarOracle replays vas through the per-element scalar loop
-// (RunAddresses), the reference the batched loop must match bit-for-bit.
-func scalarOracle(t *testing.T, cfg Config, vas []addr.VirtAddr) Result {
-	t.Helper()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.RunAddresses(func(emit func(va addr.VirtAddr)) {
-		for _, va := range vas {
-			emit(va)
-		}
-	})
-}
-
-// batchedRun replays vas through the batched loop, filling at most fill
-// addresses per NextBatch call so partial and width-1 batches are exercised.
+// batchedRun replays vas through the batched loop of an oracleMachine,
+// filling at most fill addresses per NextBatch call so partial and width-1
+// batches are exercised. A fill of 1 is the scalar interleave: every
+// reference translates, faults and accesses before the next one starts.
 func batchedRun(t *testing.T, cfg Config, vas []addr.VirtAddr, fill int) Result {
 	t.Helper()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pos := 0
-	return m.RunBatches(func(out []addr.VirtAddr) int {
+	return oracleMachine(t, cfg).RunBatches(func(out []addr.VirtAddr) int {
 		k := fill
 		if k > len(out) {
 			k = len(out)
@@ -85,47 +68,72 @@ func assertSameResult(t *testing.T, label string, got, want Result) {
 	got.MEHPT, got.ECPT = nil, nil
 	want.MEHPT, want.ECPT = nil, nil
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: batched run diverges from scalar:\n got %+v\nwant %+v", label, got, want)
+		t.Errorf("%s: run diverges from the fill-1 run:\n got %+v\nwant %+v", label, got, want)
 	}
 }
 
 // TestBatchedLoopMatchesScalar is the end-to-end bit-identity property the
-// batched pipeline claims: for every organization and for batch fills of 1,
-// a non-multiple of the width, and the full width, RunBatches must produce
-// exactly the Result (cycles, stats, page-table metrics) of the scalar loop.
+// batched pipeline claims: for every organization and for batch fills of a
+// non-multiple of the width and the full width, RunBatches must produce
+// exactly the Result (cycles, stats, page-table metrics) of the fill-1
+// run, the scalar interleave. Every run's physical addresses are the flat
+// oracle's (oracleMachine).
 func TestBatchedLoopMatchesScalar(t *testing.T) {
 	vas := batchTestVAs(29, 6000)
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
 		cfg := batchCfg(org, "")
-		want := scalarOracle(t, cfg, vas)
+		want := batchedRun(t, cfg, vas, 1)
 		if want.Failed {
-			t.Fatalf("%v: scalar oracle failed: %s", org, want.FailReason)
+			t.Fatalf("%v: fill-1 run failed: %s", org, want.FailReason)
 		}
 		if want.MMU.Walks == 0 || want.OS.Faults == 0 {
 			t.Fatalf("%v: stream too tame (walks=%d faults=%d)", org, want.MMU.Walks, want.OS.Faults)
 		}
-		for _, fill := range []int{1, 5, 31, 64} {
+		for _, fill := range []int{5, 31, 64} {
 			got := batchedRun(t, cfg, vas, fill)
 			assertSameResult(t, org.String(), got, want)
 		}
 	}
 }
 
-// TestBatchedLoopMatchesScalarUnderInjection repeats the differential with a
-// fault-injection policy that kills the run mid-stream: the batched loop
-// must fail at the same access, with the same accumulated state, as the
-// scalar loop.
+// TestBatchedLoopMatchesScalarUnderInjection repeats the comparison with a
+// fault-injection policy that kills the run mid-stream: every fill must
+// fail at the same access, with the same accumulated state, as the fill-1
+// run.
 func TestBatchedLoopMatchesScalarUnderInjection(t *testing.T) {
 	vas := batchTestVAs(31, 6000)
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
 		cfg := batchCfg(org, "nth=200")
-		want := scalarOracle(t, cfg, vas)
+		want := batchedRun(t, cfg, vas, 1)
 		if !want.Failed {
-			t.Fatalf("%v: injection did not kill the scalar run", org)
+			t.Fatalf("%v: injection did not kill the fill-1 run", org)
 		}
-		for _, fill := range []int{1, 31, 64} {
+		for _, fill := range []int{5, 31, 64} {
 			got := batchedRun(t, cfg, vas, fill)
 			assertSameResult(t, org.String(), got, want)
+		}
+	}
+}
+
+// TestRunAddressesMatchesRunBatches: the push adapter buffers its emits
+// into the batched loop, so a stream through RunAddresses must equal the
+// fill-1 run, including a run that injection kills mid-stream, after which
+// emits are dropped.
+func TestRunAddressesMatchesRunBatches(t *testing.T) {
+	vas := batchTestVAs(41, 3000)
+	for _, org := range []Org{Radix, ECPT, MEHPT} {
+		for _, inject := range []string{"", "nth=200"} {
+			cfg := batchCfg(org, inject)
+			want := batchedRun(t, cfg, vas, 1)
+			if want.Failed != (inject != "") {
+				t.Fatalf("%v %q: fill-1 run Failed=%v", org, inject, want.Failed)
+			}
+			got := oracleMachine(t, cfg).RunAddresses(func(emit func(addr.VirtAddr)) {
+				for _, va := range vas {
+					emit(va)
+				}
+			})
+			assertSameResult(t, org.String()+" "+inject, got, want)
 		}
 	}
 }
@@ -141,7 +149,7 @@ func TestBatchedLoopEmptySource(t *testing.T) {
 
 // TestRunStreamMatchesRunBatches closes the loop with the trace engine: a
 // binary trace replayed through RunStream must equal the same addresses fed
-// through RunBatches (and hence the scalar loop, via the tests above).
+// through RunBatches (and hence the fill-1 run, via the tests above).
 func TestRunStreamMatchesRunBatches(t *testing.T) {
 	vas := batchTestVAs(37, 4000)
 	cfg := batchCfg(ECPT, "")

@@ -43,8 +43,9 @@ type MMU interface {
 // reorder is invisible — TLB hits touch only TLB state and data accesses
 // only cache state, so hits-then-accesses commutes with the scalar
 // interleave, and the batch stops at the first page walk (which does touch
-// the data caches) so walks stay in scalar order. The batch-vs-scalar
-// differential tests in batch_test.go pin this bit for bit.
+// the data caches) so walks stay in scalar order. batch_test.go pins this
+// bit for bit: a run at any batch fill equals the fill-1 run, and every
+// address the loop translates is the flat test oracle's.
 type Engine struct {
 	MMU   MMU
 	Cache *cache.Hierarchy

@@ -101,37 +101,26 @@ func TestEngineFaultPersisted(t *testing.T) {
 }
 
 // TestEngineLongBatch: Run accepts inputs wider than the translation
-// pipeline and matches the scalar reference loop on them, including TLB-hit
-// runs longer than one pipeline batch.
+// pipeline and matches the fill-1 run on them, including TLB-hit runs
+// longer than one pipeline batch.
 func TestEngineLongBatch(t *testing.T) {
 	vas := batchTestVAs(5, 100)
 	base := addr.VirtAddr(0x4000_0000)
 	for i := 0; i < 3*mmu.BatchWidth+17; i++ {
 		vas = append(vas, base+addr.VirtAddr(i%8)*4096)
 	}
-	ref, err := NewMachine(batchCfg(ECPT, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.RunAddresses(func(emit func(addr.VirtAddr)) {
-		for _, va := range vas {
-			emit(va)
-		}
-	})
-	m, err := NewMachine(batchCfg(ECPT, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := batchedRun(t, batchCfg(ECPT, ""), vas, 1)
+	m := oracleMachine(t, batchCfg(ECPT, ""))
 	var tl Tally
 	if err := m.eng.Run(vas, &tl); err != nil {
 		t.Fatal(err)
 	}
-	scalar := Tally{Accesses: want.Accesses, XlatCycles: want.XlatCycles,
+	fill1 := Tally{Accesses: want.Accesses, XlatCycles: want.XlatCycles,
 		DataCycles: want.DataCycles, OSCycles: want.OSCycles}
-	if tl != scalar {
-		t.Errorf("long batch %+v, scalar %+v", tl, scalar)
+	if tl != fill1 {
+		t.Errorf("long batch %+v, fill-1 run %+v", tl, fill1)
 	}
 	if ms, rs := m.eng.MMU.Stats(), want.MMU; ms != rs {
-		t.Errorf("MMU stats diverge: engine %+v, scalar %+v", ms, rs)
+		t.Errorf("MMU stats diverge: engine %+v, fill-1 run %+v", ms, rs)
 	}
 }

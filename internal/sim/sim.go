@@ -381,26 +381,31 @@ type vaSource interface {
 	NextBatch(out []addr.VirtAddr) int
 }
 
-// runSource drives src through the engine a batch at a time. Unlike the
-// tenant driver, the simulator counts the reference that failed the run.
+// runSource drives src through the engine a batch at a time.
 func (m *Machine) runSource(src vaSource, res *Result) {
-	var t Tally
 	for {
 		n := src.NextBatch(m.vaBuf[:])
-		if n == 0 {
-			break
+		if n == 0 || !m.runVAs(m.vaBuf[:n], res) {
+			return
 		}
-		if err := m.eng.Run(m.vaBuf[:n], &t); err != nil {
-			t.Accesses++
-			res.Failed = true
-			res.FailReason = err.Error()
-			break
-		}
+	}
+}
+
+// runVAs runs vas through the engine, adding their cost to res, and
+// reports whether the run may go on. A reference that cannot complete
+// fails res; unlike the tenant driver, the simulator counts it.
+func (m *Machine) runVAs(vas []addr.VirtAddr, res *Result) bool {
+	var t Tally
+	err := m.eng.Run(vas, &t)
+	if err != nil {
+		t.Accesses++
+		res.Failed, res.FailReason = true, err.Error()
 	}
 	res.Accesses += t.Accesses
 	res.XlatCycles += t.XlatCycles
 	res.DataCycles += t.DataCycles
 	res.OSCycles += t.OSCycles
+	return err == nil
 }
 
 func (m *Machine) finish(res *Result) {
@@ -424,36 +429,27 @@ func (m *Machine) finish(res *Result) {
 }
 
 // RunAddresses drives an arbitrary address stream through the machine:
-// gen's emit callback performs one memory reference (translation, fault
-// handling, data access) per call. It powers algorithm-driven traces
-// (internal/graph kernels) as opposed to the statistical workload traces.
+// each emit is one memory reference (translation, fault handling, data
+// access). It powers algorithm-driven traces (internal/graph kernels) as
+// opposed to the statistical workload traces. Emits are buffered and run
+// through the engine a buffer at a time, so gen must not depend on their
+// outcome; emits after the reference that failed the run are dropped.
 func (m *Machine) RunAddresses(gen func(emit func(va addr.VirtAddr))) Result {
 	res := Result{Org: m.cfg.Org, Workload: "stream", THP: m.cfg.THP}
+	n := 0
 	gen(func(va addr.VirtAddr) {
 		if res.Failed {
 			return
 		}
-		res.Accesses++
-		r := m.eng.MMU.Translate(va)
-		res.XlatCycles += r.Cycles
-		if r.Fault {
-			cycles, err := m.eng.OS.HandleFault(va)
-			res.OSCycles += cycles
-			if err != nil {
-				res.Failed = true
-				res.FailReason = err.Error()
-				return
-			}
-			r = m.eng.MMU.Translate(va)
-			res.XlatCycles += r.Cycles
-			if r.Fault {
-				res.Failed = true
-				res.FailReason = ErrFaultPersisted.Error()
-				return
-			}
+		m.vaBuf[n] = va
+		if n++; n == len(m.vaBuf) {
+			m.runVAs(m.vaBuf[:], &res)
+			n = 0
 		}
-		res.DataCycles += m.eng.Cache.Access(r.PA) / DataMLP
 	})
+	if !res.Failed {
+		m.runVAs(m.vaBuf[:n], &res)
+	}
 	m.finish(&res)
 	return res
 }
@@ -467,9 +463,8 @@ func (f funcSource) NextBatch(out []addr.VirtAddr) int {
 
 // RunBatches drives the machine from a batch producer: next fills the
 // buffer it is handed and returns how many addresses it produced; a short
-// (including zero) fill ends the run. This is the batched counterpart of
-// RunAddresses — same access semantics, but the machine runs its pipelined
-// loop instead of one emit call per reference.
+// (including zero) fill ends the run. This is the pull counterpart of
+// RunAddresses' push stream, with the same access semantics.
 func (m *Machine) RunBatches(next func(out []addr.VirtAddr) int) Result {
 	res := Result{Org: m.cfg.Org, Workload: "stream", THP: m.cfg.THP}
 	m.runSource(funcSource(next), &res)

@@ -84,10 +84,9 @@ func open(cfg Config, st *MachineState) (m *Machine, err error) {
 				err = fmt.Errorf("%w: %w", ErrMismatch, err)
 			}
 		}()
-		if pool, err = phys.RestoreStriped(st.Pool); err != nil {
+		if pool, err = phys.RestoreStriped(st.Pool, cfg.FMFI); err != nil {
 			return nil, err
 		}
-		pool.AmbientFMFI = cfg.FMFI
 	}
 
 	specs := workload.Specs(cfg.Scale)

@@ -282,17 +282,20 @@ func (t *Table) LookupSlot(key uint64) (uint64, Slot, bool) {
 	return 0, Slot{}, false
 }
 
-// Replace overwrites the value of key, if present, in place. It counts
-// nothing, draws no randomness and never resizes.
-func (t *Table) Replace(key, val uint64) {
+// Replace overwrites the value of key, if present, in place, and returns
+// the value it replaced. It counts nothing, draws no randomness and never
+// resizes.
+func (t *Table) Replace(key, val uint64) (uint64, bool) {
 	crc := t.mixer.CRC(key)
 	for i := 0; i < t.cfg.Ways; i++ {
 		w, idx := t.locateHash(i, t.mixer.HashAt(i, crc))
 		if w.slots[idx].Key == key {
+			old := w.slots[idx].Val
 			w.slots[idx].Val = val
-			return
+			return old, true
 		}
 	}
+	return 0, false
 }
 
 // Insert adds key with value val. If key is already present its value is

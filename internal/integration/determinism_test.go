@@ -158,21 +158,21 @@ func TestMultiTenantTraceReplayMatrix(t *testing.T) {
 // TestMultiTenantGoldenFingerprints pins the canonical multi-tenant
 // fingerprints (-scale 128 -mem 4 -processes 6 -seed 42, at 1 and 4
 // simulated cores) of a clean run and of a rate=0.002 injected run, in
-// which five of six tenants fail mid-quantum. The tenant loop has no scalar
-// twin to be compared against, so these values are its reference: a change
-// to how quanta are batched, drawn, or priced that moves any simulated
-// result moves one of them.
+// which five of six tenants fail mid-quantum. What the machine translates
+// is checked against a flat reference model by tenant.TestTenantOpsSeeded;
+// these values pin what it prices: a change to how quanta are batched,
+// drawn, or priced that moves any simulated result moves one of them.
 func TestMultiTenantGoldenFingerprints(t *testing.T) {
 	golden := map[string]map[string]string{
 		"": {
-			"Radix":  "4044893b4e6000276f0563083cc134c8a2655c32ca6944223b6ab9e391213c76",
-			"ECPT":   "3664273dcfc9ca2c602d2e75c3aeec1dfd383dbd851ed8cd5c533a09d45b70ed",
-			"ME-HPT": "8bf4db2873b0a33207a3cd36d722476e3d50cdf444509463c3059eb1c4726653",
+			"Radix":  "c71380a88622736f50cdb201a9a368f3d4109bd98aead32ef267b278bc400c29",
+			"ECPT":   "5011117921c98922e88dd7205374bac80063a7d36328bcb7fdcdf0a40366c659",
+			"ME-HPT": "5207dacde6e4461dce68735384bd561256bb5efe54a4a706e033c9aa904bd316",
 		},
 		"rate=0.002": {
-			"Radix":  "28eaab80238fa9dbc1ac0675fd817c44868811a3a57476cd5a40d8e110bea0ab",
-			"ECPT":   "3c6370363736409d24b586f0829a6a595bbfa7a9d4c8dd0ee4d039031ad2c2ca",
-			"ME-HPT": "5a9fd175ac470974b892b05f49ba460625906a8a63ad5dbb1255899df7d51ce5",
+			"Radix":  "a1be415cc5b3fa535325718c070dabbb7985848499e031c1a448d3f1cb10f641",
+			"ECPT":   "da42e91d4a5fea0dd6be37f0c41f3db28787bf482c134be42264a1bfd8d13016",
+			"ME-HPT": "b8786e95945a8986df81d2d714e656e6a48feb1e68def6768f3917a7ad5f6ea1",
 		},
 	}
 	for _, inject := range []string{"", "rate=0.002"} {

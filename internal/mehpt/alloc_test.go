@@ -122,3 +122,43 @@ func belowPtr(tb *Table, keys []uint64) []uint64 {
 	}
 	return out
 }
+
+// TestFailedTransitionAllocs: a chunk-size transition whose allocation
+// fails allocates no more than the store's own rolled-back Transition, so
+// a table retrying it on every insert under sustained pressure never pays
+// for the entries of the way it leaves untouched.
+func TestFailedTransitionAllocs(t *testing.T) {
+	p, _ := newPT(t, 64*addr.MB)
+	for i := uint64(0); i < 3000; i++ {
+		if _, err := p.Map(addr.VPN(i*pt.ClusterSpan), addr.Page4K, addr.PPN(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb := p.Table(addr.Page4K)
+	if err := tb.DrainResizes(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, _, err := tb.alloc.Alloc(4 * addr.KB); err != nil {
+			break
+		}
+	}
+	w := tb.ways[0]
+	size, occ := w.size, w.occ
+	store := testing.AllocsPerRun(100, func() {
+		if _, err := w.store.Transition(2 * size * pt.EntryBytes); err == nil {
+			t.Fatal("transition succeeded in an exhausted pool")
+		}
+	})
+	way := testing.AllocsPerRun(100, func() {
+		if _, err := tb.transitionWay(w, 2*size); err == nil {
+			t.Fatal("transition succeeded in an exhausted pool")
+		}
+	})
+	if w.size != size || w.occ != occ || occ < 500 {
+		t.Fatalf("way 0 holds %d entries in %d slots, want %d in %d", w.occ, w.size, occ, size)
+	}
+	if way != store {
+		t.Errorf("a failed transition allocates %v objects, its store's Transition %v", way, store)
+	}
+}

@@ -198,14 +198,10 @@ func (t *Table) ladderFrom(cur uint64) []uint64 {
 // transitionWay performs the chunk-size transition of Figure 3d→e: an eager
 // out-of-place rebuild of way i over chunks of the next rung. The OS buffers
 // the way's entries (at most one maximal old way), frees the old chunks,
-// allocates the new ones, and reinserts.
+// allocates the new ones, and reinserts. The way's slots are the buffer:
+// the store's transition leaves them alone, so a transition that fails
+// (and is retried by the next insert) copies nothing.
 func (t *Table) transitionWay(w *way, newSize uint64) (uint64, error) {
-	var buffered []cuckoo.Entry
-	for idx := uint64(0); idx < uint64(len(w.slots)); idx++ {
-		if w.slots[idx].Key != cuckoo.EmptyKey {
-			buffered = append(buffered, w.slots[idx])
-		}
-	}
 	targetBytes := newSize * pt.EntryBytes
 	cycles, err := w.store.Transition(targetBytes)
 	t.noteAlloc(w.store.ChunkBytes(), cycles)
@@ -216,9 +212,13 @@ func (t *Table) transitionWay(w *way, newSize uint64) (uint64, error) {
 	t.stats.Transitions++
 	w.resizing = false
 	w.size = newSize
+	old := w.slots
 	w.slots = emptySlots(newSize)
 	w.occ = 0
-	for _, e := range buffered {
+	for _, e := range old {
+		if e.Key == cuckoo.EmptyKey {
+			continue
+		}
 		idx := w.fn.Index(e.Key, newSize)
 		t.stats.MovesTotal++
 		if w.slots[idx].Key == cuckoo.EmptyKey {

@@ -15,6 +15,12 @@
 //
 // NewRadix and NewHPT pick the walker; a new organization is one more
 // walker plus its table.
+//
+// An MMU may also walk one address window through a second, machine-wide
+// hashed table (BindShared): the multi-tenant machine's shared segment.
+// That window has its own hashed walker and CWC, so walking it leaves the
+// bound table's walk caches untouched; Bind, FlushTranslation and
+// Invalidate cover it as they do the bound table's.
 package mmu
 
 import (
@@ -83,7 +89,11 @@ type MMU struct {
 	Mem    *cache.Hierarchy
 	table  Table // nil until bound
 	walker walker
-	stats  Stats
+	// shared walks [sharedLo, sharedHi) instead of walker; nil until
+	// BindShared.
+	shared             *hashedWalker
+	sharedLo, sharedHi addr.VirtAddr
+	stats              Stats
 }
 
 // NewHPT wires an MMU with Table III structures over a hashed page table.
@@ -148,7 +158,7 @@ func (m *MMU) Translate(va addr.VirtAddr) Result {
 // through this, which keeps their results and stats bit-identical.
 func (m *MMU) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
-	tr, walk, ok := m.walker.walk(va, m.Mem)
+	tr, walk, ok := m.walkerFor(va).walk(va, m.Mem)
 	m.stats.WalkCycles += walk
 	if !ok {
 		m.stats.Faults++
@@ -204,7 +214,7 @@ func (m *MMU) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
 // promotion).
 func (m *MMU) Invalidate(va addr.VirtAddr, s addr.PageSize) {
 	m.TLB.Invalidate(va, s)
-	m.walker.invalidate(va)
+	m.walkerFor(va).invalidate(va)
 }
 
 // FlushTranslation empties the TLBs and walk caches — the per-address-space
@@ -214,6 +224,9 @@ func (m *MMU) Invalidate(va addr.VirtAddr, s addr.PageSize) {
 func (m *MMU) FlushTranslation() {
 	m.TLB.Flush()
 	m.walker.flush()
+	if m.shared != nil {
+		m.shared.flush()
+	}
 }
 
 // Bind retargets this MMU at a new address space: table, which must be of
@@ -225,6 +238,25 @@ func (m *MMU) Bind(table Table) {
 	m.table = table
 	m.walker.bind(table)
 	m.FlushTranslation()
+}
+
+// BindShared makes table the walk target for every address in [lo, hi),
+// in place of the bound table, through a hashed walker with its own CWC.
+// The window survives Bind; its TLB entries and CWC do not. The multi-
+// tenant machine binds its shared segment once per core at open.
+func (m *MMU) BindShared(lo, hi addr.VirtAddr, table HPTPageTable) {
+	m.shared = &hashedWalker{table: table, cwc: *cwc.New()}
+	m.sharedLo, m.sharedHi = lo, hi
+	m.FlushTranslation()
+}
+
+// walkerFor returns the walker that resolves va: the shared window's, or
+// the bound table's.
+func (m *MMU) walkerFor(va addr.VirtAddr) walker {
+	if m.shared != nil && va >= m.sharedLo && va < m.sharedHi {
+		return m.shared
+	}
+	return m.walker
 }
 
 // hashedWalker walks a hashed page table: one targeted probe, located by

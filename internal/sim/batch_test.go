@@ -96,6 +96,30 @@ func TestBatchedLoopMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestBatchedLoopTHP repeats the comparison on THP machines, where the OS
+// maps a first touch in an eligible 2MB region with one 2MB page and
+// elsewhere with a 4KB page: every run's physical addresses are the
+// oracle's at the size the OS mapped, and no reference fails.
+func TestBatchedLoopTHP(t *testing.T) {
+	vas := batchTestVAs(37, 6000)
+	for _, org := range []Org{Radix, ECPT, MEHPT} {
+		cfg := batchCfg(org, "")
+		cfg.THP = true
+		cfg.Workload.THPFraction = 0.5
+		want := batchedRun(t, cfg, vas, 1)
+		if want.Failed {
+			t.Fatalf("%v: fill-1 run failed: %s", org, want.FailReason)
+		}
+		if huge := want.OS.HugeFaults; huge == 0 || huge == want.OS.Faults {
+			t.Fatalf("%v: %d of %d faults mapped 2MB pages, want some of each size", org, huge, want.OS.Faults)
+		}
+		for _, fill := range []int{31, 64} {
+			got := batchedRun(t, cfg, vas, fill)
+			assertSameResult(t, org.String(), got, want)
+		}
+	}
+}
+
 // TestBatchedLoopMatchesScalarUnderInjection repeats the comparison with a
 // fault-injection policy that kills the run mid-stream: every fill must
 // fail at the same access, with the same accumulated state, as the fill-1

@@ -86,20 +86,16 @@ func (m oracleMMU) check(va addr.VirtAddr, r mmu.Result) {
 	}
 }
 
-// oracleMachine builds cfg's machine with its OS recording every mapping
-// into a fresh oracle and its MMU checked against it. cfg must not enable
-// THP: the OS is rebuilt with the default configuration.
+// oracleMachine builds cfg's machine with its OS recording every mapping,
+// 4KB or THP 2MB, into a fresh oracle and its MMU checked against it.
 func oracleMachine(t *testing.T, cfg Config) *Machine {
 	t.Helper()
-	if cfg.THP {
-		t.Fatal("oracleMachine: THP configs are not supported")
-	}
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := flatOracle{}
-	m.eng.OS = osmodel.New(osmodel.DefaultConfig(), recordingTable{m.table, oracle}, m.alloc)
+	m.eng.OS = osmodel.New(cfg.osConfig(), recordingTable{m.table, oracle}, m.alloc)
 	m.eng.MMU = oracleMMU{MMU: m.eng.MMU, t: t, oracle: oracle}
 	return m
 }

@@ -300,11 +300,17 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.table = table
 	m.eng.MMU = NewMMU(cfg.Org, table, m.eng.Cache)
 
+	m.eng.OS = osmodel.New(cfg.osConfig(), m.table, alloc)
+	return m, nil
+}
+
+// osConfig is the OS model of cfg's machine: THP as configured, over the
+// workload's THP-eligible fraction.
+func (cfg Config) osConfig() osmodel.Config {
 	osCfg := osmodel.DefaultConfig()
 	osCfg.THP = cfg.THP
 	osCfg.THPFraction = cfg.Workload.THPFraction
-	m.eng.OS = osmodel.New(osCfg, m.table, alloc)
-	return m, nil
+	return osCfg
 }
 
 // Run executes the configured simulation and returns its results.

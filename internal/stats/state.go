@@ -13,7 +13,8 @@ type HistogramState struct {
 	// Restore reads it only so those checkpoints still resume.
 	Counts map[int]uint64
 	Total  uint64
-	Sum    float64
+	// Checkpoints written before Mean summed the bins also carry a Sum
+	// field; gob skips it on decode.
 }
 
 // Bin is one observed value and how many times it was observed.
@@ -24,7 +25,7 @@ type Bin struct {
 
 // State returns a deep copy of the histogram's contents.
 func (h *Histogram) State() HistogramState {
-	st := HistogramState{Counts: nil, Total: h.total, Sum: h.sum}
+	st := HistogramState{Counts: nil, Total: h.total}
 	if vs := h.Values(); len(vs) > 0 {
 		st.Bins = make([]Bin, len(vs))
 		for i, v := range vs {
@@ -36,7 +37,7 @@ func (h *Histogram) State() HistogramState {
 
 // Restore replaces the histogram's contents with the recorded state.
 func (h *Histogram) Restore(st HistogramState) {
-	*h = Histogram{total: st.Total, sum: st.Sum}
+	*h = Histogram{total: st.Total}
 	for _, b := range st.Bins {
 		h.put(b.Value, b.Count)
 	}
@@ -45,7 +46,7 @@ func (h *Histogram) Restore(st HistogramState) {
 	}
 }
 
-// put sets the count of value v, leaving the total and sum alone.
+// put sets the count of value v, leaving the total alone.
 func (h *Histogram) put(v int, c uint64) {
 	if uint(v) < smallValues {
 		h.small[v] = c

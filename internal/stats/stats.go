@@ -52,7 +52,6 @@ type Histogram struct {
 	small  [smallValues]uint64 // counts of 0 <= v < smallValues
 	counts map[int]uint64      // counts of every other value
 	total  uint64
-	sum    float64
 }
 
 // Add records one observation of value v.
@@ -69,7 +68,6 @@ func (h *Histogram) add(v int, c uint64) {
 		h.counts[v] += c
 	}
 	h.total += c
-	h.sum += float64(v) * float64(c)
 }
 
 // Total returns the number of observations.
@@ -91,12 +89,19 @@ func (h *Histogram) Probability(v int) float64 {
 	return float64(h.Count(v)) / float64(h.total)
 }
 
-// Mean returns the mean observed value.
+// Mean returns the mean observed value, summed from the bins in ascending
+// value order. Where every partial sum is an integer below 2^53, as for
+// reinsertion counts, the sum is exact and so equals an in-order running
+// sum of the observations.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	var sum float64
+	for _, v := range h.Values() {
+		sum += float64(v) * float64(h.Count(v))
+	}
+	return sum / float64(h.total)
 }
 
 // Values returns the observed values in ascending order.
@@ -114,10 +119,8 @@ func (h *Histogram) Values() []int {
 	return vs
 }
 
-// Merge adds all observations from other into h. Values are folded in
-// ascending order: float addition is not associative, so accumulating sum
-// in map iteration order would make the merged statistics differ between
-// otherwise identical runs.
+// Merge adds all observations from other into h, folding values in
+// ascending order so the fold never depends on map iteration order.
 func (h *Histogram) Merge(other *Histogram) {
 	for _, v := range other.Values() {
 		h.add(v, other.Count(v))

@@ -76,21 +76,17 @@ func (m *Machine) CheckTables() []string {
 }
 
 // CheckShardTLBs verifies TLB coherence: every translation resident in a
-// core's TLBs must still resolve — at the cached page size — through the
-// address space the shard is bound to, or through the shared segment's
-// table. Unbound shards (a freshly restored machine) carry nothing and
-// pass vacuously.
+// core's TLBs must still resolve — at the cached page size and to the
+// cached frame — as the core's MMU walks it: through the shared segment's
+// table inside its window, through the bound address space elsewhere.
+// Unbound shards (a freshly restored machine) carry nothing and pass
+// vacuously.
 //
 // It resolves through the read-only visitors (VisitMappings, the shared
 // table's Range), never Translate or Lookup: those count into table
 // statistics that the machine state and the fingerprint carry, so a scrub
 // through them would change the run it inspects.
 func (m *Machine) CheckShardTLBs() []string {
-	shared := make(map[uint64]uint64, m.shared.pages)
-	m.shared.table.Range(func(key, val uint64) bool {
-		shared[key] = val
-		return true
-	})
 	var bad []string
 	for core, sh := range m.shards {
 		// An unbound shard's TLBs were never filled (bind flushes), so any
@@ -100,33 +96,24 @@ func (m *Machine) CheckShardTLBs() []string {
 			table.(mappingVisitor).VisitMappings(func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) {
 				live[pageKey{vpn, s}] = ppn
 			})
+			m.shared.table.Range(func(key, val uint64) bool {
+				live[pageKey{addr.VPN(key), addr.Page4K}] = addr.PPN(val)
+				return true
+			})
 		}
 		sh.mmu.TLB.VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
-			if ppn, size, ok := resolve(live, vpn.Addr(s)); ok && size == s {
-				if uint64(ppn) == pay {
-					return
-				}
+			ppn, size, ok := resolve(live, vpn.Addr(s))
+			switch {
+			case !ok || size != s:
+				bad = append(bad, fmt.Sprintf("core %d: L%d TLB holds %v page %#x with no live translation",
+					core, level, s, uint64(vpn)))
+			case uint64(ppn) != pay:
 				// The MMU completes TLB hits from the cached payload, so
 				// a payload that drifted from the table is a silently
 				// wrong translation, not just a bookkeeping error.
 				bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches %v page %#x with PPN %#x but the table resolves %#x",
 					core, level, s, uint64(vpn), pay, uint64(ppn)))
-				return
 			}
-			// Shared-segment pages translate through the shared table, not
-			// the per-process organization.
-			if s == addr.Page4K {
-				if ppn, ok := shared[uint64(vpn)]; ok {
-					if ppn == pay {
-						return
-					}
-					bad = append(bad, fmt.Sprintf("core %d: L%d TLB caches shared page %#x with PPN %#x but the shared table resolves %#x",
-						core, level, uint64(vpn), pay, ppn))
-					return
-				}
-			}
-			bad = append(bad, fmt.Sprintf("core %d: L%d TLB holds %v page %#x with no live translation",
-				core, level, s, uint64(vpn)))
 		})
 	}
 	return bad

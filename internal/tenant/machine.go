@@ -124,7 +124,7 @@ func open(cfg Config, st *MachineState) (m *Machine, err error) {
 		live:   cfg.Processes,
 	}
 	for c := range m.shards {
-		m.shards[c] = newShard(cfg.Org)
+		m.shards[c] = newShard(cfg.Org, shared)
 	}
 
 	// Fault injection arms only after boot: construction-time allocations
@@ -275,7 +275,7 @@ func (m *Machine) State() *MachineState {
 		Pool:      m.pool.State(),
 		Procs:     make([]ProcState, len(m.procs)),
 		Sched:     m.sched.State(),
-		// The table's own stats count every shared lookup, so the
+		// The table's own stats count every shared walk, so the
 		// read-only counts are written as zero.
 		SharedTable: SharedTableState{
 			Table:        m.shared.table.State(),
@@ -426,8 +426,9 @@ func checkOwners(pool *phys.Striped, procs []*process, shared *sharedRegion) err
 }
 
 // check rejects a restored shared table that does not map exactly the
-// segment's pages: every shared access and remap looks its page up and
-// panics on a miss. Range leaves the fingerprinted lookup counters alone.
+// segment's pages: a remap panics on a page the table misses, and a walk
+// that misses one fails its tenant. Range leaves the fingerprinted lookup
+// counters alone.
 func (s *sharedRegion) check() error {
 	seen := make([]bool, s.pages)
 	var pages, entries uint64

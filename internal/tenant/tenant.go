@@ -1,9 +1,16 @@
 // Package tenant is the multi-tenant sharded simulation mode: N simulated
 // cores replaying interleaved traces from many simulated processes, every
 // address space allocating frames from one machine-wide striped pool
-// (phys.Striped), with a read-mostly shared segment translated through an
-// elastic cuckoo table (cuckoo.Table) and remapped periodically to drive
+// (phys.Striped), with a read-mostly shared segment mapped by an elastic
+// cuckoo table (cuckoo.Table) and remapped periodically to drive
 // TLB-shootdown traffic.
+//
+// Every reference, private or shared, runs through its core's sim.Engine.
+// Each core's MMU walks the shared segment's address window through the
+// shared table (mmu.MMU.BindShared) with a hashed walker of its own, and
+// the bound tenant's page table everywhere else, so a shared reference
+// pays the same TLB probes, CWC lookup and page-table probe as any other
+// hashed walk.
 //
 // # Determinism contract
 //
@@ -43,20 +50,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/cuckoo"
-	"repro/internal/hashfn"
 	"repro/internal/mmu"
 	"repro/internal/osmodel"
 	"repro/internal/phys"
+	"repro/internal/pt"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -66,8 +73,8 @@ import (
 const SharedBaseVA = addr.VirtAddr(0x7F00_0000_0000)
 
 // sharedPTBase is the synthetic physical region where the shared segment's
-// hashed page-table lines notionally live (distinct from data and per-
-// process page-table addresses).
+// hashed page-table ways notionally live (distinct from data and per-
+// process page-table addresses): the table's ways own no pool frames.
 const sharedPTBase = addr.PhysAddr(1) << 46
 
 // ipiCycles is the core-view cost of delivering one shootdown IPI: a
@@ -289,14 +296,21 @@ func (p *process) fail(err error) {
 // quantum rebinds to the incoming process.
 type shard struct {
 	mmu *mmu.MMU
-	// eng runs the bound tenant's private accesses through this core's MMU.
+	// eng runs the bound tenant's references through this core's MMU.
 	eng sim.Engine
-	// vas buffers the quantum's pending private accesses.
-	vas [mmu.BatchWidth]addr.VirtAddr
+	// vas buffers the quantum's pending references, priv the private ones
+	// among them as the tenant's trace supplies them.
+	vas  [mmu.BatchWidth]addr.VirtAddr
+	priv [mmu.BatchWidth]addr.VirtAddr
 }
 
-func newShard(org sim.Org) *shard {
+// runQuantum marks a batch's shared references in one 64-bit word.
+const _ = uint64(64 - mmu.BatchWidth)
+
+// newShard builds a core's MMU with the shared segment's window bound.
+func newShard(org sim.Org, shared *sharedRegion) *shard {
 	s := &shard{mmu: sim.NewMMU(org, nil, nil)}
+	s.mmu.BindShared(shared.va(0), shared.va(shared.pages), shared)
 	s.eng.MMU = s.mmu
 	return s
 }
@@ -322,6 +336,34 @@ type sharedRegion struct {
 
 func (s *sharedRegion) vpn(page uint64) uint64 {
 	return uint64(SharedBaseVA.PageNumber(addr.Page4K)) + page
+}
+
+// va is the address of a shared page.
+func (s *sharedRegion) va(page uint64) addr.VirtAddr {
+	return SharedBaseVA + addr.VirtAddr(page*4*addr.KB)
+}
+
+// Translate resolves a shared-window address through the shared table.
+func (s *sharedRegion) Translate(va addr.VirtAddr) (pt.Translation, bool) {
+	tr, _, ok := s.Walk(va)
+	return tr, ok
+}
+
+// Walk is Translate additionally returning the address of the slot the
+// lookup hit: each (way, resize target) pair of the table notionally
+// occupies its own 4GB stretch above sharedPTBase, one 8-byte entry per
+// slot.
+func (s *sharedRegion) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool) {
+	ppn, slot, ok := s.table.LookupSlot(uint64(va.PageNumber(addr.Page4K)))
+	if !ok {
+		return pt.Translation{}, 0, false
+	}
+	region := uint64(slot.Way) << 1
+	if slot.InNext {
+		region++
+	}
+	probe := sharedPTBase + addr.PhysAddr(region<<32+slot.Idx*8)
+	return pt.Translation{PPN: addr.PPN(ppn), Size: addr.Page4K}, probe, true
 }
 
 // Run executes one multi-tenant machine to completion and returns its
@@ -489,109 +531,74 @@ func openShared(cfg Config, pool *phys.Striped, st *MachineState) (*sharedRegion
 	return s, nil
 }
 
-// runQuantum executes up to cfg.Quantum accesses of p on shard sh. Each
-// access draws its private/shared choice from the tenant's overlay RNG, in
-// access order. Consecutive private accesses are buffered and run through
-// the shard's engine as one batch, flushed when the buffer fills, before
-// every shared access (which must see their TLB and cache effects), and at
-// quantum end. Neither the draws nor the trace depend on translation
-// results, so the RNG draw order — and every canonical result — matches a
-// one-access-at-a-time loop.
+// runQuantum executes up to cfg.Quantum accesses of p on shard sh, through
+// the shard's engine, a batch of up to mmu.BatchWidth references at a
+// time. Each reference draws its private/shared choice from the tenant's
+// overlay RNG, and a shared one then its page, in reference order; the
+// private ones take the tenant's next trace references. Neither the draws
+// nor the trace depend on translation results, and the engine's result
+// does not depend on how references are batched, so every canonical result
+// matches a one-reference-at-a-time loop.
 func runQuantum(cfg Config, p *process, sh *shard, shared *sharedRegion) {
 	n := cfg.Quantum
 	if n > p.left {
 		n = p.left
 	}
-	k := 0 // buffered private accesses
-	for i := uint64(0); i < n; i++ {
-		isShared := p.rng.Float64() < cfg.SharedFraction
-		if !isShared {
-			k++
+	for n > 0 {
+		k := uint64(len(sh.vas))
+		if k > n {
+			k = n
 		}
-		if k > 0 && (isShared || k == len(sh.vas)) {
-			if !runPrivate(p, sh, k) {
-				return // tenant failed mid-quantum
+		n -= k
+		var isShared uint64 // bit i: reference i targets the shared segment
+		for i := range sh.vas[:k] {
+			if p.rng.Float64() < cfg.SharedFraction {
+				sh.vas[i] = shared.va(uint64(p.rng.Int63()) % shared.pages)
+				isShared |= 1 << i
 			}
-			k = 0
 		}
-		if isShared {
-			sharedAccess(p, sh, shared)
-			p.res.SharedAccesses++
-			p.res.Accesses++
-			p.left--
+		priv := sh.priv[:k-uint64(bits.OnesCount64(isShared))]
+		p.nextPrivate(priv)
+		for i := range sh.vas[:k] {
+			if isShared&(1<<i) == 0 {
+				sh.vas[i], priv = priv[0], priv[1:]
+			}
 		}
-	}
-	if k > 0 {
-		runPrivate(p, sh, k)
+		var t sim.Tally
+		err := sh.eng.Run(sh.vas[:k], &t)
+		p.res.Accesses += t.Accesses
+		p.res.SharedAccesses += uint64(bits.OnesCount64(isShared & (1<<t.Accesses - 1)))
+		p.left -= t.Accesses
+		p.res.XlatCycles += t.XlatCycles
+		p.res.DataCycles += t.DataCycles
+		p.res.OSCycles += t.OSCycles
+		if err != nil {
+			p.fail(err) // the failing reference is not counted
+			return
+		}
 	}
 }
 
-// runPrivate runs p's next k private trace accesses through the shard's
-// engine, faulting on demand. It returns false when the tenant fails; the
-// access that failed is not counted.
-func runPrivate(p *process, sh *shard, k int) bool {
-	var vas []addr.VirtAddr
+// nextPrivate fills vas with p's next private trace references.
+func (p *process) nextPrivate(vas []addr.VirtAddr) {
+	var n int
 	if p.replay != nil {
-		if uint64(len(p.replay))-p.replayPos < uint64(k) {
-			panic("tenant: trace exhausted before access budget")
-		}
-		vas = p.replay[p.replayPos : p.replayPos+uint64(k)]
-		p.replayPos += uint64(k)
+		n = copy(vas, p.replay[p.replayPos:])
+		p.replayPos += uint64(n)
 	} else {
-		vas = sh.vas[:k]
-		if p.trace.NextBatch(vas) < k {
-			// The trace is sized to the access budget; exhaustion here means
-			// the budget accounting drifted, which would silently shorten runs.
-			panic("tenant: trace exhausted before access budget")
-		}
+		n = p.trace.NextBatch(vas)
 	}
-	var t sim.Tally
-	err := sh.eng.Run(vas, &t)
-	p.res.Accesses += t.Accesses
-	p.left -= t.Accesses
-	p.res.XlatCycles += t.XlatCycles
-	p.res.DataCycles += t.DataCycles
-	p.res.OSCycles += t.OSCycles
-	if err != nil {
-		p.fail(err)
-		return false
+	if n < len(vas) {
+		// The trace is sized to the access budget; exhaustion here means
+		// the budget accounting drifted, which would silently shorten runs.
+		panic("tenant: trace exhausted before access budget")
 	}
-	return true
-}
-
-// sharedAccess touches one page of the shared segment: a TLB probe on the
-// shard, a shared-table lookup for the frame, and on a TLB miss the
-// hashed-walk cost of one shared page-table probe.
-func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
-	page := uint64(p.rng.Int63()) % shared.pages
-	va := SharedBaseVA + addr.VirtAddr(page*4*addr.KB)
-	tlbs := sh.mmu.TLB
-	res, _, lat := tlbs.Lookup(va, addr.Page4K)
-	p.res.XlatCycles += lat
-	ppnVal, ok := shared.table.Lookup(shared.vpn(page))
-	if !ok {
-		panic("tenant: shared page lost its mapping")
-	}
-	if res == tlb.MissAll {
-		// Hashed walk for the shared segment: hash latency plus one
-		// page-table line access (always-DRAM, like other PT lines).
-		walk := uint64(hashfn.Latency)
-		walk += p.cache.AccessPT(sharedPTBase + addr.PhysAddr(shared.vpn(page)*8))
-		p.res.XlatCycles += walk
-		// The cached payload stays coherent because every remap of a
-		// shared page shoots this entry down before publishing the new
-		// frame; CheckShardTLBs proves it.
-		tlbs.Insert(va, addr.Page4K, ppnVal)
-	}
-	pa := addr.Translate(va, addr.PPN(ppnVal), addr.Page4K)
-	p.res.DataCycles += p.cache.Access(pa) / sim.DataMLP
 }
 
 // remapRound performs the end-of-round shared-page remaps, each one a TLB
-// shootdown: a new frame is published through the shared table (an
-// upsert in place), the old frame is freed, and
-// every other live address space is notified. IPI delivery is core-view:
-// one interrupt per core with a resident address space.
+// shootdown (remap) of which every other live address space is notified.
+// IPI delivery is core-view: one interrupt per core with a resident
+// address space.
 func remapRound(cfg Config, shared *sharedRegion, procs []*process,
 	shards []*shard, sched *osmodel.MultiCore, sd *stats.Shootdowns) {
 	liveSharers := 0
@@ -601,29 +608,13 @@ func remapRound(cfg Config, shared *sharedRegion, procs []*process,
 		}
 	}
 	for k := 0; k < cfg.RemapsPerRound; k++ {
-		page := uint64(shared.rng.Int63()) % shared.pages
-		old, ok := shared.table.Lookup(shared.vpn(page))
-		if !ok {
-			panic("tenant: remapping unmapped shared page")
-		}
-		ppn, _, err := shared.view.Alloc(4 * addr.KB)
-		if err != nil {
-			// Pool pressure (genuine or injected): defer the remap. The old
-			// mapping stays valid — degradation, not corruption.
+		if !shared.remap(uint64(shared.rng.Int63())%shared.pages, shards) {
 			continue
 		}
-		if _, err := shared.table.Insert(shared.vpn(page), uint64(ppn)); err != nil {
-			// Upsert of an existing key cannot allocate, so it cannot fail;
-			// roll the new frame back if it somehow does.
-			shared.view.Free(ppn, 4*addr.KB)
-			continue
-		}
-		shared.view.Free(addr.PPN(old), 4*addr.KB)
 		sd.Events++
 		if liveSharers > 0 {
 			sd.SharersNotified += uint64(liveSharers - 1)
 		}
-		va := SharedBaseVA + addr.VirtAddr(page*4*addr.KB)
 		resident := uint64(0)
 		for c := 0; c < sched.Cores(); c++ {
 			if sched.Incumbent(c) >= 0 {
@@ -632,14 +623,33 @@ func remapRound(cfg Config, shared *sharedRegion, procs []*process,
 		}
 		sd.IPIsDelivered += resident
 		sd.IPICycles += resident * ipiCycles
-		// Shard-level TLB invalidation of va on every core: quanta start
-		// cold (canonical cold start), so this is model hygiene with no
-		// canonical effect, but it keeps the shards honest for anyone
-		// inspecting them between rounds.
-		for _, sh := range shards {
-			sh.mmu.Invalidate(va, addr.Page4K)
-		}
 	}
+}
+
+// remap moves shared page to a fresh frame: the new frame replaces the old
+// one in the shared table's slot (Replace, which counts no lookup), the old
+// frame is freed, and every core's TLB and shared CWC drop the page. It
+// returns false, changing nothing, when the pool refuses the frame (genuine
+// or injected pressure): the remap is deferred and the old mapping stays
+// valid — degradation, not corruption.
+//
+// Quanta start cold (canonical cold start), so the invalidation is model
+// hygiene with no canonical effect, but it keeps the shards honest for
+// anyone inspecting them between rounds.
+func (s *sharedRegion) remap(page uint64, shards []*shard) bool {
+	ppn, _, err := s.view.Alloc(4 * addr.KB)
+	if err != nil {
+		return false
+	}
+	old, ok := s.table.Replace(s.vpn(page), uint64(ppn))
+	if !ok {
+		panic("tenant: remapping unmapped shared page")
+	}
+	s.view.Free(addr.PPN(old), 4*addr.KB)
+	for _, sh := range shards {
+		sh.mmu.Invalidate(s.va(page), addr.Page4K)
+	}
+	return true
 }
 
 // collect assembles the Result and computes its fingerprint.

@@ -227,8 +227,8 @@ func TestTenantIsolationUnderInjection(t *testing.T) {
 	}
 }
 
-// deafMMU faults on every private reference, as if the tenant's page table
-// never took the mappings its OS installed.
+// deafMMU faults on every reference, as if no page table took the mappings
+// its OS installed.
 type deafMMU struct{ sim.MMU }
 
 func (deafMMU) Translate(addr.VirtAddr) mmu.Result { return mmu.Result{Fault: true} }
@@ -239,10 +239,10 @@ func (deafMMU) TranslateBatchPAs([]addr.VirtAddr, []addr.PhysAddr) (int, uint64,
 
 func (deafMMU) TranslateWalk(addr.VirtAddr, uint64) mmu.Result { return mmu.Result{Fault: true} }
 
-// TestFaultPersistedFailsTenant: a private reference that still faults
-// after the OS handled it fails its tenant with sim.ErrFaultPersisted
-// instead of being priced as an access to physical address 0. Only the
-// shared accesses drawn before each tenant's first private one count.
+// TestFaultPersistedFailsTenant: a reference that still faults after the
+// OS handled it fails its tenant with sim.ErrFaultPersisted instead of
+// being priced as an access to physical address 0, so each tenant's first
+// reference fails it and none counts.
 func TestFaultPersistedFailsTenant(t *testing.T) {
 	m, err := NewMachine(testConfig(sim.Radix, 2))
 	if err != nil {
@@ -256,12 +256,35 @@ func TestFaultPersistedFailsTenant(t *testing.T) {
 		if !p.Failed || !errors.Is(p.FailureErr, sim.ErrFaultPersisted) {
 			t.Errorf("proc %d: failed=%v err=%v, want sim.ErrFaultPersisted", p.PID, p.Failed, p.FailureErr)
 		}
-		if p.Accesses != p.SharedAccesses {
-			t.Errorf("proc %d counted %d accesses, %d of them shared: the failing private one was counted",
+		if p.Accesses != 0 || p.SharedAccesses != 0 {
+			t.Errorf("proc %d counted %d accesses, %d of them shared: the failing one was counted",
 				p.PID, p.Accesses, p.SharedAccesses)
 		}
 		if p.Faults != 1 {
 			t.Errorf("proc %d handled %d faults, want 1", p.PID, p.Faults)
 		}
+	}
+}
+
+// TestSharedMissFailsTenant: a shared page the shared table does not map
+// (restore's sharedRegion.check refuses such a state) fails the tenant
+// that touches it with sim.ErrFaultPersisted, after the shared references
+// before it completed.
+func TestSharedMissFailsTenant(t *testing.T) {
+	cfg := testConfig(sim.ECPT, 1)
+	cfg.Processes, cfg.SharedPages, cfg.SharedFraction = 1, 1, 0.5
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.shared.table.Delete(m.shared.vpn(0))
+	p, sh := m.procs[0], m.shards[0]
+	sh.bind(p)
+	runQuantum(m.cfg, p, sh, m.shared)
+	if !p.res.Failed || !errors.Is(p.res.FailureErr, sim.ErrFaultPersisted) {
+		t.Fatalf("failed=%v err=%v, want sim.ErrFaultPersisted", p.res.Failed, p.res.FailureErr)
+	}
+	if p.res.SharedAccesses != 0 || p.res.Accesses == 0 {
+		t.Errorf("%d accesses completed, %d of them shared; want only private ones", p.res.Accesses, p.res.SharedAccesses)
 	}
 }

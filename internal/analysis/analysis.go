@@ -46,9 +46,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts answers cross-package questions (function declarations and
-	// their taint summaries) for type-aware analyzers.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -114,7 +111,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // accumulator (keyed by analyzer name; entries must pre-exist).
 func runAnalyzers(pkg *Package, analyzers []*Analyzer, metrics map[string]*Metrics) ([]Diagnostic, error) {
 	allows, diags := pkg.loader.AllowsFor(pkg)
-	facts := &Facts{loader: pkg.loader}
 	for _, a := range analyzers {
 		var raw []Diagnostic
 		pass := &Pass{
@@ -123,7 +119,6 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer, metrics map[string]*Metri
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     facts,
 			diags:     &raw,
 		}
 		start := time.Now()
@@ -187,4 +182,27 @@ func RunFinishers(loader *Loader, pkgs []*Package, analyzers []*Analyzer, metric
 	}
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
+}
+
+// CalleeFunc resolves the *types.Func a call targets, or nil for func
+// values.
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+			return nil // field of func type
+		}
+		// Package-qualified call: pkg.Func.
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }

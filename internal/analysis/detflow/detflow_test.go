@@ -7,13 +7,17 @@ import (
 	"repro/internal/analysis/detflow"
 )
 
+// TestDetflow checks the edges of both rules: collect-then-sort variants
+// that are and are not the idiom, map ranges in function literals, and
+// the select and pointer-to-uintptr bans.
 func TestDetflow(t *testing.T) {
 	analysistest.Run(t, detflow.Analyzer, "testdata", "repro/internal/dftest")
 }
 
-// TestDetrand checks ban mode: every global-rand, wall-clock, and
-// crypto/rand use in a deterministic package is a finding, and the same
-// constructs in an I/O shell are not.
+// TestDetrand checks ban mode: every global-rand, wall-clock, crypto/rand,
+// multi-case select and pointer-to-uintptr use in a deterministic package
+// is a finding, and the same constructs in an I/O shell are not; map
+// ranges are findings in both.
 func TestDetrand(t *testing.T) {
 	analysistest.Run(t, detflow.Analyzer, "testdata",
 		"repro/internal/simx", // deterministic package: flagged + allowed cases
@@ -37,8 +41,9 @@ func TestDeterministicSet(t *testing.T) {
 	}
 }
 
-// TestMaporder checks the three order sinks: map iteration order reaching
-// an output writer, a seed derivation, or a returned unsorted slice.
+// TestMaporder checks the map-range rule: collect-then-sort is clean, any
+// other map range (unsorted collect, output, seed folding, a callback per
+// key) is flagged unless waived.
 func TestMaporder(t *testing.T) {
 	analysistest.Run(t, detflow.Analyzer, "testdata", "repro/internal/mtest")
 }

@@ -1,99 +1,173 @@
-// Package dftest is the detflow golden suite: nondeterministic values
-// flowing into fingerprint, stats, and snapshot sinks — directly, through
-// local helpers, and through cross-package summaries — next to seeded and
-// sink-free uses that must stay silent.
+// Package dftest is the detflow golden suite for the edges of the rules:
+// collect-then-sort variants that are and are not the idiom, map ranges
+// inside function literals, and the select and pointer → uintptr bans.
 package dftest
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"math/rand"
-	"time"
+	"slices"
+	"sort"
 	"unsafe"
-
-	"repro/internal/dfsrc"
-	"repro/internal/stats"
 )
 
-// fingerprintOf mixes a value into a run fingerprint (name makes it a
-// module fingerprint sink).
-func fingerprintOf(v int64) uint64 { return uint64(v) * 2654435761 }
-
-// seedFromClock feeds the wall clock straight into the fingerprint.
-func seedFromClock() uint64 {
-	seed := time.Now().UnixNano() // want `time\.Now reads the wall clock`
-	return fingerprintOf(seed)    // want `wall clock time\.Now.*fingerprint computation`
-}
-
-// recordLatency launders the clock through another package first; the
-// taint arrives via dfsrc.Stamp's exported summary.
-func recordLatency() {
-	v := dfsrc.Scale(dfsrc.Stamp(), 3)
-	stats.Record(v) // want `wall clock time\.Now.*stats recording`
-}
-
-// mapFingerprint folds map iteration order into the fingerprint. (A
-// non-commutative mix makes the order observable; even a sum is flagged —
-// collect and sort instead.)
-func mapFingerprint(m map[uint64]uint64) uint64 {
-	var mix uint64
+// sortedBySlices determinizes with slices.Sort: clean.
+func sortedBySlices(m map[int]bool) []int {
+	var ks []int
 	for k := range m {
-		mix = mix*31 + k
+		ks = append(ks, k)
 	}
-	return fingerprintOf(int64(mix)) // want `map iteration order.*fingerprint computation`
+	slices.Sort(ks)
+	return ks
 }
 
-// selectRace records whichever channel won the race.
-func selectRace(a, b chan int64) {
-	var got int64
+// sortedLater sorts in a nested block after the loop: clean.
+func sortedLater(m map[int]bool, sorted bool) []int {
+	var ks []int
+	for k := range m {
+		ks = append(ks, k)
+	}
+	if sorted {
+		sort.Ints(ks)
+	}
+	return ks
+}
+
+// sortedBefore sorts before the loop fills the slice.
+func sortedBefore(m map[int]bool) []int {
+	var ks []int
+	sort.Ints(ks)
+	for k := range m { // want `range over a map`
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+// sortsAnother sorts a different slice than the one collected.
+func sortsAnother(m map[int]bool, other []int) []int {
+	var ks []int
+	for k := range m { // want `range over a map`
+		ks = append(ks, k)
+	}
+	sort.Ints(other)
+	return ks
+}
+
+// twoSlices collects into two slices: not the idiom even if both are
+// sorted.
+func twoSlices(m map[int]int) ([]int, []int) {
+	var ks, vs []int
+	for k, v := range m { // want `range over a map`
+		ks = append(ks, k)
+		vs = append(vs, v)
+	}
+	sort.Ints(ks)
+	sort.Ints(vs)
+	return ks, vs
+}
+
+// collectAndCount does more than append.
+func collectAndCount(m map[int]bool) ([]int, int) {
+	var ks []int
+	n := 0
+	for k := range m { // want `range over a map`
+		ks = append(ks, k)
+		n++
+	}
+	sort.Ints(ks)
+	return ks, n
+}
+
+// inClosure ranges inside a function literal: the literal is its own
+// function, and it sorts what it collects.
+func inClosure(m map[int]bool) func() []int {
+	return func() []int {
+		var ks []int
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Ints(ks)
+		return ks
+	}
+}
+
+// sortedInClosure sorts in a literal, which is another function.
+func sortedInClosure(m map[int]bool) []int {
+	var ks []int
+	for k := range m { // want `range over a map`
+		ks = append(ks, k)
+	}
+	func() { sort.Ints(ks) }()
+	return ks
+}
+
+// namedMap ranges over a defined map type.
+type counts map[string]int
+
+func namedMap(c counts, emit func(string)) {
+	for k := range c { // want `range over a map`
+		emit(k)
+	}
+}
+
+// rangeSlice ranges over a slice: clean.
+func rangeSlice(s []int, emit func(int)) {
+	for _, v := range s {
+		emit(v)
+	}
+}
+
+// race takes whichever channel is ready first.
+func race(a, b chan int) int {
+	select { // want `select with 2 communication clauses picks a ready case at random`
+	case v := <-a:
+		return v
+	case v := <-b:
+		return v
+	}
+}
+
+// poll is a single receive with a default: deterministic, clean.
+func poll(a chan int) int {
 	select {
 	case v := <-a:
-		got = v
-	case v := <-b:
-		got = v
+		return v
+	default:
+		return 0
 	}
-	stats.Record(got) // want `select case arrival order.*stats recording`
 }
 
-// ProbeState is a snapshot image; storing an address-derived value into
-// it forks the checkpoint between runs (ASLR).
-type ProbeState struct {
-	Addr uint64
+// sendOrReceive mixes a send and a receive: two communication clauses.
+func sendOrReceive(in, out chan int, v int) {
+	select { // want `select with 2 communication clauses`
+	case out <- v:
+	case <-in:
+	default:
+	}
 }
 
-func captureProbe(p *int) ProbeState {
-	var st ProbeState
-	st.Addr = uint64(uintptr(unsafe.Pointer(p))) // want `pointer-to-uintptr conversion.*snapshot state field ProbeState\.Addr`
-	return st
+// addrOf converts a pointer to an address.
+func addrOf(p *int) uintptr {
+	return uintptr(unsafe.Pointer(p)) // want `pointer-to-uintptr conversion`
 }
 
-// snapshotClock gob-encodes a wall-clock reading.
-func snapshotClock(buf *bytes.Buffer) error {
-	enc := gob.NewEncoder(buf)
-	t := time.Now()      // want `time\.Now reads the wall clock`
-	return enc.Encode(t) // want `wall clock time\.Now.*gob snapshot encoding`
-}
-
-// seededDraw uses an explicitly seeded generator: deterministic, silent.
-func seededDraw() int64 {
-	rng := rand.New(rand.NewSource(42))
-	return rng.Int63()
-}
-
-// logElapsed sends the clock to a log line. Output is an order sink
-// only, so the flow is silent; ban mode still flags the clock read.
-func logElapsed(start time.Time) {
-	fmt.Println(time.Since(start)) // want `time\.Since reads the wall clock`
+// widen converts an integer to uintptr: clean.
+func widen(v uint32) uintptr {
+	return uintptr(v)
 }
 
 var (
-	_ = seedFromClock
-	_ = recordLatency
-	_ = mapFingerprint
-	_ = selectRace
-	_ = captureProbe
-	_ = snapshotClock
-	_ = seededDraw
-	_ = logElapsed
+	_ = sortedBySlices
+	_ = sortedLater
+	_ = sortedBefore
+	_ = sortsAnother
+	_ = twoSlices
+	_ = collectAndCount
+	_ = inClosure
+	_ = sortedInClosure
+	_ = namedMap
+	_ = rangeSlice
+	_ = race
+	_ = poll
+	_ = sendOrReceive
+	_ = addrOf
+	_ = widen
 )

@@ -1,5 +1,6 @@
-// Package mtest exercises detflow's order sinks: map ranges whose
-// iteration order can leak into results.
+// Package mtest exercises detflow's map-range rule: every range over a
+// map is a finding unless it collects into a slice that the function
+// sorts after the loop, or it carries a waiver.
 package mtest
 
 import (
@@ -29,28 +30,27 @@ func GoodSortSlice(m map[string]int) []string {
 	return keys
 }
 
-// BadCollect returns the keys in map order. The finding is where the
-// slice leaves the function.
+// BadCollect returns the keys in map order: collected, never sorted.
 func BadCollect(m map[string]int) []string {
 	var out []string
-	for k := range m {
+	for k := range m { // want `range over a map visits keys in random order`
 		out = append(out, k)
 	}
-	return out // want `map iteration order.*unsorted slice returned by mtest\.BadCollect`
+	return out
 }
 
 // BadWrite serializes the map in iteration order.
 func BadWrite(w io.Writer, m map[string]int) {
-	for k, v := range m {
-		fmt.Fprintf(w, "%s=%d\n", k, v) // want `map iteration order.*output \(Fprintf\)`
+	for k, v := range m { // want `range over a map`
+		fmt.Fprintf(w, "%s=%d\n", k, v)
 	}
 }
 
 // BadSeed folds map keys into a seed in iteration order.
 func BadSeed(m map[uint64]uint64) uint64 {
 	var s uint64
-	for k := range m {
-		s = DeriveSeed(s, k) // want `map iteration order.*seed/hash derivation \(DeriveSeed\)`
+	for k := range m { // want `range over a map`
+		s = DeriveSeed(s, k)
 	}
 	return s
 }
@@ -58,29 +58,31 @@ func BadSeed(m map[uint64]uint64) uint64 {
 // DeriveSeed is a stand-in for runner.DeriveSeed.
 func DeriveSeed(s, k uint64) uint64 { return s*0x9e3779b9 + k }
 
-// Waived documents an order-irrelevant dump with the escape hatch.
-func Waived(w io.Writer, m map[string]int) {
-	for k := range m {
-		fmt.Fprintln(w, k) //mehpt:allow detflow -- debug dump, order deliberately irrelevant
-	}
-}
-
-// GoodReduce computes an order-independent reduction: clean.
-func GoodReduce(m map[string]int) int {
-	total := 0
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-
-// GoodInner appends to a slice scoped inside the loop body: clean.
-func GoodInner(m map[string][]int, f func([]int)) {
-	for _, vs := range m {
+// BadCallback hands each value to a callback in map order; the callee
+// may emit, so the order is observable.
+func BadCallback(m map[string][]int, f func([]int)) {
+	for _, vs := range m { // want `range over a map`
 		var doubled []int
 		for _, v := range vs {
 			doubled = append(doubled, 2*v)
 		}
 		f(doubled)
 	}
+}
+
+// Waived documents an order-irrelevant dump with the escape hatch.
+func Waived(w io.Writer, m map[string]int) {
+	for k := range m { //mehpt:allow detflow -- debug dump, order deliberately irrelevant
+		fmt.Fprintln(w, k)
+	}
+}
+
+// GoodReduce computes an order-independent integer sum under a waiver.
+func GoodReduce(m map[string]int) int {
+	total := 0
+	//mehpt:allow detflow -- integer sum, the same in any order
+	for _, v := range m {
+		total += v
+	}
+	return total
 }

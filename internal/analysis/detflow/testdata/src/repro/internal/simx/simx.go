@@ -6,6 +6,7 @@ import (
 	crand "crypto/rand" // want `crypto/rand is nondeterministic`
 	"math/rand"
 	"time"
+	"unsafe"
 )
 
 // Draw uses the global generator: flagged.
@@ -57,4 +58,29 @@ func Fill(b []byte) {
 func Malformed() time.Time {
 	//mehpt:allow detflow missing reason separator // want `malformed //mehpt:allow directive`
 	return time.Now() // want `time\.Now reads the wall clock`
+}
+
+// FirstReady races two channels: flagged.
+func FirstReady(a, b <-chan int) int {
+	select { // want `select with 2 communication clauses`
+	case v := <-a:
+		return v
+	case v := <-b:
+		return v
+	}
+}
+
+// Addr reads an address: flagged.
+func Addr(p *int) uint64 {
+	return uint64(uintptr(unsafe.Pointer(p))) // want `pointer-to-uintptr conversion`
+}
+
+// Keys ranges over a map without sorting: flagged here as in every
+// package.
+func Keys(m map[int]int) []int {
+	var ks []int
+	for k := range m { // want `range over a map`
+		ks = append(ks, k)
+	}
+	return ks
 }

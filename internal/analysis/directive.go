@@ -37,11 +37,11 @@ type AllowEntry struct {
 	Pos      token.Pos // position of the directive comment
 	Scope    string    // "line", "file", or "package"
 	Analyzer string    // the analyzer this entry waives
-	used     int       // diagnostics (or reach sites) suppressed
+	used     int       // diagnostics suppressed
 }
 
-// Used reports whether the entry suppressed at least one diagnostic (or
-// pruned at least one reach-engine site) during the run.
+// Used reports whether the entry suppressed at least one diagnostic
+// during the run.
 func (e *AllowEntry) Used() bool { return e.used > 0 }
 
 // AllowSet records which analyzers have been waived, per line, per file,

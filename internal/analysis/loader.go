@@ -19,12 +19,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Std marks a package resolved from GOROOT. Fact computation stops at
-	// the standard-library boundary: std behaviour comes from the curated
-	// tables in taint.go, never from traversing std sources.
-	Std bool
-	// loader is the loader that produced this package, so fact queries can
-	// reach sibling and dependency packages through the same cache.
+	// loader is the loader that produced this package; its waiver cache
+	// is shared by every analyzer of the run.
 	loader *Loader
 }
 
@@ -41,12 +37,7 @@ type Loader struct {
 
 	pkgs    map[string]*Package
 	loading map[string]bool
-	facts   map[string]*PkgFacts
 	allows  map[string]*allowCache
-	// taintWalk guards against cycles in cross-package taint summary
-	// computation (taint.go); it lives here because the recursion can
-	// cross package boundaries.
-	taintWalk map[*types.Func]bool
 }
 
 type allowCache struct {
@@ -57,20 +48,18 @@ type allowCache struct {
 // NewLoader returns a loader with an empty cache.
 func NewLoader(resolve func(string) (string, error)) *Loader {
 	return &Loader{
-		Fset:      token.NewFileSet(),
-		Resolve:   resolve,
-		pkgs:      map[string]*Package{},
-		loading:   map[string]bool{},
-		facts:     map[string]*PkgFacts{},
-		allows:    map[string]*allowCache{},
-		taintWalk: map[*types.Func]bool{},
+		Fset:    token.NewFileSet(),
+		Resolve: resolve,
+		pkgs:    map[string]*Package{},
+		loading: map[string]bool{},
+		allows:  map[string]*allowCache{},
 	}
 }
 
 // AllowsFor returns the package's //mehpt:allow set, computing and caching
 // it on first use. The single shared instance is what makes the staleallow
-// audit sound: every consumer (the driver's suppression pass, the fact
-// engine's site waivers) marks usage on the same entries.
+// audit sound: every analyzer's suppression pass marks usage on the same
+// entries.
 func (l *Loader) AllowsFor(pkg *Package) (*AllowSet, []Diagnostic) {
 	if c, ok := l.allows[pkg.Path]; ok {
 		return c.set, c.diags
@@ -127,9 +116,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	std := strings.HasPrefix(dir, filepath.Join(build.Default.GOROOT, "src")+string(filepath.Separator))
-	p := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info,
-		Std: std, loader: l}
+	p := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
 }

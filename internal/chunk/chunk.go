@@ -219,7 +219,9 @@ func (s *Store) Transition(targetBytes uint64) (uint64, error) {
 		s.alloc.Free(c, oldChunkBytes)
 	}
 	s.l2p.Release(s.way, s.size, len(oldChunks))
-	s.chunks = nil
+	// Reuse the list's backing array, here and in the rollback: a failed
+	// transition is retried by the next insert and must not regrow it.
+	s.chunks = oldChunks[:0]
 	s.chunkBytes = next
 
 	cycles, err := s.extendChunks(targetBytes)
@@ -231,7 +233,7 @@ func (s *Store) Transition(targetBytes uint64) (uint64, error) {
 		// is therefore an accounting-invariant violation, not a recoverable
 		// condition, and stays a panic (see DESIGN.md "Fault model").
 		s.chunkBytes = oldChunkBytes
-		s.chunks = nil
+		s.chunks = oldChunks[:0]
 		if _, err2 := s.extend(uint64(len(oldChunks))*oldChunkBytes, true); err2 != nil {
 			panic(fmt.Sprintf("chunk: cannot restore after failed transition: %v", err2))
 		}

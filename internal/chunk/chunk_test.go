@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -116,6 +117,43 @@ func TestTransition(t *testing.T) {
 	}
 	if len(s.chunks) != 2 {
 		t.Errorf("chunks = %d, want 2", len(s.chunks))
+	}
+}
+
+// TestFailedTransitionAllocs: a transition that cannot allocate the next
+// rung's chunk allocates nothing but its error chain — the rolled-back
+// chunk list reuses its old backing array — so an ME-HPT insert retrying
+// it under sustained pressure does not regrow the list each time.
+func TestFailedTransitionAllocs(t *testing.T) {
+	mem := phys.NewMemory(4 * addr.MB)
+	alloc := phys.NewAllocator(mem, 0)
+	s, _, err := NewStoreLadder(alloc, l2p.New(3), 0, addr.Page4K, 8*addr.KB, Ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Extend(512 * addr.KB); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, _, err := alloc.Alloc(8 * addr.KB); err != nil {
+			break
+		}
+	}
+	transition := testing.AllocsPerRun(100, func() {
+		if _, err := s.Transition(1 * addr.MB); !errors.Is(err, phys.ErrOutOfMemory) {
+			t.Fatalf("transition in an exhausted pool: %v", err)
+		}
+	})
+	if s.ChunkBytes() != 8*addr.KB || len(s.chunks) != 64 {
+		t.Fatalf("rollback left %d chunks of %d bytes, want 64 of 8KB", len(s.chunks), s.ChunkBytes())
+	}
+	// The same failure and wrap, without the store: what the errors cost.
+	errs := testing.AllocsPerRun(100, func() {
+		_, _, err := alloc.Alloc(1 * addr.MB)
+		_ = fmt.Errorf("%w: %w", ErrTransitionFailed, err)
+	})
+	if transition != errs {
+		t.Errorf("a failed transition allocates %v objects, its error chain %v", transition, errs)
 	}
 }
 

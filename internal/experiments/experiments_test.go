@@ -247,6 +247,37 @@ func TestFigure9SmallScale(t *testing.T) {
 	}
 }
 
+// TestFigure9FailureLines: a row's failures print in the table's column
+// order however the Failed map iterates, so fifty renders of one row are
+// the same text.
+func TestFigure9FailureLines(t *testing.T) {
+	rows := []Figure9Row{{
+		App: "GUPS", Radix: 1, ECPT: 1.5,
+		Failed: map[string]string{
+			"ME-HPT+THP": "e6",
+			"ME-HPT":     "e3",
+			"Radix+THP":  "e4",
+			"ECPT+THP":   "e5",
+		},
+	}}
+	want := "Figure 9: speedup over Radix (no THP)\n" +
+		"App         Radix    ECPT  ME-HPT Radix+THP  ECPT+THP ME-HPT+THP\n" +
+		"GUPS         1.00    1.50    0.00      0.00      0.00      0.00\n" +
+		"          ME-HPT FAILED: e3\n" +
+		"          Radix+THP FAILED: e4\n" +
+		"          ECPT+THP FAILED: e5\n" +
+		"          ME-HPT+THP FAILED: e6\n" +
+		"GeoMean ME-HPT speedup over Radix: 0.00x (no THP; paper 1.23x), 0.00x (THP; paper 1.28x)\n" +
+		"GeoMean ME-HPT speedup over ECPT:  0.00x (no THP; paper 1.09x), 0.00x (THP; paper 1.06x)\n"
+	for i := 0; i < 50; i++ {
+		var sb strings.Builder
+		FprintFigure9(&sb, rows)
+		if got := sb.String(); got != want {
+			t.Fatalf("render %d:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestFprintNilWriterSafe(t *testing.T) {
 	// fprintf must tolerate nil writers (drivers used programmatically).
 	fprintf(nil, "nothing %d", 1)

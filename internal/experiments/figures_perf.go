@@ -21,6 +21,11 @@ type Figure9Row struct {
 	Failed   map[string]string // config -> failure reason, if any
 }
 
+// figure9Columns labels a row's six configurations in table order, which
+// is also the order of Figure9's jobs per application and of the printed
+// failure lines.
+var figure9Columns = [6]string{"Radix", "ECPT", "ME-HPT", "Radix+THP", "ECPT+THP", "ME-HPT+THP"}
+
 // Figure9 runs the timed performance comparison. Each configuration
 // populates the full-scale footprint (charging page-table allocation and
 // movement) and then executes the timed trace; speedups compare composed
@@ -40,29 +45,29 @@ func Figure9(o Options) []Figure9Row {
 	rows := make([]Figure9Row, 0, len(specs))
 	for i, spec := range specs {
 		row := Figure9Row{App: spec.Name, Failed: map[string]string{}}
-		cyc := func(k int, label string) float64 {
+		cyc := func(k int) float64 {
 			r := res[i*6+k]
 			if r.Failed {
-				row.Failed[label] = r.FailReason
+				row.Failed[figure9Columns[k]] = r.FailReason
 				return 0
 			}
 			return float64(perfCycles(r))
 		}
-		base := cyc(0, "Radix")
+		base := cyc(0)
 		row.Radix = 1
-		if e := cyc(1, "ECPT"); e > 0 {
+		if e := cyc(1); e > 0 {
 			row.ECPT = base / e
 		}
-		if m := cyc(2, "ME-HPT"); m > 0 {
+		if m := cyc(2); m > 0 {
 			row.MEHPT = base / m
 		}
-		if r := cyc(3, "Radix+THP"); r > 0 {
+		if r := cyc(3); r > 0 {
 			row.RadixTHP = base / r
 		}
-		if e := cyc(4, "ECPT+THP"); e > 0 {
+		if e := cyc(4); e > 0 {
 			row.ECPTTHP = base / e
 		}
-		if m := cyc(5, "ME-HPT+THP"); m > 0 {
+		if m := cyc(5); m > 0 {
 			row.MEHPTTHP = base / m
 		}
 		rows = append(rows, row)
@@ -79,8 +84,10 @@ func FprintFigure9(w io.Writer, rows []Figure9Row) {
 	for _, r := range rows {
 		fprintf(w, "%-9s %7.2f %7.2f %7.2f %9.2f %9.2f %9.2f\n",
 			r.App, r.Radix, r.ECPT, r.MEHPT, r.RadixTHP, r.ECPTTHP, r.MEHPTTHP)
-		for cfg, reason := range r.Failed {
-			fprintf(w, "          %s FAILED: %s\n", cfg, reason)
+		for _, cfg := range figure9Columns {
+			if reason, ok := r.Failed[cfg]; ok {
+				fprintf(w, "          %s FAILED: %s\n", cfg, reason)
+			}
 		}
 		if r.MEHPT > 0 {
 			me = append(me, r.MEHPT)

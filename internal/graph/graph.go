@@ -299,23 +299,27 @@ func (g *Graph) TriangleCount(sample uint64, t Tracer) uint64 {
 	if sample > g.N {
 		sample = g.N
 	}
-	// Adjacency sets for sampled nodes.
-	adj := make([]map[uint32]bool, sample)
+	// Adjacency lists of sampled nodes, deduplicated in neighbors order;
+	// the sets answer membership only, so the trace never depends on map
+	// iteration order.
+	adj := make([][]uint32, sample)
+	set := make([]map[uint32]bool, sample)
 	for v := uint64(0); v < sample; v++ {
-		adj[v] = make(map[uint32]bool)
+		set[v] = make(map[uint32]bool)
 		g.neighbors(t, uint32(v), func(u uint32) {
-			if uint64(u) < sample {
-				adj[v][u] = true
+			if uint64(u) < sample && !set[v][u] {
+				set[v][u] = true
+				adj[v] = append(adj[v], u)
 			}
 		})
 	}
 	var count uint64
 	for v := uint64(0); v < sample; v++ {
-		for u := range adj[v] {
+		for _, u := range adj[v] {
 			g.touchProp(t, uint64(u))
-			for w := range adj[uint64(u)] {
+			for _, w := range adj[u] {
 				g.touchWork(t, uint64(w))
-				if adj[v][w] {
+				if set[v][w] {
 					count++
 				}
 			}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -176,6 +178,33 @@ func TestTraceAddressesInSpan(t *testing.T) {
 		})
 		if bad > 0 {
 			t.Errorf("%s: %d accesses outside the graph span", k, bad)
+		}
+	}
+}
+
+// TestKernelStreamsRepeat: every kernel emits the same address stream on
+// every run. The graph is dense enough that TC's per-node neighbour sets
+// hold several keys, so a trace that followed map iteration order would
+// differ between the two runs.
+func TestKernelStreamsRepeat(t *testing.T) {
+	g := testGraph(t, 3000, 16)
+	stream := func(k string) (uint64, float64) {
+		h := fnv.New64a()
+		var buf [8]byte
+		check, err := g.Run(k, func(va addr.VirtAddr) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(va))
+			h.Write(buf[:])
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		return h.Sum64(), check
+	}
+	for _, k := range kernels {
+		h1, c1 := stream(k)
+		h2, c2 := stream(k)
+		if h1 != h2 || c1 != c2 {
+			t.Errorf("%s: stream hash %#x then %#x, checksum %v then %v", k, h1, h2, c1, c2)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (h *Histogram) Restore(st HistogramState) {
 	for _, b := range st.Bins {
 		h.put(b.Value, b.Count)
 	}
-	for v, c := range st.Counts {
+	for v, c := range st.Counts { //mehpt:allow detflow -- keyed stores: the restored histogram is the same in any order
 		h.put(v, c)
 	}
 }

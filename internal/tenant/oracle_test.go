@@ -427,21 +427,29 @@ func runTenantOps(t *testing.T, org sim.Org, data []byte) tenantReach {
 	return r.finish()
 }
 
-// FuzzTenantOps decodes the input into a core count, an injection policy
-// and ops — scheduling rounds, extra shared remaps, checkpoint →
-// RestoreMachine — and runs them on a Radix, an ECPT and an ME-HPT
-// machine. Every translation the engine is handed must be the oracle's,
-// only unmapped private addresses may fault, every TLB entry a shard
-// holds after an op must be the oracle's, and the fingerprint must equal
-// that of a twin at another core count that never restores.
+// tenantOrgs are the organizations FuzzTenantOps picks from.
+var tenantOrgs = []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT}
+
+// FuzzTenantOps decodes the input into an organization (its first byte),
+// a core count, an injection policy and ops — scheduling rounds, extra
+// shared remaps, checkpoint → RestoreMachine — and runs them on that
+// organization's machine. Every translation the engine is handed must be
+// the oracle's, only unmapped private addresses may fault, every TLB
+// entry a shard holds after an op must be the oracle's, and the
+// fingerprint must equal that of a twin at another core count that never
+// restores. The seed corpus runs every hand-written input on every
+// organization.
 func FuzzTenantOps(f *testing.F) {
 	for _, s := range tenantOpsSeeds() {
-		f.Add(s)
+		for i := range tenantOrgs {
+			f.Add(append([]byte{byte(i)}, s...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {
-			runTenantOps(t, org, data)
+		if len(data) == 0 {
+			return
 		}
+		runTenantOps(t, tenantOrgs[int(data[0])%len(tenantOrgs)], data[1:])
 	})
 }
 
@@ -478,7 +486,7 @@ func tenantOpsInput(seed int64, n int) []byte {
 // faults, remaps inside rounds, restores and a tenant failed by an
 // injected allocation failure.
 func TestTenantOpsSeeded(t *testing.T) {
-	for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {
+	for _, org := range tenantOrgs {
 		t.Run(org.String(), func(t *testing.T) {
 			var reach tenantReach
 			for _, s := range tenantOpsSeeds() {

@@ -3,12 +3,12 @@
 # it, so "works locally, fails in CI" cannot happen for lint.
 #
 # The suite (internal/analysis, see DESIGN.md § "Mechanically enforced
-# invariants" and § "Snapshot completeness & determinism taint") runs
-# three analyzers plus the waiver audit: determinism bans and taint
-# (detflow), address units (addrspace), error wrapping (errwrap), and
-# stale //mehpt:allow waivers (staleallow). Snapshot completeness is
-# held by the restore gates instead (README.md § "Linting the
-# invariants").
+# invariants" and § "Snapshot completeness & determinism") runs three
+# syntactic analyzers plus the waiver audit: determinism bans and map
+# ranges other than collect-then-sort (detflow), address units
+# (addrspace), error wrapping (errwrap), and stale //mehpt:allow waivers
+# (staleallow). Snapshot completeness is held by the restore gates
+# instead (README.md § "Linting the invariants").
 #
 # Environment knobs:
 #   LINT_JSON  set to a path to also write the machine-readable report
